@@ -27,6 +27,12 @@ class InputError(Exception):
     pass
 
 
+# every accepted --pattern spelling -> the generator's pattern name
+_PATTERNS = {p.lower(): p for p in trace_mod.PATTERNS} | {
+    "compute": "COMPUTE_STORE_LOAD", "chase": "POINTER_CHASE",
+}
+
+
 def _parse_probe(text: str) -> core.ProbeSpec:
     fields = {}
     for part in text.split(","):
@@ -93,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic trace")
     _add_common(p_gen)
-    p_gen.add_argument("--pattern", required=True,
-                       choices=[p.lower() for p in trace_mod.PATTERNS] +
-                       ["compute", "chase", "stream", "mixed"])
+    p_gen.add_argument("--pattern", required=True, choices=_PATTERNS)
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--branch-density", type=float, default=0.05)
     p_gen.add_argument("--mispredict-rate", type=float, default=0.1)
@@ -122,15 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PATTERN_ALIASES = {
-    "compute": "COMPUTE_STORE_LOAD", "chase": "POINTER_CHASE",
-    "stream": "STREAM", "mixed": "MIXED",
-}
-
-
 def cmd_gen(args) -> int:
     spec = trace_mod.SyntheticWorkloadSpec(
-        pattern=_PATTERN_ALIASES.get(args.pattern, args.pattern.upper()),
+        pattern=_PATTERNS[args.pattern],
         count=args.count,
         branch_density=args.branch_density,
         mispredict_rate=args.mispredict_rate,

@@ -34,10 +34,9 @@ under BASELINE they mutate it like any speculative load would.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
 from .isa import ALU_LATENCY, alu_eval
@@ -187,23 +186,14 @@ class _Sim:
         self.annotations = annotations or AnnotationTable()
         vrc_cfg = config.vrc
         if config.policy == "VRC2" and vrc_cfg.clamp_cycles is None:
-            vrc_cfg = VrcConfig(
-                hist_capacity=vrc_cfg.hist_capacity, queue_depth=vrc_cfg.queue_depth,
-                delivery_cycles=vrc_cfg.delivery_cycles, lossy_tags=vrc_cfg.lossy_tags,
-                clamp_cycles=2, allow_mutable=vrc_cfg.allow_mutable)
+            vrc_cfg = replace(vrc_cfg, clamp_cycles=2)
         needs_engine = config.policy in ("VRC", "VRC2", "ORACLE_VRC")
         self.vrc = VrcState(self.annotations, vrc_cfg,
                             live_reader=self._live_reg_value) if needs_engine else None
 
-        # per-register writer index (program order), for dataflow queries
-        self.writers_index: dict[int, list[int]] = defaultdict(list)
-        for ins in trace.instructions:
-            if ins.dst is not None:
-                self.writers_index[ins.dst].append(ins.seq)
-
+        self.dataflow = trace.dataflow
         self.entries: list[_Entry | None] = [None] * self.n
-        self.consumers: dict[int, list[tuple[int, str]]] = defaultdict(list)
-        self.last_writer: dict[int, int] = {}
+        self.consumers: dict[int, list[int]] = defaultdict(list)
 
         self.now = 0
         self.next_dispatch = 0
@@ -254,29 +244,16 @@ class _Sim:
 
     # ------------------------------------------------------------- value wiring
 
-    def _writer_before(self, reg: int, seq: int) -> int | None:
-        seqs = self.writers_index.get(reg)
-        if not seqs:
-            return None
-        i = bisect.bisect_left(seqs, seq)
-        return seqs[i - 1] if i > 0 else None
-
     def _live_reg_value(self, reg: int, load_seq: int):
         """Architectural value of `reg` at the load's program point, or None
         while its producer has not produced yet (the engine stalls)."""
-        wseq = self._writer_before(reg, load_seq)
+        wseq = self.dataflow.writer_before(reg, load_seq)
         if wseq is None:
             return 0
         e = self.entries[wseq]
         if e is None or e.value_ready is None:
             return None
         return e.value
-
-    def _operand_value(self, reg: int, seq: int) -> int:
-        wseq = self._writer_before(reg, seq)
-        if wseq is None:
-            return 0
-        return self.entries[wseq].value or 0
 
     def _producers_known(self, writers) -> bool:
         return all(self.entries[w] is not None and
@@ -289,7 +266,7 @@ class _Sim:
         return at
 
     def _wake(self, producer_seq: int) -> None:
-        for cseq, _role in self.consumers.get(producer_seq, ()):
+        for cseq in self.consumers.get(producer_seq, ()):
             e = self.entries[cseq]
             if e is not None:
                 self._reschedule(e)
@@ -402,35 +379,29 @@ class _Sim:
             kind = ShadowKind.M if self.config.consistency == "TSO" else ShadowKind.VP
             e.sb_m = self.sb.cast(kind, e.seq)
 
+        src_writers = self.dataflow.src_writers[e.seq]
         if ins.kind in ("ALU", "BRANCH"):
-            e.data_writers = tuple(w for w in
-                                   (self.last_writer.get(r) for r in ins.srcs)
-                                   if w is not None)
+            e.data_writers = tuple(w for w in src_writers if w is not None)
             for w in set(e.data_writers):
-                self.consumers[w].append((e.seq, "src"))
+                self.consumers[w].append(e.seq)
             e.iq_held = True
             self.iq_used += 1
             self._reschedule(e)
         elif ins.kind == "LOAD":
-            e.addr_writers = tuple(w for w in
-                                   (self.last_writer.get(r) for r in ins.srcs)
-                                   if w is not None)
+            e.addr_writers = tuple(w for w in src_writers if w is not None)
             for w in set(e.addr_writers):
-                self.consumers[w].append((e.seq, "addr"))
+                self.consumers[w].append(e.seq)
             e.iq_held = True
             self.iq_used += 1
             self.lq_used += 1
             self._reschedule(e)
         elif ins.kind == "STORE":
-            data_w = self.last_writer.get(ins.srcs[0]) if ins.srcs else None
-            e.data_writers = (data_w,) if data_w is not None else ()
-            e.addr_writers = tuple(w for w in
-                                   (self.last_writer.get(r) for r in ins.srcs[1:])
-                                   if w is not None)
+            e.data_writers = tuple(w for w in src_writers[:1] if w is not None)
+            e.addr_writers = tuple(w for w in src_writers[1:] if w is not None)
             for w in set(e.addr_writers):
-                self.consumers[w].append((e.seq, "addr"))
+                self.consumers[w].append(e.seq)
             for w in set(e.data_writers):
-                self.consumers[w].append((e.seq, "data"))
+                self.consumers[w].append(e.seq)
             e.iq_held = True
             self.iq_used += 1
             self.sq_used += 1
@@ -441,8 +412,6 @@ class _Sim:
             if ins.may_fault and e.sb_e is not None:
                 self._schedule(e.complete, "resolve", e.sb_e)
                 e.sb_e = None
-        if ins.dst is not None:
-            self.last_writer[ins.dst] = e.seq
 
     # ------------------------------------------------------------------ issue
 
@@ -508,7 +477,8 @@ class _Sim:
             e.issued = True
             lat = ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
             if ins.kind == "ALU":
-                ops = [self._operand_value(r, e.seq) for r in ins.srcs]
+                ops = [0 if w is None else self.entries[w].value or 0
+                       for w in self.dataflow.src_writers[e.seq]]
                 if ins.imm is not None:
                     ops.append(ins.imm)
                 e.value = alu_eval(ins.alu_op, ops)
@@ -755,7 +725,7 @@ class _Sim:
         seen = set()
         while stack:
             p = stack.pop()
-            for cseq, _role in self.consumers.get(p, ()):
+            for cseq in self.consumers.get(p, ()):
                 if cseq in seen:
                     continue
                 seen.add(cseq)
@@ -857,8 +827,6 @@ class _Sim:
                 if self.vrc is not None:
                     self.vrc.invalidate_on_store(
                         e.ins.mem_addr, e.ins.mem_size, store_pc=e.ins.pc)
-                e.value = self._operand_value(e.ins.srcs[0], e.seq) \
-                    if e.ins.srcs else None
             if e.ins.kind == "LOAD":
                 self.lq_used -= 1
                 if self.vp is not None:
@@ -870,10 +838,7 @@ class _Sim:
             if self.vrc is not None and e.seq in self.annotations.rec_sites:
                 for key, value in self.annotations.rec_sites[e.seq]:
                     self.vrc.rec_checkpoint(key, value)
-            if e.ins.kind == "STORE":
-                self.committed_values[e.seq] = None
-            else:
-                self.committed_values[e.seq] = e.value
+            self.committed_values[e.seq] = e.value  # None for stores
             if e.ins.dst is not None:
                 self.committed_regs[e.ins.dst] = e.value
             self.commit_head += 1

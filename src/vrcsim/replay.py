@@ -22,13 +22,6 @@ class ReplayResult:
     final_mem: dict[int, int] = field(default_factory=dict)  # byte addr -> byte
     store_mismatches: list[int] = field(default_factory=list)
 
-    def reg_value_at(self, trace: Trace, reg: int, seq: int) -> int:
-        """Architectural value of `reg` just before `seq` executes."""
-        for i in range(seq - 1, -1, -1):
-            if trace[i].dst == reg:
-                return self.results[i]
-        return 0
-
 
 def functional_replay(trace: Trace) -> ReplayResult:
     regs = [0] * 64

@@ -125,10 +125,6 @@ class ShadowState:
                 break
         return released
 
-    def is_shadowed_mechanism(self, load: int) -> bool:
-        """Current mechanism view: still waiting in the release queue."""
-        return any(e.load == load for e in self._rq)
-
     # -- oracle ---------------------------------------------------------------
 
     def oracle_is_shadowed(self, load: int) -> bool:

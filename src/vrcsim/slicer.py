@@ -126,10 +126,6 @@ class SliceStats:
     failure_histogram: Counter = field(default_factory=Counter)
 
     @property
-    def static_coverage(self) -> float:
-        return self.annotated_pcs / self.load_pcs if self.load_pcs else 0.0
-
-    @property
     def dynamic_coverage(self) -> float:
         return self.annotated_instances / self.load_instances if self.load_instances else 0.0
 
@@ -162,35 +158,18 @@ class AnnotationFormatError(ValueError):
 # trace indexing
 
 class TraceIndex:
-    """Def-use and store-overlap indices plus the functional replay, shared
-    across all slice constructions for one trace."""
+    """Store-overlap indices plus the functional replay, shared across all
+    slice constructions for one trace. Register def-use edges come from
+    the trace's own `dataflow`."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
         self.replay = functional_replay(trace)
-        self.writers: dict[int, list[int]] = defaultdict(list)
         self.stores_by_byte: dict[int, list[int]] = defaultdict(list)
         for ins in trace.instructions:
-            if ins.dst is not None:
-                self.writers[ins.dst].append(ins.seq)
             if ins.kind == "STORE":
                 for b in ins.mem_bytes():
                     self.stores_by_byte[b].append(ins.seq)
-
-    def last_writer_before(self, reg: int, seq: int) -> int | None:
-        seqs = self.writers.get(reg)
-        if not seqs:
-            return None
-        i = bisect.bisect_left(seqs, seq)
-        return seqs[i - 1] if i > 0 else None
-
-    def written_between(self, reg: int, after: int, before: int) -> bool:
-        """True if reg has a writer w with after < w < before."""
-        seqs = self.writers.get(reg)
-        if not seqs:
-            return False
-        i = bisect.bisect_right(seqs, after)
-        return i < len(seqs) and seqs[i] < before
 
     def last_store_overlapping(self, addr: int, size: int, seq: int) -> int | None:
         best = None
@@ -252,6 +231,7 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     idx = index or TraceIndex(trace)
+    src_writers = trace.dataflow.src_writers
     if recompute_seq is None:
         nxt = idx.next_load_overlapping(store.mem_addr, store.mem_size, store_seq)
         recompute_seq = nxt if nxt is not None else len(trace)
@@ -264,7 +244,8 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
 
     def leaf_binding(reg: int, writer: int, consumer_pc: int, slot: int) -> Operand:
         value = idx.replay.results[writer]
-        if idx.written_between(reg, writer, recompute_seq):
+        later = trace.dataflow.writer_before(reg, recompute_seq)
+        if later is not None and later > writer:
             key = (consumer_pc, slot)
             prev = hist_reqs.get(key)
             if prev is not None and prev != (writer, value):
@@ -276,7 +257,7 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
         return live_op(reg)
 
     def operand_binding(reg: int, consumer_seq: int, consumer_pc: int, slot: int) -> Operand:
-        writer = idx.last_writer_before(reg, consumer_seq)
+        writer = src_writers[consumer_seq][slot]
         if writer is None:
             # never written in-trace: the register still holds its initial
             # value at recomputation time, so it reads live
@@ -301,7 +282,7 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
                             f"partial store overlap at seq {st_seq}")
             if not st.srcs:
                 raise _Leafable()
-            data_writer = idx.last_writer_before(st.srcs[0], st_seq)
+            data_writer = src_writers[st_seq][0]
             if data_writer is None:
                 raise _Leafable()
             return expand(data_writer)
@@ -328,7 +309,7 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
     try:
         if not store.srcs:
             return SliceFailure(FailureReason.NO_PRODUCER, "store carries no register data")
-        root_writer = idx.last_writer_before(store.srcs[0], store_seq)
+        root_writer = src_writers[store_seq][0]
         if root_writer is None:
             return SliceFailure(FailureReason.NO_PRODUCER, "stored value has no producer")
         try:

@@ -20,8 +20,10 @@ written in hex with a `0x` prefix; addresses and data values are emitted in hex.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .isa import ALU_ARITY, ALU_OPS, MASK64, alu_eval
 
@@ -78,7 +80,34 @@ class TraceHeader:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Dataflow:
+    """Register def-use edges of a trace, decoded once in program order.
+
+    `src_writers[seq]` holds, per source register of instruction `seq`, the
+    seq of its most recent earlier writer, or None when nothing earlier in
+    the trace writes it. `writers[reg]` lists every writer of `reg` in
+    program order. Seqs are trace positions."""
+
+    __slots__ = ("src_writers", "writers")
+
+    def __init__(self, instructions: tuple[TraceInstruction, ...]):
+        last: dict[int, int] = {}
+        self.src_writers: list[tuple[int | None, ...]] = []
+        self.writers: dict[int, list[int]] = {}
+        for seq, ins in enumerate(instructions):
+            self.src_writers.append(tuple(last.get(r) for r in ins.srcs))
+            if ins.dst is not None:
+                last[ins.dst] = seq
+                self.writers.setdefault(ins.dst, []).append(seq)
+
+    def writer_before(self, reg: int, seq: int) -> int | None:
+        """The last writer of `reg` strictly before `seq`, or None."""
+        seqs = self.writers.get(reg, ())
+        i = bisect.bisect_left(seqs, seq)
+        return seqs[i - 1] if i else None
+
+
+@dataclass(frozen=True)
 class Trace:
     header: TraceHeader
     instructions: tuple[TraceInstruction, ...]
@@ -88,6 +117,12 @@ class Trace:
 
     def __getitem__(self, i: int) -> TraceInstruction:
         return self.instructions[i]
+
+    @cached_property
+    def dataflow(self) -> Dataflow:
+        """The register dataflow, decoded on first use and shared by every
+        later reader of this trace."""
+        return Dataflow(self.instructions)
 
 
 @dataclass(frozen=True, slots=True)

@@ -165,9 +165,6 @@ class VrcState:
                 return True
         return False
 
-    def is_active(self, dest) -> bool:
-        return self.active is not None and self.active.pend.dest == dest
-
     def start(self, slice_id: int, dest, load_seq: int, now: int) -> None:
         """Begin executing a slice on an idle engine (unit-level entry; the
         core normally lets step() pop the queue)."""
@@ -209,7 +206,7 @@ class VrcState:
                 return False
         return True
 
-    def _operand_value(self, act: _Active, op) -> int:
+    def _slice_operand(self, act: _Active, op) -> int:
         self.struct_accesses += 1
         if op.kind == "CONST":
             return op.value
@@ -263,7 +260,7 @@ class VrcState:
             act.cycles_into_instr += 1
             if act.cycles_into_instr >= ins.latency:
                 try:
-                    ops = [self._operand_value(act, o) for o in ins.operands]
+                    ops = [self._slice_operand(act, o) for o in ins.operands]
                     act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
                 except ArithmeticFault:
                     return self._fault(act)
@@ -278,7 +275,7 @@ class VrcState:
 
     def _evaluate_all(self, act: _Active) -> int:
         for ins in act.instrs:
-            ops = [self._operand_value(act, o) for o in ins.operands]
+            ops = [self._slice_operand(act, o) for o in ins.operands]
             act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
         return act.sfile[-1]
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vrcsim import slicer, trace as trace_mod
+from vrcsim.core import CoreConfig, run
 from vrcsim.trace import (
     PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec, Trace, TraceFormatError,
     TraceHeader, TraceInstruction, BranchInfo, emit_trace, gen_synthetic,
@@ -191,3 +193,61 @@ def test_gen_recomputable_fraction_contract():
                                      recomputable_fraction=fraction)
         _, stats = annotate(gen_synthetic(spec))
         assert stats.dynamic_coverage >= fraction, (fraction, stats.dynamic_coverage)
+
+
+def _scan_writer(t: Trace, reg: int, seq: int) -> int | None:
+    for i in range(seq - 1, -1, -1):
+        if t[i].dst == reg:
+            return i
+    return None
+
+
+def _check_dataflow_against_scan(t: Trace) -> None:
+    df = t.dataflow
+    for seq, ins in enumerate(t.instructions):
+        assert df.src_writers[seq] == tuple(_scan_writer(t, r, seq) for r in ins.srcs)
+    for seq in sorted({0, len(t)} | set(range(1, len(t), 37))):
+        for reg in range(64):
+            assert df.writer_before(reg, seq) == _scan_writer(t, reg, seq), (reg, seq)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_dataflow_matches_backward_scan(pattern):
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=600, seed=4))
+    _check_dataflow_against_scan(t)
+
+
+def test_dataflow_of_window_matches_backward_scan():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1500, seed=2))
+    _check_dataflow_against_scan(window_trace(t, skip=450, limit=600))
+
+
+def test_dataflow_unwritten_source_register(tb):
+    tb.alu(0x0, 1, "ADD", srcs=(2, 3))      # r2, r3 never written before
+    tb.alu(0x4, 2, "MOV", srcs=(1,))
+    tb.store(0x8, 0x40, srcs=(2,))
+    tb.load(0xC, 4, 0x40, srcs=(5,))        # r5 never written at all
+    tb.branch(0x10, srcs=(4,))
+    t = tb.build()
+    assert t.dataflow.src_writers == [(None, None), (0,), (1,), (None,), (3,)]
+    assert t.dataflow.writer_before(5, len(t)) is None
+    _check_dataflow_against_scan(t)
+
+
+def test_dataflow_decoded_once_per_trace(monkeypatch):
+    built = []
+    decode = trace_mod.Dataflow.__init__
+
+    def counting_decode(self, instructions):
+        built.append(self)
+        decode(self, instructions)
+
+    monkeypatch.setattr(trace_mod.Dataflow, "__init__", counting_decode)
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
+                                            count=600, seed=1))
+    table, _ = slicer.annotate(t)
+    df = t.dataflow
+    run(t, annotations=table, config=CoreConfig(policy="VRC"))
+    run(t, annotations=table, config=CoreConfig(policy="DOM"))
+    assert t.dataflow is df
+    assert built == [df]
