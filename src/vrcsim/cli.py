@@ -3,7 +3,9 @@ compare policies, and audit transient invisibility.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 audit failure.
 Defaults < config file (flat key=value, keys named like the long flags)
-< command-line flags.
+< command-line flags. Config-file entries are parsed as the flags they name,
+so they satisfy required flags and are checked like them; a key the command
+has no flag for is a usage error.
 """
 
 from __future__ import annotations
@@ -61,15 +63,18 @@ def _auto_probe(t: trace_mod.Trace) -> core.ProbeSpec:
     raise InputError("trace has no mispredicted branch to attach a probe to")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _config_flags(path: str, argv: list[str]) -> list[str]:
+    """The config file's entries as flag tokens, less the flags argv sets."""
     values = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        values["--" + key.strip().replace("_", "-")] = value.strip()
+    return [token for flag, value in values.items()
+            if not any(a == flag or a.startswith(flag + "=") for a in argv)
+            for token in (flag, value)]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -235,18 +240,17 @@ def cmd_audit(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # config file values become defaults, flags still win
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-            file_values = _load_config_file(cfg_path)
-        except (IndexError, OSError) as e:
-            print(f"error: cannot read config file: {e}", file=sys.stderr)
-            return EXIT_INPUT
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: _coerce(v) for k, v in file_values.items()
-                                   if k in known})
+    # config file entries go in right after the subcommand, as flags, so
+    # that argparse checks them and the command line's own flags win
+    for i, arg in enumerate(argv):
+        if arg == "--config" or arg.startswith("--config="):
+            try:
+                path = arg[len("--config="):] or argv[i + 1]
+                argv[1:1] = _config_flags(path, argv)
+            except (IndexError, OSError) as e:
+                print(f"error: cannot read config file: {e}", file=sys.stderr)
+                return EXIT_INPUT
+            break
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -263,15 +267,6 @@ def main(argv=None) -> int:
             slicer.AnnotationFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-
-
-def _coerce(value: str):
-    for conv in (int, float):
-        try:
-            return conv(value)
-        except ValueError:
-            continue
-    return value
 
 
 if __name__ == "__main__":

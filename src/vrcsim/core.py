@@ -18,13 +18,18 @@ and commits in order. Loads run through the policy automaton:
   ORACLE_VP   every shadowed miss predicted correctly, validation still real.
   ORACLE_VRC  every shadowed miss recomputed in two cycles, no hierarchy use.
 
-Cycle phase order: fills, scheduled events (shadow resolves, prediction and
-validation completions), commit, unshadow polling, issue in program order
-(including delayed-load reissues and validations), recomputation engine,
-dispatch, probes. A load "performs" when its value is bound by a real
-access, store forward, or recomputation; its memory-order shadow resolves
-then (at validation completion for predicted loads). Time skips ahead to the
-next scheduled event whenever a cycle makes no progress.
+Cycle phase order: fills, scheduled events (shadow resolves, branch
+resolves, prediction and validation completions; each event carries its
+handler), commit, unshadow polling, issue, recomputation engine, dispatch,
+probes. Issue walks one issue pool in program order and the entry state
+chooses the action: NONSPEC reissues an unshadowed delayed or fallback load,
+AWAIT_VALIDATION validates a predicted load, and anything else takes the
+ready path (execute, forward, access, or apply the policy to a shadowed
+miss). Every real hierarchy access goes through one path that takes a memory
+port and retries on an MSHR stall. A load "performs" when its value is bound
+by a real access, store forward, or recomputation; its memory-order shadow
+resolves then (at validation completion for predicted loads). Time skips
+ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -35,7 +40,7 @@ under BASELINE they mutate it like any speculative load would.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
@@ -111,6 +116,7 @@ class RunResult:
 # entry states
 DISP = "DISPATCHED"
 DELAYED = "DELAYED"
+NONSPEC = "NONSPEC"                 # unshadowed delayed/fallback load, awaiting reissue
 PREDICTED = "PREDICTED"
 RECOMPUTING = "RECOMPUTING"
 AWAIT_VAL = "AWAIT_VALIDATION"
@@ -119,10 +125,10 @@ DONE_ST = "DONE"
 
 class _Entry:
     __slots__ = (
-        "seq", "ins", "state", "issued", "value", "value_ready", "complete",
+        "seq", "ins", "state", "value", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
         "addr_writers", "data_writers", "predicted", "used_prediction",
-        "replay_floor", "in_ready", "iq_held", "deferred", "unshadow_cycle",
+        "replay_floor", "in_ready", "iq_held", "unshadow_cycle",
         "dispatch_cycle", "issue_at",
     )
 
@@ -130,7 +136,6 @@ class _Entry:
         self.seq = seq
         self.ins = ins
         self.state = DISP
-        self.issued = False
         self.value = None
         self.value_ready = None
         self.complete = None
@@ -144,7 +149,6 @@ class _Entry:
         self.replay_floor = 0
         self.in_ready = False
         self.iq_held = False
-        self.deferred = False
         self.unshadow_cycle = None
         self.dispatch_cycle = now
         self.issue_at = None
@@ -205,12 +209,10 @@ class _Sim:
         self.sq_used = 0
         self.live_stores: list[int] = []       # dispatched, uncommitted store seqs
 
-        self.events: list = []                  # (cycle, order, kind, payload)
+        self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
         self.ready_heap: list = []              # (ready_at, seq)
-        self.ready_pool: set[int] = set()
-        self.pending_nonspec: deque[int] = deque()
-        self.pending_validation: deque[int] = deque()
+        self.issue_pool: set[int] = set()       # seqs the issue stage visits
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
 
@@ -222,24 +224,16 @@ class _Sim:
 
     # ------------------------------------------------------------------ events
 
-    def _schedule(self, cycle: int, kind: str, payload) -> None:
-        heapq.heappush(self.events, (cycle, self._event_order, kind, payload))
+    def _schedule(self, cycle: int, handler, payload) -> None:
+        heapq.heappush(self.events, (cycle, self._event_order, handler, payload))
         self._event_order += 1
 
     def _process_events(self) -> bool:
         any_event = False
         while self.events and self.events[0][0] <= self.now:
-            _, _, kind, payload = heapq.heappop(self.events)
+            _, _, handler, payload = heapq.heappop(self.events)
+            handler(payload)
             any_event = True
-            if kind == "resolve":
-                if payload is not None:
-                    self.sb.resolve(payload)
-            elif kind == "branch_resolved":
-                self._branch_resolved(payload)
-            elif kind == "predict_done":
-                self._predict_done(payload)
-            elif kind == "validation_done":
-                self._validation_done(payload)
         return any_event
 
     # ------------------------------------------------------------- value wiring
@@ -274,15 +268,13 @@ class _Sim:
     def _reschedule(self, e: _Entry) -> None:
         ins = e.ins
         if ins.kind in ("ALU", "BRANCH"):
-            if e.issued or not self._producers_known(e.data_writers):
+            if e.state != DISP or not self._producers_known(e.data_writers):
                 return
             ready = self._producers_ready_at(
                 e.data_writers, max(e.replay_floor, e.dispatch_cycle + 1))
             self._push_ready(e, ready)
         elif ins.kind == "LOAD":
-            if e.issued or e.state != DISP or e.seq in self.pending_nonspec:
-                return
-            if not self._producers_known(e.addr_writers):
+            if e.state != DISP or not self._producers_known(e.addr_writers):
                 return
             e.addr_ready = self._producers_ready_at(
                 e.addr_writers, e.dispatch_cycle) + 1
@@ -301,13 +293,13 @@ class _Sim:
         if e.addr_ready is None and self._producers_known(e.addr_writers):
             e.addr_ready = self._producers_ready_at(
                 e.addr_writers, e.dispatch_cycle) + 1
-            self._schedule(e.addr_ready, "resolve", e.sb_d)
+            self._schedule(e.addr_ready, self.sb.resolve, e.sb_d)
             e.sb_d = None
         if e.addr_ready is not None and self._producers_known(e.data_writers):
             data_ready = self._producers_ready_at(e.data_writers, 0)
             e.complete = max(e.addr_ready, data_ready, e.dispatch_cycle + 1)
             if e.ins.may_fault and e.sb_e is not None:
-                self._schedule(e.complete, "resolve", e.sb_e)
+                self._schedule(e.complete, self.sb.resolve, e.sb_e)
                 e.sb_e = None
             self._release_iq(e)
 
@@ -379,54 +371,30 @@ class _Sim:
             kind = ShadowKind.M if self.config.consistency == "TSO" else ShadowKind.VP
             e.sb_m = self.sb.cast(kind, e.seq)
 
+        if ins.kind == "NOP":
+            e.complete = now + 1
+            if e.sb_e is not None:
+                self._schedule(e.complete, self.sb.resolve, e.sb_e)
+                e.sb_e = None
+            return
         src_writers = self.dataflow.src_writers[e.seq]
-        if ins.kind in ("ALU", "BRANCH"):
-            e.data_writers = tuple(w for w in src_writers if w is not None)
-            for w in set(e.data_writers):
-                self.consumers[w].append(e.seq)
-            e.iq_held = True
-            self.iq_used += 1
-            self._reschedule(e)
-        elif ins.kind == "LOAD":
-            e.addr_writers = tuple(w for w in src_writers if w is not None)
-            for w in set(e.addr_writers):
-                self.consumers[w].append(e.seq)
-            e.iq_held = True
-            self.iq_used += 1
-            self.lq_used += 1
-            self._reschedule(e)
-        elif ins.kind == "STORE":
+        if ins.kind == "STORE":
             e.data_writers = tuple(w for w in src_writers[:1] if w is not None)
             e.addr_writers = tuple(w for w in src_writers[1:] if w is not None)
-            for w in set(e.addr_writers):
-                self.consumers[w].append(e.seq)
-            for w in set(e.data_writers):
-                self.consumers[w].append(e.seq)
-            e.iq_held = True
-            self.iq_used += 1
             self.sq_used += 1
             self.live_stores.append(e.seq)
-            self._update_store(e)
-        else:  # NOP
-            e.complete = now + 1
-            if ins.may_fault and e.sb_e is not None:
-                self._schedule(e.complete, "resolve", e.sb_e)
-                e.sb_e = None
+        elif ins.kind == "LOAD":
+            e.addr_writers = tuple(w for w in src_writers if w is not None)
+            self.lq_used += 1
+        else:
+            e.data_writers = tuple(w for w in src_writers if w is not None)
+        for w in set(e.addr_writers + e.data_writers):
+            self.consumers[w].append(e.seq)
+        e.iq_held = True
+        self.iq_used += 1
+        self._reschedule(e)
 
     # ------------------------------------------------------------------ issue
-
-    def _collect_candidates(self) -> list[tuple[int, str]]:
-        while self.ready_heap and self.ready_heap[0][0] <= self.now:
-            _, seq = heapq.heappop(self.ready_heap)
-            e = self.entries[seq]
-            if e is not None and e.in_ready:
-                e.in_ready = False
-                self.ready_pool.add(seq)
-        cands = [(seq, "ready") for seq in self.ready_pool]
-        cands += [(seq, "nonspec") for seq in self.pending_nonspec]
-        cands += [(seq, "validate") for seq in self.pending_validation]
-        cands.sort()
-        return cands
 
     def _take_fu(self, budget, kind: str) -> bool:
         if budget[kind] > 0:
@@ -436,27 +404,28 @@ class _Sim:
         return False
 
     def _issue_phase(self) -> bool:
+        while self.ready_heap and self.ready_heap[0][0] <= self.now:
+            _, seq = heapq.heappop(self.ready_heap)
+            e = self.entries[seq]
+            if e is not None and e.in_ready:
+                e.in_ready = False
+                self.issue_pool.add(seq)
         budget = {"alu": self.config.alu_units, "mul": self.config.mul_units,
                   "port": self.config.mem_ports, "slots": self.config.width}
         any_issued = False
-        for seq, source in self._collect_candidates():
+        for seq in sorted(self.issue_pool):
             if budget["slots"] <= 0:
                 break
             e = self.entries[seq]
-            if e is None:
-                continue
-            if source == "ready":
-                if seq in self.ready_pool and self._try_issue_ready(e, budget):
-                    self.ready_pool.discard(seq)
-                    any_issued = True
-            elif source == "nonspec":
-                if self._try_issue_nonspec(e, budget):
-                    self.pending_nonspec.remove(seq)
-                    any_issued = True
+            if e.state == NONSPEC:
+                issued = self._try_reissue(e, budget)
+            elif e.state == AWAIT_VAL:
+                issued = self._try_perform(e, budget)
             else:
-                if self._try_issue_validation(e, budget):
-                    self.pending_validation.remove(seq)
-                    any_issued = True
+                issued = self._try_issue_ready(e, budget)
+            if issued:
+                self.issue_pool.discard(seq)
+                any_issued = True
         engine_worked = self._engine_tick(budget)
         return any_issued or engine_worked
 
@@ -474,7 +443,6 @@ class _Sim:
             if not self._take_fu(budget, kind):
                 return False
             budget["slots"] -= 1
-            e.issued = True
             lat = ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
             if ins.kind == "ALU":
                 ops = [0 if w is None else self.entries[w].value or 0
@@ -487,9 +455,9 @@ class _Sim:
             e.state = DONE_ST
             self._release_iq(e)
             if ins.kind == "BRANCH":
-                self._schedule(now + 1, "branch_resolved", e.seq)
+                self._schedule(now + 1, self._branch_resolved, e.seq)
             if ins.may_fault and e.sb_e is not None:
-                self._schedule(e.complete, "resolve", e.sb_e)
+                self._schedule(e.complete, self.sb.resolve, e.sb_e)
                 e.sb_e = None
             self._wake(e.seq)
             return True
@@ -530,41 +498,57 @@ class _Sim:
         self._finish_load(e, e.ins.mem_value, self.now + 1)
         return True
 
+    def _try_perform(self, e: _Entry, budget, speculative: bool = False) -> bool:
+        """The one real hierarchy access. It needs a free memory port; when
+        the MSHRs are full it takes none and the load retries next cycle. A
+        predicted load awaiting validation completes at the validation event."""
+        if budget["port"] <= 0:
+            return False
+        ready, stalled = self.mem.access_load(
+            e.ins.mem_addr, self.now, defer_replacement=False, cause_seq=e.seq,
+            speculative=speculative)
+        if stalled:
+            self.counters["mshr_stalls"] += 1
+            return False
+        budget["port"] -= 1
+        budget["slots"] -= 1
+        if e.state == AWAIT_VAL:
+            self.counters["validations"] += 1
+            self._schedule(ready, self._validation_done, e.seq)
+        else:
+            self._finish_load(e, e.ins.mem_value, ready)
+        return True
+
+    def _try_reissue(self, e: _Entry, budget) -> bool:
+        """Delayed or fallback load reissuing once unshadowed, program order."""
+        e.issue_at = self.now
+        fwd = self._try_forward(e, budget)
+        return self._try_perform(e, budget) if fwd is None else fwd
+
     def _try_issue_load(self, e: _Entry, budget) -> bool:
         now = self.now
         fwd = self._try_forward(e, budget)
         if fwd is not None:
-            return bool(fwd)  # blocked loads stay in the pool and retry
+            return fwd  # blocked loads stay in the pool and retry
         if budget["port"] <= 0:
             return False
-        budget["port"] -= 1
         self.counters["load_lookups"] += 1
         if not (self.secure and e.shadowed):
-            speculative = e.shadowed  # only possible under BASELINE
-            if speculative and self.mem.lookup(e.ins.mem_addr).kind == L1_MISS:
+            # a shadowed load gets here only under BASELINE
+            if e.shadowed and self.mem.lookup(e.ins.mem_addr).kind == L1_MISS:
                 self.counters["shadowed_l1_misses"] += 1
-            ready, stalled = self.mem.access_load(
-                e.ins.mem_addr, now, defer_replacement=False, cause_seq=e.seq,
-                speculative=speculative)
-            if stalled:
-                self.counters["mshr_stalls"] += 1
-                budget["port"] += 1
-                return False
-            budget["slots"] -= 1
-            self._finish_load(e, e.ins.mem_value, ready)
-            return True
+            return self._try_perform(e, budget, speculative=e.shadowed)
         # secure policy, shadowed load
+        budget["port"] -= 1
+        budget["slots"] -= 1
         lk = self.mem.lookup(e.ins.mem_addr)
         if lk.kind == L1_HIT:
-            budget["slots"] -= 1
             ready, _ = self.mem.access_load(
                 e.ins.mem_addr, now, defer_replacement=True, cause_seq=e.seq,
                 speculative=True, defer_key=e.seq)
-            e.deferred = True
             self._finish_load(e, e.ins.mem_value, ready)
             return True
         if lk.kind == MSHR_HIT:
-            budget["slots"] -= 1
             self.counters["mshr_wait_loads"] += 1
             self._finish_load(
                 e, e.ins.mem_value,
@@ -572,7 +556,6 @@ class _Sim:
             return True
         # shadowed true L1 miss
         self.counters["shadowed_l1_misses"] += 1
-        budget["slots"] -= 1
         e.issue_at = now
         if self.policy == "DOM":
             self._delay_load(e)
@@ -583,21 +566,24 @@ class _Sim:
             self.counters[f"rcmp_{decision.value.lower()}"] += 1
             if decision is RcmpDecision.RECOMPUTE:
                 self.vrc.enqueue(self.vrc.slice_for_pc(e.ins.pc), e.seq, e.seq)
-                e.state = RECOMPUTING
-                self.counters["recomputes"] += 1
-                self._release_iq(e)
+                self._start_recompute(e)
             else:
                 self._delay_load(e)
-        else:  # ORACLE_VRC
+        elif self.vrc.queue_free():  # ORACLE_VRC
             self.vrc.enqueue_oracle(e.seq, e.seq, e.ins.mem_value)
-            e.state = RECOMPUTING
-            self.counters["recomputes"] += 1
-            self._release_iq(e)
+            self._start_recompute(e)
+        else:  # ORACLE_VRC with a full queue delays like VRC
+            self._delay_load(e)
         return True
 
     def _delay_load(self, e: _Entry) -> None:
         e.state = DELAYED
         self.counters["delayed_loads"] += 1
+
+    def _start_recompute(self, e: _Entry) -> None:
+        e.state = RECOMPUTING
+        self.counters["recomputes"] += 1
+        self._release_iq(e)
 
     def _predict_load(self, e: _Entry) -> None:
         if self.policy == "ORACLE_VP":
@@ -611,10 +597,9 @@ class _Sim:
         e.predicted = value
         self.counters["predicted_loads"] += 1
         self._schedule(self.now + self.config.vp.predict_latency,
-                       "predict_done", e.seq)
+                       self._predict_done, e.seq)
 
     def _finish_load(self, e: _Entry, value: int, ready: int) -> None:
-        e.issued = True
         e.state = DONE_ST
         e.value = value
         e.value_ready = ready
@@ -628,47 +613,11 @@ class _Sim:
 
     def _resolve_perform_shadows(self, e: _Entry, at: int) -> None:
         if e.sb_m is not None:
-            self._schedule(at, "resolve", e.sb_m)
+            self._schedule(at, self.sb.resolve, e.sb_m)
             e.sb_m = None
         if e.sb_e is not None:
-            self._schedule(at, "resolve", e.sb_e)
+            self._schedule(at, self.sb.resolve, e.sb_e)
             e.sb_e = None
-
-    def _try_issue_nonspec(self, e: _Entry, budget) -> bool:
-        """Delayed or fallback load reissuing once unshadowed, program order."""
-        e.issue_at = self.now
-        fwd = self._try_forward(e, budget)
-        if fwd is not None:
-            return bool(fwd)
-        if budget["port"] <= 0:
-            return False
-        budget["port"] -= 1
-        ready, stalled = self.mem.access_load(
-            e.ins.mem_addr, self.now, defer_replacement=False, cause_seq=e.seq,
-            speculative=False)
-        if stalled:
-            self.counters["mshr_stalls"] += 1
-            budget["port"] += 1
-            return False
-        budget["slots"] -= 1
-        self._finish_load(e, e.ins.mem_value, ready)
-        return True
-
-    def _try_issue_validation(self, e: _Entry, budget) -> bool:
-        if budget["port"] <= 0:
-            return False
-        budget["port"] -= 1
-        ready, stalled = self.mem.access_load(
-            e.ins.mem_addr, self.now, defer_replacement=False, cause_seq=e.seq,
-            speculative=False)
-        if stalled:
-            self.counters["mshr_stalls"] += 1
-            budget["port"] += 1
-            return False
-        budget["slots"] -= 1
-        self.counters["validations"] += 1
-        self._schedule(ready, "validation_done", e.seq)
-        return True
 
     # ------------------------------------------------------------------ event handlers
 
@@ -700,7 +649,7 @@ class _Sim:
         if not e.shadowed:
             # unshadowed while the prediction was in flight: validate now
             e.state = AWAIT_VAL
-            self.pending_validation.append(seq)
+            self.issue_pool.add(seq)
 
     def _validation_done(self, seq: int) -> None:
         e = self.entries[seq]
@@ -732,8 +681,7 @@ class _Sim:
                 ce = self.entries[cseq]
                 if ce is None:
                     continue
-                if ce.ins.kind == "ALU" and ce.issued:
-                    ce.issued = False
+                if ce.ins.kind == "ALU" and ce.state == DONE_ST:
                     ce.state = DISP
                     ce.value = None
                     ce.value_ready = None
@@ -756,16 +704,16 @@ class _Sim:
             e.unshadow_cycle = self.now
             self.mem.apply_deferred(seq, self.now, seq)
             if e.state == DELAYED:
-                e.state = DISP
-                self.pending_nonspec.append(seq)
+                e.state = NONSPEC
+                self.issue_pool.add(seq)
             elif e.state == PREDICTED:
                 e.state = AWAIT_VAL
-                self.pending_validation.append(seq)
+                self.issue_pool.add(seq)
             elif e.state == RECOMPUTING:
                 if self.vrc is not None and self.vrc.cancel_queued(seq):
                     self.counters["cancelled_recomputes"] += 1
-                    e.state = DISP
-                    self.pending_nonspec.append(seq)
+                    e.state = NONSPEC
+                    self.issue_pool.add(seq)
                 # an already-running slice is left to finish
         return bool(released)
 
@@ -797,11 +745,10 @@ class _Sim:
         if e.state != RECOMPUTING:
             return
         if e.shadowed:
-            e.state = DELAYED
-            self.counters["delayed_loads"] += 1
+            self._delay_load(e)
         else:
-            e.state = DISP
-            self.pending_nonspec.append(seq)
+            e.state = NONSPEC
+            self.issue_pool.add(seq)
 
     # ------------------------------------------------------------------ commit
 
@@ -934,8 +881,7 @@ class _Sim:
             f"head seq={self.commit_head} "
             f"state={head.state if head else 'undispatched'}",
             f"iq={self.iq_used} lq={self.lq_used} sq={self.sq_used}",
-            f"ready={len(self.ready_pool)} nonspec={len(self.pending_nonspec)} "
-            f"validations={len(self.pending_validation)}",
+            f"issue_pool={len(self.issue_pool)}",
         ])
 
     # ------------------------------------------------------------------ results

@@ -133,7 +133,7 @@ class MemHierState:
         self.l2_mshr: dict[int, int] = {}            # line -> ready
         self._fills: list[tuple[int, int, int]] = [] # (ready, order, line)
         self._fill_order = 0
-        self.deferred: dict[object, list[int]] = {}  # key -> lines awaiting LRU touch
+        self.deferred_touches: dict[object, list[int]] = {}  # key -> lines to touch
         self.mshr_history: list[int] = []            # allocation order, both levels
         # counters
         self.l1_hits = 0
@@ -186,7 +186,7 @@ class MemHierState:
         if lk.kind == L1_HIT:
             self.l1_hits += 1
             if defer_replacement:
-                self.deferred.setdefault(defer_key, []).append(line)
+                self.deferred_touches.setdefault(defer_key, []).append(line)
             else:
                 self.l1.touch(line)
                 self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
@@ -292,13 +292,13 @@ class MemHierState:
 
     def apply_deferred(self, key: object, now: int, cause_seq: int) -> None:
         """Apply queued LRU updates for a load that left speculation."""
-        for line in self.deferred.pop(key, []):
+        for line in self.deferred_touches.pop(key, []):
             if self.l1.touch(line):
                 self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
                              cause_seq, False, False)
 
     def squash_deferred(self, key: object) -> None:
-        self.deferred.pop(key, None)
+        self.deferred_touches.pop(key, None)
 
     # -- digests --------------------------------------------------------------------
 

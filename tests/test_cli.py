@@ -103,6 +103,67 @@ def test_compare_config_file_defaults(tmp_path):
     assert (out1 / "compare.csv").read_text() == (out2 / "compare.csv").read_text()
 
 
+def test_config_equals_form(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pattern = stream\ncount = 20\n")
+    out = tmp_path / "t.txt"
+    assert main(["gen", f"--config={cfg}", "--out", str(out)]) == 0
+    assert len(load_trace(out)) == 20
+
+
+def test_gen_required_flags_from_config(tmp_path):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pattern = stream\ncount = 20\n")
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["gen", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["gen", "--pattern", "stream", "--count", "20",
+                 "--out", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+    # the command line still wins over the file
+    assert main(["gen", "--config", str(cfg), "--count", "30",
+                 "--out", str(a)]) == 0
+    assert len(load_trace(a)) == 30
+
+
+def test_slice_trace_from_config(tmp_path):
+    tr = _gen(tmp_path, count=2000)
+    cfg = tmp_path / "slice.cfg"
+    cfg.write_text(f"trace = {tr}\n")
+    ann = tmp_path / "ann.txt"
+    assert main(["slice", "--config", str(cfg), "--out", str(ann)]) == 0
+    assert load_annotations(ann.read_text()).slices
+
+
+def test_config_policy_is_a_policy_list(tmp_path):
+    tr = _gen(tmp_path, count=2000)
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("policy = VRC\n")
+
+    def rows(*extra):
+        out = tmp_path / "out"
+        assert main(["compare", "--trace", str(tr), "--config", str(cfg),
+                     *extra, "--out", str(out)]) == 0
+        csv = (out / "compare.csv").read_text()
+        return [ln.split(",")[0] for ln in csv.strip().splitlines()[1:]]
+
+    assert rows() == ["BASELINE", "VRC"]
+    assert rows("--policy", "DOM") == ["BASELINE", "DOM"]
+
+
+def test_config_values_checked_like_flags(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("pattern = bogus\ncount = 10\n")
+    assert main(["gen", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.txt")]) == 1
+    tr = _gen(tmp_path, count=500)
+    for text in ("consistency = sc\n",      # not a choice
+                 "mem-latency = forty\n",   # not an int
+                 "no-such-flag = 1\n"):     # no such flag
+        cfg.write_text(text)
+        assert main(["compare", "--trace", str(tr), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1, text
+
+
 def test_audit_secure_policies_exit_zero(tmp_path):
     tr = _gen(tmp_path, count=6000, extra=("--mispredict-rate", "0.2"))
     assert main(["audit", "--trace", str(tr), "--policy", "DOM",

@@ -1,6 +1,7 @@
 import pytest
 
 from vrcsim import core
+from vrcsim.audit import assert_invisibility
 from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
@@ -231,3 +232,36 @@ def test_committed_register_state_isolation():
     assert vrc.counters["recomputes"] > 0
     assert vrc.committed_regs == dom.committed_regs
     assert vrc.committed_values == dom.committed_values
+
+
+@pytest.mark.parametrize("consistency", ["TSO", "RC"])
+def test_oracle_vrc_full_queue_delays(consistency):
+    # dense misses fill the oracle engine's queue; the load that finds it
+    # full must delay like VRC does, not overflow the queue
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="STREAM", count=2000, seed=1,
+                                            load_density=0.2,
+                                            working_set_bytes=4 << 20))
+    rep = functional_replay(t)
+    r = core.run(t, config=CoreConfig(policy="ORACLE_VRC",
+                                      consistency=consistency))
+    assert r.committed == len(t)
+    assert r.committed_values == rep.results
+    assert r.committed_regs == rep.final_regs
+    assert assert_invisibility(r.mutation_log).passed
+    assert r.counters["recomputes"] > 0
+    assert r.counters["delayed_loads"] > 0
+
+
+def test_cancelled_recompute_reissues_as_real_load():
+    # a recomputation still queued when its load unshadows is dropped and
+    # the load performs a real access instead
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
+                                            count=1500, seed=1))
+    table, _ = annotate(t)
+    rep = functional_replay(t)
+    r = core.run(t, annotations=table,
+                 config=CoreConfig(policy="VRC", consistency="RC"))
+    assert r.counters["cancelled_recomputes"] > 0
+    assert r.counters["recompute_done"] < r.counters["recomputes"]
+    assert r.committed_values == rep.results
+    assert r.committed_regs == rep.final_regs

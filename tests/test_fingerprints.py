@@ -1,0 +1,76 @@
+"""Golden behavioural fingerprints: every policy on every pattern must keep
+its cycles, counters, hierarchy digest, mutation log, committed state,
+validation order and load timing byte for byte.
+
+A change that alters simulated behaviour on purpose regenerates the golden
+file with `PYTHONPATH=src python3 tests/test_fingerprints.py` and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from vrcsim import core
+from vrcsim.core import CoreConfig, ProbeSpec
+from vrcsim.slicer import annotate
+from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+
+GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
+COUNT = 800
+SEED = 1
+PROBED = ("MIXED", "VRC")   # (pattern, policy) of the one probed run
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _fingerprint(r: core.RunResult) -> dict:
+    return {
+        "cycles": r.cycles,
+        "counters": _sha(sorted(r.counters.items())),
+        "memhier_digest": r.memhier_digest,
+        "mutation_log": _sha(r.mutation_log.export_lines()),
+        "committed": _sha((r.committed_values, r.committed_regs)),
+        "validations": _sha(r.validation_completions),
+        "load_timing": _sha(sorted(r.load_timing.items())),
+    }
+
+
+def _probe(t) -> ProbeSpec:
+    site = next(ins.seq for ins in t.instructions
+                if ins.kind == "BRANCH" and not ins.br.predicted_correctly)
+    return ProbeSpec(site, tuple(0x7000_0000 + i * 64 for i in range(8)))
+
+
+def current_fingerprints() -> dict:
+    out = {}
+    for pattern in PATTERNS:
+        t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=COUNT,
+                                                seed=SEED))
+        table, _ = annotate(t)
+        for policy in core.POLICIES:
+            cfg = CoreConfig(policy=policy, record_load_timing=True)
+            out[f"{pattern} {policy}"] = _fingerprint(
+                core.run(t, annotations=table, config=cfg))
+            if (pattern, policy) == PROBED:
+                out[f"{pattern} {policy} probed"] = _fingerprint(
+                    core.inject_transient_probe(t, _probe(t), annotations=table,
+                                                config=cfg))
+    return out
+
+
+def test_fingerprints_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    current = current_fingerprints()
+    assert current.keys() == golden.keys()
+    changed = [k for k in golden if current[k] != golden[k]]
+    assert not changed, f"behaviour changed for {changed}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(current_fingerprints(), indent=1,
+                                 sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
