@@ -17,6 +17,6 @@ from .trace import (SyntheticWorkloadSpec, Trace, TraceInstruction,
                     emit_trace, gen_synthetic, load_trace, parse_trace,
                     save_trace, validate_trace, window_trace)
 from .vp import VpConfig, VpState
-from .vrc import RcmpDecision, VrcConfig, VrcState
+from .vrc import VrcConfig, VrcState
 
 __version__ = "0.1.0"

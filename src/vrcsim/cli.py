@@ -17,6 +17,7 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import core, metrics, slicer, trace as trace_mod
 from .memhier import CacheConfig
+from .vp import VpConfig
 from .vrc import VrcConfig
 
 EXIT_OK = 0
@@ -79,7 +80,6 @@ def _config_flags(path: str, argv: list[str]) -> list[str]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=1)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,6 +93,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--consistency", choices=("tso", "rc"), default="tso")
     parser.add_argument("--max-len", type=int, default=slicer.DEFAULT_MAX_SLICE_LEN)
     parser.add_argument("--out", default=".")
+    parser.add_argument("--seed", type=int, default=VpConfig.seed,
+                        help="seeds the VP predictor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic trace")
     _add_common(p_gen)
+    p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--pattern", required=True, choices=_PATTERNS)
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--branch-density", type=float, default=0.05)
@@ -193,7 +196,8 @@ def _config_for(args, policy: str) -> core.CoreConfig:
         if args.mem_latency is not None else CacheConfig()
     return core.CoreConfig(policy=policy,
                            consistency=args.consistency.upper(),
-                           cache=cache, vrc=VrcConfig())
+                           cache=cache, vp=VpConfig(seed=args.seed),
+                           vrc=VrcConfig())
 
 
 def cmd_compare(args) -> int:

@@ -50,7 +50,7 @@ from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
 from .trace import Trace
 from .vp import VpConfig, VpState
-from .vrc import DONE, EXC_FALLBACK, RcmpDecision, VrcConfig, VrcState
+from .vrc import BUSY, DONE, VrcConfig, VrcState
 
 POLICIES = ("BASELINE", "DOM", "VP", "VRC", "VRC2", "ORACLE_VP", "ORACLE_VRC")
 SECURE_POLICIES = ("DOM", "VP", "VRC", "VRC2", "ORACLE_VP", "ORACLE_VRC")
@@ -192,8 +192,7 @@ class _Sim:
         if config.policy == "VRC2" and vrc_cfg.clamp_cycles is None:
             vrc_cfg = replace(vrc_cfg, clamp_cycles=2)
         needs_engine = config.policy in ("VRC", "VRC2", "ORACLE_VRC")
-        self.vrc = VrcState(self.annotations, vrc_cfg,
-                            live_reader=self._live_reg_value) if needs_engine else None
+        self.vrc = VrcState(self.annotations, vrc_cfg) if needs_engine else None
 
         self.dataflow = trace.dataflow
         self.entries: list[_Entry | None] = [None] * self.n
@@ -561,19 +560,17 @@ class _Sim:
             self._delay_load(e)
         elif self.policy in ("VP", "ORACLE_VP"):
             self._predict_load(e)
-        elif self.policy in ("VRC", "VRC2"):
-            decision = self.vrc.rcmp_decide(e.ins.pc, True, L1_MISS)
-            self.counters[f"rcmp_{decision.value.lower()}"] += 1
-            if decision is RcmpDecision.RECOMPUTE:
-                self.vrc.enqueue(self.vrc.slice_for_pc(e.ins.pc), e.seq, e.seq)
+        else:
+            # VRC, VRC2 and ORACLE_VRC; an oracle request carries its value
+            oracle = self.policy == "ORACLE_VRC"
+            accepted = self.vrc.enqueue(e.ins.pc, e.seq,
+                                        e.ins.mem_value if oracle else None)
+            if not oracle:
+                self.counters["rcmp_recompute" if accepted else "rcmp_delay"] += 1
+            if accepted:
                 self._start_recompute(e)
             else:
                 self._delay_load(e)
-        elif self.vrc.queue_free():  # ORACLE_VRC
-            self.vrc.enqueue_oracle(e.seq, e.seq, e.ins.mem_value)
-            self._start_recompute(e)
-        else:  # ORACLE_VRC with a full queue delays like VRC
-            self._delay_load(e)
         return True
 
     def _delay_load(self, e: _Entry) -> None:
@@ -722,33 +719,29 @@ class _Sim:
     def _engine_tick(self, budget) -> bool:
         if self.vrc is None:
             return False
-        status, payload = self.vrc.step(self.now,
-                                        lambda k: self._take_fu(budget, k))
-        while self.vrc.aborted:
-            self._recompute_fallback(self.vrc.aborted.pop())
+        status, payload = self.vrc.step(
+            self.now, lambda k: self._take_fu(budget, k), self._live_reg_value)
+        # faulted or invalidated recomputations: the load reverts to a delayed
+        # load, or reissues at once if it has left speculation meanwhile
+        for seq, faulted in self.vrc.fallbacks:
+            if faulted:
+                self.counters["exc_fallbacks"] += 1
+            e = self.entries[seq]
+            if e.shadowed:
+                self._delay_load(e)
+            else:
+                e.state = NONSPEC
+                self.issue_pool.add(seq)
+        self.vrc.fallbacks.clear()
         if status == DONE:
-            dest, value, finish = payload
-            e = self.entries[dest]
+            seq, value, finish = payload
+            e = self.entries[seq]
             if value != e.ins.mem_value:
                 self.counters["unsound_recomputes"] += 1
             self.counters["recompute_done"] += 1
             self._finish_load(e, value, finish)
             return True
-        if status == EXC_FALLBACK:
-            self.counters["exc_fallbacks"] += 1
-            self._recompute_fallback(payload)
-            return True
-        return status == "BUSY"
-
-    def _recompute_fallback(self, seq: int) -> None:
-        e = self.entries[seq]
-        if e.state != RECOMPUTING:
-            return
-        if e.shadowed:
-            self._delay_load(e)
-        else:
-            e.state = NONSPEC
-            self.issue_pool.add(seq)
+        return status == BUSY
 
     # ------------------------------------------------------------------ commit
 

@@ -24,9 +24,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .isa import ALU_LATENCY, alu_eval
+from .isa import ALU_ARITY, ALU_LATENCY, ALU_OPS, alu_eval
 from .replay import functional_replay
-from .trace import Trace, validate_trace
+from .trace import Trace, TraceFormatError, _parse_kv, validate_trace
 
 DEFAULT_MAX_SLICE_LEN = 100
 
@@ -544,6 +544,14 @@ def load_annotations(data) -> AnnotationTable:
             raise AnnotationFormatError(
                 f"slice {sid}: declared len {current['len']} but "
                 f"{len(current['instrs'])} instructions")
+        hist_keys = {key for key, _, _ in current["hist"]}
+        live_regs = {reg for reg, _, _ in current["live"]}
+        for ins in current["instrs"]:
+            for op in ins.operands:
+                if (op.kind == "HIST" and op.key not in hist_keys) or \
+                        (op.kind == "LIVE_REG" and op.reg not in live_regs):
+                    raise AnnotationFormatError(
+                        f"slice {sid}: operand {_fmt_operand(op)} has no H/V record")
         table.slices[sid] = Slice(
             slice_id=sid,
             instrs=tuple(current["instrs"]),
@@ -564,8 +572,8 @@ def load_annotations(data) -> AnnotationTable:
             continue
         tokens = line.split()
         tag = tokens[0]
-        fields = dict(tok.partition("=")[::2] for tok in tokens[1:])
         try:
+            fields = _parse_kv(lineno, tokens[1:])
             if tag == "A":
                 continue
             elif tag == "S":
@@ -582,10 +590,26 @@ def load_annotations(data) -> AnnotationTable:
                     "instrs": [], "hist": [], "live": [], "tags": [],
                 }
             elif tag == "P":
-                ops = tuple(_parse_operand(fields[k]) for k in ("a", "b", "c")
-                            if k in fields)
-                current["instrs"].append(SliceInstr(
-                    slice_pos=int(fields["pos"]), alu_op=fields["op"], operands=ops))
+                pos, op = int(fields["pos"]), fields["op"]
+                # the engine runs a slice in record order into an SFile of
+                # `len` entries, so positions count up from 0 and a T:
+                # operand reads an earlier position
+                if pos != len(current["instrs"]):
+                    raise AnnotationFormatError(
+                        f"P pos={pos} out of order (expected {len(current['instrs'])})")
+                if op not in ALU_OPS:
+                    raise AnnotationFormatError(f"unknown op {op!r}")
+                slots = ("a", "b", "c")[:ALU_ARITY[op]]
+                given = tuple(k for k in ("a", "b", "c") if k in fields)
+                if given != slots:
+                    raise AnnotationFormatError(
+                        f"op {op} expects operands {','.join(slots)}, "
+                        f"got {','.join(given) or 'none'}")
+                ops = tuple(_parse_operand(fields[k]) for k in slots)
+                if any(o.kind == "TEMP" and not 0 <= o.pos < pos for o in ops):
+                    raise AnnotationFormatError(
+                        f"P pos={pos} reads a T: not computed before it")
+                current["instrs"].append(SliceInstr(pos, op, ops))
             elif tag == "H":
                 current["hist"].append(
                     (_parse_key(fields["key"]), int(fields["seq"]), int(fields["val"], 0)))
@@ -600,7 +624,9 @@ def load_annotations(data) -> AnnotationTable:
                 table.rec_sites.setdefault(int(fields["seq"]), []).append(
                     (_parse_key(fields["key"]), int(fields["val"], 0)))
             else:
-                raise AnnotationFormatError(f"line {lineno}: unknown record {tag!r}")
+                raise AnnotationFormatError(f"unknown record {tag!r}")
+        except TraceFormatError as e:
+            raise AnnotationFormatError(str(e)) from None
         except (KeyError, ValueError, TypeError) as e:
             raise AnnotationFormatError(f"line {lineno}: {e}") from None
     finish_current()

@@ -2,13 +2,20 @@
 file (SFile), checkpointed-operand table (Hist), store-tag invalidation, and
 sequential slice execution with functional-unit contention.
 
-A shadowed load that misses in L1 and has a valid slice jumps into the
-engine instead of touching the memory hierarchy. Slice instructions execute
-one at a time, reading live register values from the core's dataflow,
-checkpointed leaves from Hist, and intermediate results from the SFile;
-the final value is copied to the load's destination after a one-cycle
-delivery. Recomputation never accesses the hierarchy and its result needs
-no validation: the load is complete at delivery.
+A shadowed load that misses in L1 makes one request, `enqueue`: it either
+queues a recomputation and returns True, or returns False and the load
+delays. An accepted load never touches the memory hierarchy. Slice
+instructions execute one at a time, reading live register values through
+the reader the core passes to each `step`, checkpointed leaves from Hist,
+and intermediates from the SFile; the root value is then copied to the
+load's destination in one delivery cycle. Recomputation needs no
+validation: the load is complete at delivery. A clamped request (VRC2, or an
+oracle request that carries its value) skips the per-instruction timing and
+completes after the clamp.
+
+A recomputation that cannot complete, because its slice faults or is
+invalidated while queued or running, leaves the engine on one channel,
+`fallbacks`, as a (load seq, faulted) pair; the core reissues the load.
 
 Committed stores are matched against producer tags to invalidate slices
 whose data may have changed. In exact mode (default) each slice keeps its
@@ -23,26 +30,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .isa import ArithmeticFault, alu_eval_strict
 from .slicer import AnnotationTable, Slice
 
 DEFAULT_HIST_CAPACITY = (22 * 1024) // 8   # 8-byte entries in a 22 KiB table
-
-
-class RcmpDecision(Enum):
-    PERFORM_LOAD = "PERFORM_LOAD"
-    WAIT_MSHR = "WAIT_MSHR"
-    RECOMPUTE = "RECOMPUTE"
-    DELAY = "DELAY"
+ORACLE_CLAMP_CYCLES = 2                     # oracle recomputation latency
 
 
 @dataclass(frozen=True)
 class VrcConfig:
     hist_capacity: int = DEFAULT_HIST_CAPACITY
     queue_depth: int = 16
-    delivery_cycles: int = 1
     lossy_tags: bool = False
     clamp_cycles: int | None = None    # VRC-2cyc mode: cap modeled slice latency
     allow_mutable: bool = False        # conservative mode recomputes immutable only
@@ -50,8 +49,7 @@ class VrcConfig:
 
 @dataclass(slots=True)
 class _Pending:
-    slice_id: int | None       # None for oracle pseudo-slices
-    dest: object                # core's key for the requesting load
+    slice_id: int | None       # None for oracle requests
     load_seq: int
     oracle_value: int | None = None
 
@@ -60,20 +58,18 @@ class _Pending:
 class _Active:
     pend: _Pending
     instrs: tuple
+    live: tuple
     start_cycle: int
+    clamp_left: int | None
     cursor: int = 0
     cycles_into_instr: int = 0
-    delivery_left: int = 0
-    clamp_left: int | None = None
     sfile: list = field(default_factory=list)
-    value: int | None = None
     started: bool = False
 
 
 IDLE = "IDLE"
 BUSY = "BUSY"
 DONE = "DONE"
-EXC_FALLBACK = "EXC_FALLBACK"
 
 OK = "OK"
 OVERFLOW = "OVERFLOW"
@@ -81,14 +77,9 @@ OVERFLOW = "OVERFLOW"
 
 class VrcState:
     def __init__(self, table: AnnotationTable | None = None,
-                 config: VrcConfig | None = None,
-                 live_reader=None):
-        """`live_reader(reg, load_seq) -> int | None` supplies the
-        architectural value a live-register leaf holds at the load's program
-        point, or None while its producer has not executed yet."""
+                 config: VrcConfig | None = None):
         self.config = config or VrcConfig()
         self.table = table or AnnotationTable()
-        self.live_reader = live_reader or (lambda reg, seq: 0)
         self.ibuff: dict[int, Slice] = {}
         for sid, s in self.table.slices.items():
             if s.immutable or self.config.allow_mutable:
@@ -102,11 +93,9 @@ class VrcState:
                               for sid, s in self.ibuff.items()}
         self.queue: deque[_Pending] = deque()
         self.active: _Active | None = None
-        self.aborted: list = []    # dests whose recomputation was invalidated
+        self.fallbacks: list[tuple[int, bool]] = []   # (load seq, faulted)
         # counters
-        self.started = 0
         self.completed = 0
-        self.exc_fallbacks = 0
         self.busy_cycles = 0
         self.total_slice_cycles = 0
         self.hist_inserts = 0
@@ -114,182 +103,130 @@ class VrcState:
         self.struct_accesses = 0
         self.invalidations = 0
 
-    # -- availability -------------------------------------------------------
+    # -- requests -------------------------------------------------------------
 
-    def slice_for_pc(self, pc: int) -> int | None:
-        sid = self.table.rcmp_sites.get(pc)
-        return sid if sid in self.ibuff else None
-
-    def slice_usable(self, sid: int) -> bool:
+    def slice_usable(self, sid: int | None) -> bool:
         if sid not in self.ibuff or sid in self.invalid or sid in self.disarmed:
             return False
         return all(key in self.hist for key, _, _ in self.ibuff[sid].hist_requirements)
 
-    def queue_free(self) -> bool:
-        return len(self.queue) < self.config.queue_depth
+    def enqueue(self, pc: int, load_seq: int, oracle_value: int | None = None) -> bool:
+        """Request recomputation of the shadowed L1 miss `load_seq` at `pc`.
+        Queues it and returns True when the queue has room and the pc's slice
+        is usable, else returns False and the load delays. An oracle request
+        carries its value and needs no slice."""
+        if len(self.queue) >= self.config.queue_depth:
+            return False
+        sid = None
+        if oracle_value is None:
+            sid = self.table.rcmp_sites.get(pc)
+            if not self.slice_usable(sid):
+                return False
+        self.queue.append(_Pending(sid, load_seq, oracle_value))
+        return True
 
-    def rcmp_decide(self, pc: int, shadowed: bool, lookup_kind: str) -> RcmpDecision:
-        """Branch-on-L1-miss semantics for an annotated load site.
-
-        Unshadowed loads and shadowed L1 hits act as conventional loads; a
-        shadowed hit on an in-flight miss waits for that fill; a shadowed
-        true miss recomputes when a usable slice exists, otherwise delays.
-        """
-        if not shadowed:
-            return RcmpDecision.PERFORM_LOAD
-        if lookup_kind == "L1_HIT":
-            return RcmpDecision.PERFORM_LOAD
-        if lookup_kind == "MSHR_HIT":
-            return RcmpDecision.WAIT_MSHR
-        sid = self.slice_for_pc(pc)
-        if sid is not None and self.slice_usable(sid) and self.queue_free():
-            return RcmpDecision.RECOMPUTE
-        return RcmpDecision.DELAY
-
-    # -- queue management -----------------------------------------------------
-
-    def enqueue(self, slice_id: int, dest, load_seq: int) -> None:
-        assert self.queue_free(), "caller must check queue_free"
-        self.queue.append(_Pending(slice_id=slice_id, dest=dest, load_seq=load_seq))
-
-    def enqueue_oracle(self, dest, load_seq: int, value: int) -> None:
-        assert self.queue_free()
-        self.queue.append(_Pending(slice_id=None, dest=dest, load_seq=load_seq,
-                                   oracle_value=value))
-
-    def cancel_queued(self, dest) -> bool:
+    def cancel_queued(self, load_seq: int) -> bool:
         """Drop a not-yet-started recomputation (load left speculation first)."""
         for pend in self.queue:
-            if pend.dest == dest:
+            if pend.load_seq == load_seq:
                 self.queue.remove(pend)
                 return True
         return False
-
-    def start(self, slice_id: int, dest, load_seq: int, now: int) -> None:
-        """Begin executing a slice on an idle engine (unit-level entry; the
-        core normally lets step() pop the queue)."""
-        assert self.active is None
-        self.enqueue(slice_id, dest, load_seq)
-        self._pop_queue(now)
 
     def _pop_queue(self, now: int) -> None:
         if self.active is not None or not self.queue:
             return
         pend = self.queue.popleft()
-        if pend.slice_id is not None and (
-                pend.slice_id in self.invalid or pend.slice_id in self.disarmed):
-            # slice was invalidated while queued: fall back to the load
-            self.aborted.append(pend.dest)
-            return
         if pend.slice_id is None:
-            instrs = ()
-            clamp = 2  # oracle recomputation is modeled at two cycles
-        else:
-            instrs = self.ibuff[pend.slice_id].instrs
-            clamp = self.config.clamp_cycles
-        self.active = _Active(
-            pend=pend, instrs=instrs, start_cycle=now,
-            delivery_left=self.config.delivery_cycles,
-            clamp_left=clamp,
-            sfile=[None] * len(instrs),
-        )
-        self.started += 1
+            self.active = _Active(pend, (), (), now, ORACLE_CLAMP_CYCLES)
+            return
+        if pend.slice_id in self.invalid or pend.slice_id in self.disarmed:
+            # slice was invalidated while queued: fall back to the load
+            self.fallbacks.append((pend.load_seq, False))
+            return
+        s = self.ibuff[pend.slice_id]
+        self.active = _Active(pend, s.instrs, s.live_bindings, now,
+                              self.config.clamp_cycles, sfile=[None] * len(s.instrs))
 
     # -- execution -------------------------------------------------------------
 
-    def _live_values_ready(self, act: _Active) -> bool:
-        s = self.ibuff.get(act.pend.slice_id)
-        if s is None:
-            return True
-        for reg, _, _ in s.live_bindings:
-            if self.live_reader(reg, act.pend.load_seq) is None:
-                return False
-        return True
-
-    def _slice_operand(self, act: _Active, op) -> int:
+    def _slice_operand(self, act: _Active, op, read_live) -> int:
         self.struct_accesses += 1
         if op.kind == "CONST":
             return op.value
         if op.kind == "LIVE_REG":
-            value = self.live_reader(op.reg, act.pend.load_seq)
+            value = read_live(op.reg, act.pend.load_seq)
             assert value is not None, "live operand must be ready before start"
             return value
         if op.kind == "HIST":
             return self.hist[op.key]
         return act.sfile[op.pos]
 
-    def step(self, now: int, take_fu=None) -> tuple[str, object]:
+    def step(self, now: int, take_fu=lambda kind: True,
+             read_live=lambda reg, load_seq: 0) -> tuple[str, object]:
         """Advance the engine by one cycle. `take_fu(kind)` claims a shared
         functional-unit slot ('alu' or 'mul'); recomputation stalls for the
-        cycle when none is free. Returns (status, payload): DONE carries
-        (dest, value, finish_cycle), EXC_FALLBACK carries dest."""
+        cycle when none is free. `read_live(reg, load_seq)` is the value a
+        live-register leaf holds at the load's program point, or None while
+        its producer has not executed (the slice waits to start). Returns
+        (status, payload); DONE carries (load_seq, value, finish_cycle). A
+        faulting slice is BUSY for its last cycle and leaves on `fallbacks`."""
         if self.active is None:
             self._pop_queue(now)
             if self.active is None:
                 return IDLE, None
         act = self.active
         if not act.started:
-            if not self._live_values_ready(act):
+            if any(read_live(reg, act.pend.load_seq) is None for reg, _, _ in act.live):
                 return BUSY, None
             act.started = True
 
         self.busy_cycles += 1
-        if act.pend.slice_id is None:
-            # oracle pseudo-slice: fixed 2-cycle latency, no FU demand
-            act.clamp_left -= 1
-            if act.clamp_left <= 0:
-                return self._finish(act, act.pend.oracle_value, now)
-            return BUSY, None
-
         if act.clamp_left is not None:
-            # artificially capped latency: evaluate everything, charge the cap
+            # capped latency, no FU demand: evaluate everything, charge the cap
             act.clamp_left -= 1
             if act.clamp_left > 0:
                 return BUSY, None
+            if act.pend.slice_id is None:
+                return self._finish(act, act.pend.oracle_value, now)
             try:
-                value = self._evaluate_all(act)
+                for ins in act.instrs:
+                    self._execute(act, ins, read_live)
             except ArithmeticFault:
                 return self._fault(act)
-            return self._finish(act, value, now)
+            return self._finish(act, act.sfile[-1], now)
 
         if act.cursor < len(act.instrs):
             ins = act.instrs[act.cursor]
-            kind = "mul" if ins.alu_op == "MUL" else "alu"
-            if take_fu is not None and not take_fu(kind):
+            if not take_fu("mul" if ins.alu_op == "MUL" else "alu"):
                 return BUSY, None  # contended out this cycle
             act.cycles_into_instr += 1
             if act.cycles_into_instr >= ins.latency:
                 try:
-                    ops = [self._slice_operand(act, o) for o in ins.operands]
-                    act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
+                    self._execute(act, ins, read_live)
                 except ArithmeticFault:
                     return self._fault(act)
                 act.cursor += 1
                 act.cycles_into_instr = 0
             return BUSY, None
-        # delivery: copy the root value to the destination register
-        act.delivery_left -= 1
-        if act.delivery_left > 0:
-            return BUSY, None
+        # delivery: one cycle to copy the root value to the destination
         return self._finish(act, act.sfile[-1], now)
 
-    def _evaluate_all(self, act: _Active) -> int:
-        for ins in act.instrs:
-            ops = [self._slice_operand(act, o) for o in ins.operands]
-            act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
-        return act.sfile[-1]
+    def _execute(self, act: _Active, ins, read_live) -> None:
+        ops = [self._slice_operand(act, o, read_live) for o in ins.operands]
+        act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
 
     def _finish(self, act: _Active, value: int, now: int):
         finish = now + 1
         self.total_slice_cycles += finish - act.start_cycle
         self.completed += 1
         self.active = None
-        return DONE, (act.pend.dest, value, finish)
+        return DONE, (act.pend.load_seq, value, finish)
 
     def _fault(self, act: _Active):
-        self.exc_fallbacks += 1
         self.active = None
-        return EXC_FALLBACK, act.pend.dest
+        self.fallbacks.append((act.pend.load_seq, True))
+        return BUSY, None
 
     # -- Hist ---------------------------------------------------------------------
 
@@ -338,11 +275,9 @@ class VrcState:
 
     def _abort_active_if_unusable(self) -> None:
         act = self.active
-        if act is None or act.pend.slice_id is None:
-            return
-        sid = act.pend.slice_id
-        if sid in self.invalid or sid in self.disarmed:
-            self.aborted.append(act.pend.dest)
+        if act is not None and (act.pend.slice_id in self.invalid
+                                or act.pend.slice_id in self.disarmed):
+            self.fallbacks.append((act.pend.load_seq, False))
             self.active = None
 
     def mean_slice_cycles(self) -> float | None:

@@ -292,7 +292,7 @@ def test_criterion_8_hand_checked_latencies():
 
     # MUL followed by ADD recomputes in 3 + 1 + 1 = 5 cycles
     engine = VrcState(_mul_add_table(), VrcConfig())
-    engine.start(0, "d", 1, now=100)
+    engine.enqueue(0x40, 1)
     outcomes = [engine.step(100 + i) for i in range(5)]
     assert outcomes[-1][0] == "DONE"
     dest, value, finish = outcomes[-1][1]

@@ -1,10 +1,13 @@
 import filecmp
 import time
 
-from vrcsim.cli import main
+import pytest
+
+from vrcsim.cli import _config_for, build_parser, main
 from vrcsim.slicer import emit_annotations, load_annotations, AnnotationTable, \
     Slice, SliceInstr, const_op, annotate
 from vrcsim.trace import load_trace
+from vrcsim.vp import VpConfig
 
 
 def _gen(tmp_path, name="tr.txt", count=6000, seed=5, recomputable=1.0,
@@ -197,6 +200,31 @@ def test_audit_with_compromised_annotations_still_secure(tmp_path, capsys):
                  "--policy", "VRC"]) == 0
     out = capsys.readouterr().out
     assert "EQUAL" in out and "PASS" in out
+
+
+def test_bad_annotations_are_an_input_error(tmp_path, capsys):
+    tr = _gen(tmp_path, count=2000)
+    ann = tmp_path / "bad.txt"
+    ann.write_text("A version=1\n"
+                   "S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x5 "
+                   "immutable=1 len=1\n"
+                   "  P pos=0 op=FOO a=C:0x2 b=C:0x3\n"
+                   "  T addr=0x100 size=8\n")
+    assert main(["compare", "--trace", str(tr), "--annotations", str(ann),
+                 "--policy", "VRC", "--out", str(tmp_path / "out")]) == 2
+    assert "unknown op 'FOO'" in capsys.readouterr().err
+
+
+def test_seed_reaches_vp_config():
+    parser = build_parser()
+    for cmd in ("compare", "audit"):
+        args = parser.parse_args([cmd, "--seed", "7"])
+        assert _config_for(args, "VP").vp.seed == 7
+        # without the flag the predictor keeps its own default seed
+        args = parser.parse_args([cmd])
+        assert _config_for(args, "VP").vp == VpConfig()
+    with pytest.raises(SystemExit):     # annotate has nothing to seed
+        parser.parse_args(["slice", "--trace", "tr.txt", "--seed", "1"])
 
 
 def test_probe_flag_parsing(tmp_path):

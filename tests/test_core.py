@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from vrcsim import core
@@ -8,6 +10,7 @@ from vrcsim.replay import functional_replay
 from vrcsim.slicer import annotate
 from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vp import VpConfig
+from vrcsim.vrc import VrcConfig
 
 COLD_A = 0x10_0000
 COLD_B = 0x20_0000
@@ -265,3 +268,38 @@ def test_cancelled_recompute_reissues_as_real_load():
     assert r.counters["recompute_done"] < r.counters["recomputes"]
     assert r.committed_values == rep.results
     assert r.committed_regs == rep.final_regs
+
+
+@pytest.mark.parametrize("consistency", ["TSO", "RC"])
+def test_invalidated_recompute_falls_back_to_real_load(consistency):
+    # in lossy mode a foreign store resets every slice in bulk, aborting
+    # recomputations already queued or running; those loads fall back to
+    # delay or reissue and still commit the oracle's values
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
+                                            count=3000, seed=1))
+    table, _ = annotate(t)
+    rep = functional_replay(t)
+    r = core.run(t, annotations=table,
+                 config=CoreConfig(policy="VRC", consistency=consistency,
+                                   vrc=VrcConfig(lossy_tags=True)))
+    c = r.counters
+    aborted = (c["recomputes"] - c["recompute_done"]
+               - c.get("cancelled_recomputes", 0) - c.get("exc_fallbacks", 0))
+    assert aborted > 0
+    assert r.committed_values == rep.results
+    assert r.committed_regs == rep.final_regs
+
+
+def test_runs_leave_no_reference_cycles():
+    # a finished simulator is freed by reference counting alone, so its
+    # O(trace) entry list does not wait for the cyclic collector
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1000, seed=1))
+    table, _ = annotate(t)
+    gc.collect()
+    gc.disable()
+    try:
+        for policy in core.POLICIES:
+            core.run(t, annotations=table, config=CoreConfig(policy=policy))
+            assert gc.collect() == 0, policy
+    finally:
+        gc.enable()

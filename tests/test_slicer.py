@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import TraceBuilder
+from vrcsim import core
 from vrcsim.slicer import (
     AnnotationFormatError, AnnotationTable, FailureReason, Slice, SliceFailure,
     SliceInstr, annotate, build_slice, const_op, emit_annotations, hist_op,
@@ -233,3 +236,81 @@ def test_annotations_roundtrip():
 def test_missing_slice_reference_errors():
     with pytest.raises(AnnotationFormatError, match="missing slice"):
         load_annotations("A version=1\nR pc=0x40 slice=7\n")
+
+
+GOOD_ANNOTATIONS = """A version=1
+S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 len=2
+  P pos=0 op=ADD a=H:0x900:0 b=L:3
+  P pos=1 op=ADD a=T:0 b=C:0x1
+  H key=0x900:0 seq=0 val=0x2
+  V reg=3 seq=-1 val=0x0
+  T addr=0x100 size=8
+R pc=0x14 slice=0
+"""
+
+
+def test_good_annotations_load():
+    s = load_annotations(GOOD_ANNOTATIONS).slices[0]
+    assert [i.alu_op for i in s.instrs] == ["ADD", "ADD"]
+    assert replay_slice(s) == 3
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("P pos=1", "P pos=3", "out of order"),                    # past the SFile
+    ("op=ADD a=T:0", "op=FOO a=T:0", "unknown op"),
+    ("a=T:0", "a=T:1", "not computed before it"),              # its own result
+    ("a=T:0", "a=T:2", "not computed before it"),
+    ("a=T:0", "a=T:-1", "not computed before it"),
+    ("a=T:0 b=C:0x1", "a=T:0", "expects operands a,b, got a$"),
+    ("a=T:0 b=C:0x1", "a=T:0 c=C:0x1", "expects operands a,b, got a,c"),
+    ("a=T:0 b=C:0x1", "b=C:0x1", "expects operands a,b, got b$"),
+    ("  H key=0x900:0 seq=0 val=0x2\n", "", "H:0x900:0 has no H/V record"),
+    ("  V reg=3 seq=-1 val=0x0\n", "", "L:3 has no H/V record"),
+    ("R pc=0x14 slice=0", "R pc=0x14 slice=0 junk", "malformed field"),
+    ("S slice_id=0 ", "S slice_id=0 slice_id=1 ", "duplicate field"),
+])
+def test_bad_annotations_rejected_at_load(old, new, match):
+    assert old in GOOD_ANNOTATIONS
+    with pytest.raises(AnnotationFormatError, match=match):
+        load_annotations(GOOD_ANNOTATIONS.replace(old, new))
+
+
+# a slice the two-load trace below recomputes (no Hist leaf to wait for)
+RECOMPUTABLE = """A version=1
+S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 len=2
+  P pos=0 op=ADD a=C:0x2 b=L:3
+  P pos=1 op=ADD a=T:0 b=C:0x1
+  V reg=3 seq=-1 val=0x0
+  T addr=0x100 size=8
+R pc=0x14 slice=0
+C seq=0 key=0x900:0 val=0x2
+"""
+
+_FRAGMENTS = ("0", "1", "3", "-1", "0x14", "99", "FOO", "MUL", "MOV", "CMOV",
+              "SHL", "T:0", "T:5", "C:0x46", "L:70", "H:0x900:1", "Q:1", "x",
+              "=", "", "pos=0", "a=T:0", "c=C:0x1", "len=1", "slice=1")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 10_000), st.booleans(),
+                          st.sampled_from(_FRAGMENTS)), min_size=1, max_size=3))
+def test_fuzzed_annotations_fail_only_typed(edits):
+    # mutate tokens (or just their values) of a good file: loading either
+    # raises AnnotationFormatError or yields a table VRC runs without crashing
+    lines = [line.split(" ") for line in RECOMPUTABLE.splitlines()]
+    slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for k, value_only, frag in edits:
+        i, j = slots[k % len(slots)]
+        key, eq, _ = lines[i][j].partition("=")
+        lines[i][j] = key + eq + frag if value_only and eq else frag
+    try:
+        table = load_annotations("\n".join(" ".join(toks) for toks in lines))
+    except AnnotationFormatError:
+        return
+    tb = TraceBuilder()
+    tb.load(0x10, 1, 0x10_0000, value=1)    # older miss casts the shadow
+    tb.load(0x14, 2, 0x20_0000, value=3)    # shadowed miss at the R site
+    for policy in ("VRC", "VRC2"):
+        r = core.run(tb.build(), annotations=table,
+                     config=core.CoreConfig(policy=policy))
+        assert r.committed == 2
