@@ -32,7 +32,7 @@ class MutationRecord:
     cycle: int
     structure: Structure
     level: int               # 1 or 2
-    op: str                  # fill | evict | lru_touch | dirty | mshr_alloc | mshr_free
+    op: str                  # fill | evict | lru_touch | dirty | mshr_alloc
     line_addr: int
     victim_addr: int | None
     cause_seq: int

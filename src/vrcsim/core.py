@@ -5,9 +5,9 @@ dataflow through register producers, issues to a shared functional-unit pool,
 and commits in order. Loads run through the policy automaton:
 
   BASELINE    loads access the hierarchy as soon as their address is ready.
-  DOM         shadowed loads may hit in L1 (replacement update deferred) or
-              wait on an in-flight MSHR; shadowed true misses are delayed and
-              issue their miss only once unshadowed.
+  DOM         shadowed loads are hidden accesses: the hierarchy lets them hit
+              in L1 (replacement update deferred) or ride an in-flight fill and
+              refuses a true miss, which is delayed and issues once unshadowed.
   VP          as DOM, plus a delayed load with a confident prediction wakes
               its dependents after the 2-cycle prediction; the real access
               (validation) happens at unshadow, serialized across predicted
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
 from .isa import ALU_LATENCY, alu_eval
-from .memhier import CacheConfig, L1_HIT, L1_MISS, MSHR_HIT, MemHierState
+from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
 from .trace import Trace
@@ -127,9 +127,8 @@ class _Entry:
     __slots__ = (
         "seq", "ins", "state", "value", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
-        "addr_writers", "data_writers", "predicted", "used_prediction",
-        "replay_floor", "in_ready", "iq_held", "unshadow_cycle",
-        "dispatch_cycle", "issue_at",
+        "addr_writers", "data_writers", "predicted", "replay_floor",
+        "in_ready", "iq_held", "unshadow_cycle", "dispatch_cycle", "issue_at",
     )
 
     def __init__(self, seq, ins, now):
@@ -145,7 +144,6 @@ class _Entry:
         self.addr_writers = ()
         self.data_writers = ()
         self.predicted = None
-        self.used_prediction = False
         self.replay_floor = 0
         self.in_ready = False
         self.iq_held = False
@@ -248,14 +246,15 @@ class _Sim:
             return None
         return e.value
 
-    def _producers_known(self, writers) -> bool:
-        return all(self.entries[w] is not None and
-                   self.entries[w].value_ready is not None for w in writers)
-
-    def _producers_ready_at(self, writers, floor: int) -> int:
+    def _ready_at(self, writers, floor: int) -> int | None:
+        """Cycle by which every producer's value is ready, at least `floor`;
+        None while a producer has no value."""
         at = floor
         for w in writers:
-            at = max(at, self.entries[w].value_ready)
+            e = self.entries[w]
+            if e is None or e.value_ready is None:
+                return None
+            at = max(at, e.value_ready)
         return at
 
     def _wake(self, producer_seq: int) -> None:
@@ -265,21 +264,21 @@ class _Sim:
                 self._reschedule(e)
 
     def _reschedule(self, e: _Entry) -> None:
-        ins = e.ins
-        if ins.kind in ("ALU", "BRANCH"):
-            if e.state != DISP or not self._producers_known(e.data_writers):
-                return
-            ready = self._producers_ready_at(
-                e.data_writers, max(e.replay_floor, e.dispatch_cycle + 1))
-            self._push_ready(e, ready)
-        elif ins.kind == "LOAD":
-            if e.state != DISP or not self._producers_known(e.addr_writers):
-                return
-            e.addr_ready = self._producers_ready_at(
-                e.addr_writers, e.dispatch_cycle) + 1
-            self._push_ready(e, max(e.addr_ready, e.replay_floor))
-        elif ins.kind == "STORE":
+        if e.ins.kind == "STORE":
             self._update_store(e)
+            return
+        if e.state != DISP:
+            return
+        if e.ins.kind == "LOAD":
+            at = self._ready_at(e.addr_writers, e.dispatch_cycle)
+            if at is not None:
+                e.addr_ready = at + 1
+                self._push_ready(e, max(e.addr_ready, e.replay_floor))
+        else:
+            ready = self._ready_at(e.data_writers,
+                                   max(e.replay_floor, e.dispatch_cycle + 1))
+            if ready is not None:
+                self._push_ready(e, ready)
 
     def _push_ready(self, e: _Entry, ready_at: int) -> None:
         if not e.in_ready:
@@ -289,14 +288,16 @@ class _Sim:
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
         store-address shadow once the address is known."""
-        if e.addr_ready is None and self._producers_known(e.addr_writers):
-            e.addr_ready = self._producers_ready_at(
-                e.addr_writers, e.dispatch_cycle) + 1
+        if e.addr_ready is None:
+            at = self._ready_at(e.addr_writers, e.dispatch_cycle)
+            if at is None:
+                return
+            e.addr_ready = at + 1
             self._schedule(e.addr_ready, self.sb.resolve, e.sb_d)
             e.sb_d = None
-        if e.addr_ready is not None and self._producers_known(e.data_writers):
-            data_ready = self._producers_ready_at(e.data_writers, 0)
-            e.complete = max(e.addr_ready, data_ready, e.dispatch_cycle + 1)
+        e.complete = self._ready_at(
+            e.data_writers, max(e.addr_ready, e.dispatch_cycle + 1))
+        if e.complete is not None:
             if e.ins.may_fault and e.sb_e is not None:
                 self._schedule(e.complete, self.sb.resolve, e.sb_e)
                 e.sb_e = None
@@ -432,9 +433,9 @@ class _Sim:
         ins = e.ins
         now = self.now
         if ins.kind in ("ALU", "BRANCH"):
-            if not self._producers_known(e.data_writers):
+            ready = self._ready_at(e.data_writers, 0)
+            if ready is None:
                 return True  # producers were replay-reset; rescheduled on wake
-            ready = self._producers_ready_at(e.data_writers, 0)
             if ready > now:
                 self._push_ready(e, ready)
                 return True
@@ -489,24 +490,26 @@ class _Sim:
             return None
         if not exact:
             return False  # wait for the partially overlapping store to commit
-        if not self._producers_known(se.data_writers) or \
-                self._producers_ready_at(se.data_writers, 0) > self.now:
+        ready = self._ready_at(se.data_writers, 0)
+        if ready is None or ready > self.now:
             return False  # store data still in flight
         budget["slots"] -= 1
         self.counters["store_forwards"] += 1
         self._finish_load(e, e.ins.mem_value, self.now + 1)
         return True
 
-    def _try_perform(self, e: _Entry, budget, speculative: bool = False) -> bool:
+    def _try_perform(self, e: _Entry, budget) -> bool:
         """The one real hierarchy access. It needs a free memory port; when
         the MSHRs are full it takes none and the load retries next cycle. A
-        predicted load awaiting validation completes at the validation event."""
+        predicted load awaiting validation completes at the validation event.
+        A load still shadowed here runs under BASELINE."""
         if budget["port"] <= 0:
             return False
-        ready, stalled = self.mem.access_load(
-            e.ins.mem_addr, self.now, defer_replacement=False, cause_seq=e.seq,
-            speculative=speculative)
-        if stalled:
+        kind, ready = self.mem.access(e.ins.mem_addr, self.now, e.seq,
+                                      speculative=e.shadowed)
+        if e.shadowed and kind == L1_MISS:
+            self.counters["shadowed_l1_misses"] += 1
+        if ready is None:
             self.counters["mshr_stalls"] += 1
             return False
         budget["port"] -= 1
@@ -533,25 +536,17 @@ class _Sim:
             return False
         self.counters["load_lookups"] += 1
         if not (self.secure and e.shadowed):
-            # a shadowed load gets here only under BASELINE
-            if e.shadowed and self.mem.lookup(e.ins.mem_addr).kind == L1_MISS:
-                self.counters["shadowed_l1_misses"] += 1
-            return self._try_perform(e, budget, speculative=e.shadowed)
-        # secure policy, shadowed load
+            return self._try_perform(e, budget)
+        # secure policy, shadowed load: a hidden access, which only hits or
+        # rides an in-flight fill
         budget["port"] -= 1
         budget["slots"] -= 1
-        lk = self.mem.lookup(e.ins.mem_addr)
-        if lk.kind == L1_HIT:
-            ready, _ = self.mem.access_load(
-                e.ins.mem_addr, now, defer_replacement=True, cause_seq=e.seq,
-                speculative=True, defer_key=e.seq)
+        kind, ready = self.mem.access(e.ins.mem_addr, now, e.seq,
+                                      speculative=True, hide_key=e.seq)
+        if ready is not None:
+            if kind == MSHR_HIT:
+                self.counters["mshr_wait_loads"] += 1
             self._finish_load(e, e.ins.mem_value, ready)
-            return True
-        if lk.kind == MSHR_HIT:
-            self.counters["mshr_wait_loads"] += 1
-            self._finish_load(
-                e, e.ins.mem_value,
-                max(now + self.config.cache.l1_latency, lk.ready_cycle))
             return True
         # shadowed true L1 miss
         self.counters["shadowed_l1_misses"] += 1
@@ -635,10 +630,7 @@ class _Sim:
 
     def _predict_done(self, seq: int) -> None:
         e = self.entries[seq]
-        if e.state != DISP or e.predicted is None:
-            return
         e.state = PREDICTED
-        e.used_prediction = True
         e.value = e.predicted
         e.value_ready = self.now
         self._release_iq(e)
@@ -758,8 +750,9 @@ class _Sim:
             if e.ins.kind == "LOAD" and e.state != DONE_ST:
                 break
             if e.ins.kind == "STORE":
-                _, stalled = self.mem.access_store(e.ins.mem_addr, self.now, e.seq)
-                if stalled:
+                _, ready = self.mem.access(e.ins.mem_addr, self.now, e.seq,
+                                           store=True)
+                if ready is None:
                     self.counters["store_commit_stalls"] += 1
                     break
                 self.sq_used -= 1
@@ -772,7 +765,7 @@ class _Sim:
                 if self.vp is not None:
                     self.vp.train(e.ins.pc, e.ins.mem_value,
                                   was_correct=(e.predicted == e.ins.mem_value)
-                                  if e.used_prediction else None)
+                                  if e.predicted is not None else None)
             if e.ins.kind == "BRANCH" and self.vp is not None:
                 self.vp.notify_branch(e.ins.br.taken)
             if self.vrc is not None and e.seq in self.annotations.rec_sites:
@@ -799,25 +792,14 @@ class _Sim:
         for p in self.probes:
             if p.done or p.squashed:
                 continue
-            if not self.secure:
-                _, stalled = self.mem.access_load(
-                    p.addr, self.now, defer_replacement=False,
-                    cause_seq=self.probe_spec.branch_seq, speculative=True,
-                    probe=True)
-                if not stalled:
-                    p.done = True
-                    acted = True
-                continue
-            # secure policies: a wrong-path probe may only take a deferred-
-            # replacement hit; anything else stays delayed until the squash
-            lk = self.mem.lookup(p.addr)
-            if lk.kind == L1_HIT:
-                self.mem.access_load(p.addr, self.now, defer_replacement=True,
-                                     cause_seq=self.probe_spec.branch_seq,
-                                     speculative=True, probe=True,
-                                     defer_key=p.key)
-            p.done = True
-            acted = True
+            # under a secure policy a probe is a hidden access: a refused miss
+            # stays delayed until the squash; under BASELINE a stall retries
+            _, ready = self.mem.access(
+                p.addr, self.now, self.probe_spec.branch_seq, speculative=True,
+                probe=True, hide_key=p.key if self.secure else None)
+            if ready is not None or self.secure:
+                p.done = True
+                acted = True
         return acted
 
     # ------------------------------------------------------------------ main loop

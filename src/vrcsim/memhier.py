@@ -1,12 +1,16 @@
 """Two-level cache hierarchy with MSHRs, write-back write-allocate stores,
-deferred replacement updates for speculative hits, and full mutation logging.
+deferred replacement updates for hidden hits, and full mutation logging.
+
+Every load, store commit and wrong-path probe is one `access` call, and the
+hierarchy applies the Delay-on-Miss rule: a hidden access (a shadowed load or
+probe under a secure policy) may hit, its LRU update queued until the load
+leaves speculation or dropped if it is squashed, or ride an in-flight fill; a
+true miss is refused and changes nothing.
 
 Timing: an L1 hit returns in 2 cycles, an L2 hit in 2+20, a memory access in
 2+20+mem_latency. Fills install the line at the ready cycle (memory fills
 install into L2 and L1 together); the hierarchy is inclusive, so an L2
-eviction also evicts any L1 copy. A speculative hit does not touch the LRU
-stack immediately: the update is queued and applied when the causing load
-leaves speculation, or dropped if it is squashed.
+eviction also evicts any L1 copy.
 """
 
 from __future__ import annotations
@@ -55,13 +59,6 @@ class CacheConfig:
 L1_HIT = "L1_HIT"
 MSHR_HIT = "MSHR_HIT"
 L1_MISS = "L1_MISS"
-
-
-@dataclass(frozen=True, slots=True)
-class Lookup:
-    kind: str
-    ready_cycle: int | None = None   # for MSHR_HIT
-    l2_hit: bool | None = None       # for L1_MISS
 
 
 class _Level:
@@ -156,83 +153,46 @@ class MemHierState:
             probe=probe,
         ))
 
-    # -- classification ----------------------------------------------------------
-
-    def lookup(self, addr: int) -> Lookup:
-        """Pure classification; no state change."""
-        line = self.line_of(addr)
-        if self.l1.contains(line):
-            return Lookup(L1_HIT)
-        entry = self.l1_mshr.get(line)
-        if entry is not None:
-            return Lookup(MSHR_HIT, ready_cycle=entry.ready)
-        return Lookup(L1_MISS, l2_hit=self.l2.contains(line))
-
-    def mshr_free(self) -> bool:
-        return len(self.l1_mshr) < self.config.mshrs
-
     # -- accesses ---------------------------------------------------------------
 
-    def access_load(self, addr: int, now: int, defer_replacement: bool,
-                    cause_seq: int, speculative: bool, probe: bool = False,
-                    defer_key: object = None):
-        """Perform a load access after classification.
-
-        Returns (value_ready_cycle, stalled). `stalled` is True when no MSHR
-        is free for a required allocation; the caller retries later.
-        """
+    def access(self, addr: int, now: int, cause_seq: int, *, store: bool = False,
+               speculative: bool = False, probe: bool = False,
+               hide_key: object = None) -> tuple[str, int | None]:
+        """A load, or a committed store (write-allocate, write-back). Returns
+        (kind, ready cycle); ready is None when the access changed nothing:
+        no MSHR was free (the caller retries) or a hidden miss was refused.
+        A hidden access (`hide_key` set) only hits, its LRU touch deferred
+        under `hide_key`, or rides an in-flight fill, counting nothing here."""
         line = self.line_of(addr)
-        lk = self.lookup(addr)
-        if lk.kind == L1_HIT:
+        hit_ready = now + self.config.l1_latency
+        if self.l1.contains(line):
             self.l1_hits += 1
-            if defer_replacement:
-                self.deferred_touches.setdefault(defer_key, []).append(line)
-            else:
-                self.l1.touch(line)
-                self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
-                             cause_seq, speculative, probe)
-            return now + self.config.l1_latency, False
-        if lk.kind == MSHR_HIT:
-            self.mshr_hits += 1
-            return max(now + self.config.l1_latency, lk.ready_cycle), False
-        # true L1 miss
-        if not self.mshr_free():
-            return 0, True
-        if not lk.l2_hit and len(self.l2_mshr) >= self.config.mshrs:
-            return 0, True
-        self.l1_misses += 1
-        ready = now + self.config.miss_latency(lk.l2_hit)
-        self._alloc_mshr(line, ready, lk.l2_hit, dirty=False, now=now,
-                         cause_seq=cause_seq, speculative=speculative, probe=probe)
-        return ready, False
-
-    def access_store(self, addr: int, now: int, cause_seq: int):
-        """Committed store: write-allocate, write-back. Returns (done, stalled)."""
-        line = self.line_of(addr)
-        lk = self.lookup(addr)
-        if lk.kind == L1_HIT:
-            self.l1_hits += 1
+            if hide_key is not None:
+                self.deferred_touches.setdefault(hide_key, []).append(line)
+                return L1_HIT, hit_ready
             self.l1.touch(line)
             self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
-                         cause_seq, False, False)
-            if line not in self.l1.dirty:
+                         cause_seq, speculative, probe)
+            if store and line not in self.l1.dirty:
                 self.l1.dirty.add(line)
                 self._record(now, Structure.L1_DIRTY, 1, "dirty", line,
-                             cause_seq, False, False)
-            return now + self.config.l1_latency, False
-        if lk.kind == MSHR_HIT:
-            self.mshr_hits += 1
-            self.l1_mshr[line].dirty_on_fill = True
-            return max(now + self.config.l1_latency, lk.ready_cycle), False
-        if not self.mshr_free():
-            return 0, True
-        if not lk.l2_hit and len(self.l2_mshr) >= self.config.mshrs:
-            return 0, True
+                             cause_seq, speculative, probe)
+            return L1_HIT, hit_ready
+        entry = self.l1_mshr.get(line)
+        if entry is not None:
+            if hide_key is None:
+                self.mshr_hits += 1
+                entry.dirty_on_fill |= store
+            return MSHR_HIT, max(hit_ready, entry.ready)
+        l2_hit = self.l2.contains(line)
+        if hide_key is not None or len(self.l1_mshr) >= self.config.mshrs or \
+                (not l2_hit and len(self.l2_mshr) >= self.config.mshrs):
+            return L1_MISS, None
         self.l1_misses += 1
-        ready = now + self.config.miss_latency(lk.l2_hit)
-        self._alloc_mshr(line, ready, lk.l2_hit, dirty=True, now=now,
-                         cause_seq=cause_seq, speculative=False, probe=False)
-        return ready, False
+        ready = now + self.config.miss_latency(l2_hit)
+        self._alloc_mshr(line, ready, l2_hit, dirty=store, now=now,
+                         cause_seq=cause_seq, speculative=speculative, probe=probe)
+        return L1_MISS, ready
 
     def _alloc_mshr(self, line: int, ready: int, l2_hit: bool, dirty: bool,
                     now: int, cause_seq: int, speculative: bool, probe: bool) -> None:

@@ -528,6 +528,19 @@ def emit_annotations(table: AnnotationTable) -> str:
     return "\n".join(lines)
 
 
+# the fields each record may carry, as emit_annotations writes them
+_RECORD_FIELDS = {
+    "A": {"version"},
+    "S": {"slice_id", "tag", "size", "seq", "ppc", "root", "immutable", "len"},
+    "P": {"pos", "op", "a", "b", "c"},
+    "H": {"key", "seq", "val"},
+    "V": {"reg", "seq", "val"},
+    "T": {"addr", "size"},
+    "R": {"pc", "slice"},
+    "C": {"seq", "key", "val"},
+}
+
+
 def load_annotations(data) -> AnnotationTable:
     if hasattr(data, "read"):
         data = data.read()
@@ -574,6 +587,11 @@ def load_annotations(data) -> AnnotationTable:
         tag = tokens[0]
         try:
             fields = _parse_kv(lineno, tokens[1:])
+            if tag not in _RECORD_FIELDS:
+                raise AnnotationFormatError(f"unknown record {tag!r}")
+            unknown = set(fields) - _RECORD_FIELDS[tag]
+            if unknown:
+                raise AnnotationFormatError(f"unknown fields {sorted(unknown)}")
             if tag == "A":
                 continue
             elif tag == "S":
@@ -620,11 +638,9 @@ def load_annotations(data) -> AnnotationTable:
                 current["tags"].append((int(fields["addr"], 0), int(fields["size"])))
             elif tag == "R":
                 table.rcmp_sites[int(fields["pc"], 0)] = int(fields["slice"])
-            elif tag == "C":
+            else:  # C
                 table.rec_sites.setdefault(int(fields["seq"]), []).append(
                     (_parse_key(fields["key"]), int(fields["val"], 0)))
-            else:
-                raise AnnotationFormatError(f"unknown record {tag!r}")
         except TraceFormatError as e:
             raise AnnotationFormatError(str(e)) from None
         except (KeyError, ValueError, TypeError) as e:

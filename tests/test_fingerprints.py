@@ -14,13 +14,19 @@ from pathlib import Path
 
 from vrcsim import core
 from vrcsim.core import CoreConfig, ProbeSpec
+from vrcsim.memhier import CacheConfig
 from vrcsim.slicer import annotate
 from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 COUNT = 800
 SEED = 1
-PROBED = ("MIXED", "VRC")   # (pattern, policy) of the one probed run
+# (key suffix, cache, probed policy) per pattern. MIXED runs a second time
+# with two MSHRs, so loads and store commits stall on full MSHRs and shadowed
+# loads ride in-flight fills, and BASELINE is probed there.
+RUNS = {"MIXED": (("", CacheConfig(), "VRC"),
+                  (" mshrs=2", CacheConfig(mshrs=2), "BASELINE"))}
+DEFAULT_RUNS = (("", CacheConfig(), None),)
 
 
 def _sha(value) -> str:
@@ -51,14 +57,16 @@ def current_fingerprints() -> dict:
         t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=COUNT,
                                                 seed=SEED))
         table, _ = annotate(t)
-        for policy in core.POLICIES:
-            cfg = CoreConfig(policy=policy, record_load_timing=True)
-            out[f"{pattern} {policy}"] = _fingerprint(
-                core.run(t, annotations=table, config=cfg))
-            if (pattern, policy) == PROBED:
-                out[f"{pattern} {policy} probed"] = _fingerprint(
-                    core.inject_transient_probe(t, _probe(t), annotations=table,
-                                                config=cfg))
+        for suffix, cache, probed in RUNS.get(pattern, DEFAULT_RUNS):
+            for policy in core.POLICIES:
+                cfg = CoreConfig(policy=policy, record_load_timing=True,
+                                 cache=cache)
+                key = f"{pattern} {policy}{suffix}"
+                out[key] = _fingerprint(core.run(t, annotations=table, config=cfg))
+                if policy == probed:
+                    out[f"{key} probed"] = _fingerprint(
+                        core.inject_transient_probe(t, _probe(t), annotations=table,
+                                                    config=cfg))
     return out
 
 

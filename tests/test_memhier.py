@@ -13,70 +13,62 @@ def _drain(mem, now=BIG):
 
 def test_lookup_classes():
     mem = MemHierState()
-    assert mem.lookup(0x1000).kind == L1_MISS
-    ready, stalled = mem.access_load(0x1000, 0, False, 0, False)
-    assert not stalled
-    assert mem.lookup(0x1000).kind == MSHR_HIT
-    assert mem.lookup(0x1000).ready_cycle == ready
+    kind, ready = mem.access(0x1000, 0, 0)
+    assert kind == L1_MISS and ready is not None
+    assert mem.access(0x1000, 1, 1) == (MSHR_HIT, ready)
     _drain(mem)
-    assert mem.lookup(0x1000).kind == L1_HIT
-    assert mem.lookup(0x1040).kind == L1_MISS
+    assert mem.access(0x1000, BIG, 2) == (L1_HIT, BIG + 2)
+    assert mem.access(0x1040, BIG, 3)[0] == L1_MISS
 
 
 def test_latency_formulas():
     cfg = CacheConfig()
     mem = MemHierState(cfg)
     # cold line: memory access = 2 + 20 + mem_latency
-    ready, _ = mem.access_load(0x2000, 100, False, 0, False)
-    assert ready == 100 + 2 + 20 + cfg.mem_latency
+    assert mem.access(0x2000, 100, 0) == (L1_MISS, 100 + 2 + 20 + cfg.mem_latency)
     _drain(mem)
     # resident: 2-cycle hit
-    ready, _ = mem.access_load(0x2000, 1000, False, 1, False)
-    assert ready == 1002
+    assert mem.access(0x2000, 1000, 1) == (L1_HIT, 1002)
     # L2 hit: evict from L1 by filling 8 more lines in the same set, line stays in L2
     set_stride = cfg.l1_sets * cfg.line_bytes
     for i in range(1, 9):
-        mem.access_load(0x2000 + i * set_stride, 2000 + i, False, 2, False)
+        mem.access(0x2000 + i * set_stride, 2000 + i, 2)
         _drain(mem)
-    assert mem.lookup(0x2000).kind == L1_MISS
-    assert mem.lookup(0x2000).l2_hit is True
-    ready, _ = mem.access_load(0x2000, 5000, False, 3, False)
-    assert ready == 5000 + 2 + 20
+    assert not mem.l1.contains(0x2000) and mem.l2.contains(0x2000)
+    assert mem.access(0x2000, 5000, 3) == (L1_MISS, 5000 + 2 + 20)
 
 
 def test_mshr_coalescing():
     mem = MemHierState()
-    r1, _ = mem.access_load(0x3000, 0, False, 0, False)
+    _, r1 = mem.access(0x3000, 0, 0)
     assert len(mem.l1_mshr) == 1
-    lk = mem.lookup(0x3008)  # same line
-    assert lk.kind == MSHR_HIT
-    r2, _ = mem.access_load(0x3008, 5, False, 1, False)
+    kind, r2 = mem.access(0x3008, 5, 1)  # same line
+    assert kind == MSHR_HIT
     assert len(mem.l1_mshr) == 1  # no second allocation
     assert r2 == r1  # waiters wake at the fill
 
 
 def test_mshr_exhaustion_stalls():
     mem = MemHierState(CacheConfig(mshrs=1))
-    _, stalled = mem.access_load(0x1000, 0, False, 0, False)
-    assert not stalled
-    _, stalled = mem.access_load(0x9000, 0, False, 1, False)
-    assert stalled
+    _, ready = mem.access(0x1000, 0, 0)
+    assert ready is not None
+    assert mem.access(0x9000, 0, 1) == (L1_MISS, None)  # changed nothing
+    assert list(mem.l1_mshr) == [0x1000] and mem.l1_misses == 1
 
 
 def test_deferred_apply_and_squash():
     mem = MemHierState()
-    mem.access_load(0x1000, 0, False, 0, False)
-    mem.access_load(0x1040, 0, False, 0, False)  # same set companions
+    mem.access(0x1000, 0, 0)
+    mem.access(0x1040, 0, 0)
     _drain(mem)
     before = mem.snapshot_digest()
-    # speculative hit defers the LRU update
-    ready, _ = mem.access_load(0x1000, 100, True, 1, True, defer_key="a")
-    assert ready == 102
+    # a hidden hit defers the LRU update
+    assert mem.access(0x1000, 100, 1, speculative=True, hide_key="a") == (L1_HIT, 102)
     assert mem.snapshot_digest() == before
     mem.squash_deferred("a")
     assert mem.snapshot_digest() == before
     # now defer and apply: line becomes MRU
-    mem.access_load(0x1000, 200, True, 2, True, defer_key="b")
+    mem.access(0x1000, 200, 2, speculative=True, hide_key="b")
     mem.apply_deferred("b", 210, 2)
     assert mem.l1.data[mem.l1.set_index(0x1000)][0] == 0x1000
 
@@ -86,26 +78,59 @@ def test_deferred_order_preserving():
     mem = MemHierState(cfg)
     lines = [0x1000 + i * cfg.l1_sets * cfg.line_bytes for i in range(3)]
     for ln in lines:
-        mem.access_load(ln, 0, False, 0, False)
+        mem.access(ln, 0, 0)
         _drain(mem)
-    mem.access_load(lines[0], 100, True, 1, True, defer_key="k1")
-    mem.access_load(lines[1], 101, True, 2, True, defer_key="k2")
+    mem.access(lines[0], 100, 1, speculative=True, hide_key="k1")
+    mem.access(lines[1], 101, 2, speculative=True, hide_key="k2")
     mem.apply_deferred("k1", 110, 1)
     mem.apply_deferred("k2", 111, 2)
     s = mem.l1.data[mem.l1.set_index(lines[0])]
     assert s[0] == lines[1] and s[1] == lines[0]  # application order = LRU order
 
 
+def _counts(mem):
+    return (mem.l1_hits, mem.l1_misses, mem.mshr_hits, mem.l2_hits,
+            mem.mem_accesses, len(mem.log), len(mem.l1_mshr),
+            dict(mem.deferred_touches))
+
+
+def test_hidden_access_only_hits_or_rides():
+    cfg = CacheConfig()
+    mem = MemHierState(cfg)
+    stride = cfg.l1_sets * cfg.line_bytes
+    mem.access(0x1000, 0, 0)
+    mem.access(0x1000 + stride, 0, 0)  # same set, now MRU
+    _drain(mem)
+    # hit: 2-cycle ready, counted, LRU touch deferred until applied
+    before, hits = mem.snapshot_digest(), mem.l1_hits
+    assert mem.access(0x1000, 100, 1, speculative=True, hide_key="h") == (L1_HIT, 102)
+    assert mem.l1_hits == hits + 1
+    assert mem.snapshot_digest() == before
+    mem.apply_deferred("h", 110, 1)
+    assert mem.snapshot_digest() != before
+    assert mem.l1.data[mem.l1.set_index(0x1000)][0] == 0x1000
+    # ride on an in-flight fill: the fill cycle, nothing counted
+    _, fill = mem.access(0x9000, 200, 2)
+    counts = _counts(mem)
+    assert mem.access(0x9008, 201, 3, speculative=True, hide_key="r") == (MSHR_HIT, fill)
+    assert _counts(mem) == counts
+    # true miss: refused, leaves no MSHR, record, counter or deferred touch
+    digest = mem.snapshot_digest()
+    assert mem.access(0xA000, 202, 4, speculative=True, hide_key="m") == (L1_MISS, None)
+    assert _counts(mem) == counts and mem.snapshot_digest() == digest
+    assert "m" not in mem.deferred_touches
+
+
 def test_store_write_allocate_dirty():
     mem = MemHierState()
-    mem.access_store(0x4000, 0, 0)
+    mem.access(0x4000, 0, 0, store=True)
     _drain(mem)
     line = mem.line_of(0x4000)
     assert line in mem.l1.dirty
     # store hit sets dirty on a clean resident line
-    mem.access_load(0x5000, 0, False, 1, False)
+    mem.access(0x5000, 0, 1)
     _drain(mem)
-    mem.access_store(0x5000, 100, 2)
+    mem.access(0x5000, 100, 2, store=True)
     assert mem.line_of(0x5000) in mem.l1.dirty
 
 
@@ -114,7 +139,7 @@ def test_inclusive_eviction_logs_l1_evict():
                       mem_latency=10)
     mem = MemHierState(cfg)
     for i in range(9):
-        mem.access_load(0x1000 + i * 64, i * 1000, False, i, False)
+        mem.access(0x1000 + i * 64, i * 1000, i)
         _drain(mem)
     evicts = [r for r in mem.log if r.structure is Structure.L1_TAG
               and r.op == "evict"]
@@ -125,10 +150,10 @@ def test_inclusive_eviction_logs_l1_evict():
 def test_snapshot_digests():
     a, b = MemHierState(), MemHierState()
     assert a.snapshot_digest() == b.snapshot_digest()
-    a.access_load(0x1000, 0, False, 0, False)
+    a.access(0x1000, 0, 0)
     _drain(a)
     assert a.snapshot_digest() != b.snapshot_digest()
-    b.access_load(0x1000, 0, False, 0, False)
+    b.access(0x1000, 0, 0)
     _drain(b)
     assert a.snapshot_digest() == b.snapshot_digest()
 
@@ -140,10 +165,7 @@ def test_log_replay_reproduces_digest():
     for _ in range(300):
         addr = rng.randrange(0, 1 << 20) & ~7
         now += rng.randrange(1, 300)
-        if rng.random() < 0.3:
-            mem.access_store(addr, now, 0)
-        else:
-            mem.access_load(addr, now, False, 0, False)
+        mem.access(addr, now, 0, store=rng.random() < 0.3)
         mem.advance(now)
     _drain(mem)
     assert replay_log(mem.log, mem.config) == mem.snapshot_digest()
@@ -224,15 +246,12 @@ def test_differential_vs_naive_lru():
         store = rng.random() < 0.3
         now += 1000  # fills complete between accesses
         mem.advance(now)
-        lk = mem.lookup(addr)
+        l2_hit = mem.l2.contains(mem.line_of(addr))
         expected = naive.access(addr, store=store)
-        got = {"L1_HIT": "hit", "MSHR_HIT": "mshr",
-               "L1_MISS": ("l2hit" if lk.l2_hit else "miss")}[lk.kind]
+        kind, _ = mem.access(addr, now, i, store=store)
+        got = {L1_HIT: "hit", MSHR_HIT: "mshr",
+               L1_MISS: ("l2hit" if l2_hit else "miss")}[kind]
         assert got == expected, f"access {i} to {addr:#x}: {got} != {expected}"
-        if store:
-            mem.access_store(addr, now, i)
-        else:
-            mem.access_load(addr, now, False, i, False)
     _drain(mem)
     for level, nlevel in ((mem.l1, naive.l1), (mem.l2, naive.l2)):
         assert level.data == nlevel.sets

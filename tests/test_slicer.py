@@ -268,6 +268,12 @@ def test_good_annotations_load():
     ("  V reg=3 seq=-1 val=0x0\n", "", "L:3 has no H/V record"),
     ("R pc=0x14 slice=0", "R pc=0x14 slice=0 junk", "malformed field"),
     ("S slice_id=0 ", "S slice_id=0 slice_id=1 ", "duplicate field"),
+    ("R pc=0x14 slice=0", "R pc=0x14 slice=0 bogus=7", r"unknown fields \['bogus'\]"),
+    ("len=2", "len=2 extra=1", r"unknown fields \['extra'\]"),
+    ("b=C:0x1", "b=C:0x1 d=C:0x5", r"unknown fields \['d'\]"),
+    ("A version=1", "A version=1 when=now", r"unknown fields \['when'\]"),
+    ("  T addr=0x100 size=8", "  T addr=0x100 size=8 seq=3", r"unknown fields \['seq'\]"),
+    ("R pc=0x14", "Q pc=0x14", "unknown record 'Q'"),
 ])
 def test_bad_annotations_rejected_at_load(old, new, match):
     assert old in GOOD_ANNOTATIONS
