@@ -21,15 +21,19 @@ and commits in order. Loads run through the policy automaton:
 Cycle phase order: fills, scheduled events (shadow resolves, branch
 resolves, prediction and validation completions; each event carries its
 handler), commit, unshadow polling, issue, recomputation engine, dispatch,
-probes. Issue walks one issue pool in program order and the entry state
-chooses the action: NONSPEC reissues an unshadowed delayed or fallback load,
-AWAIT_VALIDATION validates a predicted load, and anything else takes the
-ready path (execute, forward, access, or apply the policy to a shadowed
-miss). Every real hierarchy access goes through one path that takes a memory
-port and retries on an MSHR stall. A load "performs" when its value is bound
-by a real access, store forward, or recomputation; its memory-order shadow
-resolves then (at validation completion for predicted loads). Time skips
-ahead to the next scheduled event whenever a cycle makes no progress.
+probes. Dispatch copies each instruction's kind code, producers and shadow
+casts from the trace's core decode (`Trace.core_decode`), built once per
+trace and shared by every run on it; entry states and kinds are integer
+codes, named only in deadlock reports. Issue walks one issue pool in program
+order and the entry state chooses the action: NONSPEC reissues an unshadowed
+delayed or fallback load, AWAIT_VALIDATION validates a predicted load, and
+anything else issues by kind (a load forwards, accesses, or has the policy
+applied to its shadowed miss; an ALU op or branch executes on a unit of its
+FU class). Every real hierarchy access goes through one path that takes a
+memory port and retries on an MSHR stall. A load "performs" when its value is
+bound by a real access, store forward, or recomputation; its memory-order
+shadow resolves then (at validation completion for predicted loads). Time
+skips ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -40,15 +44,16 @@ under BASELINE they mutate it like any speculative load would.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
-from .isa import ALU_LATENCY, alu_eval
+from .isa import alu_eval
 from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
-from .trace import Trace
+from .trace import (FU_ALU, FU_MUL, KIND_ALU, KIND_BRANCH, KIND_LOAD,
+                    KIND_NOP, KIND_STORE, KINDS, Trace)
 from .vp import VpConfig, VpState
 from .vrc import BUSY, DONE, VrcConfig, VrcState
 
@@ -113,27 +118,31 @@ class RunResult:
     shadow_stats: tuple                 # (shadowed fraction, mean shadows/load)
 
 
-# entry states
-DISP = "DISPATCHED"
-DELAYED = "DELAYED"
-NONSPEC = "NONSPEC"                 # unshadowed delayed/fallback load, awaiting reissue
-PREDICTED = "PREDICTED"
-RECOMPUTING = "RECOMPUTING"
-AWAIT_VAL = "AWAIT_VALIDATION"
-DONE_ST = "DONE"
+# entry states; NONSPEC is an unshadowed delayed or fallback load awaiting
+# reissue. STATE_NAMES names them in diagnostics.
+DISP, DELAYED, NONSPEC, PREDICTED, RECOMPUTING, AWAIT_VAL, DONE_ST = range(7)
+STATE_NAMES = ("DISPATCHED", "DELAYED", "NONSPEC", "PREDICTED", "RECOMPUTING",
+               "AWAIT_VALIDATION", "DONE")
+
+# a cycle's issue budget is a list: the FU classes' units (FU_ALU, FU_MUL),
+# then memory ports and issue slots
+_PORT, _SLOTS = 2, 3
+_ENGINE_FU = {"alu": FU_ALU, "mul": FU_MUL}
+_DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
 class _Entry:
     __slots__ = (
-        "seq", "ins", "state", "value", "value_ready", "complete",
+        "seq", "ins", "kind", "state", "value", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
         "addr_writers", "data_writers", "predicted", "replay_floor",
         "in_ready", "iq_held", "unshadow_cycle", "dispatch_cycle", "issue_at",
     )
 
-    def __init__(self, seq, ins, now):
+    def __init__(self, seq, ins, kind, now):
         self.seq = seq
         self.ins = ins
+        self.kind = kind
         self.state = DISP
         self.value = None
         self.value_ready = None
@@ -192,7 +201,21 @@ class _Sim:
         needs_engine = config.policy in ("VRC", "VRC2", "ORACLE_VRC")
         self.vrc = VrcState(self.annotations, vrc_cfg) if needs_engine else None
 
+        # the shadow a load casts until it performs: memory order under TSO;
+        # under RC only value-predicted loads cast one, to serialize their
+        # validations
+        if config.consistency == "TSO":
+            self.order_shadow = ShadowKind.M
+        elif config.policy in ("VP", "ORACLE_VP"):
+            self.order_shadow = ShadowKind.VP
+        else:
+            self.order_shadow = None
+
         self.dataflow = trace.dataflow
+        self.decode = trace.core_decode
+        self.budget = (config.alu_units, config.mul_units, config.mem_ports,
+                       config.width)
+        self.fu_units = config.alu_units + config.mul_units
         self.entries: list[_Entry | None] = [None] * self.n
         self.consumers: dict[int, list[int]] = defaultdict(list)
 
@@ -204,7 +227,7 @@ class _Sim:
         self.iq_used = 0
         self.lq_used = 0
         self.sq_used = 0
-        self.live_stores: list[int] = []       # dispatched, uncommitted store seqs
+        self.live_stores: deque[int] = deque()  # dispatched, uncommitted stores
 
         self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
@@ -249,13 +272,14 @@ class _Sim:
     def _ready_at(self, writers, floor: int) -> int | None:
         """Cycle by which every producer's value is ready, at least `floor`;
         None while a producer has no value."""
-        at = floor
+        entries = self.entries
         for w in writers:
-            e = self.entries[w]
+            e = entries[w]
             if e is None or e.value_ready is None:
                 return None
-            at = max(at, e.value_ready)
-        return at
+            if e.value_ready > floor:
+                floor = e.value_ready
+        return floor
 
     def _wake(self, producer_seq: int) -> None:
         for cseq in self.consumers.get(producer_seq, ()):
@@ -264,12 +288,12 @@ class _Sim:
                 self._reschedule(e)
 
     def _reschedule(self, e: _Entry) -> None:
-        if e.ins.kind == "STORE":
+        if e.kind == KIND_STORE:
             self._update_store(e)
             return
         if e.state != DISP:
             return
-        if e.ins.kind == "LOAD":
+        if e.kind == KIND_LOAD:
             at = self._ready_at(e.addr_writers, e.dispatch_cycle)
             if at is not None:
                 e.addr_ready = at + 1
@@ -283,7 +307,9 @@ class _Sim:
     def _push_ready(self, e: _Entry, ready_at: int) -> None:
         if not e.in_ready:
             e.in_ready = True
-            heapq.heappush(self.ready_heap, (max(ready_at, self.now + 1), e.seq))
+            if ready_at <= self.now:
+                ready_at = self.now + 1
+            heapq.heappush(self.ready_heap, (ready_at, e.seq))
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -311,158 +337,147 @@ class _Sim:
     # ------------------------------------------------------------------ dispatch
 
     def _dispatch(self) -> bool:
-        if self.redirect_until is not None and self.redirect_until >= 0 \
-                and self.now >= self.redirect_until:
+        if self.redirect_until is not None:
+            if self.redirect_until < 0 or self.now < self.redirect_until:
+                return False
             self.redirect_until = None
-        dispatched = 0
-        while dispatched < self.config.width and self.next_dispatch < self.n:
-            if self.redirect_until is not None:
-                break
-            seq = self.next_dispatch
-            ins = self.trace[seq]
-            if seq - self.commit_head >= self.config.rob_size:
-                break
-            casts = int(ins.may_fault) + int(ins.kind == "BRANCH") + \
-                int(ins.kind == "STORE") + \
-                int(ins.kind == "LOAD" and self._casts_order_shadow())
-            if len(self.sb._sb) + casts > self.config.sb_capacity:
-                break
-            if ins.kind != "NOP" and self.iq_used >= self.config.iq_size:
-                break
-            if ins.kind == "LOAD" and (self.lq_used >= self.config.lq_size
-                                       or self.sb.rq_full()):
-                break
-            if ins.kind == "STORE" and self.sq_used >= self.config.sq_size:
-                break
-            e = _Entry(seq, ins, self.now)
-            self.entries[seq] = e
-            self._dispatch_entry(e)
-            self.next_dispatch += 1
-            dispatched += 1
-        return dispatched > 0
-
-    def _casts_order_shadow(self) -> bool:
-        if self.config.consistency == "TSO":
-            return True
-        # under RC, value-predicted loads still serialize their validations
-        return self.policy in ("VP", "ORACLE_VP")
-
-    def _dispatch_entry(self, e: _Entry) -> None:
-        ins = e.ins
+        cfg = self.config
+        first = seq = self.next_dispatch
+        end = min(self.n, seq + cfg.width, self.commit_head + cfg.rob_size)
+        if seq >= end:
+            return False
         now = self.now
-        self.counters[f"dispatched_{ins.kind.lower()}"] += 1
-        if ins.kind == "LOAD":
-            e.shadowed = not self.sb.register_load(e.seq)
-            if not e.shadowed:
-                e.unshadow_cycle = now
-        if ins.may_fault:
-            e.sb_e = self.sb.cast(ShadowKind.E, e.seq)
-        if ins.kind == "BRANCH":
-            e.sb_c = self.sb.cast(ShadowKind.C, e.seq)
-            if not ins.br.predicted_correctly:
-                self.redirect_until = -1  # blocked until the branch resolves
-                self.redirect_branch = e.seq
-            if self.probe_spec is not None and e.seq == self.probe_spec.branch_seq:
-                self.probes = [_Probe(i, a)
-                               for i, a in enumerate(self.probe_spec.load_addrs)]
-        elif ins.kind == "STORE":
-            e.sb_d = self.sb.cast(ShadowKind.D, e.seq)
-        elif ins.kind == "LOAD" and self._casts_order_shadow():
-            kind = ShadowKind.M if self.config.consistency == "TSO" else ShadowKind.VP
-            e.sb_m = self.sb.cast(kind, e.seq)
+        sb = self.sb
+        decode = self.decode
+        kinds, casts = decode.kinds, decode.casts
+        load_casts = int(self.order_shadow is not None)
+        instructions = self.trace.instructions
+        entries, consumers, counters = self.entries, self.consumers, self.counters
+        while seq < end:
+            kind = kinds[seq]
+            if kind == KIND_LOAD:
+                if len(sb._sb) + casts[seq] + load_casts > cfg.sb_capacity \
+                        or self.iq_used >= cfg.iq_size \
+                        or self.lq_used >= cfg.lq_size or sb.rq_full():
+                    break
+            elif len(sb._sb) + casts[seq] > cfg.sb_capacity \
+                    or (kind != KIND_NOP and self.iq_used >= cfg.iq_size) \
+                    or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
+                break
+            ins = instructions[seq]
+            e = entries[seq] = _Entry(seq, ins, kind, now)
+            counters[_DISPATCHED_KEYS[kind]] += 1
+            if kind == KIND_LOAD:
+                e.shadowed = not sb.register_load(seq)
+                if not e.shadowed:
+                    e.unshadow_cycle = now
+            if ins.may_fault:
+                e.sb_e = sb.cast(ShadowKind.E, seq)
+            if kind == KIND_BRANCH:
+                e.sb_c = sb.cast(ShadowKind.C, seq)
+                if not ins.br.predicted_correctly:
+                    self.redirect_until = -1  # blocked until the branch resolves
+                    self.redirect_branch = seq
+                if self.probe_spec is not None and seq == self.probe_spec.branch_seq:
+                    self.probes = [_Probe(i, a) for i, a
+                                   in enumerate(self.probe_spec.load_addrs)]
+            elif kind == KIND_STORE:
+                e.sb_d = sb.cast(ShadowKind.D, seq)
+                self.sq_used += 1
+                self.live_stores.append(seq)
+            elif kind == KIND_LOAD:
+                if self.order_shadow is not None:
+                    e.sb_m = sb.cast(self.order_shadow, seq)
+                self.lq_used += 1
 
-        if ins.kind == "NOP":
-            e.complete = now + 1
-            if e.sb_e is not None:
-                self._schedule(e.complete, self.sb.resolve, e.sb_e)
-                e.sb_e = None
-            return
-        src_writers = self.dataflow.src_writers[e.seq]
-        if ins.kind == "STORE":
-            e.data_writers = tuple(w for w in src_writers[:1] if w is not None)
-            e.addr_writers = tuple(w for w in src_writers[1:] if w is not None)
-            self.sq_used += 1
-            self.live_stores.append(e.seq)
-        elif ins.kind == "LOAD":
-            e.addr_writers = tuple(w for w in src_writers if w is not None)
-            self.lq_used += 1
-        else:
-            e.data_writers = tuple(w for w in src_writers if w is not None)
-        for w in set(e.addr_writers + e.data_writers):
-            self.consumers[w].append(e.seq)
-        e.iq_held = True
-        self.iq_used += 1
-        self._reschedule(e)
+            if kind == KIND_NOP:
+                e.complete = now + 1
+                if e.sb_e is not None:
+                    self._schedule(e.complete, sb.resolve, e.sb_e)
+                    e.sb_e = None
+            else:
+                e.addr_writers = decode.addr_writers[seq]
+                e.data_writers = decode.data_writers[seq]
+                for w in decode.producers[seq]:
+                    consumers[w].append(seq)
+                e.iq_held = True
+                self.iq_used += 1
+                self._reschedule(e)
+            seq += 1
+            if self.redirect_until is not None:
+                break  # a mispredicted branch blocks dispatch until it resolves
+        self.next_dispatch = seq
+        return seq > first
 
     # ------------------------------------------------------------------ issue
 
-    def _take_fu(self, budget, kind: str) -> bool:
-        if budget[kind] > 0:
-            budget[kind] -= 1
-            self.counters["fu_ops"] += 1
-            return True
-        return False
-
     def _issue_phase(self) -> bool:
-        while self.ready_heap and self.ready_heap[0][0] <= self.now:
-            _, seq = heapq.heappop(self.ready_heap)
-            e = self.entries[seq]
+        ready_heap, entries, pool = self.ready_heap, self.entries, self.issue_pool
+        while ready_heap and ready_heap[0][0] <= self.now:
+            _, seq = heapq.heappop(ready_heap)
+            e = entries[seq]
             if e is not None and e.in_ready:
                 e.in_ready = False
-                self.issue_pool.add(seq)
-        budget = {"alu": self.config.alu_units, "mul": self.config.mul_units,
-                  "port": self.config.mem_ports, "slots": self.config.width}
+                pool.add(seq)
+        budget = list(self.budget)
         any_issued = False
-        for seq in sorted(self.issue_pool):
-            if budget["slots"] <= 0:
+        for seq in sorted(pool):
+            if budget[_SLOTS] <= 0:
                 break
-            e = self.entries[seq]
-            if e.state == NONSPEC:
+            e = entries[seq]
+            state = e.state
+            if state == NONSPEC:
                 issued = self._try_reissue(e, budget)
-            elif e.state == AWAIT_VAL:
+            elif state == AWAIT_VAL:
                 issued = self._try_perform(e, budget)
+            elif e.kind == KIND_LOAD:
+                issued = self._try_issue_load(e, budget)
             else:
-                issued = self._try_issue_ready(e, budget)
+                issued = self._try_execute(e, budget)
             if issued:
-                self.issue_pool.discard(seq)
+                pool.discard(seq)
                 any_issued = True
         engine_worked = self._engine_tick(budget)
+        # every FU op of the cycle, the engine's too, took one unit
+        fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
+        if fu_ops:
+            self.counters["fu_ops"] += fu_ops
         return any_issued or engine_worked
 
-    def _try_issue_ready(self, e: _Entry, budget) -> bool:
-        ins = e.ins
+    def _try_execute(self, e: _Entry, budget) -> bool:
+        """An ALU op or branch: executes on a unit of its FU class once its
+        producers' values are ready."""
+        seq = e.seq
         now = self.now
-        if ins.kind in ("ALU", "BRANCH"):
-            ready = self._ready_at(e.data_writers, 0)
-            if ready is None:
-                return True  # producers were replay-reset; rescheduled on wake
-            if ready > now:
-                self._push_ready(e, ready)
-                return True
-            kind = "mul" if ins.alu_op == "MUL" else "alu"
-            if not self._take_fu(budget, kind):
-                return False
-            budget["slots"] -= 1
-            lat = ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
-            if ins.kind == "ALU":
-                ops = [0 if w is None else self.entries[w].value or 0
-                       for w in self.dataflow.src_writers[e.seq]]
-                if ins.imm is not None:
-                    ops.append(ins.imm)
-                e.value = alu_eval(ins.alu_op, ops)
-            e.value_ready = now + lat
-            e.complete = now + lat
-            e.state = DONE_ST
-            self._release_iq(e)
-            if ins.kind == "BRANCH":
-                self._schedule(now + 1, self._branch_resolved, e.seq)
-            if ins.may_fault and e.sb_e is not None:
-                self._schedule(e.complete, self.sb.resolve, e.sb_e)
-                e.sb_e = None
-            self._wake(e.seq)
+        ready = self._ready_at(e.data_writers, 0)
+        if ready is None:
+            return True  # producers were replay-reset; rescheduled on wake
+        if ready > now:
+            self._push_ready(e, ready)
             return True
-        if ins.kind == "LOAD":
-            return self._try_issue_load(e, budget)
+        fu = self.decode.fus[seq]
+        if budget[fu] <= 0:
+            return False
+        budget[fu] -= 1
+        budget[_SLOTS] -= 1
+        ins = e.ins
+        lat = self.decode.latencies[seq]
+        if e.kind == KIND_ALU:
+            entries = self.entries
+            ops = [0 if w is None else entries[w].value or 0
+                   for w in self.dataflow.src_writers[seq]]
+            if ins.imm is not None:
+                ops.append(ins.imm)
+            e.value = alu_eval(ins.alu_op, ops)
+        else:
+            self._schedule(now + 1, self._branch_resolved, seq)
+        e.value_ready = e.complete = now + lat
+        e.state = DONE_ST
+        self._release_iq(e)
+        if ins.may_fault and e.sb_e is not None:
+            self._schedule(e.complete, self.sb.resolve, e.sb_e)
+            e.sb_e = None
+        self._wake(seq)
         return True
 
     # -- load paths ---------------------------------------------------------------
@@ -493,7 +508,7 @@ class _Sim:
         ready = self._ready_at(se.data_writers, 0)
         if ready is None or ready > self.now:
             return False  # store data still in flight
-        budget["slots"] -= 1
+        budget[_SLOTS] -= 1
         self.counters["store_forwards"] += 1
         self._finish_load(e, e.ins.mem_value, self.now + 1)
         return True
@@ -503,7 +518,7 @@ class _Sim:
         the MSHRs are full it takes none and the load retries next cycle. A
         predicted load awaiting validation completes at the validation event.
         A load still shadowed here runs under BASELINE."""
-        if budget["port"] <= 0:
+        if budget[_PORT] <= 0:
             return False
         kind, ready = self.mem.access(e.ins.mem_addr, self.now, e.seq,
                                       speculative=e.shadowed)
@@ -512,8 +527,8 @@ class _Sim:
         if ready is None:
             self.counters["mshr_stalls"] += 1
             return False
-        budget["port"] -= 1
-        budget["slots"] -= 1
+        budget[_PORT] -= 1
+        budget[_SLOTS] -= 1
         if e.state == AWAIT_VAL:
             self.counters["validations"] += 1
             self._schedule(ready, self._validation_done, e.seq)
@@ -532,15 +547,15 @@ class _Sim:
         fwd = self._try_forward(e, budget)
         if fwd is not None:
             return fwd  # blocked loads stay in the pool and retry
-        if budget["port"] <= 0:
+        if budget[_PORT] <= 0:
             return False
         self.counters["load_lookups"] += 1
         if not (self.secure and e.shadowed):
             return self._try_perform(e, budget)
         # secure policy, shadowed load: a hidden access, which only hits or
         # rides an in-flight fill
-        budget["port"] -= 1
-        budget["slots"] -= 1
+        budget[_PORT] -= 1
+        budget[_SLOTS] -= 1
         kind, ready = self.mem.access(e.ins.mem_addr, now, e.seq,
                                       speculative=True, hide_key=e.seq)
         if ready is not None:
@@ -670,7 +685,7 @@ class _Sim:
                 ce = self.entries[cseq]
                 if ce is None:
                     continue
-                if ce.ins.kind == "ALU" and ce.state == DONE_ST:
+                if ce.kind == KIND_ALU and ce.state == DONE_ST:
                     ce.state = DISP
                     ce.value = None
                     ce.value_ready = None
@@ -679,7 +694,7 @@ class _Sim:
                     self.counters["replayed_ops"] += 1
                     self._reschedule(ce)
                     stack.append(cseq)
-                elif ce.ins.kind == "STORE":
+                elif ce.kind == KIND_STORE:
                     ce.complete = None
                     self._update_store(ce)
 
@@ -711,8 +726,15 @@ class _Sim:
     def _engine_tick(self, budget) -> bool:
         if self.vrc is None:
             return False
-        status, payload = self.vrc.step(
-            self.now, lambda k: self._take_fu(budget, k), self._live_reg_value)
+
+        def take_fu(kind: str) -> bool:
+            fu = _ENGINE_FU[kind]
+            if budget[fu] <= 0:
+                return False
+            budget[fu] -= 1
+            return True
+
+        status, payload = self.vrc.step(self.now, take_fu, self._live_reg_value)
         # faulted or invalidated recomputations: the load reverts to a delayed
         # load, or reissues at once if it has left speculation meanwhile
         for seq, faulted in self.vrc.fallbacks:
@@ -738,47 +760,57 @@ class _Sim:
     # ------------------------------------------------------------------ commit
 
     def _commit(self) -> bool:
-        done = 0
-        while done < self.config.width and self.commit_head < self.next_dispatch:
-            e = self.entries[self.commit_head]
+        now = self.now
+        entries = self.entries
+        vp, vrc = self.vp, self.vrc
+        rec_sites = self.annotations.rec_sites
+        first = seq = self.commit_head
+        end = min(self.next_dispatch, seq + self.config.width)
+        while seq < end:
+            e = entries[seq]
             if e is None:
                 break
-            if e.ins.kind == "STORE" and e.complete is None:
+            kind = e.kind
+            ins = e.ins
+            if kind == KIND_STORE and e.complete is None:
                 self._update_store(e)
-            if e.complete is None or e.complete > self.now:
+            if e.complete is None or e.complete > now:
                 break
-            if e.ins.kind == "LOAD" and e.state != DONE_ST:
-                break
-            if e.ins.kind == "STORE":
-                _, ready = self.mem.access(e.ins.mem_addr, self.now, e.seq,
-                                           store=True)
+            if kind == KIND_LOAD:
+                if e.state != DONE_ST:
+                    break
+                self.lq_used -= 1
+                if vp is not None:
+                    vp.train(ins.pc, ins.mem_value,
+                             was_correct=(e.predicted == ins.mem_value)
+                             if e.predicted is not None else None)
+            elif kind == KIND_STORE:
+                _, ready = self.mem.access(ins.mem_addr, now, seq, store=True)
                 if ready is None:
                     self.counters["store_commit_stalls"] += 1
                     break
                 self.sq_used -= 1
-                self.live_stores.remove(e.seq)
-                if self.vrc is not None:
-                    self.vrc.invalidate_on_store(
-                        e.ins.mem_addr, e.ins.mem_size, store_pc=e.ins.pc)
-            if e.ins.kind == "LOAD":
-                self.lq_used -= 1
-                if self.vp is not None:
-                    self.vp.train(e.ins.pc, e.ins.mem_value,
-                                  was_correct=(e.predicted == e.ins.mem_value)
-                                  if e.predicted is not None else None)
-            if e.ins.kind == "BRANCH" and self.vp is not None:
-                self.vp.notify_branch(e.ins.br.taken)
-            if self.vrc is not None and e.seq in self.annotations.rec_sites:
-                for key, value in self.annotations.rec_sites[e.seq]:
-                    self.vrc.rec_checkpoint(key, value)
-            self.committed_values[e.seq] = e.value  # None for stores
-            if e.ins.dst is not None:
-                self.committed_regs[e.ins.dst] = e.value
-            self.commit_head += 1
-            self.committed += 1
-            done += 1
-            self.last_commit_cycle = self.now
-        return done > 0
+                # stores commit in program order, so the oldest live one leaves
+                if self.live_stores.popleft() != seq:
+                    raise RuntimeError(f"store {seq} committed out of order")
+                if vrc is not None:
+                    vrc.invalidate_on_store(ins.mem_addr, ins.mem_size,
+                                            store_pc=ins.pc)
+            elif kind == KIND_BRANCH and vp is not None:
+                vp.notify_branch(ins.br.taken)
+            if vrc is not None and seq in rec_sites:
+                for key, value in rec_sites[seq]:
+                    vrc.rec_checkpoint(key, value)
+            self.committed_values[seq] = e.value  # None for stores
+            if ins.dst is not None:
+                self.committed_regs[ins.dst] = e.value
+            seq += 1
+        if seq == first:
+            return False
+        self.committed += seq - first
+        self.commit_head = seq
+        self.last_commit_cycle = now
+        return True
 
     # ------------------------------------------------------------------ probes
 
@@ -854,7 +886,7 @@ class _Sim:
             f"no commit for {self.config.deadlock_cycles} cycles at cycle {self.now}",
             f"policy={self.policy} committed={self.committed}/{self.n}",
             f"head seq={self.commit_head} "
-            f"state={head.state if head else 'undispatched'}",
+            f"state={STATE_NAMES[head.state] if head else 'undispatched'}",
             f"iq={self.iq_used} lq={self.lq_used} sq={self.sq_used}",
             f"issue_pool={len(self.issue_pool)}",
         ])

@@ -263,13 +263,16 @@ class MemHierState:
     # -- digests --------------------------------------------------------------------
 
     def snapshot_digest(self) -> str:
-        h = hashlib.sha256()
+        """SHA-256 over each set's (line, dirty) list, MRU first, a "|" after
+        each level, then the MSHR allocation history."""
+        parts = []
         for level in (self.l1, self.l2):
-            for s in level.data:
-                h.update(repr([(line, line in level.dirty) for line in s]).encode())
-            h.update(b"|")
-        h.update(repr(self.mshr_history).encode())
-        return h.hexdigest()
+            dirty = level.dirty
+            parts.extend(repr([(line, line in dirty) for line in s]) if s else "[]"
+                         for s in level.data)
+            parts.append("|")
+        parts.append(repr(self.mshr_history))
+        return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def replay_log(log: MutationLog, config: CacheConfig | None = None) -> str:

@@ -56,6 +56,7 @@ class ShadowState:
         self._rq: deque[_RqEntry] = deque()
         self._next_id = 0
         self._by_id: dict[int, _SbEntry] = {}
+        self._unresolved = 0         # unresolved entries in the SB
         # statistics
         self.loads_registered = 0
         self.loads_shadowed = 0
@@ -80,6 +81,7 @@ class ShadowState:
         self._next_id += 1
         self._sb.append(entry)
         self._by_id[entry.sb_id] = entry
+        self._unresolved += 1
         return entry.sb_id
 
     def resolve(self, sb_id: int) -> None:
@@ -87,6 +89,7 @@ class ShadowState:
         if entry is None or entry.resolved:
             raise ShadowError(f"double or unknown resolve of sb entry {sb_id}")
         entry.resolved = True
+        self._unresolved -= 1
         # advance the head over the contiguous resolved prefix
         while self._sb and self._sb[0].resolved:
             freed = self._sb.popleft()
@@ -100,7 +103,7 @@ class ShadowState:
         if self._sb and self.rq_full():
             raise ShadowError("release queue overflow")
         self.loads_registered += 1
-        self.shadow_count_sum += sum(1 for e in self._sb if not e.resolved)
+        self.shadow_count_sum += self._unresolved
         if not self._sb:
             return True
         self.loads_shadowed += 1

@@ -25,11 +25,15 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .isa import ALU_ARITY, ALU_OPS, MASK64, alu_eval
+from .isa import ALU_ARITY, ALU_LATENCY, ALU_OPS, MASK64, alu_eval
 
 LINE_BYTES = 64
 
 KINDS = ("ALU", "LOAD", "STORE", "BRANCH", "NOP")
+# kind codes, the positions in KINDS
+KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH, KIND_NOP = range(len(KINDS))
+# functional-unit classes an ALU op or branch issues to
+FU_ALU, FU_MUL = 0, 1
 PATTERNS = ("POINTER_CHASE", "STREAM", "COMPUTE_STORE_LOAD", "MIXED")
 
 TRACE_VERSION = 1
@@ -107,6 +111,51 @@ class Dataflow:
         return seqs[i - 1] if i else None
 
 
+class CoreDecode:
+    """Per-instruction facts the core copies at dispatch, decoded once per
+    trace from its `Dataflow` and shared by every policy run on it.
+
+    Per seq: `kinds` holds the kind code; `fus` the functional-unit class
+    (FU_MUL for a MUL, else FU_ALU) and `latencies` the execute latency
+    (the op's latency for an ALU op, else 1); `casts` the shadows dispatch
+    casts whatever the consistency model (an exception shadow for a faulting
+    instruction, plus one for a branch or a store). `addr_writers` and
+    `data_writers` are the producers of the address (a load's sources, a
+    store's sources after the first) and of the data (a store's first
+    source, every source of another kind), without None; `producers` is
+    their union, each seq once."""
+
+    __slots__ = ("kinds", "fus", "latencies", "casts", "addr_writers",
+                 "data_writers", "producers")
+
+    def __init__(self, instructions: tuple[TraceInstruction, ...],
+                 dataflow: Dataflow):
+        kind_code = {k: i for i, k in enumerate(KINDS)}
+        self.kinds = [kind_code[ins.kind] for ins in instructions]
+        self.fus = [FU_MUL if ins.alu_op == "MUL" else FU_ALU
+                    for ins in instructions]
+        self.latencies = [ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
+                          for ins in instructions]
+        self.casts = [ins.may_fault + (ins.kind in ("BRANCH", "STORE"))
+                      for ins in instructions]
+        written = [ws if None not in ws else tuple(w for w in ws if w is not None)
+                   for ws in dataflow.src_writers]
+        self.addr_writers: list[tuple[int, ...]] = []
+        self.data_writers: list[tuple[int, ...]] = []
+        for kind, ws, src_ws in zip(self.kinds, written, dataflow.src_writers):
+            if kind == KIND_STORE:
+                data = tuple(w for w in src_ws[:1] if w is not None)
+                addr = tuple(w for w in src_ws[1:] if w is not None)
+            elif kind == KIND_LOAD:
+                data, addr = (), ws
+            else:
+                data, addr = ws, ()
+            self.data_writers.append(data)
+            self.addr_writers.append(addr)
+        self.producers = [ws if len(ws) < 2 else tuple(dict.fromkeys(ws))
+                          for ws in written]
+
+
 @dataclass(frozen=True)
 class Trace:
     header: TraceHeader
@@ -123,6 +172,12 @@ class Trace:
         """The register dataflow, decoded on first use and shared by every
         later reader of this trace."""
         return Dataflow(self.instructions)
+
+    @cached_property
+    def core_decode(self) -> CoreDecode:
+        """The core's per-instruction decode, built by the first core run on
+        this trace and shared by every later one."""
+        return CoreDecode(self.instructions, self.dataflow)
 
 
 @dataclass(frozen=True, slots=True)

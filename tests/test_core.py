@@ -190,6 +190,16 @@ def test_deadlock_detector_fires(tb):
         core.run(tb.build(), config=cfg)
 
 
+def test_deadlock_dump_names_head_state(tb):
+    # the load is shadowed by the branch, so DOM delays its miss; once the
+    # branch resolves it reissues and stalls on the missing MSHR for good
+    tb.branch(0x0)
+    tb.load(0x10, 1, COLD_A, value=1)
+    cfg = CoreConfig(policy="DOM", deadlock_cycles=500, cache=CacheConfig(mshrs=0))
+    with pytest.raises(DeadlockError, match=r"head seq=1 state=NONSPEC;"):
+        core.run(tb.build(), config=cfg)
+
+
 def test_empty_trace(tb):
     r = core.run(tb.build(), config=_cfg("DOM"))
     assert r.cycles == 0 and r.committed == 0

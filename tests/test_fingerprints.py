@@ -21,12 +21,15 @@ from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 COUNT = 800
 SEED = 1
-# (key suffix, cache, probed policy) per pattern. MIXED runs a second time
-# with two MSHRs, so loads and store commits stall on full MSHRs and shadowed
-# loads ride in-flight fills, and BASELINE is probed there.
-RUNS = {"MIXED": (("", CacheConfig(), "VRC"),
-                  (" mshrs=2", CacheConfig(mshrs=2), "BASELINE"))}
-DEFAULT_RUNS = (("", CacheConfig(), None),)
+# (key suffix, cache, consistency, probed policy) per pattern. MIXED runs a
+# second time with two MSHRs, so loads and store commits stall on full MSHRs
+# and shadowed loads ride in-flight fills, and BASELINE is probed there; and a
+# third time under RC, where only the value-predicting policies cast a shadow
+# for each load.
+RUNS = {"MIXED": (("", CacheConfig(), "TSO", "VRC"),
+                  (" mshrs=2", CacheConfig(mshrs=2), "TSO", "BASELINE"),
+                  (" RC", CacheConfig(), "RC", None))}
+DEFAULT_RUNS = (("", CacheConfig(), "TSO", None),)
 
 
 def _sha(value) -> str:
@@ -57,10 +60,10 @@ def current_fingerprints() -> dict:
         t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=COUNT,
                                                 seed=SEED))
         table, _ = annotate(t)
-        for suffix, cache, probed in RUNS.get(pattern, DEFAULT_RUNS):
+        for suffix, cache, consistency, probed in RUNS.get(pattern, DEFAULT_RUNS):
             for policy in core.POLICIES:
-                cfg = CoreConfig(policy=policy, record_load_timing=True,
-                                 cache=cache)
+                cfg = CoreConfig(policy=policy, consistency=consistency,
+                                 record_load_timing=True, cache=cache)
                 key = f"{pattern} {policy}{suffix}"
                 out[key] = _fingerprint(core.run(t, annotations=table, config=cfg))
                 if policy == probed:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from vrcsim.audit import Structure
@@ -168,6 +169,37 @@ def test_log_replay_reproduces_digest():
         mem.access(addr, now, 0, store=rng.random() < 0.3)
         mem.advance(now)
     _drain(mem)
+    assert replay_log(mem.log, mem.config) == mem.snapshot_digest()
+
+
+def _per_set_digest(mem) -> str:
+    """The digest hashed one set at a time: each set's (line, dirty) list,
+    a "|" after each level, then the MSHR allocation history."""
+    h = hashlib.sha256()
+    for level in (mem.l1, mem.l2):
+        for s in level.data:
+            h.update(repr([(line, line in level.dirty) for line in s]).encode())
+        h.update(b"|")
+    h.update(repr(mem.mshr_history).encode())
+    return h.hexdigest()
+
+
+def test_snapshot_digest_matches_per_set_formulation():
+    mem = MemHierState()
+    assert mem.snapshot_digest() == _per_set_digest(mem)
+    rng = random.Random(7)
+    now = 0
+    for _ in range(3000):
+        now += rng.randrange(1, 50)
+        mem.access(rng.randrange(0, 1 << 22) & ~7, now, 0,
+                   store=rng.random() < 0.4)
+        mem.advance(now)
+    _drain(mem)
+    # dirty lines at both levels (L1 write-backs), full and empty sets
+    assert mem.l1.dirty and mem.l2.dirty
+    assert any(not s for s in mem.l2.data)
+    assert any(len(s) == mem.l1.ways for s in mem.l1.data)
+    assert mem.snapshot_digest() == _per_set_digest(mem)
     assert replay_log(mem.log, mem.config) == mem.snapshot_digest()
 
 

@@ -155,6 +155,7 @@ def test_randomized_long_schedule_matches_oracle():
     sb = ShadowState(sb_capacity=100_000, rq_capacity=100_000)
     registered: dict[int, bool] = {}
     live: list[int] = []
+    shadows_seen = 0     # brute force: unresolved casts at each registration
     idx = 0
     for _ in range(100_000):
         roll = rng.random()
@@ -162,6 +163,7 @@ def test_randomized_long_schedule_matches_oracle():
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
         elif roll < 0.64 and not sb.rq_full():
+            shadows_seen += len(live)
             registered[idx] = bool(sb.register_load(idx))
             idx += 1
         elif live:
@@ -172,6 +174,8 @@ def test_randomized_long_schedule_matches_oracle():
     # final sweep: every load still held must be oracle-shadowed
     for load, released in registered.items():
         assert released != sb.oracle_is_shadowed(load)
+    assert shadows_seen > 0
+    assert sb.mean_shadows_per_load() == shadows_seen / len(registered)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

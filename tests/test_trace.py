@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vrcsim import slicer, trace as trace_mod
-from vrcsim.core import CoreConfig, run
+from vrcsim.core import POLICIES, CoreConfig, ProbeSpec, inject_transient_probe, run
+from vrcsim.isa import ALU_LATENCY
 from vrcsim.trace import (
-    PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec, Trace, TraceFormatError,
-    TraceHeader, TraceInstruction, BranchInfo, emit_trace, gen_synthetic,
-    parse_trace, validate_trace, window_trace,
+    FU_ALU, FU_MUL, KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
+    Trace, TraceFormatError, TraceHeader, TraceInstruction, BranchInfo,
+    emit_trace, gen_synthetic, parse_trace, validate_trace, window_trace,
 )
 
 HEADER = "H version=1 regs=64\n"
@@ -251,3 +252,84 @@ def test_dataflow_decoded_once_per_trace(monkeypatch):
     run(t, annotations=table, config=CoreConfig(policy="DOM"))
     assert t.dataflow is df
     assert built == [df]
+
+
+def _check_core_decode(t: Trace) -> None:
+    """Rebuild every decoded field from the instruction and its source
+    writers: a store's first source is its data, its others the address; a
+    load's sources are its address; any other kind's sources are data."""
+    dec = t.core_decode
+    fields = (dec.kinds, dec.fus, dec.latencies, dec.casts, dec.addr_writers,
+              dec.data_writers, dec.producers)
+    assert all(len(f) == len(t) for f in fields)
+    for seq, ins in enumerate(t.instructions):
+        addr, data = [], []
+        for i, w in enumerate(t.dataflow.src_writers[seq]):
+            is_addr = ins.kind == "LOAD" or (ins.kind == "STORE" and i > 0)
+            if w is not None:
+                (addr if is_addr else data).append(w)
+        assert KINDS[dec.kinds[seq]] == ins.kind
+        assert dec.fus[seq] == (FU_MUL if ins.alu_op == "MUL" else FU_ALU)
+        assert dec.latencies[seq] == (ALU_LATENCY[ins.alu_op]
+                                      if ins.kind == "ALU" else 1)
+        assert dec.casts[seq] == (int(ins.may_fault)
+                                  + int(ins.kind == "BRANCH")
+                                  + int(ins.kind == "STORE"))
+        assert dec.addr_writers[seq] == tuple(addr)
+        assert dec.data_writers[seq] == tuple(data)
+        assert len(set(dec.producers[seq])) == len(dec.producers[seq])
+        assert set(dec.producers[seq]) == set(addr + data)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_core_decode_matches_rebuild(pattern):
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=600, seed=4))
+    _check_core_decode(t)
+    if pattern == "COMPUTE_STORE_LOAD":
+        assert FU_MUL in t.core_decode.fus
+
+
+def test_core_decode_of_window_matches_rebuild():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1500, seed=2))
+    _check_core_decode(window_trace(t, skip=450, limit=600))
+
+
+def test_core_decode_unwritten_and_repeated_sources(tb):
+    tb.alu(0x0, 1, "MUL", srcs=(2, 3), fault=True)  # r2, r3 never written
+    tb.alu(0x4, 2, "ADD", srcs=(1, 1))              # one producer, read twice
+    tb.store(0x8, 0x40, srcs=(2, 1))
+    tb.store(0xC, 0x48, srcs=(5, 2))                # data register unwritten
+    tb.load(0x10, 4, 0x40, srcs=(5,))               # r5 never written at all
+    tb.branch(0x14, srcs=(4,))
+    tb.nop(0x18, fault=True)
+    t = tb.build()
+    dec = t.core_decode
+    assert dec.addr_writers == [(), (), (0,), (1,), (), (), ()]
+    assert dec.data_writers == [(), (0, 0), (1,), (), (), (4,), ()]
+    assert dec.producers == [(), (0,), (1, 0), (1,), (), (4,), ()]
+    assert dec.casts == [1, 0, 1, 1, 0, 1, 1]
+    assert dec.latencies == [ALU_LATENCY["MUL"], 1, 1, 1, 1, 1, 1]
+    _check_core_decode(t)
+
+
+def test_core_decode_built_once_per_trace(monkeypatch):
+    built = []
+    decode = trace_mod.CoreDecode.__init__
+
+    def counting_decode(self, instructions, dataflow):
+        built.append(self)
+        decode(self, instructions, dataflow)
+
+    monkeypatch.setattr(trace_mod.CoreDecode, "__init__", counting_decode)
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
+                                            count=600, seed=1,
+                                            mispredict_rate=0.3))
+    table, _ = slicer.annotate(t)
+    assert built == []          # setup never decodes for the core
+    for policy in POLICIES:
+        run(t, annotations=table, config=CoreConfig(policy=policy))
+    site = next(ins.seq for ins in t.instructions
+                if ins.kind == "BRANCH" and not ins.br.predicted_correctly)
+    inject_transient_probe(t, ProbeSpec(site, (0x7000_0000,)), annotations=table,
+                           config=CoreConfig(policy="DOM"))
+    assert built == [t.core_decode]
