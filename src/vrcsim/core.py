@@ -21,19 +21,21 @@ and commits in order. Loads run through the policy automaton:
 Cycle phase order: fills, scheduled events (shadow resolves, branch
 resolves, prediction and validation completions; each event carries its
 handler), commit, unshadow polling, issue, recomputation engine, dispatch,
-probes. Dispatch copies each instruction's kind code, producers and shadow
-casts from the trace's core decode (`Trace.core_decode`), built once per
-trace and shared by every run on it; entry states and kinds are integer
-codes, named only in deadlock reports. Issue walks one issue pool in program
-order and the entry state chooses the action: NONSPEC reissues an unshadowed
-delayed or fallback load, AWAIT_VALIDATION validates a predicted load, and
-anything else issues by kind (a load forwards, accesses, or has the policy
-applied to its shadowed miss; an ALU op or branch executes on a unit of its
-FU class). Every real hierarchy access goes through one path that takes a
-memory port and retries on an MSHR stall. A load "performs" when its value is
-bound by a real access, store forward, or recomputation; its memory-order
-shadow resolves then (at validation completion for predicted loads). Time
-skips ahead to the next scheduled event whenever a cycle makes no progress.
+probes. The trace's core decode (`Trace.core_decode`), built once per trace
+and shared by every run on it, owns each instruction's kind code, FU class
+(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
+and data producers, and its consumers, which a completing or replayed
+producer wakes. Entry states and kinds are integer codes, named only in
+deadlock reports. Issue walks one issue pool in program order and the entry
+state chooses the action: NONSPEC reissues an unshadowed delayed or fallback
+load, AWAIT_VALIDATION validates a predicted load, and anything else issues
+by kind (a load forwards, accesses, or has the policy applied to its
+shadowed miss; an ALU op or branch executes on a unit of its FU class).
+Every real hierarchy access goes through one path that takes a memory port
+and retries on an MSHR stall. A load "performs" when its value is bound by a
+real access, store forward, or recomputation; its memory-order shadow
+resolves then (at validation completion for predicted loads). Time skips
+ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -48,12 +50,12 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
-from .isa import alu_eval
+from .isa import FU_ALU, FU_MUL, alu_eval
 from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
-from .trace import (FU_ALU, FU_MUL, KIND_ALU, KIND_BRANCH, KIND_LOAD,
-                    KIND_NOP, KIND_STORE, KINDS, Trace)
+from .trace import (KIND_ALU, KIND_BRANCH, KIND_LOAD, KIND_NOP, KIND_STORE,
+                    KINDS, Trace)
 from .vp import VpConfig, VpState
 from .vrc import BUSY, DONE, VrcConfig, VrcState
 
@@ -127,7 +129,6 @@ STATE_NAMES = ("DISPATCHED", "DELAYED", "NONSPEC", "PREDICTED", "RECOMPUTING",
 # a cycle's issue budget is a list: the FU classes' units (FU_ALU, FU_MUL),
 # then memory ports and issue slots
 _PORT, _SLOTS = 2, 3
-_ENGINE_FU = {"alu": FU_ALU, "mul": FU_MUL}
 _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
@@ -135,8 +136,8 @@ class _Entry:
     __slots__ = (
         "seq", "ins", "kind", "state", "value", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
-        "addr_writers", "data_writers", "predicted", "replay_floor",
-        "in_ready", "iq_held", "unshadow_cycle", "dispatch_cycle", "issue_at",
+        "predicted", "replay_floor", "in_ready", "iq_held", "unshadow_cycle",
+        "dispatch_cycle", "issue_at",
     )
 
     def __init__(self, seq, ins, kind, now):
@@ -150,8 +151,6 @@ class _Entry:
         self.addr_ready = None
         self.shadowed = False
         self.sb_e = self.sb_c = self.sb_d = self.sb_m = None
-        self.addr_writers = ()
-        self.data_writers = ()
         self.predicted = None
         self.replay_floor = 0
         self.in_ready = False
@@ -159,17 +158,6 @@ class _Entry:
         self.unshadow_cycle = None
         self.dispatch_cycle = now
         self.issue_at = None
-
-
-class _Probe:
-    __slots__ = ("index", "addr", "done", "squashed", "key")
-
-    def __init__(self, index, addr):
-        self.index = index
-        self.addr = addr
-        self.done = False
-        self.squashed = False
-        self.key = ("probe", index)
 
 
 class _Sim:
@@ -187,8 +175,7 @@ class _Sim:
             if site.kind != "BRANCH" or site.br.predicted_correctly:
                 raise ValueError("probe site is not a mispredicted branch")
         self.probe_spec = probe
-        self.probes: list[_Probe] = []
-        self.probe_branch_resolved = False
+        self.probes: list[tuple] = []           # (hide key, addr) yet to access
 
         self.log = MutationLog()
         self.mem = MemHierState(config.cache, log=self.log)
@@ -217,7 +204,6 @@ class _Sim:
                        config.width)
         self.fu_units = config.alu_units + config.mul_units
         self.entries: list[_Entry | None] = [None] * self.n
-        self.consumers: dict[int, list[int]] = defaultdict(list)
 
         self.now = 0
         self.next_dispatch = 0
@@ -282,8 +268,9 @@ class _Sim:
         return floor
 
     def _wake(self, producer_seq: int) -> None:
-        for cseq in self.consumers.get(producer_seq, ()):
-            e = self.entries[cseq]
+        entries = self.entries
+        for cseq in self.decode.consumers[producer_seq]:
+            e = entries[cseq]
             if e is not None:
                 self._reschedule(e)
 
@@ -294,12 +281,12 @@ class _Sim:
         if e.state != DISP:
             return
         if e.kind == KIND_LOAD:
-            at = self._ready_at(e.addr_writers, e.dispatch_cycle)
+            at = self._ready_at(self.decode.addr_writers[e.seq], e.dispatch_cycle)
             if at is not None:
                 e.addr_ready = at + 1
                 self._push_ready(e, max(e.addr_ready, e.replay_floor))
         else:
-            ready = self._ready_at(e.data_writers,
+            ready = self._ready_at(self.decode.data_writers[e.seq],
                                    max(e.replay_floor, e.dispatch_cycle + 1))
             if ready is not None:
                 self._push_ready(e, ready)
@@ -314,15 +301,16 @@ class _Sim:
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
         store-address shadow once the address is known."""
+        decode = self.decode
         if e.addr_ready is None:
-            at = self._ready_at(e.addr_writers, e.dispatch_cycle)
+            at = self._ready_at(decode.addr_writers[e.seq], e.dispatch_cycle)
             if at is None:
                 return
             e.addr_ready = at + 1
             self._schedule(e.addr_ready, self.sb.resolve, e.sb_d)
             e.sb_d = None
         e.complete = self._ready_at(
-            e.data_writers, max(e.addr_ready, e.dispatch_cycle + 1))
+            decode.data_writers[e.seq], max(e.addr_ready, e.dispatch_cycle + 1))
         if e.complete is not None:
             if e.ins.may_fault and e.sb_e is not None:
                 self._schedule(e.complete, self.sb.resolve, e.sb_e)
@@ -348,19 +336,18 @@ class _Sim:
             return False
         now = self.now
         sb = self.sb
-        decode = self.decode
-        kinds, casts = decode.kinds, decode.casts
+        kinds, casts = self.decode.kinds, self.decode.casts
         load_casts = int(self.order_shadow is not None)
         instructions = self.trace.instructions
-        entries, consumers, counters = self.entries, self.consumers, self.counters
+        entries, counters = self.entries, self.counters
         while seq < end:
             kind = kinds[seq]
             if kind == KIND_LOAD:
-                if len(sb._sb) + casts[seq] + load_casts > cfg.sb_capacity \
+                if not sb.has_room(casts[seq] + load_casts) \
                         or self.iq_used >= cfg.iq_size \
                         or self.lq_used >= cfg.lq_size or sb.rq_full():
                     break
-            elif len(sb._sb) + casts[seq] > cfg.sb_capacity \
+            elif not sb.has_room(casts[seq]) \
                     or (kind != KIND_NOP and self.iq_used >= cfg.iq_size) \
                     or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
                 break
@@ -379,7 +366,7 @@ class _Sim:
                     self.redirect_until = -1  # blocked until the branch resolves
                     self.redirect_branch = seq
                 if self.probe_spec is not None and seq == self.probe_spec.branch_seq:
-                    self.probes = [_Probe(i, a) for i, a
+                    self.probes = [(("probe", i), a) for i, a
                                    in enumerate(self.probe_spec.load_addrs)]
             elif kind == KIND_STORE:
                 e.sb_d = sb.cast(ShadowKind.D, seq)
@@ -396,10 +383,6 @@ class _Sim:
                     self._schedule(e.complete, sb.resolve, e.sb_e)
                     e.sb_e = None
             else:
-                e.addr_writers = decode.addr_writers[seq]
-                e.data_writers = decode.data_writers[seq]
-                for w in decode.producers[seq]:
-                    consumers[w].append(seq)
                 e.iq_held = True
                 self.iq_used += 1
                 self._reschedule(e)
@@ -449,19 +432,20 @@ class _Sim:
         producers' values are ready."""
         seq = e.seq
         now = self.now
-        ready = self._ready_at(e.data_writers, 0)
+        decode = self.decode
+        ready = self._ready_at(decode.data_writers[seq], 0)
         if ready is None:
             return True  # producers were replay-reset; rescheduled on wake
         if ready > now:
             self._push_ready(e, ready)
             return True
-        fu = self.decode.fus[seq]
+        fu = decode.fus[seq]
         if budget[fu] <= 0:
             return False
         budget[fu] -= 1
         budget[_SLOTS] -= 1
         ins = e.ins
-        lat = self.decode.latencies[seq]
+        lat = decode.latencies[seq]
         if e.kind == KIND_ALU:
             entries = self.entries
             ops = [0 if w is None else entries[w].value or 0
@@ -505,7 +489,7 @@ class _Sim:
             return None
         if not exact:
             return False  # wait for the partially overlapping store to commit
-        ready = self._ready_at(se.data_writers, 0)
+        ready = self._ready_at(self.decode.data_writers[se.seq], 0)
         if ready is None or ready > self.now:
             return False  # store data still in flight
         budget[_SLOTS] -= 1
@@ -636,12 +620,12 @@ class _Sim:
         if self.redirect_branch == seq:
             self.redirect_until = self.now + self.config.redirect_penalty
             self.redirect_branch = None
-        if self.probes and self.probe_spec.branch_seq == seq:
-            for p in self.probes:
-                if not p.done:
-                    p.squashed = True
-                self.mem.squash_deferred(p.key)
-            self.probe_branch_resolved = True
+        if self.probe_spec is not None and self.probe_spec.branch_seq == seq:
+            # the squash drops every probe's deferred touches and the probes
+            # yet to access
+            for i in range(len(self.probe_spec.load_addrs)):
+                self.mem.squash_deferred(("probe", i))
+            self.probes = []
 
     def _predict_done(self, seq: int) -> None:
         e = self.entries[seq]
@@ -678,7 +662,7 @@ class _Sim:
         seen = set()
         while stack:
             p = stack.pop()
-            for cseq in self.consumers.get(p, ()):
+            for cseq in self.decode.consumers[p]:
                 if cseq in seen:
                     continue
                 seen.add(cseq)
@@ -727,8 +711,7 @@ class _Sim:
         if self.vrc is None:
             return False
 
-        def take_fu(kind: str) -> bool:
-            fu = _ENGINE_FU[kind]
+        def take_fu(fu: int) -> bool:
             if budget[fu] <= 0:
                 return False
             budget[fu] -= 1
@@ -768,17 +751,11 @@ class _Sim:
         end = min(self.next_dispatch, seq + self.config.width)
         while seq < end:
             e = entries[seq]
-            if e is None:
+            if e.complete is None or e.complete > now:
                 break
             kind = e.kind
             ins = e.ins
-            if kind == KIND_STORE and e.complete is None:
-                self._update_store(e)
-            if e.complete is None or e.complete > now:
-                break
             if kind == KIND_LOAD:
-                if e.state != DONE_ST:
-                    break
                 self.lq_used -= 1
                 if vp is not None:
                     vp.train(ins.pc, ins.mem_value,
@@ -815,23 +792,21 @@ class _Sim:
     # ------------------------------------------------------------------ probes
 
     def _probe_tick(self) -> bool:
-        if not self.probes or self.probe_branch_resolved:
+        if not self.probes:
             return False
-        branch = self.entries[self.probe_spec.branch_seq]
-        if branch is None or self.now <= branch.dispatch_cycle:
+        branch_seq = self.probe_spec.branch_seq
+        if self.now <= self.entries[branch_seq].dispatch_cycle:
             return False
-        acted = False
-        for p in self.probes:
-            if p.done or p.squashed:
-                continue
-            # under a secure policy a probe is a hidden access: a refused miss
-            # stays delayed until the squash; under BASELINE a stall retries
-            _, ready = self.mem.access(
-                p.addr, self.now, self.probe_spec.branch_seq, speculative=True,
-                probe=True, hide_key=p.key if self.secure else None)
-            if ready is not None or self.secure:
-                p.done = True
-                acted = True
+        # under a secure policy a probe is a hidden access: a refused miss
+        # stays delayed until the squash; under BASELINE a stall retries
+        pending = []
+        for key, addr in self.probes:
+            _, ready = self.mem.access(addr, self.now, branch_seq, speculative=True,
+                                       probe=True, hide_key=key if self.secure else None)
+            if ready is None and not self.secure:
+                pending.append((key, addr))
+        acted = len(pending) < len(self.probes)
+        self.probes = pending
         return acted
 
     # ------------------------------------------------------------------ main loop

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 MASK64 = (1 << 64) - 1
 
+# cache line size: no trace access crosses a line, the hierarchy caches
+# lines and the engine's lossy store tags are line-granular
+LINE_BYTES = 64
+
 ALU_OPS = ("ADD", "SUB", "AND", "OR", "XOR", "SHL", "SHR", "MUL", "MOV", "CMOV")
 
 # number of input operands each op consumes (register sources + immediate)
@@ -24,6 +28,11 @@ ALU_LATENCY = {
     "ADD": 1, "SUB": 1, "AND": 1, "OR": 1, "XOR": 1,
     "SHL": 1, "SHR": 1, "MUL": 3, "MOV": 1, "CMOV": 1,
 }
+
+# functional-unit classes: MUL issues to a multiplier, every other op (and
+# a branch) to an ALU
+FU_ALU, FU_MUL = 0, 1
+ALU_FU = {op: FU_MUL if op == "MUL" else FU_ALU for op in ALU_OPS}
 
 
 class ArithmeticFault(Exception):

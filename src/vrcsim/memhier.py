@@ -20,13 +20,11 @@ import heapq
 from dataclasses import dataclass
 
 from .audit import MutationLog, MutationRecord, Structure
-
-LINE_BYTES = 64
+from .isa import LINE_BYTES
 
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
-    line_bytes: int = LINE_BYTES
     l1_bytes: int = 32 * 1024
     l1_ways: int = 8
     l1_latency: int = 2
@@ -38,17 +36,17 @@ class CacheConfig:
 
     def __post_init__(self):
         for total, ways in ((self.l1_bytes, self.l1_ways), (self.l2_bytes, self.l2_ways)):
-            sets = total // (self.line_bytes * ways)
+            sets = total // (LINE_BYTES * ways)
             if sets <= 0 or sets & (sets - 1):
                 raise ValueError("cache size must give a power-of-two set count")
 
     @property
     def l1_sets(self) -> int:
-        return self.l1_bytes // (self.line_bytes * self.l1_ways)
+        return self.l1_bytes // (LINE_BYTES * self.l1_ways)
 
     @property
     def l2_sets(self) -> int:
-        return self.l2_bytes // (self.line_bytes * self.l2_ways)
+        return self.l2_bytes // (LINE_BYTES * self.l2_ways)
 
     def miss_latency(self, l2_hit: bool) -> int:
         if l2_hit:
@@ -64,15 +62,14 @@ L1_MISS = "L1_MISS"
 class _Level:
     """One set-associative level; per-set line lists are MRU-first."""
 
-    def __init__(self, sets: int, ways: int, line_bytes: int):
+    def __init__(self, sets: int, ways: int):
         self.sets = sets
         self.ways = ways
-        self.line_bytes = line_bytes
         self.data: list[list[int]] = [[] for _ in range(sets)]
         self.dirty: set[int] = set()
 
     def set_index(self, line: int) -> int:
-        return (line // self.line_bytes) % self.sets
+        return (line // LINE_BYTES) % self.sets
 
     def contains(self, line: int) -> bool:
         return line in self.data[self.set_index(line)]
@@ -111,7 +108,6 @@ class _Level:
 
 @dataclass(slots=True)
 class _Mshr:
-    line: int
     ready: int
     l2_hit: bool
     dirty_on_fill: bool
@@ -124,10 +120,10 @@ class MemHierState:
                  log: MutationLog | None = None):
         self.config = config or CacheConfig()
         self.log = log if log is not None else MutationLog()
-        self.l1 = _Level(self.config.l1_sets, self.config.l1_ways, self.config.line_bytes)
-        self.l2 = _Level(self.config.l2_sets, self.config.l2_ways, self.config.line_bytes)
+        self.l1 = _Level(self.config.l1_sets, self.config.l1_ways)
+        self.l2 = _Level(self.config.l2_sets, self.config.l2_ways)
         self.l1_mshr: dict[int, _Mshr] = {}
-        self.l2_mshr: dict[int, int] = {}            # line -> ready
+        self.l2_mshr: set[int] = set()               # lines in flight from memory
         self._fills: list[tuple[int, int, int]] = [] # (ready, order, line)
         self._fill_order = 0
         self.deferred_touches: dict[object, list[int]] = {}  # key -> lines to touch
@@ -142,7 +138,7 @@ class MemHierState:
     # -- helpers ---------------------------------------------------------------
 
     def line_of(self, addr: int) -> int:
-        return addr - (addr % self.config.line_bytes)
+        return addr - (addr % LINE_BYTES)
 
     def _record(self, now: int, structure: Structure, level: int, op: str,
                 line: int, cause_seq: int, speculative: bool, probe: bool,
@@ -196,9 +192,8 @@ class MemHierState:
 
     def _alloc_mshr(self, line: int, ready: int, l2_hit: bool, dirty: bool,
                     now: int, cause_seq: int, speculative: bool, probe: bool) -> None:
-        self.l1_mshr[line] = _Mshr(line=line, ready=ready, l2_hit=l2_hit,
-                                   dirty_on_fill=dirty, cause_seq=cause_seq,
-                                   speculative=speculative)
+        self.l1_mshr[line] = _Mshr(ready=ready, l2_hit=l2_hit, dirty_on_fill=dirty,
+                                   cause_seq=cause_seq, speculative=speculative)
         self.mshr_history.append(line)
         self._record(now, Structure.MSHR, 1, "mshr_alloc", line, cause_seq,
                      speculative, probe)
@@ -209,7 +204,7 @@ class MemHierState:
                          speculative, probe)
         else:
             self.mem_accesses += 1
-            self.l2_mshr[line] = ready
+            self.l2_mshr.add(line)
             self._record(now, Structure.MSHR, 2, "mshr_alloc", line, cause_seq,
                          speculative, probe)
         heapq.heappush(self._fills, (ready, self._fill_order, line))
@@ -227,7 +222,7 @@ class MemHierState:
             entry = self.l1_mshr.pop(line)
             spec = entry.speculative
             if not entry.l2_hit:
-                self.l2_mshr.pop(line, None)
+                self.l2_mshr.discard(line)
                 victim, victim_dirty = self.l2.install(line)
                 self._record(ready, Structure.L2_TAG, 2, "fill", line,
                              entry.cause_seq, spec, False, victim=victim)

@@ -64,8 +64,12 @@ class ShadowState:
 
     # -- capacity -----------------------------------------------------------
 
+    def has_room(self, n: int) -> bool:
+        """True when `n` more entries fit in the SB."""
+        return len(self._sb) + n <= self.sb_capacity
+
     def sb_full(self) -> bool:
-        return len(self._sb) >= self.sb_capacity
+        return not self.has_room(1)
 
     def rq_full(self) -> bool:
         return len(self._rq) >= self.rq_capacity

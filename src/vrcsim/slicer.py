@@ -141,14 +141,6 @@ class AnnotationTable:
         sid = self.rcmp_sites.get(pc)
         return self.slices.get(sid) if sid is not None else None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnnotationTable):
-            return NotImplemented
-        return (self.slices == other.slices
-                and self.rcmp_sites == other.rcmp_sites
-                and self.rec_sites == other.rec_sites
-                and self.slice_tags == other.slice_tags)
-
 
 class AnnotationFormatError(ValueError):
     pass

@@ -25,15 +25,12 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .isa import ALU_ARITY, ALU_LATENCY, ALU_OPS, MASK64, alu_eval
-
-LINE_BYTES = 64
+from .isa import (ALU_ARITY, ALU_FU, ALU_LATENCY, ALU_OPS, FU_ALU, LINE_BYTES,
+                  MASK64, alu_eval)
 
 KINDS = ("ALU", "LOAD", "STORE", "BRANCH", "NOP")
 # kind codes, the positions in KINDS
 KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH, KIND_NOP = range(len(KINDS))
-# functional-unit classes an ALU op or branch issues to
-FU_ALU, FU_MUL = 0, 1
 PATTERNS = ("POINTER_CHASE", "STREAM", "COMPUTE_STORE_LOAD", "MIXED")
 
 TRACE_VERSION = 1
@@ -112,27 +109,28 @@ class Dataflow:
 
 
 class CoreDecode:
-    """Per-instruction facts the core copies at dispatch, decoded once per
-    trace from its `Dataflow` and shared by every policy run on it.
+    """Per-instruction facts the core reads, decoded once per trace from its
+    `Dataflow` and shared by every policy run on it.
 
     Per seq: `kinds` holds the kind code; `fus` the functional-unit class
-    (FU_MUL for a MUL, else FU_ALU) and `latencies` the execute latency
-    (the op's latency for an ALU op, else 1); `casts` the shadows dispatch
-    casts whatever the consistency model (an exception shadow for a faulting
-    instruction, plus one for a branch or a store). `addr_writers` and
-    `data_writers` are the producers of the address (a load's sources, a
-    store's sources after the first) and of the data (a store's first
-    source, every source of another kind), without None; `producers` is
-    their union, each seq once."""
+    (`isa.ALU_FU` for an ALU op, FU_ALU for anything else) and `latencies`
+    the execute latency (the op's latency for an ALU op, else 1); `casts`
+    the shadows dispatch casts whatever the consistency model (an exception
+    shadow for a faulting instruction, plus one for a branch or a store).
+    `addr_writers` and `data_writers` are the producers of the address (a
+    load's sources, a store's sources after the first) and of the data (a
+    store's first source, every source of another kind), without None;
+    `producers` is their union, each seq once. `consumers` is the reverse
+    edge: the later seqs whose `producers` hold the seq, in program order."""
 
     __slots__ = ("kinds", "fus", "latencies", "casts", "addr_writers",
-                 "data_writers", "producers")
+                 "data_writers", "producers", "consumers")
 
     def __init__(self, instructions: tuple[TraceInstruction, ...],
                  dataflow: Dataflow):
         kind_code = {k: i for i, k in enumerate(KINDS)}
         self.kinds = [kind_code[ins.kind] for ins in instructions]
-        self.fus = [FU_MUL if ins.alu_op == "MUL" else FU_ALU
+        self.fus = [ALU_FU[ins.alu_op] if ins.kind == "ALU" else FU_ALU
                     for ins in instructions]
         self.latencies = [ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
                           for ins in instructions]
@@ -154,6 +152,10 @@ class CoreDecode:
             self.addr_writers.append(addr)
         self.producers = [ws if len(ws) < 2 else tuple(dict.fromkeys(ws))
                           for ws in written]
+        self.consumers: list[list[int]] = [[] for _ in instructions]
+        for seq, ws in enumerate(self.producers):
+            for w in ws:
+                self.consumers[w].append(seq)
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,8 @@ class Trace:
 
     @cached_property
     def core_decode(self) -> CoreDecode:
-        """The core's per-instruction decode, built by the first core run on
-        this trace and shared by every later one."""
+        """The core's per-instruction decode and dataflow graph, built by the
+        first core run on this trace and shared by every later one."""
         return CoreDecode(self.instructions, self.dataflow)
 
 
@@ -544,9 +546,6 @@ class _TraceBuilder:
         predicted = self.rng.random() >= self.spec.mispredict_rate
         self.emit(key, "BRANCH", srcs=(src_reg,),
                   br=BranchInfo(taken=taken, predicted_correctly=predicted))
-
-    def nop(self, key) -> None:
-        self.emit(key, "NOP")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ sequential slice execution with functional-unit contention.
 A shadowed load that misses in L1 makes one request, `enqueue`: it either
 queues a recomputation and returns True, or returns False and the load
 delays. An accepted load never touches the memory hierarchy. Slice
-instructions execute one at a time, reading live register values through
-the reader the core passes to each `step`, checkpointed leaves from Hist,
-and intermediates from the SFile; the root value is then copied to the
-load's destination in one delivery cycle. Recomputation needs no
-validation: the load is complete at delivery. A clamped request (VRC2, or an
-oracle request that carries its value) skips the per-instruction timing and
-completes after the clamp.
+instructions execute one at a time, each on a unit of its op's FU class
+(`isa.ALU_FU`) claimed from the core's per-cycle budget, reading live
+register values through the reader the core passes to each `step`,
+checkpointed leaves from Hist, and intermediates from the SFile; the root
+value is then copied to the load's destination in one delivery cycle.
+Recomputation needs no validation: the load is complete at delivery. A
+clamped request (VRC2, or an oracle request that carries its value) skips
+the per-instruction timing and completes after the clamp.
 
 A recomputation that cannot complete, because its slice faults or is
 invalidated while queued or running, leaves the engine on one channel,
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .isa import ArithmeticFault, alu_eval_strict
+from .isa import ALU_FU, LINE_BYTES, ArithmeticFault, alu_eval_strict
 from .slicer import AnnotationTable, Slice
 
 DEFAULT_HIST_CAPACITY = (22 * 1024) // 8   # 8-byte entries in a 22 KiB table
@@ -162,11 +163,11 @@ class VrcState:
             return self.hist[op.key]
         return act.sfile[op.pos]
 
-    def step(self, now: int, take_fu=lambda kind: True,
+    def step(self, now: int, take_fu=lambda fu: True,
              read_live=lambda reg, load_seq: 0) -> tuple[str, object]:
-        """Advance the engine by one cycle. `take_fu(kind)` claims a shared
-        functional-unit slot ('alu' or 'mul'); recomputation stalls for the
-        cycle when none is free. `read_live(reg, load_seq)` is the value a
+        """Advance the engine by one cycle. `take_fu(fu)` claims a shared
+        unit of the instruction's functional-unit class (`isa.ALU_FU`);
+        recomputation stalls for the cycle when none is free. `read_live(reg, load_seq)` is the value a
         live-register leaf holds at the load's program point, or None while
         its producer has not executed (the slice waits to start). Returns
         (status, payload); DONE carries (load_seq, value, finish_cycle). A
@@ -198,7 +199,7 @@ class VrcState:
 
         if act.cursor < len(act.instrs):
             ins = act.instrs[act.cursor]
-            if not take_fu("mul" if ins.alu_op == "MUL" else "alu"):
+            if not take_fu(ALU_FU[ins.alu_op]):
                 return BUSY, None  # contended out this cycle
             act.cycles_into_instr += 1
             if act.cycles_into_instr >= ins.latency:
@@ -252,7 +253,7 @@ class VrcState:
         so it re-arms rather than invalidates."""
         own_sid = self._producer_pcs.get(store_pc) if store_pc is not None else None
         if self.config.lossy_tags:
-            line = addr - (addr % 64)
+            line = addr - (addr % LINE_BYTES)
             if line in self.signature:
                 # false positives allowed: reset everything in bulk
                 self.signature.clear()

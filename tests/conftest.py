@@ -31,21 +31,23 @@ class TraceBuilder:
         return self._append(pc=pc, kind="ALU", dst=dst, srcs=tuple(srcs), imm=imm,
                             alu_op=op, may_fault=fault)
 
-    def load(self, pc, dst, addr, value=None, size=8, srcs=()):
+    def load(self, pc, dst, addr, value=None, size=8, srcs=(), fault=False):
         if value is None:
             value = self.read_mem(addr, size)
         if dst is not None:
             self.regs[dst] = value
         return self._append(pc=pc, kind="LOAD", dst=dst, srcs=tuple(srcs),
-                            mem_addr=addr, mem_size=size, mem_value=value)
+                            mem_addr=addr, mem_size=size, mem_value=value,
+                            may_fault=fault)
 
-    def store(self, pc, addr, value=None, size=8, srcs=()):
+    def store(self, pc, addr, value=None, size=8, srcs=(), fault=False):
         if value is None:
             value = self.regs[srcs[0]] if srcs else 0
         for off in range(size):
             self._mem[addr + off] = (value >> (8 * off)) & 0xFF
         return self._append(pc=pc, kind="STORE", srcs=tuple(srcs),
-                            mem_addr=addr, mem_size=size, mem_value=value)
+                            mem_addr=addr, mem_size=size, mem_value=value,
+                            may_fault=fault)
 
     def branch(self, pc, srcs=(), taken=True, predicted=True):
         return self._append(pc=pc, kind="BRANCH", srcs=tuple(srcs),

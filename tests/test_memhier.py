@@ -2,6 +2,7 @@ import hashlib
 import random
 
 from vrcsim.audit import Structure
+from vrcsim.isa import LINE_BYTES
 from vrcsim.memhier import (CacheConfig, L1_HIT, L1_MISS, MSHR_HIT,
                             MemHierState, replay_log)
 
@@ -31,7 +32,7 @@ def test_latency_formulas():
     # resident: 2-cycle hit
     assert mem.access(0x2000, 1000, 1) == (L1_HIT, 1002)
     # L2 hit: evict from L1 by filling 8 more lines in the same set, line stays in L2
-    set_stride = cfg.l1_sets * cfg.line_bytes
+    set_stride = cfg.l1_sets * LINE_BYTES
     for i in range(1, 9):
         mem.access(0x2000 + i * set_stride, 2000 + i, 2)
         _drain(mem)
@@ -77,7 +78,7 @@ def test_deferred_apply_and_squash():
 def test_deferred_order_preserving():
     cfg = CacheConfig()
     mem = MemHierState(cfg)
-    lines = [0x1000 + i * cfg.l1_sets * cfg.line_bytes for i in range(3)]
+    lines = [0x1000 + i * cfg.l1_sets * LINE_BYTES for i in range(3)]
     for ln in lines:
         mem.access(ln, 0, 0)
         _drain(mem)
@@ -98,7 +99,7 @@ def _counts(mem):
 def test_hidden_access_only_hits_or_rides():
     cfg = CacheConfig()
     mem = MemHierState(cfg)
-    stride = cfg.l1_sets * cfg.line_bytes
+    stride = cfg.l1_sets * LINE_BYTES
     mem.access(0x1000, 0, 0)
     mem.access(0x1000 + stride, 0, 0)  # same set, now MRU
     _drain(mem)
@@ -240,11 +241,11 @@ class NaiveHierarchy:
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
-        self.l1 = NaiveLevel(cfg.l1_sets, cfg.l1_ways, cfg.line_bytes)
-        self.l2 = NaiveLevel(cfg.l2_sets, cfg.l2_ways, cfg.line_bytes)
+        self.l1 = NaiveLevel(cfg.l1_sets, cfg.l1_ways, LINE_BYTES)
+        self.l2 = NaiveLevel(cfg.l2_sets, cfg.l2_ways, LINE_BYTES)
 
     def access(self, addr, store=False):
-        line = addr - addr % self.cfg.line_bytes
+        line = addr - addr % LINE_BYTES
         if self.l1.probe(line):
             kind = "hit"
             self.l1.touch(line)

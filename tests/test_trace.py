@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from vrcsim import slicer, trace as trace_mod
 from vrcsim.core import POLICIES, CoreConfig, ProbeSpec, inject_transient_probe, run
-from vrcsim.isa import ALU_LATENCY
+from vrcsim.isa import ALU_LATENCY, FU_ALU, FU_MUL
 from vrcsim.trace import (
-    FU_ALU, FU_MUL, KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
+    KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
     Trace, TraceFormatError, TraceHeader, TraceInstruction, BranchInfo,
     emit_trace, gen_synthetic, parse_trace, validate_trace, window_trace,
 )
@@ -257,10 +257,11 @@ def test_dataflow_decoded_once_per_trace(monkeypatch):
 def _check_core_decode(t: Trace) -> None:
     """Rebuild every decoded field from the instruction and its source
     writers: a store's first source is its data, its others the address; a
-    load's sources are its address; any other kind's sources are data."""
+    load's sources are its address; any other kind's sources are data. The
+    consumer lists are the producer tuples inverted."""
     dec = t.core_decode
     fields = (dec.kinds, dec.fus, dec.latencies, dec.casts, dec.addr_writers,
-              dec.data_writers, dec.producers)
+              dec.data_writers, dec.producers, dec.consumers)
     assert all(len(f) == len(t) for f in fields)
     for seq, ins in enumerate(t.instructions):
         addr, data = [], []
@@ -279,6 +280,8 @@ def _check_core_decode(t: Trace) -> None:
         assert dec.data_writers[seq] == tuple(data)
         assert len(set(dec.producers[seq])) == len(dec.producers[seq])
         assert set(dec.producers[seq]) == set(addr + data)
+        assert dec.consumers[seq] == [c for c in range(seq + 1, len(t))
+                                      if seq in dec.producers[c]]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -307,6 +310,7 @@ def test_core_decode_unwritten_and_repeated_sources(tb):
     assert dec.addr_writers == [(), (), (0,), (1,), (), (), ()]
     assert dec.data_writers == [(), (0, 0), (1,), (), (), (4,), ()]
     assert dec.producers == [(), (0,), (1, 0), (1,), (), (4,), ()]
+    assert dec.consumers == [[1, 2], [2, 3], [], [], [5], [], []]
     assert dec.casts == [1, 0, 1, 1, 0, 1, 1]
     assert dec.latencies == [ALU_LATENCY["MUL"], 1, 1, 1, 1, 1, 1]
     _check_core_decode(t)
