@@ -246,12 +246,14 @@ class _Sim:
 
     def _live_reg_value(self, reg: int, load_seq: int):
         """Architectural value of `reg` at the load's program point, or None
-        while its producer has not produced yet (the engine stalls)."""
+        while its producer's value has not arrived (the engine stalls). A
+        load that makes a real access sets `value_ready` at issue to its
+        fill cycle, so a set `value_ready` alone is not enough."""
         wseq = self.dataflow.writer_before(reg, load_seq)
         if wseq is None:
             return 0
         e = self.entries[wseq]
-        if e is None or e.value_ready is None:
+        if e is None or e.value_ready is None or e.value_ready > self.now:
             return None
         return e.value
 

@@ -134,16 +134,8 @@ def _fmt(value) -> str:
 
 
 def _row(r: MetricsReport) -> list[str]:
-    return [
-        r.policy, str(r.cycles), str(r.committed), _fmt(r.ipc), _fmt(r.norm_ipc),
-        _fmt(r.shadowed_load_fraction), _fmt(r.mean_shadows_per_load),
-        _fmt(r.l1_miss_ratio), _fmt(r.vp_coverage), _fmt(r.vrc_coverage),
-        _fmt(r.mean_slice_latency), str(r.delayed_loads), str(r.predicted_loads),
-        str(r.recomputed_loads), str(r.validations),
-        _fmt(r.energy["total"]), _fmt(r.energy["core_dynamic"]),
-        _fmt(r.energy["core_static"]), _fmt(r.energy["memory"]),
-        _fmt(r.energy["overhead"]),
-    ]
+    return [_fmt(r.energy[c.removeprefix("energy_")] if c.startswith("energy_")
+                 else getattr(r, c)) for c in CSV_COLUMNS]
 
 
 def summarize(runs: dict[str, RunResult],

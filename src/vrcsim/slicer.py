@@ -1,20 +1,20 @@
 """Backward recomputation-slice extraction.
 
-For a stored value, the slice is the DAG of arithmetic/logic producers that
-regenerates it: walking register def-use edges backwards from the producer of
-the store data, intermediate loads are replaced by the producer chain of the
-most recent exactly-overlapping store, and the walk bottoms out at immediate
+For the value a load reads, the slice is the DAG of arithmetic/logic
+producers that regenerates it: the load, and every intermediate load on the
+way, is replaced by the producer chain of the most recent exactly-overlapping
+store, and the walk along register def-use edges bottoms out at immediate
 operands, live register values, or checkpointed (Hist) values for registers
 that are overwritten before the consuming load runs. Loads, stores and
 branches never appear in a slice.
 
 Annotation works per static load pc: a pc is rewritten to recompute only if
-every dynamic instance produces the same slice shape, every instance's replay
-reproduces the traced value, and (for the conservative immutable mode) no
-store touches the producer's bytes between producer and load. Checkpointed
-leaf values must be the same across all checkpoint sites of a key, which
-makes the recomputed value independent of how far commit lags behind the
-consuming load.
+every dynamic instance has the same producing store pc and slice
+instructions, and every instance's replay reproduces the loaded value. A
+slice is immutable (for the conservative mode) when every store to its bytes
+comes from the producing store's pc. Checkpointed leaf values must be the
+same across all checkpoint sites of a key, which makes the recomputed value
+independent of how far commit lags behind the consuming load.
 """
 
 from __future__ import annotations
@@ -54,15 +54,6 @@ class Operand:
     key: LeafKey | None = None  # HIST payload
     pos: int = -1        # TEMP payload
 
-    def shape(self):
-        if self.kind == "CONST":
-            return ("C", self.value)
-        if self.kind == "LIVE_REG":
-            return ("L", self.reg)
-        if self.kind == "HIST":
-            return ("H", self.key)
-        return ("T", self.pos)
-
 
 def const_op(value: int) -> Operand:
     return Operand(kind="CONST", value=value)
@@ -86,9 +77,6 @@ class SliceInstr:
     alu_op: str
     operands: tuple[Operand, ...]
 
-    def shape(self):
-        return (self.alu_op, tuple(op.shape() for op in self.operands))
-
     @property
     def latency(self) -> int:
         return ALU_LATENCY[self.alu_op]
@@ -106,9 +94,6 @@ class Slice:
     hist_requirements: tuple[tuple[LeafKey, int, int], ...]  # key, producing seq, value
     live_bindings: tuple[tuple[int, int, int], ...]          # reg, producing seq, value
     immutable: bool = False
-
-    def shape(self):
-        return (self.producer_store_pc, tuple(i.shape() for i in self.instrs))
 
     def __len__(self) -> int:
         return len(self.instrs)
@@ -185,13 +170,6 @@ class TraceIndex:
                     return False
         return True
 
-    def next_load_overlapping(self, addr: int, size: int, seq: int) -> int | None:
-        for ins in self.trace.instructions[seq + 1:]:
-            if ins.kind == "LOAD" and ins.mem_addr < addr + size and \
-                    addr < ins.mem_addr + ins.mem_size:
-                return ins.seq
-        return None
-
 
 # ---------------------------------------------------------------------------
 # slice construction
@@ -206,37 +184,32 @@ class _Leafable(Exception):
     live or checkpointed register value instead."""
 
 
-def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_LEN,
-                recompute_seq: int | None = None,
+def build_slice(trace: Trace, load_seq: int, max_len: int = DEFAULT_MAX_SLICE_LEN,
                 index: TraceIndex | None = None) -> Slice | SliceFailure:
-    """Build the backward slice regenerating the value written by
-    trace[store_seq]. Returns a SliceFailure (never raises) when the value
-    cannot be recomputed; a failed slice is a missed opportunity, not an
-    error. `recompute_seq` is the program point the recomputation is
-    anticipated at (the consuming load); defaults to the next overlapping
-    load, or end of trace."""
-    if not 0 <= store_seq < len(trace):
-        raise ValueError(f"store_seq {store_seq} out of range")
-    store = trace[store_seq]
-    if store.kind != "STORE":
-        raise ValueError(f"instruction at seq {store_seq} is not a STORE")
+    """Build the backward slice regenerating the value trace[load_seq]
+    reads, recomputed at that load. Returns a SliceFailure (never raises)
+    when the value cannot be recomputed; a failed slice is a missed
+    opportunity, not an error."""
+    if not 0 <= load_seq < len(trace):
+        raise ValueError(f"load_seq {load_seq} out of range")
+    load = trace[load_seq]
+    if load.kind != "LOAD":
+        raise ValueError(f"instruction at seq {load_seq} is not a LOAD")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     idx = index or TraceIndex(trace)
     src_writers = trace.dataflow.src_writers
-    if recompute_seq is None:
-        nxt = idx.next_load_overlapping(store.mem_addr, store.mem_size, store_seq)
-        recompute_seq = nxt if nxt is not None else len(trace)
 
     nodes: list[SliceInstr] = []
     memo: dict[int, int] = {}
+    stores: dict[int, int] = {}  # load seq -> seq of the store it reads
     hist_reqs: dict[LeafKey, tuple[int, int]] = {}
     live_binds: dict[int, tuple[int, int]] = {}
     in_flight = 0  # expansion frames that will each append one node
 
     def leaf_binding(reg: int, writer: int, consumer_pc: int, slot: int) -> Operand:
         value = idx.replay.results[writer]
-        later = trace.dataflow.writer_before(reg, recompute_seq)
+        later = trace.dataflow.writer_before(reg, load_seq)
         if later is not None and later > writer:
             key = (consumer_pc, slot)
             prev = hist_reqs.get(key)
@@ -277,6 +250,7 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
             data_writer = src_writers[st_seq][0]
             if data_writer is None:
                 raise _Leafable()
+            stores[seq] = st_seq
             return expand(data_writer)
         if ins.kind != "ALU":
             raise _Fail(FailureReason.NON_ALU_PRODUCER,
@@ -299,21 +273,15 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
         return temp_op(pos)
 
     try:
-        if not store.srcs:
-            return SliceFailure(FailureReason.NO_PRODUCER, "store carries no register data")
-        root_writer = src_writers[store_seq][0]
-        if root_writer is None:
-            return SliceFailure(FailureReason.NO_PRODUCER, "stored value has no producer")
-        try:
-            root = expand(root_writer)
-        except _Leafable:
-            return SliceFailure(FailureReason.NO_PRODUCER,
-                                "stored value traces back to untraced memory")
-        if root.kind != "TEMP" or root.pos != len(nodes) - 1:
-            return SliceFailure(FailureReason.UNRESOLVABLE_INPUT, "degenerate root")
+        expand(load_seq)
+    except _Leafable:
+        return SliceFailure(FailureReason.NO_PRODUCER,
+                            "loaded value has no in-trace register producer")
     except _Fail as f:
         return f.failure
 
+    store_seq = stores[load_seq]
+    store = trace[store_seq]
     s = Slice(
         slice_id=None,
         instrs=tuple(nodes),
@@ -324,10 +292,13 @@ def build_slice(trace: Trace, store_seq: int, max_len: int = DEFAULT_MAX_SLICE_L
         root_value=store.mem_value,
         hist_requirements=tuple(sorted((k, w, v) for k, (w, v) in hist_reqs.items())),
         live_bindings=tuple(sorted((r, w, v) for r, (w, v) in live_binds.items())),
+        immutable=idx.single_writer_site(store.mem_addr, store.mem_size, store.pc),
     )
-    if replay_slice(s) != s.root_value:
+    # a 4-byte store's traced value can carry bits above 32 that the load
+    # does not read, so the stored value must also be the loaded one
+    if not replay_slice(s) == store.mem_value == load.mem_value:
         return SliceFailure(FailureReason.UNRESOLVABLE_INPUT,
-                            "slice inputs do not reproduce the stored value")
+                            "slice inputs do not reproduce the loaded value")
     return s
 
 
@@ -381,39 +352,22 @@ def annotate(trace: Trace, max_len: int = DEFAULT_MAX_SLICE_LEN) -> tuple[Annota
 
     candidates: dict[int, list[Slice]] = {}
     for pc in sorted(loads_by_pc):
-        instances = loads_by_pc[pc]
         slices: list[Slice] = []
-        ok = True
-        for lseq in instances:
-            load = trace[lseq]
-            st_seq = idx.last_store_overlapping(load.mem_addr, load.mem_size, lseq)
-            if st_seq is None:
-                stats.failure_histogram[FailureReason.NO_PRODUCER] += 1
-                ok = False
-                break
-            st = trace[st_seq]
-            if st.mem_addr != load.mem_addr or st.mem_size != load.mem_size:
-                stats.failure_histogram[FailureReason.UNRESOLVABLE_INPUT] += 1
-                ok = False
-                break
-            result = build_slice(trace, st_seq, max_len, recompute_seq=lseq, index=idx)
+        for lseq in loads_by_pc[pc]:
+            result = build_slice(trace, lseq, max_len, index=idx)
             if isinstance(result, SliceFailure):
                 stats.failure_histogram[result.reason] += 1
-                ok = False
                 break
-            if result.root_value != load.mem_value:
-                stats.failure_histogram[FailureReason.UNRESOLVABLE_INPUT] += 1
-                ok = False
-                break
-            immutable = idx.single_writer_site(st.mem_addr, st.mem_size, st.pc)
-            slices.append(replace(result, immutable=immutable))
-        if not ok or not slices:
-            continue
-        shape = slices[0].shape()
-        if any(s.shape() != shape for s in slices[1:]):
-            stats.failure_histogram[FailureReason.UNRESOLVABLE_INPUT] += len(slices)
-            continue
-        candidates[pc] = slices
+            slices.append(result)
+        else:
+            # an instruction's slice_pos is its index and an operand's unused
+            # payload fields keep their defaults, so equality is the shape
+            first = slices[0]
+            if all(s.producer_store_pc == first.producer_store_pc
+                   and s.instrs == first.instrs for s in slices):
+                candidates[pc] = slices
+            else:
+                stats.failure_histogram[FailureReason.UNRESOLVABLE_INPUT] += len(slices)
 
     # checkpointed leaf values must be globally consistent per key
     key_values: dict[LeafKey, set[int]] = defaultdict(set)

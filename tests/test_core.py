@@ -313,3 +313,22 @@ def test_runs_leave_no_reference_cycles():
             assert gc.collect() == 0, policy
     finally:
         gc.enable()
+
+
+def test_recompute_waits_for_a_live_leaf_still_in_flight(tb):
+    # the slice's live input r4 comes from a missed load that has issued but
+    # not filled; the recomputation may not finish before that fill
+    tb.load(0x10, 4, COLD_A, value=5)                  # live leaf, unshadowed
+    tb.load(0x14, 7, COLD_B, value=0x40)               # shadowed miss
+    tb.alu(0x18, 9, "ADD", srcs=(7,), imm=0)           # store address
+    tb.alu(0x1C, 5, "ADD", srcs=(4,), imm=1)           # store data
+    tb.store(0x20, 0x30_0000, srcs=(5, 9))
+    tb.load(0x24, 6, 0x30_0000)                        # passes the store
+    t = tb.build()
+    table, _ = annotate(t)
+    assert 0x24 in table.rcmp_sites
+    for policy in ("VRC", "VRC2"):
+        r = core.run(t, annotations=table, config=_cfg(policy))
+        assert r.counters["recompute_done"] == 1, policy
+        assert r.load_timing[5][2] > r.load_timing[0][2], policy
+        assert r.committed_values == functional_replay(t).results

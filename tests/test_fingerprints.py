@@ -1,21 +1,25 @@
 """Golden behavioural fingerprints: every policy on every pattern must keep
 its cycles, counters, hierarchy digest, mutation log, committed state,
-validation order and load timing byte for byte.
+validation order and load timing byte for byte, and the slicer must keep
+its annotation bytes and every `SliceStats` field.
 
 A change that alters simulated behaviour on purpose regenerates the golden
-file with `PYTHONPATH=src python3 tests/test_fingerprints.py` and says why.
+file with `PYTHONPATH=src python3 tests/test_fingerprints.py` (which prints
+the keys it added, removed and changed) and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from vrcsim import core
 from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.memhier import CacheConfig
-from vrcsim.slicer import annotate
+from vrcsim.slicer import annotate, emit_annotations
 from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 from conftest import TraceBuilder
@@ -59,6 +63,16 @@ def _probe(t) -> ProbeSpec:
     site = next(ins.seq for ins in t.instructions
                 if ins.kind == "BRANCH" and not ins.br.predicted_correctly)
     return ProbeSpec(site, tuple(0x7000_0000 + i * 64 for i in range(8)))
+
+
+def _slice_fingerprint(table, stats) -> dict:
+    out = {"annotations": hashlib.sha256(emit_annotations(table).encode()).hexdigest()}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, Counter):
+            value = {getattr(k, "value", k): n for k, n in value.items()}
+        out[f.name] = value
+    return out
 
 
 def hand_paths_trace():
@@ -106,6 +120,111 @@ def hand_replay_trace():
     return tb.build()
 
 
+UNTRACED = 0x9000_0000
+
+
+def hand_slices_trace():
+    """One load pc per slicer outcome the generator never reaches: a partial
+    overlap, a store with no source register and a stored register never
+    written (each read directly and through an intermediate load), one leaf
+    key that needs two values, a store whose traced value differs from its
+    register data, a 4-byte store whose register carries bits above 32, a pc
+    whose instances differ in shape, one Hist key with different values at
+    two pcs, and a four-op chain that is too long at max_len 3. Annotated
+    slices cover all four operand kinds, and one is mutable."""
+    tb = TraceBuilder()
+    # immutable slice over CONST, LIVE_REG, HIST and TEMP operands
+    tb.load(0x100, 1, UNTRACED, value=3)               # leaf, overwritten: Hist
+    tb.load(0x104, 2, UNTRACED + 0x40, value=4)        # leaf, still live
+    tb.alu(0x108, 3, "ADD", srcs=(1, 2))
+    tb.alu(0x10C, 3, "ADD", srcs=(3,), imm=5)
+    tb.store(0x110, 0x1000, srcs=(3,))
+    tb.alu(0x114, 1, "MOV", imm=0)
+    tb.load(0x118, 4, 0x1000)
+    # mutable slice: two store sites write the loaded bytes
+    tb.alu(0x11C, 5, "MOV", imm=7)
+    tb.store(0x120, 0x1100, srcs=(5,))
+    tb.alu(0x124, 6, "MOV", imm=9)
+    tb.store(0x128, 0x1100, srcs=(6,))
+    tb.load(0x12C, 7, 0x1100)
+    # partial overlap, at the root and at an intermediate load
+    tb.alu(0x130, 8, "MOV", imm=0x1234)
+    tb.store(0x134, 0x1200, srcs=(8,))
+    tb.load(0x138, 9, 0x1200, size=4)
+    tb.alu(0x13C, 10, "ADD", srcs=(9,), imm=1)
+    tb.store(0x140, 0x1240, srcs=(10,))
+    tb.load(0x144, 11, 0x1240)
+    # a store with no source register: no producer at the root, a live
+    # leaf through an intermediate load
+    tb.store(0x148, 0x1300, value=0x77)
+    tb.load(0x14C, 12, 0x1300)
+    tb.alu(0x150, 13, "ADD", srcs=(12,), imm=1)
+    tb.store(0x154, 0x1340, srcs=(13,))
+    tb.load(0x158, 14, 0x1340)
+    # a stored register never written: the same two outcomes
+    tb.store(0x15C, 0x1400, srcs=(63,))
+    tb.load(0x160, 15, 0x1400)
+    tb.alu(0x164, 16, "ADD", srcs=(15,), imm=2)
+    tb.store(0x168, 0x1440, srcs=(16,))
+    tb.load(0x16C, 17, 0x1440)
+    # leaf key (0x174, 0) needs two values within one slice
+    tb.load(0x170, 18, UNTRACED + 0x100, value=3)
+    tb.alu(0x174, 19, "ADD", srcs=(18,), imm=1)
+    tb.alu(0x178, 20, "MOV", srcs=(19,))
+    tb.load(0x170, 18, UNTRACED + 0x140, value=10)
+    tb.alu(0x174, 19, "ADD", srcs=(18,), imm=1)
+    tb.alu(0x17C, 21, "ADD", srcs=(20, 19))
+    tb.alu(0x180, 18, "MOV", imm=0)
+    tb.store(0x184, 0x1500, srcs=(21,))
+    tb.load(0x188, 22, 0x1500)
+    # traced store value differs from its register data
+    tb.alu(0x18C, 23, "MOV", imm=5)
+    tb.store(0x190, 0x1600, value=6, srcs=(23,))
+    tb.load(0x194, 24, 0x1600)
+    # 4-byte stores whose value has bits above 32: from the register, and
+    # only in the traced value
+    tb.alu(0x198, 25, "MOV", imm=0x1_0000_0005)
+    tb.store(0x19C, 0x1700, size=4, srcs=(25,))
+    tb.load(0x1A0, 26, 0x1700, size=4)
+    tb.alu(0x1A4, 27, "MOV", imm=5)
+    tb.store(0x1A8, 0x1740, value=0x1_0000_0005, size=4, srcs=(27,))
+    tb.load(0x1AC, 28, 0x1740, size=4)
+    # instances of one load pc that differ in shape: a constant, then the
+    # producing store's pc
+    tb.alu(0x1B0, 29, "MOV", imm=5)
+    tb.store(0x1B4, 0x1800, srcs=(29,))
+    tb.load(0x1C0, 30, 0x1800)
+    tb.alu(0x1B0, 29, "MOV", imm=6)
+    tb.store(0x1B4, 0x1840, srcs=(29,))
+    tb.load(0x1C0, 30, 0x1840)
+    tb.alu(0x1B8, 31, "ADD", srcs=(29, 29))
+    tb.store(0x1BC, 0x1880, srcs=(31,))
+    tb.load(0x1C0, 30, 0x1880)
+    # Hist key (0x1C8, 0) with value 3 at one load pc and 7 at another
+    tb.load(0x1C4, 32, UNTRACED + 0x200, value=3)
+    tb.alu(0x1C8, 33, "ADD", srcs=(32,), imm=1)
+    tb.store(0x1CC, 0x1900, srcs=(33,))
+    tb.load(0x1C4, 32, UNTRACED + 0x240, value=7)
+    tb.alu(0x1C8, 33, "ADD", srcs=(32,), imm=1)
+    tb.store(0x1CC, 0x1940, srcs=(33,))
+    tb.alu(0x1D0, 32, "MOV", imm=0)
+    tb.load(0x1D4, 34, 0x1900)
+    tb.load(0x1D8, 35, 0x1940)
+    # a four-op chain
+    tb.alu(0x1DC, 36, "MOV", imm=1)
+    for i in range(3):
+        tb.alu(0x1E0 + 4 * i, 36, "ADD", srcs=(36,), imm=1)
+    tb.store(0x1EC, 0x1A00, srcs=(36,))
+    tb.load(0x1F0, 37, 0x1A00)
+    # a stored value that is itself loaded: the slice recurses through it
+    tb.alu(0x1F4, 38, "MOV", imm=5)
+    tb.store(0x1F8, 0x1B00, srcs=(38,))
+    tb.load(0x1FC, 39, 0x1B00)
+    tb.store(0x200, 0x1B40, srcs=(39,))
+    tb.load(0x204, 41, 0x1B40)
+    return tb.build()
+
+
 def traces():
     """(name, trace) for every trace the golden file covers."""
     for pattern in PATTERNS:
@@ -132,15 +251,54 @@ def current_fingerprints() -> dict:
     return out
 
 
-def test_fingerprints_match_golden():
-    golden = json.loads(GOLDEN.read_text())
-    current = current_fingerprints()
+SLICE_COUNT = 3000
+SLICE_FRACTIONS = (0.25, 1.0)
+SLICE_MAX_LENS = (100, 3)
+
+
+def slice_traces():
+    """(name, trace) for every trace the annotation entries cover."""
+    for pattern in PATTERNS:
+        for fraction in SLICE_FRACTIONS:
+            spec = SyntheticWorkloadSpec(pattern=pattern, count=SLICE_COUNT, seed=SEED,
+                                         recomputable_fraction=fraction,
+                                         load_density=0.03)
+            yield f"{pattern} rf={fraction}", gen_synthetic(spec)
+    yield "HAND_SLICES", hand_slices_trace()
+
+
+def annotation_fingerprints() -> dict:
+    out = {}
+    for name, t in slice_traces():
+        for max_len in SLICE_MAX_LENS:
+            out[f"slices {name} max_len={max_len}"] = _slice_fingerprint(
+                *annotate(t, max_len=max_len))
+    return out
+
+
+def _assert_golden(current: dict, slices: bool) -> None:
+    golden = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
+              if k.startswith("slices ") == slices}
     assert current.keys() == golden.keys()
     changed = [k for k in golden if current[k] != golden[k]]
     assert not changed, f"behaviour changed for {changed}"
 
 
+def test_fingerprints_match_golden():
+    _assert_golden(current_fingerprints(), slices=False)
+
+
+def test_annotations_match_golden():
+    _assert_golden(annotation_fingerprints(), slices=True)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(current_fingerprints(), indent=1,
-                                 sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {**current_fingerprints(), **annotation_fingerprints()}
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+    for label, keys in (("added", new.keys() - old.keys()),
+                        ("removed", old.keys() - new.keys()),
+                        ("changed", {k for k in new.keys() & old.keys()
+                                     if new[k] != old[k]})):
+        print(f"{label} ({len(keys)}):", *sorted(keys), sep="\n  ")

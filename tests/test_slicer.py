@@ -6,7 +6,7 @@ from vrcsim import core
 from vrcsim.slicer import (
     AnnotationFormatError, AnnotationTable, FailureReason, Slice, SliceFailure,
     SliceInstr, annotate, build_slice, const_op, emit_annotations, hist_op,
-    load_annotations, replay_slice,
+    live_op, load_annotations, replay_slice,
 )
 from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 
@@ -17,17 +17,19 @@ def test_single_producer_live_bindings(tb):
     tb.alu(0x10, 1, "ADD", srcs=(2, 3))
     tb.store(0x14, 0x100, 0, srcs=(1,))
     tb.load(0x18, 4, 0x100)
-    s = build_slice(tb.build(), 1)
+    s = build_slice(tb.build(), 2)
     assert isinstance(s, Slice)
     assert len(s.instrs) == 1
-    assert [op.shape() for op in s.instrs[0].operands] == [("L", 2), ("L", 3)]
+    assert s.instrs[0].operands == (live_op(2), live_op(3))
+    assert s.producer_store_seq == 1 and s.immutable
     assert replay_slice(s) == 0
 
 
 def test_no_producer_when_value_from_untraced_memory(tb):
     tb.load(0x10, 1, UNTRACED, value=99)
     tb.store(0x14, 0x100, 99, srcs=(1,))
-    result = build_slice(tb.build(), 1)
+    tb.load(0x18, 2, 0x100)
+    result = build_slice(tb.build(), 2)
     assert isinstance(result, SliceFailure)
     assert result.reason is FailureReason.NO_PRODUCER
 
@@ -39,6 +41,7 @@ def test_too_long_chain_fails_at_default_limit(tb):
         tb.alu(0x100 + 4 * i, 1, "ADD", srcs=(1,), imm=1)
         value += 1
     tb.store(0x800, 0x100, value, srcs=(1,))
+    tb.load(0x804, 2, 0x100)
     result = build_slice(tb.build(), len(tb.instrs) - 1)
     assert isinstance(result, SliceFailure)
     assert result.reason is FailureReason.TOO_LONG
@@ -55,10 +58,9 @@ def test_intermediate_load_replaced_by_store_producer(tb):
     tb.alu(0x1C, 3, "ADD", srcs=(2,), imm=7)
     tb.store(0x20, 0x300, 12, srcs=(3,))
     tb.load(0x24, 4, 0x300)
-    s = build_slice(tb.build(), 4)
+    s = build_slice(tb.build(), 5)
     assert isinstance(s, Slice)
-    shapes = [i.shape() for i in s.instrs]
-    assert shapes[0] == ("MOV", (("C", 5),))    # recursed through the load
+    assert s.instrs[0] == SliceInstr(0, "MOV", (const_op(5),))  # through the load
     assert replay_slice(s) == 12
 
 
@@ -68,7 +70,8 @@ def test_partial_overlap_is_unresolvable(tb):
     tb.load(0x18, 2, 0x100, size=4, value=0x1234)  # narrower than the store
     tb.alu(0x1C, 3, "ADD", srcs=(2,), imm=1)
     tb.store(0x20, 0x300, 0x1235, srcs=(3,))
-    result = build_slice(tb.build(), 4)
+    tb.load(0x24, 4, 0x300)
+    result = build_slice(tb.build(), 5)
     assert isinstance(result, SliceFailure)
     assert result.reason is FailureReason.UNRESOLVABLE_INPUT
 
@@ -104,7 +107,7 @@ def test_loop_style_hist_leaves(tb):
     tb.load(0x14, 9, UNTRACED + 64, value=4)
     tb.load(0x28, 11, 0x400)                     # consuming load
     t = tb.build()
-    s = build_slice(t, 4, recompute_seq=7)
+    s = build_slice(t, 7)
     assert isinstance(s, Slice)
     kinds = {op.kind for i in s.instrs for op in i.operands}
     assert "HIST" in kinds
@@ -112,10 +115,23 @@ def test_loop_style_hist_leaves(tb):
     assert s.root_value == t[7].mem_value
 
 
-def test_store_seq_errors(tb):
+def test_store_bits_the_load_does_not_read_are_unresolvable(tb):
+    # the slice reproduces the 4-byte store's traced value, high bits and
+    # all, but the load reads only the low 32 bits
+    tb.alu(0x10, 1, "MOV", imm=0x1_0000_0005)
+    tb.store(0x14, 0x100, size=4, srcs=(1,))
+    tb.load(0x18, 2, 0x100, size=4)
+    t = tb.build()
+    assert t[2].mem_value == 5
+    result = build_slice(t, 2)
+    assert isinstance(result, SliceFailure)
+    assert result.reason is FailureReason.UNRESOLVABLE_INPUT
+
+
+def test_load_seq_errors(tb):
     tb.alu(0x10, 1, "MOV", imm=1)
     with pytest.raises(ValueError):
-        build_slice(tb.build(), 0)      # not a store
+        build_slice(tb.build(), 0)      # not a load
     with pytest.raises(ValueError):
         build_slice(tb.build(), 5)      # out of range
 

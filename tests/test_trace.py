@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vrcsim import slicer, trace as trace_mod
 from vrcsim.core import POLICIES, CoreConfig, ProbeSpec, inject_transient_probe, run
@@ -182,6 +182,39 @@ def _instruction_stream(draw):
 @given(_instruction_stream())
 def test_roundtrip_property(t):
     assert parse_trace(emit_trace(t)) == t
+
+
+FUZZ_TEXT = emit_trace(gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED",
+                                                           count=300, seed=1)))
+_TRACE_FRAGMENTS = ("0", "1", "-1", "3", "4", "7", "64", "99", "0x40", "0x3f",
+                    "0xffffffffffffffff", "0x10000000000000000", "1,2", "1,2,3,4",
+                    "ALU", "LOAD", "STORE", "BRANCH", "NOP", "ADD", "MUL", "CMOV",
+                    "FOO", "x", "=", "", "#", "I", "H", "dst=1", "srcs=", "imm=7",
+                    "mem_size=4", "taken=1", "pred=0", "fault=1", "version=2")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 100_000), st.booleans(),
+                          st.sampled_from(_TRACE_FRAGMENTS)), min_size=1, max_size=3))
+@example([])
+def test_fuzzed_traces_fail_only_typed(edits):
+    # mutate tokens (or just their values) of an emitted trace: parsing
+    # either raises TraceFormatError or yields a trace that validates
+    # without raising, and a trace that validates runs to completion
+    lines = [line.split(" ") for line in FUZZ_TEXT.splitlines()]
+    slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for k, value_only, frag in edits:
+        i, j = slots[k % len(slots)]
+        key, eq, _ = lines[i][j].partition("=")
+        lines[i][j] = key + eq + frag if value_only and eq else frag
+    try:
+        t = parse_trace("\n".join(" ".join(toks) for toks in lines))
+    except TraceFormatError:
+        return
+    if not validate_trace(t).ok:
+        return
+    for policy in ("BASELINE", "DOM"):
+        assert run(t, config=CoreConfig(policy=policy)).committed == len(t)
 
 
 def test_gen_recomputable_fraction_contract():
