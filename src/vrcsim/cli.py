@@ -1,7 +1,10 @@
 """Command-line harness: generate traces, build slice annotations, run and
 compare policies, and audit transient invisibility.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 audit failure.
+Exit codes: 0 success, 1 usage error, 2 input error, 3 audit failure, 4 a
+run of `compare` or `audit` committed values that differ from the in-order
+replay oracle (reported as the policy, the first divergent seq and the
+expected and committed values; it takes precedence over 3).
 Defaults < config file (flat key=value, keys named like the long flags)
 < command-line flags. Config-file entries are parsed as the flags they name,
 so they satisfy required flags and are checked like them; a key the command
@@ -17,6 +20,7 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import core, metrics, slicer, trace as trace_mod
 from .memhier import CacheConfig
+from .replay import functional_replay
 from .vp import VpConfig
 from .vrc import VrcConfig
 
@@ -24,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_AUDIT = 3
+EXIT_ORACLE = 4
 
 
 class InputError(Exception):
@@ -200,12 +205,25 @@ def _config_for(args, policy: str) -> core.CoreConfig:
                            vrc=VrcConfig())
 
 
+def _matches_oracle(label: str, result: core.RunResult, oracle) -> bool:
+    """False, with the first divergent seq reported, when a run commits
+    other values than the replay oracle (the registers follow the values)."""
+    for seq, (got, want) in enumerate(zip(result.committed_values, oracle.results)):
+        if got != want:
+            print(f"error: {label} diverges from the replay oracle at seq {seq}: "
+                  f"expected {want!r}, committed {got!r}", file=sys.stderr)
+            return False
+    return result.committed_regs == oracle.final_regs
+
+
 def cmd_compare(args) -> int:
     t, policies, annotations = _prepare_inputs(args)
+    oracle = functional_replay(t)
     runs = {}
     for policy in policies:
         runs[policy] = core.run(t, annotations=annotations,
                                 config=_config_for(args, policy))
+    matches = [_matches_oracle(p, r, oracle) for p, r in runs.items()]
     summary = metrics.summarize(runs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -213,18 +231,22 @@ def cmd_compare(args) -> int:
     (out / "compare.txt").write_text(summary.table, encoding="utf-8")
     print(summary.table, end="")
     print(f"wrote {out / 'compare.csv'}")
-    return EXIT_OK
+    return EXIT_OK if all(matches) else EXIT_ORACLE
 
 
 def cmd_audit(args) -> int:
     t, policies, annotations = _prepare_inputs(args)
     probe = _parse_probe(args.probe) if args.probe else _auto_probe(t)
+    oracle = functional_replay(t)
     failures = 0
+    matches = []
     for policy in policies:
         cfg = _config_for(args, policy)
         clean = core.run(t, annotations=annotations, config=cfg)
         probed = core.inject_transient_probe(t, probe, annotations=annotations,
                                              config=cfg)
+        matches += [_matches_oracle(policy, clean, oracle),
+                    _matches_oracle(f"{policy} probed", probed, oracle)]
         diff = audit_mod.differential_check(clean, probed)
         verdict = audit_mod.assert_invisibility(probed.mutation_log)
         secure = policy in core.SECURE_POLICIES
@@ -238,6 +260,8 @@ def cmd_audit(args) -> int:
                 print(f"           first divergence: {diff.first_divergence.format_line()}")
             for rec in verdict.violators[:5]:
                 print(f"           violator: {rec.format_line()}")
+    if not all(matches):
+        return EXIT_ORACLE
     return EXIT_AUDIT if failures else EXIT_OK
 
 

@@ -26,11 +26,14 @@ and shared by every run on it, owns each instruction's kind code, FU class
 (`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
 and data producers, and its consumers, which a completing or replayed
 producer wakes. Entry states and kinds are integer codes, named only in
-deadlock reports. Issue walks one issue pool in program order and the entry
-state chooses the action: NONSPEC reissues an unshadowed delayed or fallback
-load, AWAIT_VALIDATION validates a predicted load, and anything else issues
-by kind (a load forwards, accesses, or has the policy applied to its
-shadowed miss; an ALU op or branch executes on a unit of its FU class).
+deadlock reports. Issue walks one issue pool in program order. An ALU op
+or branch executes on a unit of its FU class, or waits in the pool while the
+cycle's units of that class are used up; its producers had values when it
+left the ready heap, so only an op a value-prediction replay visited is
+checked again. For a load the entry state chooses the action: NONSPEC
+reissues an unshadowed delayed or fallback load, AWAIT_VALIDATION validates
+a predicted load, and otherwise the load forwards, accesses, or has the
+policy applied to its shadowed miss.
 Every real hierarchy access goes through one path that takes a memory port
 and retries on an MSHR stall. A load "performs" when its value is bound by a
 real access, store forward, or recomputation; its memory-order shadow
@@ -46,11 +49,11 @@ under BASELINE they mutate it like any speculative load would.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
-from .isa import FU_ALU, FU_MUL, alu_eval
+from .isa import ALU_FNS, FU_ALU, FU_MUL
 from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
@@ -219,6 +222,7 @@ class _Sim:
         self._event_order = 0
         self.ready_heap: list = []              # (ready_at, seq)
         self.issue_pool: set[int] = set()       # seqs the issue stage visits
+        self.replay_visited: set[int] = set()   # seqs a replay walk visited
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
 
@@ -233,14 +237,6 @@ class _Sim:
     def _schedule(self, cycle: int, handler, payload) -> None:
         heapq.heappush(self.events, (cycle, self._event_order, handler, payload))
         self._event_order += 1
-
-    def _process_events(self) -> bool:
-        any_event = False
-        while self.events and self.events[0][0] <= self.now:
-            _, _, handler, payload = heapq.heappop(self.events)
-            handler(payload)
-            any_event = True
-        return any_event
 
     # ------------------------------------------------------------- value wiring
 
@@ -286,10 +282,11 @@ class _Sim:
             at = self._ready_at(self.decode.addr_writers[e.seq], e.dispatch_cycle)
             if at is not None:
                 e.addr_ready = at + 1
-                self._push_ready(e, max(e.addr_ready, e.replay_floor))
+                self._push_ready(e, e.addr_ready)  # loads never replay
         else:
-            ready = self._ready_at(self.decode.data_writers[e.seq],
-                                   max(e.replay_floor, e.dispatch_cycle + 1))
+            floor = e.replay_floor if e.replay_floor > e.dispatch_cycle \
+                else e.dispatch_cycle + 1
+            ready = self._ready_at(self.decode.data_writers[e.seq], floor)
             if ready is not None:
                 self._push_ready(e, ready)
 
@@ -338,24 +335,28 @@ class _Sim:
             return False
         now = self.now
         sb = self.sb
+        # nothing resolves during dispatch, so the room only shrinks by the
+        # casts of the instructions dispatched here
+        room = sb.room()
         kinds, casts = self.decode.kinds, self.decode.casts
         load_casts = int(self.order_shadow is not None)
         instructions = self.trace.instructions
-        entries, counters = self.entries, self.counters
+        entries = self.entries
         while seq < end:
             kind = kinds[seq]
+            need = casts[seq]
             if kind == KIND_LOAD:
-                if not sb.has_room(casts[seq] + load_casts) \
-                        or self.iq_used >= cfg.iq_size \
+                need += load_casts
+                if need > room or self.iq_used >= cfg.iq_size \
                         or self.lq_used >= cfg.lq_size or sb.rq_full():
                     break
-            elif not sb.has_room(casts[seq]) \
+            elif need > room \
                     or (kind != KIND_NOP and self.iq_used >= cfg.iq_size) \
                     or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
                 break
+            room -= need
             ins = instructions[seq]
             e = entries[seq] = _Entry(seq, ins, kind, now)
-            counters[_DISPATCHED_KEYS[kind]] += 1
             if kind == KIND_LOAD:
                 e.shadowed = not sb.register_load(seq)
                 if not e.shadowed:
@@ -405,20 +406,32 @@ class _Sim:
                 e.in_ready = False
                 pool.add(seq)
         budget = list(self.budget)
+        fus = self.decode.fus
+        replay_visited = self.replay_visited
         any_issued = False
         for seq in sorted(pool):
             if budget[_SLOTS] <= 0:
                 break
             e = entries[seq]
-            state = e.state
-            if state == NONSPEC:
+            if e.kind != KIND_LOAD:
+                # an ALU op or branch: its producers had values when it left
+                # the ready heap, and only a replay can have reset one since
+                fu = fus[seq]
+                if seq in replay_visited and self._producers_late(e):
+                    issued = True
+                elif budget[fu] <= 0:
+                    continue  # waits in the pool for a unit of its class
+                else:
+                    budget[fu] -= 1
+                    budget[_SLOTS] -= 1
+                    self._execute(e)
+                    issued = True
+            elif e.state == NONSPEC:
                 issued = self._try_reissue(e, budget)
-            elif state == AWAIT_VAL:
+            elif e.state == AWAIT_VAL:
                 issued = self._try_perform(e, budget)
-            elif e.kind == KIND_LOAD:
-                issued = self._try_issue_load(e, budget)
             else:
-                issued = self._try_execute(e, budget)
+                issued = self._try_issue_load(e, budget)
             if issued:
                 pool.discard(seq)
                 any_issued = True
@@ -429,42 +442,39 @@ class _Sim:
             self.counters["fu_ops"] += fu_ops
         return any_issued or engine_worked
 
-    def _try_execute(self, e: _Entry, budget) -> bool:
-        """An ALU op or branch: executes on a unit of its FU class once its
-        producers' values are ready."""
-        seq = e.seq
-        now = self.now
-        decode = self.decode
-        ready = self._ready_at(decode.data_writers[seq], 0)
+    def _producers_late(self, e: _Entry) -> bool:
+        """For an op a replay walk visited: True, and the op leaves the pool,
+        when a producer was reset (its re-execution wakes the op) or its
+        value arrives after this cycle (the op goes back to the ready heap)."""
+        ready = self._ready_at(self.decode.data_writers[e.seq], 0)
         if ready is None:
-            return True  # producers were replay-reset; rescheduled on wake
-        if ready > now:
+            return True
+        if ready > self.now:
             self._push_ready(e, ready)
             return True
-        fu = decode.fus[seq]
-        if budget[fu] <= 0:
-            return False
-        budget[fu] -= 1
-        budget[_SLOTS] -= 1
+        return False
+
+    def _execute(self, e: _Entry) -> None:
+        """An ALU op or branch executes on the unit the issue stage took."""
+        seq = e.seq
+        now = self.now
         ins = e.ins
-        lat = decode.latencies[seq]
         if e.kind == KIND_ALU:
             entries = self.entries
             ops = [0 if w is None else entries[w].value or 0
                    for w in self.dataflow.src_writers[seq]]
             if ins.imm is not None:
                 ops.append(ins.imm)
-            e.value = alu_eval(ins.alu_op, ops)
+            e.value = ALU_FNS[ins.alu_op](*ops)
         else:
             self._schedule(now + 1, self._branch_resolved, seq)
-        e.value_ready = e.complete = now + lat
+        e.value_ready = e.complete = now + self.decode.latencies[seq]
         e.state = DONE_ST
         self._release_iq(e)
         if ins.may_fault and e.sb_e is not None:
             self._schedule(e.complete, self.sb.resolve, e.sb_e)
             e.sb_e = None
         self._wake(seq)
-        return True
 
     # -- load paths ---------------------------------------------------------------
 
@@ -683,6 +693,7 @@ class _Sim:
                 elif ce.kind == KIND_STORE:
                     ce.complete = None
                     self._update_store(ce)
+        self.replay_visited |= seen
 
     # ------------------------------------------------------------------ unshadow
 
@@ -794,8 +805,6 @@ class _Sim:
     # ------------------------------------------------------------------ probes
 
     def _probe_tick(self) -> bool:
-        if not self.probes:
-            return False
         branch_seq = self.probe_spec.branch_seq
         if self.now <= self.entries[branch_seq].dispatch_cycle:
             return False
@@ -816,15 +825,22 @@ class _Sim:
     def run(self) -> RunResult:
         if self.n == 0:
             return self._result(0)
+        mem, sb, events = self.mem, self.sb, self.events
+        # a phase with no work due is skipped; it would have returned False
         while self.commit_head < self.n:
-            progress = False
-            self.mem.advance(self.now)
-            progress |= self._process_events()
+            now = self.now
+            mem.advance(now)  # its own loop condition is the fill guard
+            progress = bool(events) and events[0][0] <= now
+            while events and events[0][0] <= now:
+                _, _, handler, payload = heapq.heappop(events)
+                handler(payload)
             progress |= self._commit()
-            progress |= self._poll_unshadowed()
+            if sb.releases_pending():
+                progress |= self._poll_unshadowed()
             progress |= self._issue_phase()
             progress |= self._dispatch()
-            progress |= self._probe_tick()
+            if self.probes:
+                progress |= self._probe_tick()
             if self.commit_head >= self.n:
                 break
             if self.now - self.last_commit_cycle > self.config.deadlock_cycles:
@@ -872,6 +888,9 @@ class _Sim:
 
     def _result(self, cycles: int) -> RunResult:
         c = self.counters
+        # every instruction was dispatched exactly once
+        for kind, count in Counter(self.decode.kinds).items():
+            c[_DISPATCHED_KEYS[kind]] = count
         c["l1_hits"] = self.mem.l1_hits
         c["l1_misses"] = self.mem.l1_misses
         c["mshr_hits"] = self.mem.mshr_hits

@@ -15,19 +15,27 @@ MASK64 = (1 << 64) - 1
 # lines and the engine's lossy store tags are line-granular
 LINE_BYTES = 64
 
-ALU_OPS = ("ADD", "SUB", "AND", "OR", "XOR", "SHL", "SHR", "MUL", "MOV", "CMOV")
-
-# number of input operands each op consumes (register sources + immediate)
-ALU_ARITY = {
-    "ADD": 2, "SUB": 2, "AND": 2, "OR": 2, "XOR": 2,
-    "SHL": 2, "SHR": 2, "MUL": 2, "MOV": 1, "CMOV": 3,
+# core datapath semantics, one function per op over positional operands
+# (register sources, then the immediate): total on all inputs, operands
+# masked to 64 bits, shift counts masked
+ALU_FNS = {
+    "ADD": lambda a, b: (a + b) & MASK64,
+    "SUB": lambda a, b: (a - b) & MASK64,
+    "AND": lambda a, b: a & b & MASK64,
+    "OR": lambda a, b: (a | b) & MASK64,
+    "XOR": lambda a, b: (a ^ b) & MASK64,
+    "SHL": lambda a, b: (a << (b & 63)) & MASK64,
+    "SHR": lambda a, b: (a & MASK64) >> (b & 63),
+    "MUL": lambda a, b: (a * b) & MASK64,
+    "MOV": lambda a: a & MASK64,
+    "CMOV": lambda c, a, b: (a if c & MASK64 else b) & MASK64,
 }
+ALU_OPS = tuple(ALU_FNS)
+# number of input operands each op consumes
+ALU_ARITY = {op: fn.__code__.co_argcount for op, fn in ALU_FNS.items()}
 
 # cycles on a functional unit; MUL is the only long-latency op
-ALU_LATENCY = {
-    "ADD": 1, "SUB": 1, "AND": 1, "OR": 1, "XOR": 1,
-    "SHL": 1, "SHR": 1, "MUL": 3, "MOV": 1, "CMOV": 1,
-}
+ALU_LATENCY = {op: 3 if op == "MUL" else 1 for op in ALU_OPS}
 
 # functional-unit classes: MUL issues to a multiplier, every other op (and
 # a branch) to an ALU
@@ -41,29 +49,7 @@ class ArithmeticFault(Exception):
 
 def alu_eval(op: str, operands: list[int] | tuple[int, ...]) -> int:
     """Core datapath semantics: total on all inputs, shift counts masked."""
-    a = operands[0] & MASK64
-    if op == "MOV":
-        return a
-    if op == "CMOV":
-        return (operands[1] if a != 0 else operands[2]) & MASK64
-    b = operands[1] & MASK64
-    if op == "ADD":
-        return (a + b) & MASK64
-    if op == "SUB":
-        return (a - b) & MASK64
-    if op == "AND":
-        return a & b
-    if op == "OR":
-        return a | b
-    if op == "XOR":
-        return a ^ b
-    if op == "MUL":
-        return (a * b) & MASK64
-    if op == "SHL":
-        return (a << (b & 63)) & MASK64
-    if op == "SHR":
-        return (a >> (b & 63)) & MASK64
-    raise ValueError(f"unknown alu op {op!r}")
+    return ALU_FNS[op](*operands)
 
 
 def alu_eval_strict(op: str, operands: list[int] | tuple[int, ...]) -> int:

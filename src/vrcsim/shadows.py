@@ -64,15 +64,19 @@ class ShadowState:
 
     # -- capacity -----------------------------------------------------------
 
-    def has_room(self, n: int) -> bool:
-        """True when `n` more entries fit in the SB."""
-        return len(self._sb) + n <= self.sb_capacity
+    def room(self) -> int:
+        """How many more entries fit in the SB."""
+        return self.sb_capacity - len(self._sb)
 
     def sb_full(self) -> bool:
-        return not self.has_room(1)
+        return self.room() < 1
 
     def rq_full(self) -> bool:
         return len(self._rq) >= self.rq_capacity
+
+    def releases_pending(self) -> bool:
+        """True while a shadowed load waits in the release queue."""
+        return bool(self._rq)
 
     # -- casting & resolution ------------------------------------------------
 

@@ -356,7 +356,8 @@ def annotate(trace: Trace, max_len: int = DEFAULT_MAX_SLICE_LEN) -> tuple[Annota
         for lseq in loads_by_pc[pc]:
             result = build_slice(trace, lseq, max_len, index=idx)
             if isinstance(result, SliceFailure):
-                stats.failure_histogram[result.reason] += 1
+                # the pc is not annotated: every instance of it fails
+                stats.failure_histogram[result.reason] += len(loads_by_pc[pc])
                 break
             slices.append(result)
         else:

@@ -180,11 +180,10 @@ def test_audit_baseline_reported_but_exit_zero(tmp_path, capsys):
     assert "DIVERGENT" in out and "expected: leaky" in out
 
 
-def test_audit_with_compromised_annotations_still_secure(tmp_path, capsys):
-    tr = _gen(tmp_path, count=6000, extra=("--mispredict-rate", "0.2"))
-    t = load_trace(tr)
-    # adversarial rewrite plan: every annotatable load pc recomputes garbage
-    table, _ = annotate(t)
+def _evil_annotations(tmp_path, tr):
+    """An adversarial rewrite plan: every annotatable load pc recomputes
+    garbage."""
+    table, _ = annotate(load_trace(tr))
     evil = AnnotationTable()
     evil.slices[0] = Slice(
         slice_id=0, instrs=(SliceInstr(0, "ADD", (const_op(0xbad), const_op(1))),),
@@ -196,10 +195,32 @@ def test_audit_with_compromised_annotations_still_secure(tmp_path, capsys):
         evil.rcmp_sites[pc] = 0
     ann = tmp_path / "evil.txt"
     ann.write_text(emit_annotations(evil))
+    return ann
+
+
+def test_audit_with_compromised_annotations_still_secure(tmp_path, capsys):
+    tr = _gen(tmp_path, count=6000, extra=("--mispredict-rate", "0.2"))
+    ann = _evil_annotations(tmp_path, tr)
+    # the hierarchy stays invisible, but the garbage values are committed
     assert main(["audit", "--trace", str(tr), "--annotations", str(ann),
-                 "--policy", "VRC"]) == 0
-    out = capsys.readouterr().out
-    assert "EQUAL" in out and "PASS" in out
+                 "--policy", "VRC"]) == 4
+    captured = capsys.readouterr()
+    assert "EQUAL" in captured.out and "PASS" in captured.out
+    assert "error: VRC diverges from the replay oracle" in captured.err
+    assert "error: VRC probed diverges from the replay oracle" in captured.err
+
+
+def test_compare_fails_on_values_the_oracle_does_not_commit(tmp_path, capsys):
+    tr = _gen(tmp_path, count=6000)
+    ann = _evil_annotations(tmp_path, tr)
+    assert main(["compare", "--trace", str(tr), "--annotations", str(ann),
+                 "--policy", "DOM", "--policy", "VRC",
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1  # BASELINE and DOM commit the oracle's values
+    assert err[0].startswith("error: VRC diverges from the replay oracle at seq ")
+    assert "expected " in err[0] and ", committed 2990" in err[0]
+    assert (tmp_path / "out" / "compare.csv").exists()
 
 
 def test_bad_annotations_are_an_input_error(tmp_path, capsys):

@@ -39,7 +39,9 @@ RUNS = {"MIXED": (("", CacheConfig(), "TSO", ("VRC",)),
         "HAND_PATHS": (("", CacheConfig(), "TSO", core.POLICIES),
                        (" RC", CacheConfig(), "RC", core.POLICIES)),
         "HAND_REPLAY": (("", CacheConfig(), "TSO", ()),
-                        (" RC", CacheConfig(), "RC", ()))}
+                        (" RC", CacheConfig(), "RC", ())),
+        "HAND_FU_REPLAY": (("", CacheConfig(), "TSO", ()),
+                           (" RC", CacheConfig(), "RC", ()))}
 DEFAULT_RUNS = (("", CacheConfig(), "TSO", ()),)
 
 
@@ -117,6 +119,37 @@ def hand_replay_trace():
         tb.load(0x20, 5, 0x60_0000 + i * 64, srcs=(3,))
         tb.load(0x24, 6, 0x50_0008 + i * 4096, srcs=(1,))
         tb.alu(0x28, 7, "ADD", srcs=(3, 6))
+    return tb.build()
+
+
+def hand_fu_replay_trace():
+    """About 2.2k instructions on which value-prediction replays meet
+    saturated functional units: a load pc predicted confidently for 100
+    iterations mispredicts twice. When its validation completes, a MUL and
+    an ADD that consume the load wait for a unit behind older ops of the
+    same class, and an ADD of the replayed MUL and of a load riding a store
+    commit's fill leaves the ready heap after the MUL re-executes but
+    before its result, so it waits again."""
+    tb = TraceBuilder()
+    tb.alu(0x00, 40, "MOV", imm=3)
+    for i in range(112):
+        tb.load(0x10, 1, 0x40_0000 + i * 4096, value=i)    # older miss: shadow
+        for k in range(4):                                  # store data: 13 cycles
+            tb.alu(0x14 + 4 * k, 20, "MUL", srcs=(1 if k == 0 else 20, 40))
+        tb.alu(0x24, 20, "ADD", srcs=(20,), imm=1)
+        tb.store(0x40, 0x70_0000 + i * 4096, srcs=(20,))    # misses at commit
+        tb.load(0x44, 2, 0x50_0000 + i * 4096,
+                value=7 if i < 100 or i % 2 else 9)
+        tb.alu(0x48, 3, "MUL", srcs=(2, 2))                 # replayed
+        tb.alu(0x4C, 21, "AND", srcs=(20,), imm=0)
+        tb.load(0x50, 5, 0x70_0008 + i * 4096, srcs=(21,))  # rides the store's fill
+        tb.alu(0x54, 7, "ADD", srcs=(3, 5))
+        tb.load(0x58, 6, 0x50_0008 + i * 4096, srcs=(1,))   # rides the validation
+        tb.alu(0x5C, 8, "MUL", srcs=(6, 6))
+        tb.alu(0x60, 9, "MUL", srcs=(2, 6))                 # waits for the MUL unit
+        for k in range(4):
+            tb.alu(0x64 + 4 * k, 10 + k, "ADD", srcs=(6,), imm=k)
+        tb.alu(0x74, 14, "ADD", srcs=(2, 6))                # waits for an ALU
     return tb.build()
 
 
@@ -232,6 +265,7 @@ def traces():
                                                            count=COUNT, seed=SEED))
     yield "HAND_PATHS", hand_paths_trace()
     yield "HAND_REPLAY", hand_replay_trace()
+    yield "HAND_FU_REPLAY", hand_fu_replay_trace()
 
 
 def current_fingerprints() -> dict:

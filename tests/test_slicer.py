@@ -8,7 +8,8 @@ from vrcsim.slicer import (
     SliceInstr, annotate, build_slice, const_op, emit_annotations, hist_op,
     live_op, load_annotations, replay_slice,
 )
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from test_fingerprints import hand_slices_trace
 
 UNTRACED = 0x9000_0000
 
@@ -190,6 +191,19 @@ def test_annotate_pointer_chase_zero_coverage():
     table, stats = annotate(gen_synthetic(spec))
     assert stats.annotated_pcs == 0
     assert stats.dynamic_coverage == 0.0
+
+
+@pytest.mark.parametrize("name", ("HAND_SLICES",) + PATTERNS)
+@pytest.mark.parametrize("max_len", (100, 3))
+def test_failure_histogram_counts_load_instances(name, max_len):
+    if name == "HAND_SLICES":
+        t = hand_slices_trace()
+    else:
+        t = gen_synthetic(SyntheticWorkloadSpec(pattern=name, count=3000, seed=5,
+                                                load_density=0.03))
+    _, stats = annotate(t, max_len=max_len)
+    assert stats.annotated_instances + sum(stats.failure_histogram.values()) \
+        == stats.load_instances
 
 
 def test_annotate_deterministic():
