@@ -14,8 +14,10 @@ File format (UTF-8, one record per line):
     I seq=1 pc=0x1004 kind=STORE srcs=1 mem_addr=0x100 mem_size=8 mem_value=0x2a
     I seq=2 pc=0x1008 kind=BRANCH srcs=1 taken=1 pred=1
 Field order within a record is fixed; optional fields are omitted when absent;
-`fault=1` marks instructions that cast an exception shadow. Integers may be
-written in hex with a `0x` prefix; addresses and data values are emitted in hex.
+`fault=1` marks instructions that cast an exception shadow. The header carries
+exactly `version` and `regs`; `taken`, `pred` and `fault` are 0 or 1. Integers
+may be written in hex with a `0x` prefix; addresses and data values are
+emitted in hex.
 """
 
 from __future__ import annotations
@@ -72,6 +74,34 @@ class TraceInstruction:
         return (self.mem_addr // LINE_BYTES) != (
             (self.mem_addr + self.mem_size - 1) // LINE_BYTES
         )
+
+
+class _InstructionDraft:
+    """Builds a TraceInstruction from its twelve fields in declaration
+    order, with plain slot stores instead of the frozen dataclass
+    `__init__`, which pays one `object.__setattr__` call per field. The
+    slots match TraceInstruction's, so the finished draft becomes one by
+    class assignment: the caller gets a TraceInstruction, equal, hashed and
+    frozen like one built by keyword. Only the parser and the generator,
+    which build every instruction of a trace, use it."""
+
+    __slots__ = TraceInstruction.__slots__
+
+    def __init__(self, seq, pc, kind, dst, srcs, imm, alu_op, mem_addr,
+                 mem_size, mem_value, br, may_fault):
+        self.seq = seq
+        self.pc = pc
+        self.kind = kind
+        self.dst = dst
+        self.srcs = srcs
+        self.imm = imm
+        self.alu_op = alu_op
+        self.mem_addr = mem_addr
+        self.mem_size = mem_size
+        self.mem_value = mem_value
+        self.br = br
+        self.may_fault = may_fault
+        self.__class__ = TraceInstruction
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,36 +233,36 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-_FIELD_ORDER = (
+# every field an `I` record may carry, and every field of the `H` record
+_INSTRUCTION_FIELDS = frozenset((
     "seq", "pc", "kind", "dst", "srcs", "imm", "alu_op",
     "mem_addr", "mem_size", "mem_value", "taken", "pred", "fault",
-)
-
-_HEX_FIELDS = {"pc", "mem_addr", "mem_value"}
+))
+_HEADER_FIELDS = frozenset(("version", "regs"))
+_MEM_FIELDS = ("mem_addr", "mem_size", "mem_value")
 
 
 def _format_instruction(ins: TraceInstruction) -> str:
-    parts = [f"I seq={ins.seq}", f"pc={ins.pc:#x}", f"kind={ins.kind}"]
+    line = f"I seq={ins.seq} pc={ins.pc:#x} kind={ins.kind}"
     if ins.dst is not None:
-        parts.append(f"dst={ins.dst}")
+        line += f" dst={ins.dst}"
     if ins.srcs:
-        parts.append("srcs=" + ",".join(str(r) for r in ins.srcs))
+        line += " srcs=" + ",".join(map(str, ins.srcs))
     if ins.imm is not None:
-        parts.append(f"imm={ins.imm}")
+        line += f" imm={ins.imm}"
     if ins.alu_op is not None:
-        parts.append(f"alu_op={ins.alu_op}")
+        line += f" alu_op={ins.alu_op}"
     if ins.mem_addr is not None:
-        parts.append(f"mem_addr={ins.mem_addr:#x}")
+        line += f" mem_addr={ins.mem_addr:#x}"
     if ins.mem_size is not None:
-        parts.append(f"mem_size={ins.mem_size}")
+        line += f" mem_size={ins.mem_size}"
     if ins.mem_value is not None:
-        parts.append(f"mem_value={ins.mem_value:#x}")
+        line += f" mem_value={ins.mem_value:#x}"
     if ins.br is not None:
-        parts.append(f"taken={int(ins.br.taken)}")
-        parts.append(f"pred={int(ins.br.predicted_correctly)}")
+        line += f" taken={ins.br.taken:d} pred={ins.br.predicted_correctly:d}"
     if ins.may_fault:
-        parts.append("fault=1")
-    return " ".join(parts)
+        line += " fault=1"
+    return line
 
 
 def emit_trace(t: Trace) -> str:
@@ -255,12 +285,19 @@ def _parse_int(lineno: int, key: str, text: str) -> int:
         raise TraceFormatError(lineno, f"field {key}: not an integer: {text!r}") from None
 
 
+def _parse_flag(lineno: int, key: str, text: str) -> bool:
+    value = _parse_int(lineno, key, text)
+    if value not in (0, 1):
+        raise TraceFormatError(lineno, f"field {key}: not 0 or 1: {text!r}")
+    return value == 1
+
+
 def _parse_kv(lineno: int, tokens: list[str]) -> dict[str, str]:
     fields: dict[str, str] = {}
     for tok in tokens:
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq:
             raise TraceFormatError(lineno, f"malformed field {tok!r} (expected key=value)")
-        key, _, val = tok.partition("=")
         if key in fields:
             raise TraceFormatError(lineno, f"duplicate field {key!r}")
         fields[key] = val
@@ -269,59 +306,67 @@ def _parse_kv(lineno: int, tokens: list[str]) -> dict[str, str]:
 
 def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstruction:
     fields = _parse_kv(lineno, tokens)
-    unknown = set(fields) - set(_FIELD_ORDER)
-    if unknown:
+    if not _INSTRUCTION_FIELDS.issuperset(fields):
+        unknown = fields.keys() - _INSTRUCTION_FIELDS
         raise TraceFormatError(lineno, f"unknown fields {sorted(unknown)}")
-    for req in ("seq", "pc", "kind"):
-        if req not in fields:
-            raise TraceFormatError(lineno, f"missing required field {req!r}")
-    kind = fields["kind"]
+    try:
+        seq, pc, kind = fields["seq"], fields["pc"], fields["kind"]
+    except KeyError as missing:
+        raise TraceFormatError(
+            lineno, f"missing required field {missing.args[0]!r}") from None
     if kind not in KINDS:
         raise TraceFormatError(lineno, f"field kind: out of range: {kind!r}")
-    seq = _parse_int(lineno, "seq", fields["seq"])
-    pc = _parse_int(lineno, "pc", fields["pc"])
+    seq = _parse_int(lineno, "seq", seq)
+    pc = _parse_int(lineno, "pc", pc)
     if seq < 0 or pc < 0:
         raise TraceFormatError(lineno, "field out of range: seq/pc must be non-negative")
 
-    dst = _parse_int(lineno, "dst", fields["dst"]) if "dst" in fields else None
-    srcs: tuple[int, ...] = ()
-    if "srcs" in fields and fields["srcs"]:
-        srcs = tuple(_parse_int(lineno, "srcs", s) for s in fields["srcs"].split(","))
-    imm = _parse_int(lineno, "imm", fields["imm"]) if "imm" in fields else None
-    alu_op = fields.get("alu_op")
-
+    get = fields.get
+    dst = get("dst")
+    if dst is not None:
+        dst = _parse_int(lineno, "dst", dst)
+    srcs = get("srcs")
+    if srcs:
+        srcs = tuple([_parse_int(lineno, "srcs", s) for s in srcs.split(",")])
+    else:
+        srcs = ()
+    imm = get("imm")
+    if imm is not None:
+        imm = _parse_int(lineno, "imm", imm)
     if len(srcs) > 3:
         raise TraceFormatError(lineno, "field out of range: more than 3 srcs")
-    for r in srcs + ((dst,) if dst is not None else ()):
+    for r in srcs:
         if not 0 <= r < regs:
             raise TraceFormatError(lineno, f"field out of range: register {r} (regs={regs})")
+    if dst is not None and not 0 <= dst < regs:
+        raise TraceFormatError(lineno, f"field out of range: register {dst} (regs={regs})")
 
-    mem_addr = mem_size = mem_value = None
-    if kind in ("LOAD", "STORE"):
-        for req in ("mem_addr", "mem_size", "mem_value"):
-            if req not in fields:
-                raise TraceFormatError(lineno, f"{kind} record missing {req!r}")
-        mem_addr = _parse_int(lineno, "mem_addr", fields["mem_addr"])
-        mem_size = _parse_int(lineno, "mem_size", fields["mem_size"])
-        mem_value = _parse_int(lineno, "mem_value", fields["mem_value"])
+    mem = (get("mem_addr"), get("mem_size"), get("mem_value"))
+    mem_addr, mem_size, mem_value = mem
+    if kind == "LOAD" or kind == "STORE":
+        if None in mem:
+            missing = _MEM_FIELDS[mem.index(None)]
+            raise TraceFormatError(lineno, f"{kind} record missing {missing!r}")
+        mem_addr = _parse_int(lineno, "mem_addr", mem_addr)
+        mem_size = _parse_int(lineno, "mem_size", mem_size)
+        mem_value = _parse_int(lineno, "mem_value", mem_value)
         if mem_size not in (1, 2, 4, 8):
             raise TraceFormatError(lineno, f"field out of range: mem_size {mem_size}")
         if mem_addr < 0 or not 0 <= mem_value <= MASK64:
             raise TraceFormatError(lineno, "field out of range: mem_addr/mem_value")
-    elif any(k in fields for k in ("mem_addr", "mem_size", "mem_value")):
+    elif mem != (None, None, None):
         raise TraceFormatError(lineno, f"memory fields not allowed on kind {kind}")
 
-    br = None
+    taken, pred, br = get("taken"), get("pred"), None
     if kind == "BRANCH":
-        if "taken" not in fields or "pred" not in fields:
+        if taken is None or pred is None:
             raise TraceFormatError(lineno, "BRANCH record missing taken/pred")
-        br = BranchInfo(
-            taken=bool(_parse_int(lineno, "taken", fields["taken"])),
-            predicted_correctly=bool(_parse_int(lineno, "pred", fields["pred"])),
-        )
-    elif "taken" in fields or "pred" in fields:
+        br = BranchInfo(_parse_flag(lineno, "taken", taken),
+                        _parse_flag(lineno, "pred", pred))
+    elif taken is not None or pred is not None:
         raise TraceFormatError(lineno, f"branch fields not allowed on kind {kind}")
 
+    alu_op = get("alu_op")
     if kind == "ALU":
         if alu_op is None:
             raise TraceFormatError(lineno, "ALU record missing alu_op")
@@ -329,22 +374,20 @@ def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstru
             raise TraceFormatError(lineno, f"field out of range: alu_op {alu_op!r}")
         if dst is None:
             raise TraceFormatError(lineno, "ALU record missing dst")
-        arity = len(srcs) + (1 if imm is not None else 0)
+        arity = len(srcs) + (imm is not None)
         if arity != ALU_ARITY[alu_op]:
             raise TraceFormatError(
                 lineno, f"alu_op {alu_op} expects {ALU_ARITY[alu_op]} operands, got {arity}"
             )
     elif alu_op is not None:
         raise TraceFormatError(lineno, f"alu_op not allowed on kind {kind}")
-    if kind in ("STORE", "BRANCH", "NOP") and dst is not None:
+    elif dst is not None and kind != "LOAD":
         raise TraceFormatError(lineno, f"dst not allowed on kind {kind}")
 
-    may_fault = bool(_parse_int(lineno, "fault", fields["fault"])) if "fault" in fields else False
-    return TraceInstruction(
-        seq=seq, pc=pc, kind=kind, dst=dst, srcs=srcs, imm=imm, alu_op=alu_op,
-        mem_addr=mem_addr, mem_size=mem_size, mem_value=mem_value, br=br,
-        may_fault=may_fault,
-    )
+    fault = get("fault")
+    may_fault = fault is not None and _parse_flag(lineno, "fault", fault)
+    return _InstructionDraft(seq, pc, kind, dst, srcs, imm, alu_op, mem_addr,
+                             mem_size, mem_value, br, may_fault)
 
 
 def parse_trace(data) -> Trace:
@@ -358,20 +401,25 @@ def parse_trace(data) -> Trace:
     notes: list[str] = []
     instructions: list[TraceInstruction] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
+        tag = tokens[0]
+        if tag == "I":
+            if header is None:
+                raise TraceFormatError(lineno, "instruction record before header")
+            instructions.append(_parse_instruction(lineno, tokens[1:], regs))
+        elif tag[0] == "#":
+            body = raw.strip()[1:].strip()
             if header is None and body.startswith("note:"):
                 notes.append(body[len("note:"):].strip())
-            continue
-        tokens = line.split()
-        tag, tokens = tokens[0], tokens[1:]
-        if tag == "H":
+        elif tag == "H":
             if header is not None:
                 raise TraceFormatError(lineno, "duplicate header record")
-            fields = _parse_kv(lineno, tokens)
+            fields = _parse_kv(lineno, tokens[1:])
+            if not _HEADER_FIELDS.issuperset(fields):
+                unknown = fields.keys() - _HEADER_FIELDS
+                raise TraceFormatError(lineno, f"unknown fields {sorted(unknown)}")
             if "version" not in fields or "regs" not in fields:
                 raise TraceFormatError(lineno, "header must carry version and regs")
             version = _parse_int(lineno, "version", fields["version"])
@@ -383,10 +431,6 @@ def parse_trace(data) -> Trace:
             if not 1 <= regs <= 64:
                 raise TraceFormatError(lineno, f"field out of range: regs {regs}")
             header = TraceHeader(version=version, regs=regs, notes=tuple(notes))
-        elif tag == "I":
-            if header is None:
-                raise TraceFormatError(lineno, "instruction record before header")
-            instructions.append(_parse_instruction(lineno, tokens, header.regs))
         else:
             raise TraceFormatError(lineno, f"unknown record tag {tag!r}")
     if header is None:
@@ -484,29 +528,26 @@ class _TraceBuilder:
     def full(self) -> bool:
         return len(self.instrs) >= self.spec.count
 
-    def _site(self, key, kind, dst, srcs, imm, alu_op, may_fault) -> int:
-        static = (kind, dst, tuple(srcs), imm, alu_op, may_fault)
-        if key in self.sites:
-            pc, prev = self.sites[key]
-            assert prev == static, f"static site {key} reused with different fields"
-            return pc
-        pc = self.next_pc
-        self.next_pc += 4
-        self.sites[key] = (pc, static)
-        return pc
-
     def emit(self, key, kind, *, dst=None, srcs=(), imm=None, alu_op=None,
              mem_addr=None, mem_size=None, mem_value=None, br=None,
              may_fault=False) -> bool:
-        if self.full():
-            return False
-        pc = self._site(key, kind, dst, srcs, imm, alu_op, may_fault)
         seq = len(self.instrs)
-        self.instrs.append(TraceInstruction(
-            seq=seq, pc=pc, kind=kind, dst=dst, srcs=tuple(srcs), imm=imm,
-            alu_op=alu_op, mem_addr=mem_addr, mem_size=mem_size,
-            mem_value=mem_value, br=br, may_fault=may_fault,
-        ))
+        if seq >= self.spec.count:
+            return False
+        srcs = tuple(srcs)
+        # one pc per static site, which must always carry the same fields
+        static = (kind, dst, srcs, imm, alu_op, may_fault)
+        site = self.sites.get(key)
+        if site is None:
+            pc = self.next_pc
+            self.next_pc += 4
+            self.sites[key] = (pc, static)
+        else:
+            pc, prev = site
+            assert prev == static, f"static site {key} reused with different fields"
+        self.instrs.append(_InstructionDraft(
+            seq, pc, kind, dst, srcs, imm, alu_op, mem_addr, mem_size,
+            mem_value, br, may_fault))
         if kind == "ALU":
             ops = [self.regs[r] for r in srcs]
             if imm is not None:

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -52,6 +56,137 @@ def test_parse_rejects_bytes_and_accepts_them():
 def test_parse_arity_check():
     with pytest.raises(TraceFormatError, match="expects 2 operands"):
         parse_trace(HEADER + "I seq=0 pc=0x0 kind=ALU dst=1 srcs=2 alu_op=ADD\n")
+
+
+_I = "I seq=0 pc=0x0 "
+_LD = "kind=LOAD dst=1 mem_addr=0x40 mem_size=8 mem_value=0x1"
+_ST = "kind=STORE srcs=1 mem_addr=0x40 mem_size=8 mem_value=0x1"
+_BR = "kind=BRANCH srcs=1 taken=1 pred=1"
+_ALU = "kind=ALU dst=1 srcs=2,3 alu_op=ADD"
+
+# (stream, lineno, message): one malformed line per rejection branch of the
+# header path and of an instruction record; instruction rows sit on line 2
+MALFORMED = [
+    # record framing and header
+    ("", 1, "missing header record"),
+    ("# note: only a comment\n\n", 1, "missing header record"),
+    (_I + "kind=NOP\n", 1, "instruction record before header"),
+    (HEADER + "X seq=0\n", 2, "unknown record tag 'X'"),
+    (HEADER + HEADER, 2, "duplicate header record"),
+    ("H version=1 regs\n", 1, "malformed field 'regs' (expected key=value)"),
+    ("H version=1 version=1 regs=64\n", 1, "duplicate field 'version'"),
+    ("H version=1 regs=64 bogus=3\n", 1, "unknown fields ['bogus']"),
+    ("H version=1 bogus=3 notes=x\n", 1, "unknown fields ['bogus', 'notes']"),
+    ("H version=1\n", 1, "header must carry version and regs"),
+    ("H regs=64\n", 1, "header must carry version and regs"),
+    ("H version=one regs=64\n", 1, "field version: not an integer: 'one'"),
+    ("H version=2 regs=64\n", 1, "version mismatch: got 2, expected 1"),
+    ("H version=1 regs=x\n", 1, "field regs: not an integer: 'x'"),
+    ("H version=1 regs=0\n", 1, "field out of range: regs 0"),
+    ("H version=1 regs=65\n", 1, "field out of range: regs 65"),
+    # instruction fields
+    (HEADER + _I + "kind=NOP x\n", 2, "malformed field 'x' (expected key=value)"),
+    (HEADER + "I seq=0 seq=1 pc=0x0 kind=NOP\n", 2, "duplicate field 'seq'"),
+    (HEADER + _I + "kind=NOP zap=2 bogus=1\n", 2, "unknown fields ['bogus', 'zap']"),
+    (HEADER + "I pc=0x0 kind=NOP\n", 2, "missing required field 'seq'"),
+    (HEADER + "I seq=0 kind=NOP\n", 2, "missing required field 'pc'"),
+    (HEADER + "I seq=0 pc=0x0\n", 2, "missing required field 'kind'"),
+    (HEADER + _I + "kind=FOO\n", 2, "field kind: out of range: 'FOO'"),
+    (HEADER + "I seq=x pc=0x0 kind=NOP\n", 2, "field seq: not an integer: 'x'"),
+    (HEADER + "I seq=0 pc=0xg kind=NOP\n", 2, "field pc: not an integer: '0xg'"),
+    (HEADER + "I seq=-1 pc=0x0 kind=NOP\n", 2,
+     "field out of range: seq/pc must be non-negative"),
+    (HEADER + "I seq=0 pc=-4 kind=NOP\n", 2,
+     "field out of range: seq/pc must be non-negative"),
+    (HEADER + _I + "kind=ALU dst=r1 srcs=2,3 alu_op=ADD\n", 2,
+     "field dst: not an integer: 'r1'"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2,,3 alu_op=ADD\n", 2,
+     "field srcs: not an integer: ''"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2 imm=z alu_op=ADD\n", 2,
+     "field imm: not an integer: 'z'"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=1,2,3,4 alu_op=ADD\n", 2,
+     "field out of range: more than 3 srcs"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2,64 alu_op=ADD\n", 2,
+     "field out of range: register 64 (regs=64)"),
+    ("H version=1 regs=8\n" + _I + "kind=ALU dst=8 srcs=2,3 alu_op=ADD\n", 2,
+     "field out of range: register 8 (regs=8)"),
+    (HEADER + _I + "kind=ALU dst=-1 srcs=2,3 alu_op=ADD\n", 2,
+     "field out of range: register -1 (regs=64)"),
+    (HEADER + _I + "kind=LOAD dst=1 mem_size=8 mem_value=0x1\n", 2,
+     "LOAD record missing 'mem_addr'"),
+    (HEADER + _I + "kind=STORE srcs=1 mem_addr=0x40 mem_value=0x1\n", 2,
+     "STORE record missing 'mem_size'"),
+    (HEADER + _I + "kind=LOAD dst=1 mem_addr=0x40 mem_size=8\n", 2,
+     "LOAD record missing 'mem_value'"),
+    (HEADER + _I + _LD.replace("mem_addr=0x40", "mem_addr=a") + "\n", 2,
+     "field mem_addr: not an integer: 'a'"),
+    (HEADER + _I + _ST.replace("mem_size=8", "mem_size=b") + "\n", 2,
+     "field mem_size: not an integer: 'b'"),
+    (HEADER + _I + _LD.replace("mem_value=0x1", "mem_value=c") + "\n", 2,
+     "field mem_value: not an integer: 'c'"),
+    (HEADER + _I + _LD.replace("mem_size=8", "mem_size=3") + "\n", 2,
+     "field out of range: mem_size 3"),
+    (HEADER + _I + _ST.replace("mem_addr=0x40", "mem_addr=-64") + "\n", 2,
+     "field out of range: mem_addr/mem_value"),
+    (HEADER + _I + _LD.replace("mem_value=0x1", "mem_value=0x10000000000000000")
+     + "\n", 2, "field out of range: mem_addr/mem_value"),
+    (HEADER + _I + _LD.replace("mem_value=0x1", "mem_value=-1") + "\n", 2,
+     "field out of range: mem_addr/mem_value"),
+    (HEADER + _I + _ALU + " mem_size=8\n", 2, "memory fields not allowed on kind ALU"),
+    (HEADER + _I + "kind=NOP mem_value=0x0\n", 2, "memory fields not allowed on kind NOP"),
+    (HEADER + _I + "kind=BRANCH srcs=1 taken=1\n", 2, "BRANCH record missing taken/pred"),
+    (HEADER + _I + "kind=BRANCH srcs=1 pred=1\n", 2, "BRANCH record missing taken/pred"),
+    (HEADER + _I + _BR.replace("taken=1", "taken=y") + "\n", 2,
+     "field taken: not an integer: 'y'"),
+    (HEADER + _I + _BR.replace("pred=1", "pred=q") + "\n", 2,
+     "field pred: not an integer: 'q'"),
+    (HEADER + _I + "kind=NOP taken=1\n", 2, "branch fields not allowed on kind NOP"),
+    (HEADER + _I + _ST + " pred=0\n", 2, "branch fields not allowed on kind STORE"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2,3\n", 2, "ALU record missing alu_op"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2,3 alu_op=FOO\n", 2,
+     "field out of range: alu_op 'FOO'"),
+    (HEADER + _I + "kind=ALU srcs=2,3 alu_op=ADD\n", 2, "ALU record missing dst"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2 alu_op=ADD\n", 2,
+     "alu_op ADD expects 2 operands, got 1"),
+    (HEADER + _I + "kind=ALU dst=1 srcs=2 imm=3 alu_op=MOV\n", 2,
+     "alu_op MOV expects 1 operands, got 2"),
+    (HEADER + _I + _LD + " alu_op=ADD\n", 2, "alu_op not allowed on kind LOAD"),
+    (HEADER + _I + "kind=STORE dst=1 srcs=1 mem_addr=0x40 mem_size=8 mem_value=0x1\n",
+     2, "dst not allowed on kind STORE"),
+    (HEADER + _I + "kind=BRANCH dst=1 srcs=1 taken=1 pred=1\n", 2,
+     "dst not allowed on kind BRANCH"),
+    (HEADER + _I + "kind=NOP dst=1\n", 2, "dst not allowed on kind NOP"),
+    (HEADER + _I + "kind=NOP fault=maybe\n", 2, "field fault: not an integer: 'maybe'"),
+    # 0/1 flags
+    (HEADER + _I + _BR.replace("taken=1", "taken=7") + "\n", 2,
+     "field taken: not 0 or 1: '7'"),
+    (HEADER + _I + _BR.replace("pred=1", "pred=2") + "\n", 2,
+     "field pred: not 0 or 1: '2'"),
+    (HEADER + _I + "kind=NOP fault=5\n", 2, "field fault: not 0 or 1: '5'"),
+    (HEADER + _I + "kind=NOP fault=-1\n", 2, "field fault: not 0 or 1: '-1'"),
+    # line numbers count comments and blank lines
+    ("# note: n\n\n" + HEADER + "# c\n\n  " + _I + "kind=FOO\n", 6,
+     "field kind: out of range: 'FOO'"),
+]
+
+
+@pytest.mark.parametrize("stream,lineno,message", MALFORMED,
+                         ids=[m for _, _, m in MALFORMED])
+def test_parse_rejects_malformed_line(stream, lineno, message):
+    with pytest.raises(TraceFormatError) as exc:
+        parse_trace(stream)
+    assert str(exc.value) == f"line {lineno}: {message}"
+    assert exc.value.lineno == lineno
+
+
+def test_malformed_rows_edit_wellformed_records():
+    # each malformed row above breaks one of these valid records
+    t = parse_trace(HEADER + "\n".join(
+        _I.replace("seq=0", f"seq={i}") + body
+        for i, body in enumerate((_LD, _ST, _BR, _ALU, "kind=NOP fault=1"))) + "\n")
+    assert [ins.kind for ins in t.instructions] == ["LOAD", "STORE", "BRANCH",
+                                                    "ALU", "NOP"]
+    assert t[2].br == BranchInfo(True, True) and t[4].may_fault
 
 
 def test_validate_consistent_store_load(tb):
@@ -127,6 +262,46 @@ def test_window_trace_renumbers():
     # windowing preserves store/load value agreement within the window
     assert not any("inconsisten" in v.message
                    for v in validate_trace(w).violations)
+
+
+def _frozen_record_sources():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=600, seed=3))
+    return {"gen_synthetic": t, "parse_trace": parse_trace(emit_trace(t)),
+            "window_trace": window_trace(t, skip=150, limit=300)}
+
+
+@pytest.mark.parametrize("source", ("gen_synthetic", "parse_trace", "window_trace"))
+def test_built_records_are_frozen_trace_instructions(source):
+    t = _frozen_record_sources()[source]
+    assert {ins.kind for ins in t.instructions} == set(KINDS) - {"NOP"}
+    for ins in t.instructions:
+        assert type(ins) is TraceInstruction
+        kw = {f.name: getattr(ins, f.name) for f in dataclasses.fields(ins)}
+        twin = TraceInstruction(**kw)
+        assert ins == twin and hash(ins) == hash(twin)
+        assert replace(ins, pc=ins.pc + 4) == replace(twin, pc=twin.pc + 4)
+        assert type(replace(ins, seq=0)) is TraceInstruction
+    for ins in t.instructions[:20]:
+        for name in ("seq", "kind", "srcs", "br", "may_fault"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ins, name, None)
+
+
+# sha256 of emit_trace(gen_synthetic(...)) at count=1500, seed=11: the
+# generator and the emitter may change only with a deliberate format change
+EMITTED_SHA256 = {
+    "POINTER_CHASE": "203ab4a5f7e73efbbe58783476a9f45dde15f13da20ab742fabac2e71fe5611d",
+    "STREAM": "72e547a3bfb9f135391245720bba105745e119882ba81ee6410b6a6113a2b6a1",
+    "COMPUTE_STORE_LOAD": "481aca261b10c4f8a6d9e6d066b0a06cc9f7a569dcf39c5cfc481428b29520ab",
+    "MIXED": "42c734918d12e7f27cd375602fab7ecf7c325bf526da515bfc4e12fc440b87ce",
+}
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_emitted_trace_bytes_are_pinned(pattern):
+    text = emit_trace(gen_synthetic(SyntheticWorkloadSpec(pattern=pattern,
+                                                          count=1500, seed=11)))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[pattern]
 
 
 def test_header_notes_roundtrip():
