@@ -26,11 +26,28 @@ and shared by every run on it, owns each instruction's kind code, FU class
 (`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
 and data producers, and its consumers, which a completing or replayed
 producer wakes. Entry states and kinds are integer codes, named only in
-deadlock reports. Issue walks one issue pool in program order. An ALU op
-or branch executes on a unit of its FU class, or waits in the pool while the
-cycle's units of that class are used up; its producers had values when it
-left the ready heap, so only an op a value-prediction replay visited is
-checked again. For a load the entry state chooses the action: NONSPEC
+deadlock reports.
+
+A run keeps `rob_size` entries in a ring and resets the one at
+`seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
+last instruction has committed, so the core's state is bounded by the ROB,
+not the trace. `entries[seq]` is the entry while `seq` is in flight and
+None before dispatch and after commit. A producer is always older than its
+reader, so a reader that finds no entry for one treats it as committed:
+its value is ready and is read from `committed_values`.
+
+An ALU op or branch waiting for its data producers is ready one cycle
+after dispatch (or after its replay floor) and no earlier than their
+values; dispatch and a producer's wake apply that one rule, and loads,
+stores and replays go through `_reschedule`. A ready entry is filed in a
+calendar (R. Brown's calendar queue, CACM 1988): a dict from cycle to
+seqs, of which the issue stage pops exactly the current cycle's bucket and
+an idle cycle skips to the smallest key. Issue walks one issue pool in
+program order. An ALU op or branch executes on a unit of its FU class, or
+waits in the pool while the cycle's units of that class are used up; its
+producers had values when it left the calendar, so only an op a
+value-prediction replay visited is checked again. For a load the entry
+state chooses the action: NONSPEC
 reissues an unshadowed delayed or fallback load, AWAIT_VALIDATION validates
 a predicted load, and otherwise the load forwards, accesses, or has the
 policy applied to its shadowed miss.
@@ -136,6 +153,9 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
 class _Entry:
+    """One in-flight instruction: a slot of the run's ring, reset at
+    dispatch."""
+
     __slots__ = (
         "seq", "ins", "kind", "state", "value", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
@@ -143,7 +163,7 @@ class _Entry:
         "dispatch_cycle", "issue_at",
     )
 
-    def __init__(self, seq, ins, kind, now):
+    def reset(self, seq, ins, kind, now):
         self.seq = seq
         self.ins = ins
         self.kind = kind
@@ -191,9 +211,11 @@ class _Sim:
         needs_engine = config.policy in ("VRC", "VRC2", "ORACLE_VRC")
         self.vrc = VrcState(self.annotations, vrc_cfg) if needs_engine else None
 
-        # the shadow a load casts until it performs: memory order under TSO;
-        # under RC only value-predicted loads cast one, to serialize their
-        # validations
+        # the shadow a load casts at dispatch until it performs: memory order
+        # under TSO. Under RC, VP and ORACLE_VP cast a VP shadow on every
+        # load, predicted or not, which serializes validations but times them
+        # as under TSO; ROADMAP item 1 is to cast it on predicted loads only.
+        # The other policies cast none under RC.
         if config.consistency == "TSO":
             self.order_shadow = ShadowKind.M
         elif config.policy in ("VP", "ORACLE_VP"):
@@ -203,9 +225,15 @@ class _Sim:
 
         self.dataflow = trace.dataflow
         self.decode = trace.core_decode
+        self.data_writers = self.decode.data_writers
+        self.src_writers = self.dataflow.src_writers
+        self.latencies = self.decode.latencies
         self.budget = (config.alu_units, config.mul_units, config.mem_ports,
                        config.width)
         self.fu_units = config.alu_units + config.mul_units
+        # entries[seq] is the ring entry while seq is in flight, else None:
+        # not yet dispatched, or committed (its value is in committed_values)
+        self.ring = [_Entry() for _ in range(config.rob_size)]
         self.entries: list[_Entry | None] = [None] * self.n
 
         self.now = 0
@@ -220,7 +248,7 @@ class _Sim:
 
         self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
-        self.ready_heap: list = []              # (ready_at, seq)
+        self.calendar: dict[int, list[int]] = {}  # ready cycle -> seqs
         self.issue_pool: set[int] = set()       # seqs the issue stage visits
         self.replay_visited: set[int] = set()   # seqs a replay walk visited
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
@@ -249,28 +277,57 @@ class _Sim:
         if wseq is None:
             return 0
         e = self.entries[wseq]
-        if e is None or e.value_ready is None or e.value_ready > self.now:
+        if e is None:
+            return self.committed_values[wseq]
+        if e.value_ready is None or e.value_ready > self.now:
             return None
         return e.value
 
     def _ready_at(self, writers, floor: int) -> int | None:
         """Cycle by which every producer's value is ready, at least `floor`;
-        None while a producer has no value."""
+        None while a producer has no value. A producer with no entry has
+        committed, so its value was ready by this cycle."""
         entries = self.entries
         for w in writers:
             e = entries[w]
-            if e is None or e.value_ready is None:
-                return None
-            if e.value_ready > floor:
-                floor = e.value_ready
+            if e is not None:
+                ready = e.value_ready
+                if ready is None:
+                    return None
+                if ready > floor:
+                    floor = ready
         return floor
 
     def _wake(self, producer_seq: int) -> None:
         entries = self.entries
         for cseq in self.decode.consumers[producer_seq]:
             e = entries[cseq]
-            if e is not None:
+            if e is None:
+                continue  # not dispatched yet
+            kind = e.kind
+            if kind == KIND_ALU or kind == KIND_BRANCH:
+                if e.state == DISP:
+                    self._op_ready(e)
+            else:
                 self._reschedule(e)
+
+    def _op_ready(self, e: _Entry) -> None:
+        """An ALU op or branch waiting in DISP becomes ready the cycle after
+        dispatch (after its replay floor once replayed), and no earlier than
+        its data producers' values. It inlines `_ready_at`, as it runs once
+        or more for nearly every instruction."""
+        ready = e.replay_floor if e.replay_floor > e.dispatch_cycle \
+            else e.dispatch_cycle + 1
+        entries = self.entries
+        for w in self.data_writers[e.seq]:
+            p = entries[w]
+            if p is not None:  # else committed: ready
+                at = p.value_ready
+                if at is None:
+                    return
+                if at > ready:
+                    ready = at
+        self._push_ready(e, ready)
 
     def _reschedule(self, e: _Entry) -> None:
         if e.kind == KIND_STORE:
@@ -284,18 +341,21 @@ class _Sim:
                 e.addr_ready = at + 1
                 self._push_ready(e, e.addr_ready)  # loads never replay
         else:
-            floor = e.replay_floor if e.replay_floor > e.dispatch_cycle \
-                else e.dispatch_cycle + 1
-            ready = self._ready_at(self.decode.data_writers[e.seq], floor)
-            if ready is not None:
-                self._push_ready(e, ready)
+            self._op_ready(e)
 
     def _push_ready(self, e: _Entry, ready_at: int) -> None:
+        """Files the entry in the calendar under its ready cycle, the next
+        cycle at the earliest, so the issue stage finds it in exactly that
+        cycle's bucket."""
         if not e.in_ready:
             e.in_ready = True
             if ready_at <= self.now:
                 ready_at = self.now + 1
-            heapq.heappush(self.ready_heap, (ready_at, e.seq))
+            bucket = self.calendar.get(ready_at)
+            if bucket is None:
+                self.calendar[ready_at] = [e.seq]
+            else:
+                bucket.append(e.seq)
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -341,22 +401,39 @@ class _Sim:
         kinds, casts = self.decode.kinds, self.decode.casts
         load_casts = int(self.order_shadow is not None)
         instructions = self.trace.instructions
-        entries = self.entries
+        entries, ring, rob = self.entries, self.ring, cfg.rob_size
+        iq_size = cfg.iq_size
         while seq < end:
             kind = kinds[seq]
             need = casts[seq]
+            if kind == KIND_ALU:
+                # the common case, on its own short path
+                if need > room or self.iq_used >= iq_size:
+                    break
+                room -= need
+                ins = instructions[seq]
+                e = entries[seq] = ring[seq % rob]
+                e.reset(seq, ins, kind, now)
+                if ins.may_fault:
+                    e.sb_e = sb.cast(ShadowKind.E, seq)
+                e.iq_held = True
+                self.iq_used += 1
+                self._op_ready(e)
+                seq += 1
+                continue
             if kind == KIND_LOAD:
                 need += load_casts
-                if need > room or self.iq_used >= cfg.iq_size \
+                if need > room or self.iq_used >= iq_size \
                         or self.lq_used >= cfg.lq_size or sb.rq_full():
                     break
             elif need > room \
-                    or (kind != KIND_NOP and self.iq_used >= cfg.iq_size) \
+                    or (kind != KIND_NOP and self.iq_used >= iq_size) \
                     or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
                 break
             room -= need
             ins = instructions[seq]
-            e = entries[seq] = _Entry(seq, ins, kind, now)
+            e = entries[seq] = ring[seq % rob]
+            e.reset(seq, ins, kind, now)
             if kind == KIND_LOAD:
                 e.shadowed = not sb.register_load(seq)
                 if not e.shadowed:
@@ -398,13 +475,12 @@ class _Sim:
     # ------------------------------------------------------------------ issue
 
     def _issue_phase(self) -> bool:
-        ready_heap, entries, pool = self.ready_heap, self.entries, self.issue_pool
-        while ready_heap and ready_heap[0][0] <= self.now:
-            _, seq = heapq.heappop(ready_heap)
-            e = entries[seq]
-            if e is not None and e.in_ready:
-                e.in_ready = False
-                pool.add(seq)
+        entries, pool = self.entries, self.issue_pool
+        due = self.calendar.pop(self.now, None)
+        if due is not None:
+            for seq in due:
+                entries[seq].in_ready = False
+            pool.update(due)
         budget = list(self.budget)
         fus = self.decode.fus
         replay_visited = self.replay_visited
@@ -415,7 +491,7 @@ class _Sim:
             e = entries[seq]
             if e.kind != KIND_LOAD:
                 # an ALU op or branch: its producers had values when it left
-                # the ready heap, and only a replay can have reset one since
+                # the calendar, and only a replay can have reset one since
                 fu = fus[seq]
                 if seq in replay_visited and self._producers_late(e):
                     issued = True
@@ -435,7 +511,7 @@ class _Sim:
             if issued:
                 pool.discard(seq)
                 any_issued = True
-        engine_worked = self._engine_tick(budget)
+        engine_worked = self.vrc is not None and self._engine_tick(budget)
         # every FU op of the cycle, the engine's too, took one unit
         fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
         if fu_ops:
@@ -445,8 +521,8 @@ class _Sim:
     def _producers_late(self, e: _Entry) -> bool:
         """For an op a replay walk visited: True, and the op leaves the pool,
         when a producer was reset (its re-execution wakes the op) or its
-        value arrives after this cycle (the op goes back to the ready heap)."""
-        ready = self._ready_at(self.decode.data_writers[e.seq], 0)
+        value arrives after this cycle (the op goes back to the calendar)."""
+        ready = self._ready_at(self.data_writers[e.seq], 0)
         if ready is None:
             return True
         if ready > self.now:
@@ -460,17 +536,24 @@ class _Sim:
         now = self.now
         ins = e.ins
         if e.kind == KIND_ALU:
-            entries = self.entries
-            ops = [0 if w is None else entries[w].value or 0
-                   for w in self.dataflow.src_writers[seq]]
+            entries, values = self.entries, self.committed_values
+            ops = []
+            for w in self.src_writers[seq]:
+                if w is None:
+                    ops.append(0)
+                else:
+                    p = entries[w]
+                    ops.append((values[w] if p is None else p.value) or 0)
             if ins.imm is not None:
                 ops.append(ins.imm)
             e.value = ALU_FNS[ins.alu_op](*ops)
         else:
             self._schedule(now + 1, self._branch_resolved, seq)
-        e.value_ready = e.complete = now + self.decode.latencies[seq]
+        e.value_ready = e.complete = now + self.latencies[seq]
         e.state = DONE_ST
-        self._release_iq(e)
+        if e.iq_held:  # `_release_iq`, inlined
+            e.iq_held = False
+            self.iq_used -= 1
         if ins.may_fault and e.sb_e is not None:
             self._schedule(e.complete, self.sb.resolve, e.sb_e)
             e.sb_e = None
@@ -501,7 +584,7 @@ class _Sim:
             return None
         if not exact:
             return False  # wait for the partially overlapping store to commit
-        ready = self._ready_at(self.decode.data_writers[se.seq], 0)
+        ready = self._ready_at(self.data_writers[se.seq], 0)
         if ready is None or ready > self.now:
             return False  # store data still in flight
         budget[_SLOTS] -= 1
@@ -700,10 +783,12 @@ class _Sim:
     def _poll_unshadowed(self) -> bool:
         released = self.sb.poll_unshadowed()
         for seq in released:
+            self.mem.apply_deferred(seq, self.now, seq)
             e = self.entries[seq]
+            if e is None:
+                continue  # committed while shadowed: only its touches remain
             e.shadowed = False
             e.unshadow_cycle = self.now
-            self.mem.apply_deferred(seq, self.now, seq)
             if e.state == DELAYED:
                 e.state = NONSPEC
                 self.issue_pool.add(seq)
@@ -721,9 +806,6 @@ class _Sim:
     # ------------------------------------------------------------------ engine
 
     def _engine_tick(self, budget) -> bool:
-        if self.vrc is None:
-            return False
-
         def take_fu(fu: int) -> bool:
             if budget[fu] <= 0:
                 return False
@@ -757,14 +839,15 @@ class _Sim:
 
     def _commit(self) -> bool:
         now = self.now
-        entries = self.entries
+        entries, values, regs = self.entries, self.committed_values, self.committed_regs
         vp, vrc = self.vp, self.vrc
         rec_sites = self.annotations.rec_sites
         first = seq = self.commit_head
         end = min(self.next_dispatch, seq + self.config.width)
         while seq < end:
             e = entries[seq]
-            if e.complete is None or e.complete > now:
+            complete = e.complete
+            if complete is None or complete > now:
                 break
             kind = e.kind
             ins = e.ins
@@ -791,9 +874,10 @@ class _Sim:
             if vrc is not None and seq in rec_sites:
                 for key, value in rec_sites[seq]:
                     vrc.rec_checkpoint(key, value)
-            self.committed_values[seq] = e.value  # None for stores
+            values[seq] = e.value  # None for stores
             if ins.dst is not None:
-                self.committed_regs[ins.dst] = e.value
+                regs[ins.dst] = e.value
+            entries[seq] = None
             seq += 1
         if seq == first:
             return False
@@ -845,21 +929,24 @@ class _Sim:
                 break
             if self.now - self.last_commit_cycle > self.config.deadlock_cycles:
                 raise DeadlockError(self._deadlock_dump())
-            self._advance_time(progress)
+            if progress:
+                self.now += 1
+            else:
+                self._advance_time()
         return self._result(self.now + 1)
 
-    def _advance_time(self, progress: bool) -> None:
-        if progress:
-            self.now += 1
-            return
+    def _advance_time(self) -> None:
+        """After a cycle without progress, skip to the next cycle at which
+        something is due: an event, a fill, a calendar bucket (its smallest
+        key), the end of a redirect or the head's completion."""
         candidates = []
         if self.events:
             candidates.append(self.events[0][0])
         nf = self.mem.next_fill_cycle()
         if nf is not None:
             candidates.append(nf)
-        if self.ready_heap:
-            candidates.append(self.ready_heap[0][0])
+        if self.calendar:
+            candidates.append(min(self.calendar))
         if self.redirect_until is not None and self.redirect_until >= 0:
             candidates.append(self.redirect_until)
         head = self.entries[self.commit_head] if self.commit_head < self.n else None

@@ -59,6 +59,29 @@ MSHR_HIT = "MSHR_HIT"
 L1_MISS = "L1_MISS"
 
 
+class _RecordDraft:
+    """Builds a MutationRecord with plain slot stores instead of the frozen
+    dataclass `__init__`, which pays one `object.__setattr__` call per
+    field; the slots match MutationRecord's, so the finished draft becomes
+    one by class assignment, equal, hashed and frozen like one built by
+    keyword."""
+
+    __slots__ = MutationRecord.__slots__
+
+    def __init__(self, cycle, structure, level, op, line_addr, victim_addr,
+                 cause_seq, speculative, probe):
+        self.cycle = cycle
+        self.structure = structure
+        self.level = level
+        self.op = op
+        self.line_addr = line_addr
+        self.victim_addr = victim_addr
+        self.cause_seq = cause_seq
+        self.speculative = speculative
+        self.probe = probe
+        self.__class__ = MutationRecord
+
+
 class _Level:
     """One set-associative level; per-set line lists are MRU-first."""
 
@@ -143,11 +166,8 @@ class MemHierState:
     def _record(self, now: int, structure: Structure, level: int, op: str,
                 line: int, cause_seq: int, speculative: bool, probe: bool,
                 victim: int | None = None) -> None:
-        self.log.append(MutationRecord(
-            cycle=now, structure=structure, level=level, op=op, line_addr=line,
-            victim_addr=victim, cause_seq=cause_seq, speculative=speculative,
-            probe=probe,
-        ))
+        self.log.append(_RecordDraft(now, structure, level, op, line, victim,
+                                     cause_seq, speculative, probe))
 
     # -- accesses ---------------------------------------------------------------
 

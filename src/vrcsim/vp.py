@@ -47,7 +47,6 @@ class _Entry:
     value: int = 0
     conf: int = 0
     useful: bool = False
-    valid: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +60,10 @@ class VpState:
         self.config = config or VpConfig()
         c = self.config
         self.rng = random.Random(c.seed)
-        self.base: list[_Entry] = [_Entry() for _ in range(c.entries)]
-        self.tagged: list[list[_Entry]] = [
-            [_Entry() for _ in range(c.entries)] for _ in range(c.components - 1)
+        # a slot holds None until its first write: an invalid entry
+        self.base: list[_Entry | None] = [None] * c.entries
+        self.tagged: list[list[_Entry | None]] = [
+            [None] * c.entries for _ in range(c.components - 1)
         ]
         self.hist_lengths = c.history_lengths()
         self.ghist = 0                       # branch outcomes, LSB = youngest
@@ -106,10 +106,10 @@ class VpState:
     def _provider(self, pc: int):
         for comp in range(self.config.components - 2, -1, -1):
             entry = self.tagged[comp][self._index(pc, comp)]
-            if entry.valid and entry.tag == self._tag(pc, comp):
+            if entry is not None and entry.tag == self._tag(pc, comp):
                 return ("tagged", comp, entry)
         base = self.base[pc & (self.config.entries - 1)]
-        if base.valid:
+        if base is not None:
             return ("base", -1, base)
         return None
 
@@ -132,15 +132,17 @@ class VpState:
                 entry.conf = 0
                 entry.value = actual
                 self._allocate(pc, actual, longer_than=comp)
-        base = self.base[pc & (self.config.entries - 1)]
-        if base.valid and base.value == actual:
+        index = pc & (self.config.entries - 1)
+        base = self.base[index]
+        if base is None:
+            self.base[index] = _Entry(value=actual)
+        elif base.value == actual:
             self._bump_conf(base)
         else:
-            if base.valid and provider is not None and provider[0] == "base":
+            if provider is not None and provider[0] == "base":
                 self._allocate(pc, actual, longer_than=-1)
             base.conf = 0
             base.value = actual
-        base.valid = True
 
     def _bump_conf(self, entry: _Entry) -> None:
         if entry.conf < self.config.conf_max and \
@@ -152,15 +154,12 @@ class VpState:
         if not candidates:
             return
         comp = candidates[self.rng.randrange(len(candidates))]
-        entry = self.tagged[comp][self._index(pc, comp)]
-        if entry.valid and entry.useful and self.rng.random() < 0.5:
+        table, index = self.tagged[comp], self._index(pc, comp)
+        entry = table[index]
+        if entry is not None and entry.useful and self.rng.random() < 0.5:
             entry.useful = False  # age instead of replacing a useful entry
             return
-        entry.tag = self._tag(pc, comp)
-        entry.value = value
-        entry.conf = 0
-        entry.useful = False
-        entry.valid = True
+        table[index] = _Entry(tag=self._tag(pc, comp), value=value)
 
     def notify_branch(self, outcome: bool) -> None:
         max_len = self.hist_lengths[-1]

@@ -302,7 +302,7 @@ def test_invalidated_recompute_falls_back_to_real_load(consistency):
 
 def test_runs_leave_no_reference_cycles():
     # a finished simulator is freed by reference counting alone, so its
-    # O(trace) entry list does not wait for the cyclic collector
+    # entry ring and O(trace) lists do not wait for the cyclic collector
     t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1000, seed=1))
     table, _ = annotate(t)
     gc.collect()
@@ -332,3 +332,24 @@ def test_recompute_waits_for_a_live_leaf_still_in_flight(tb):
         assert r.counters["recompute_done"] == 1, policy
         assert r.load_timing[5][2] > r.load_timing[0][2], policy
         assert r.committed_values == functional_replay(t).results
+
+
+def test_entries_are_bounded_by_the_rob(monkeypatch):
+    # the core recycles a ring of `rob_size` entries instead of building
+    # one per instruction
+    built = []
+
+    class CountedEntry(core._Entry):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(core, "_Entry", CountedEntry)
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=3000, seed=1))
+    cfg = CoreConfig()
+    r = core.run(t, config=cfg)
+    assert r.committed == len(t) == 3000
+    assert r.committed_values == functional_replay(t).results
+    assert 0 < len(built) <= cfg.rob_size

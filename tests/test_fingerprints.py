@@ -259,10 +259,16 @@ def hand_slices_trace():
 
 
 def traces():
-    """(name, trace) for every trace the golden file covers."""
+    """(name, trace) for every trace the golden file covers. STREAM_INGEST
+    has the bench stream-ingest shape: a load misses often enough that some
+    leave the shadow release queue after they commit, and their deferred
+    LRU touches must still be applied."""
     for pattern in PATTERNS:
         yield pattern, gen_synthetic(SyntheticWorkloadSpec(pattern=pattern,
                                                            count=COUNT, seed=SEED))
+    yield "STREAM_INGEST", gen_synthetic(SyntheticWorkloadSpec(
+        pattern="STREAM", count=COUNT, seed=SEED, load_density=0.2,
+        working_set_bytes=4 << 20))
     yield "HAND_PATHS", hand_paths_trace()
     yield "HAND_REPLAY", hand_replay_trace()
     yield "HAND_FU_REPLAY", hand_fu_replay_trace()

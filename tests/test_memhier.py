@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 import random
 
-from vrcsim.audit import Structure
+import pytest
+
+from vrcsim.audit import MutationRecord, Structure
 from vrcsim.isa import LINE_BYTES
 from vrcsim.memhier import (CacheConfig, L1_HIT, L1_MISS, MSHR_HIT,
                             MemHierState, replay_log)
@@ -289,3 +292,20 @@ def test_differential_vs_naive_lru():
     for level, nlevel in ((mem.l1, naive.l1), (mem.l2, naive.l2)):
         assert level.data == nlevel.sets
         assert level.dirty == nlevel.dirty
+
+
+def test_logged_records_are_frozen_mutation_records():
+    # the hierarchy builds its records with slot stores; each must be a
+    # MutationRecord equal to, and hashed like, its keyword-built twin
+    mem = MemHierState()
+    for i in range(40):
+        mem.access(i * 4096, i, i, store=i % 3 == 0, speculative=i % 2 == 1)
+    _drain(mem)
+    assert {r.op for r in mem.log} >= {"mshr_alloc", "fill", "dirty"}
+    for r in mem.log:
+        assert type(r) is MutationRecord
+        twin = MutationRecord(**{f.name: getattr(r, f.name)
+                                 for f in dataclasses.fields(MutationRecord)})
+        assert r == twin and hash(r) == hash(twin) and repr(r) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.cycle = 0
