@@ -21,12 +21,15 @@ and commits in order. Loads run through the policy automaton:
 Cycle phase order: fills, scheduled events (shadow resolves, branch
 resolves, prediction and validation completions; each event carries its
 handler), commit, unshadow polling, issue, recomputation engine, dispatch,
-probes. The trace's core decode (`Trace.core_decode`), built once per trace
-and shared by every run on it, owns each instruction's kind code, FU class
-(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
-and data producers, and its consumers, which a completing or replayed
-producer wakes. Entry states and kinds are integer codes, named only in
-deadlock reports.
+probes. The trace's one decode (`Trace.decode`), built once per trace and
+shared by the slicer and every run on it, owns each instruction's kind code,
+FU class (`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its
+address and data producers, and its consumers, which a completing or
+replayed producer wakes. Entry states and kinds are integer codes, named
+only in deadlock reports. Each shadow cast takes the next id of the shadow
+buffer, an id range whose head is the oldest unresolved shadow; a shadowed
+load leaves speculation once the head passes the newest id at its dispatch,
+and a deadlock report names the head's kind and caster.
 
 A run keeps `rob_size` entries in a ring and resets the one at
 `seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
@@ -223,10 +226,9 @@ class _Sim:
         else:
             self.order_shadow = None
 
-        self.dataflow = trace.dataflow
-        self.decode = trace.core_decode
+        self.decode = trace.decode
         self.data_writers = self.decode.data_writers
-        self.src_writers = self.dataflow.src_writers
+        self.src_writers = self.decode.src_writers
         self.latencies = self.decode.latencies
         self.budget = (config.alu_units, config.mul_units, config.mem_ports,
                        config.width)
@@ -273,7 +275,7 @@ class _Sim:
         while its producer's value has not arrived (the engine stalls). A
         load that makes a real access sets `value_ready` at issue to its
         fill cycle, so a set `value_ready` alone is not enough."""
-        wseq = self.dataflow.writer_before(reg, load_seq)
+        wseq = self.decode.writer_before(reg, load_seq)
         if wseq is None:
             return 0
         e = self.entries[wseq]
@@ -962,6 +964,7 @@ class _Sim:
 
     def _deadlock_dump(self) -> str:
         head = self.entries[self.commit_head]
+        shadow = self.sb.oldest_unresolved()
         return "; ".join([
             f"no commit for {self.config.deadlock_cycles} cycles at cycle {self.now}",
             f"policy={self.policy} committed={self.committed}/{self.n}",
@@ -969,6 +972,8 @@ class _Sim:
             f"state={STATE_NAMES[head.state] if head else 'undispatched'}",
             f"iq={self.iq_used} lq={self.lq_used} sq={self.sq_used}",
             f"issue_pool={len(self.issue_pool)}",
+            "oldest shadow=" + (f"{shadow[0].value} cast by seq={shadow[1]}"
+                                if shadow else "none"),
         ])
 
     # ------------------------------------------------------------------ results

@@ -35,6 +35,9 @@ class CacheConfig:
     mshrs: int = 16
 
     def __post_init__(self):
+        for name in ("l1_latency", "l2_latency", "mem_latency", "mshrs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for total, ways in ((self.l1_bytes, self.l1_ways), (self.l2_bytes, self.l2_ways)):
             sets = total // (LINE_BYTES * ways)
             if sets <= 0 or sets & (sets - 1):
@@ -146,7 +149,7 @@ class MemHierState:
         self.l1 = _Level(self.config.l1_sets, self.config.l1_ways)
         self.l2 = _Level(self.config.l2_sets, self.config.l2_ways)
         self.l1_mshr: dict[int, _Mshr] = {}
-        self.l2_mshr: set[int] = set()               # lines in flight from memory
+        self.mem_fills = 0                           # l1_mshr lines in flight from memory
         self._fills: list[tuple[int, int, int]] = [] # (ready, order, line)
         self._fill_order = 0
         self.deferred_touches: dict[object, list[int]] = {}  # key -> lines to touch
@@ -202,7 +205,7 @@ class MemHierState:
             return MSHR_HIT, max(hit_ready, entry.ready)
         l2_hit = self.l2.contains(line)
         if hide_key is not None or len(self.l1_mshr) >= self.config.mshrs or \
-                (not l2_hit and len(self.l2_mshr) >= self.config.mshrs):
+                (not l2_hit and self.mem_fills >= self.config.mshrs):
             return L1_MISS, None
         self.l1_misses += 1
         ready = now + self.config.miss_latency(l2_hit)
@@ -224,7 +227,7 @@ class MemHierState:
                          speculative, probe)
         else:
             self.mem_accesses += 1
-            self.l2_mshr.add(line)
+            self.mem_fills += 1
             self._record(now, Structure.MSHR, 2, "mshr_alloc", line, cause_seq,
                          speculative, probe)
         heapq.heappush(self._fills, (ready, self._fill_order, line))
@@ -242,7 +245,7 @@ class MemHierState:
             entry = self.l1_mshr.pop(line)
             spec = entry.speculative
             if not entry.l2_hit:
-                self.l2_mshr.discard(line)
+                self.mem_fills -= 1
                 victim, victim_dirty = self.l2.install(line)
                 self._record(ready, Structure.L2_TAG, 2, "fill", line,
                              entry.cause_seq, spec, False, victim=victim)

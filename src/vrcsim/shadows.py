@@ -2,10 +2,13 @@
 
 Shadow-casting instructions (potential exceptions, unresolved control flow,
 stores with pending addresses, unperformed memory accesses, unvalidated value
-predictions) allocate entries in a circular shadow buffer (SB). Each load
-dispatched under a non-empty SB is associated with the SB tail in a FIFO
-release queue; a load leaves speculation when the SB head has moved past its
-associated entry. This needs only head comparisons, no CAM search.
+predictions) allocate consecutive ids in a FIFO shadow buffer (SB). The SB is
+the id range [head, tail): resolving the head entry advances the head past
+every resolved entry behind it, so the head is always unresolved, and only
+the unresolved entries are stored. Each load dispatched under a non-empty SB
+is associated with the newest SB id in a FIFO release queue; a load leaves
+speculation once the head has moved past its associated id. This needs only
+head comparisons, no CAM search.
 
 `oracle_is_shadowed` is the brute-force reference: a load is shadowed iff
 some unresolved caster is older in program order. The two views must agree
@@ -16,7 +19,6 @@ schedules and on long randomized ones.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -32,31 +34,16 @@ class ShadowError(Exception):
     pass
 
 
-@dataclass(slots=True)
-class _SbEntry:
-    sb_id: int
-    kind: ShadowKind
-    caster: int          # program-order index of the casting instruction
-    resolved: bool = False
-
-
-@dataclass(slots=True)
-class _RqEntry:
-    load: int            # program-order index of the load
-    sb_id: int           # SB tail at dispatch time
-
-
 class ShadowState:
     """One simulation's shadow buffer + release queue, with statistics."""
 
     def __init__(self, sb_capacity: int = 64, rq_capacity: int = 64):
         self.sb_capacity = sb_capacity
         self.rq_capacity = rq_capacity
-        self._sb: deque[_SbEntry] = deque()
-        self._rq: deque[_RqEntry] = deque()
-        self._next_id = 0
-        self._by_id: dict[int, _SbEntry] = {}
-        self._unresolved = 0         # unresolved entries in the SB
+        self._head = 0               # oldest id in the SB, unresolved
+        self._tail = 0               # the next id to cast
+        self._casts: dict[int, tuple[ShadowKind, int]] = {}  # unresolved id -> (kind, caster)
+        self._rq: deque[tuple[int, int]] = deque()  # (load, newest SB id at dispatch)
         # statistics
         self.loads_registered = 0
         self.loads_shadowed = 0
@@ -66,7 +53,7 @@ class ShadowState:
 
     def room(self) -> int:
         """How many more entries fit in the SB."""
-        return self.sb_capacity - len(self._sb)
+        return self.sb_capacity - (self._tail - self._head)
 
     def sb_full(self) -> bool:
         return self.room() < 1
@@ -85,62 +72,56 @@ class ShadowState:
         (the core must stall dispatch instead)."""
         if self.sb_full():
             raise ShadowError("shadow buffer overflow")
-        entry = _SbEntry(sb_id=self._next_id, kind=kind, caster=caster)
-        self._next_id += 1
-        self._sb.append(entry)
-        self._by_id[entry.sb_id] = entry
-        self._unresolved += 1
-        return entry.sb_id
+        sb_id = self._tail
+        self._tail += 1
+        self._casts[sb_id] = (kind, caster)
+        return sb_id
 
     def resolve(self, sb_id: int) -> None:
-        entry = self._by_id.get(sb_id)
-        if entry is None or entry.resolved:
+        casts = self._casts
+        if casts.pop(sb_id, None) is None:
             raise ShadowError(f"double or unknown resolve of sb entry {sb_id}")
-        entry.resolved = True
-        self._unresolved -= 1
-        # advance the head over the contiguous resolved prefix
-        while self._sb and self._sb[0].resolved:
-            freed = self._sb.popleft()
-            del self._by_id[freed.sb_id]
+        if sb_id == self._head:
+            # advance the head over the resolved entries behind it
+            head, tail = sb_id + 1, self._tail
+            while head < tail and head not in casts:
+                head += 1
+            self._head = head
+
+    def oldest_unresolved(self) -> tuple[ShadowKind, int] | None:
+        """(kind, caster) of the SB head, or None when the SB is empty."""
+        return self._casts.get(self._head)
 
     # -- load registration & release ------------------------------------------
 
     def register_load(self, load: int) -> bool:
         """Returns True when the load is unshadowed immediately (empty SB);
-        otherwise associates it with the current SB tail."""
-        if self._sb and self.rq_full():
+        otherwise associates it with the newest SB id."""
+        empty = self._head == self._tail
+        if not empty and self.rq_full():
             raise ShadowError("release queue overflow")
         self.loads_registered += 1
-        self.shadow_count_sum += self._unresolved
-        if not self._sb:
+        self.shadow_count_sum += len(self._casts)
+        if empty:
             return True
         self.loads_shadowed += 1
-        self._rq.append(_RqEntry(load=load, sb_id=self._sb[-1].sb_id))
+        self._rq.append((load, self._tail - 1))
         return False
 
     def poll_unshadowed(self) -> list[int]:
-        """Pop every release-queue head whose associated entry has been passed
-        by (or is a resolved) SB head; returns loads in dispatch order."""
+        """Pop every release-queue entry whose associated id the SB head has
+        passed; returns loads in dispatch order."""
+        rq, head = self._rq, self._head
         released = []
-        while self._rq:
-            head = self._rq[0]
-            if not self._sb:
-                released.append(self._rq.popleft().load)
-                continue
-            sb_head = self._sb[0]
-            if head.sb_id < sb_head.sb_id or (
-                head.sb_id == sb_head.sb_id and sb_head.resolved
-            ):
-                released.append(self._rq.popleft().load)
-            else:
-                break
+        while rq and rq[0][1] < head:
+            released.append(rq.popleft()[0])
         return released
 
     # -- oracle ---------------------------------------------------------------
 
     def oracle_is_shadowed(self, load: int) -> bool:
         """Brute-force scan: shadowed iff any unresolved caster is older."""
-        return any(not e.resolved and e.caster < load for e in self._sb)
+        return any(caster < load for _, caster in self._casts.values())
 
     # -- statistics -----------------------------------------------------------
 

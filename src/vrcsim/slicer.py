@@ -137,7 +137,7 @@ class AnnotationFormatError(ValueError):
 class TraceIndex:
     """Store-overlap indices plus the functional replay, shared across all
     slice constructions for one trace. Register def-use edges come from
-    the trace's own `dataflow`."""
+    the trace's own `decode`."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
@@ -198,7 +198,8 @@ def build_slice(trace: Trace, load_seq: int, max_len: int = DEFAULT_MAX_SLICE_LE
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     idx = index or TraceIndex(trace)
-    src_writers = trace.dataflow.src_writers
+    decode = trace.decode
+    src_writers = decode.src_writers
 
     nodes: list[SliceInstr] = []
     memo: dict[int, int] = {}
@@ -209,7 +210,7 @@ def build_slice(trace: Trace, load_seq: int, max_len: int = DEFAULT_MAX_SLICE_LE
 
     def leaf_binding(reg: int, writer: int, consumer_pc: int, slot: int) -> Operand:
         value = idx.replay.results[writer]
-        later = trace.dataflow.writer_before(reg, load_seq)
+        later = decode.writer_before(reg, load_seq)
         if later is not None and later > writer:
             key = (consumer_pc, slot)
             prev = hist_reqs.get(key)

@@ -111,22 +111,64 @@ class TraceHeader:
     notes: tuple[str, ...] = ()
 
 
-class Dataflow:
-    """Register def-use edges of a trace, decoded once in program order.
+class TraceDecode:
+    """A trace's one decode: per-instruction facts and the register
+    dataflow graph both ways, built in one program-order pass by the first
+    reader (the slicer or a core run) and shared by every later one.
 
-    `src_writers[seq]` holds, per source register of instruction `seq`, the
-    seq of its most recent earlier writer, or None when nothing earlier in
-    the trace writes it. `writers[reg]` lists every writer of `reg` in
-    program order. Seqs are trace positions."""
+    Per seq: `kinds` holds the kind code; `fus` the functional-unit class
+    (`isa.ALU_FU` for an ALU op, FU_ALU for anything else) and `latencies`
+    the execute latency (the op's latency for an ALU op, else 1); `casts`
+    the shadows dispatch casts whatever the consistency model (an exception
+    shadow for a faulting instruction, plus one for a branch or a store).
+    `src_writers[seq]` holds, per source register, the seq of its most
+    recent earlier writer, or None when nothing earlier in the trace writes
+    it. `addr_writers` and `data_writers` are the producers of the address
+    (a load's sources, a store's sources after the first) and of the data
+    (a store's first source, every source of another kind), without None.
+    `consumers` is the reverse edge: the later seqs that read the seq's
+    value, each once, in program order. `writers[reg]` lists every writer of
+    `reg` in program order. Seqs are trace positions."""
 
-    __slots__ = ("src_writers", "writers")
+    __slots__ = ("kinds", "fus", "latencies", "casts", "src_writers",
+                 "addr_writers", "data_writers", "consumers", "writers")
 
     def __init__(self, instructions: tuple[TraceInstruction, ...]):
-        last: dict[int, int] = {}
-        self.src_writers: list[tuple[int | None, ...]] = []
+        kind_code = {k: i for i, k in enumerate(KINDS)}
+        self.kinds, self.fus, self.latencies, self.casts = [], [], [], []
+        self.src_writers, self.addr_writers, self.data_writers = [], [], []
+        self.consumers: list[list[int]] = []
         self.writers: dict[int, list[int]] = {}
+        consumers, last = self.consumers, {}
         for seq, ins in enumerate(instructions):
-            self.src_writers.append(tuple(last.get(r) for r in ins.srcs))
+            kind = kind_code[ins.kind]
+            src_ws = tuple([last.get(r) for r in ins.srcs])
+            written = src_ws if None not in src_ws else \
+                tuple([w for w in src_ws if w is not None])
+            fu, latency, casts = FU_ALU, 1, int(ins.may_fault)
+            data, addr = written, ()
+            if kind == KIND_ALU:
+                fu, latency = ALU_FU[ins.alu_op], ALU_LATENCY[ins.alu_op]
+            elif kind == KIND_LOAD:
+                data, addr = (), written
+            elif kind == KIND_STORE:
+                casts += 1
+                data = src_ws[:1] if src_ws and src_ws[0] is not None else ()
+                addr = tuple([w for w in src_ws[1:] if w is not None])
+            elif kind == KIND_BRANCH:
+                casts += 1
+            self.kinds.append(kind)
+            self.fus.append(fu)
+            self.latencies.append(latency)
+            self.casts.append(casts)
+            self.src_writers.append(src_ws)
+            self.addr_writers.append(addr)
+            self.data_writers.append(data)
+            consumers.append([])
+            for w in written:
+                readers = consumers[w]
+                if not readers or readers[-1] != seq:
+                    readers.append(seq)
             if ins.dst is not None:
                 last[ins.dst] = seq
                 self.writers.setdefault(ins.dst, []).append(seq)
@@ -136,56 +178,6 @@ class Dataflow:
         seqs = self.writers.get(reg, ())
         i = bisect.bisect_left(seqs, seq)
         return seqs[i - 1] if i else None
-
-
-class CoreDecode:
-    """Per-instruction facts the core reads, decoded once per trace from its
-    `Dataflow` and shared by every policy run on it.
-
-    Per seq: `kinds` holds the kind code; `fus` the functional-unit class
-    (`isa.ALU_FU` for an ALU op, FU_ALU for anything else) and `latencies`
-    the execute latency (the op's latency for an ALU op, else 1); `casts`
-    the shadows dispatch casts whatever the consistency model (an exception
-    shadow for a faulting instruction, plus one for a branch or a store).
-    `addr_writers` and `data_writers` are the producers of the address (a
-    load's sources, a store's sources after the first) and of the data (a
-    store's first source, every source of another kind), without None;
-    `producers` is their union, each seq once. `consumers` is the reverse
-    edge: the later seqs whose `producers` hold the seq, in program order."""
-
-    __slots__ = ("kinds", "fus", "latencies", "casts", "addr_writers",
-                 "data_writers", "producers", "consumers")
-
-    def __init__(self, instructions: tuple[TraceInstruction, ...],
-                 dataflow: Dataflow):
-        kind_code = {k: i for i, k in enumerate(KINDS)}
-        self.kinds = [kind_code[ins.kind] for ins in instructions]
-        self.fus = [ALU_FU[ins.alu_op] if ins.kind == "ALU" else FU_ALU
-                    for ins in instructions]
-        self.latencies = [ALU_LATENCY[ins.alu_op] if ins.kind == "ALU" else 1
-                          for ins in instructions]
-        self.casts = [ins.may_fault + (ins.kind in ("BRANCH", "STORE"))
-                      for ins in instructions]
-        written = [ws if None not in ws else tuple(w for w in ws if w is not None)
-                   for ws in dataflow.src_writers]
-        self.addr_writers: list[tuple[int, ...]] = []
-        self.data_writers: list[tuple[int, ...]] = []
-        for kind, ws, src_ws in zip(self.kinds, written, dataflow.src_writers):
-            if kind == KIND_STORE:
-                data = tuple(w for w in src_ws[:1] if w is not None)
-                addr = tuple(w for w in src_ws[1:] if w is not None)
-            elif kind == KIND_LOAD:
-                data, addr = (), ws
-            else:
-                data, addr = ws, ()
-            self.data_writers.append(data)
-            self.addr_writers.append(addr)
-        self.producers = [ws if len(ws) < 2 else tuple(dict.fromkeys(ws))
-                          for ws in written]
-        self.consumers: list[list[int]] = [[] for _ in instructions]
-        for seq, ws in enumerate(self.producers):
-            for w in ws:
-                self.consumers[w].append(seq)
 
 
 @dataclass(frozen=True)
@@ -200,16 +192,10 @@ class Trace:
         return self.instructions[i]
 
     @cached_property
-    def dataflow(self) -> Dataflow:
-        """The register dataflow, decoded on first use and shared by every
-        later reader of this trace."""
-        return Dataflow(self.instructions)
-
-    @cached_property
-    def core_decode(self) -> CoreDecode:
-        """The core's per-instruction decode and dataflow graph, built by the
-        first core run on this trace and shared by every later one."""
-        return CoreDecode(self.instructions, self.dataflow)
+    def decode(self) -> TraceDecode:
+        """The trace's decode, built on first use and shared by every later
+        reader of this trace."""
+        return TraceDecode(self.instructions)
 
 
 @dataclass(frozen=True, slots=True)
@@ -870,7 +856,10 @@ def gen_synthetic(spec: SyntheticWorkloadSpec) -> Trace:
 
 def window_trace(t: Trace, skip: int = 0, limit: int | None = None) -> Trace:
     """Region-of-interest selection: drop the first `skip` instructions, keep
-    at most `limit`, and renumber seqs densely from zero."""
+    at most `limit`, and renumber seqs densely from zero. A negative `skip`
+    or `limit` is a ValueError."""
+    if skip < 0 or (limit is not None and limit < 0):
+        raise ValueError(f"window skip and limit must be >= 0, got {skip} and {limit}")
     body = t.instructions[skip: skip + limit if limit is not None else None]
     renumbered = tuple(replace(ins, seq=i) for i, ins in enumerate(body))
     return Trace(header=t.header, instructions=renumbered)

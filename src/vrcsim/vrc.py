@@ -86,9 +86,10 @@ class VrcState:
             if s.immutable or self.config.allow_mutable:
                 self.ibuff[sid] = s
         self.hist: dict = {}
-        self.invalid: set[int] = set()
-        # lossy mode starts disarmed; producer commits repopulate
-        self.disarmed: set[int] = set(self.ibuff) if self.config.lossy_tags else set()
+        # slices that may not run: invalidated for good in exact mode; in
+        # lossy mode disarmed, all of them at the start and after a bulk
+        # reset, until their producer stores commit again
+        self.unusable: set[int] = set(self.ibuff) if self.config.lossy_tags else set()
         self.signature: set[int] = set()
         self._producer_pcs = {s.producer_store_pc: sid
                               for sid, s in self.ibuff.items()}
@@ -107,7 +108,7 @@ class VrcState:
     # -- requests -------------------------------------------------------------
 
     def slice_usable(self, sid: int | None) -> bool:
-        if sid not in self.ibuff or sid in self.invalid or sid in self.disarmed:
+        if sid not in self.ibuff or sid in self.unusable:
             return False
         return all(key in self.hist for key, _, _ in self.ibuff[sid].hist_requirements)
 
@@ -141,7 +142,7 @@ class VrcState:
         if pend.slice_id is None:
             self.active = _Active(pend, (), (), now, ORACLE_CLAMP_CYCLES)
             return
-        if pend.slice_id in self.invalid or pend.slice_id in self.disarmed:
+        if pend.slice_id in self.unusable:
             # slice was invalidated while queued: fall back to the load
             self.fallbacks.append((pend.load_seq, False))
             return
@@ -257,27 +258,26 @@ class VrcState:
             if line in self.signature:
                 # false positives allowed: reset everything in bulk
                 self.signature.clear()
-                self.disarmed = set(self.ibuff)
+                self.unusable = set(self.ibuff)
                 self.invalidations += 1
                 self._abort_active_if_unusable()
             if own_sid is not None:
-                self.disarmed.discard(own_sid)
+                self.unusable.discard(own_sid)
                 self.signature.add(line)
             return
         for sid, ranges in self.table.slice_tags.items():
-            if sid not in self.ibuff or sid in self.invalid or sid == own_sid:
+            if sid not in self.ibuff or sid in self.unusable or sid == own_sid:
                 continue
             for taddr, tsize in ranges:
                 if addr < taddr + tsize and taddr < addr + size:
-                    self.invalid.add(sid)
+                    self.unusable.add(sid)
                     self.invalidations += 1
                     break
         self._abort_active_if_unusable()
 
     def _abort_active_if_unusable(self) -> None:
         act = self.active
-        if act is not None and (act.pend.slice_id in self.invalid
-                                or act.pend.slice_id in self.disarmed):
+        if act is not None and act.pend.slice_id in self.unusable:
             self.fallbacks.append((act.pend.load_seq, False))
             self.active = None
 

@@ -93,6 +93,24 @@ def test_compare_skip_limit_window(tmp_path):
     assert committed == 1000
 
 
+@pytest.mark.parametrize("command,flag", [("compare", "--skip"),
+                                          ("audit", "--limit")])
+def test_negative_window_is_an_input_error(tmp_path, capsys, command, flag):
+    tr = _gen(tmp_path, count=300)
+    assert main([command, "--trace", str(tr), "--policy", "DOM", flag, "-5",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_mem_latency_is_an_input_error(tmp_path, capsys):
+    tr = tmp_path / "stream.txt"
+    assert main(["gen", "--pattern", "stream", "--count", "300",
+                 "--out", str(tr)]) == 0
+    assert main(["compare", "--trace", str(tr), "--policy", "DOM",
+                 "--mem-latency", "-100", "--out", str(tmp_path / "m")]) == 2
+    assert "mem_latency must be >= 0" in capsys.readouterr().err
+
+
 def test_compare_config_file_defaults(tmp_path):
     tr = _gen(tmp_path, count=3000)
     cfg = tmp_path / "sim.cfg"

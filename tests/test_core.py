@@ -192,11 +192,13 @@ def test_deadlock_detector_fires(tb):
 
 def test_deadlock_dump_names_head_state(tb):
     # the load is shadowed by the branch, so DOM delays its miss; once the
-    # branch resolves it reissues and stalls on the missing MSHR for good
+    # branch resolves it reissues and stalls on the missing MSHR for good,
+    # its memory-order shadow the oldest unresolved one
     tb.branch(0x0)
     tb.load(0x10, 1, COLD_A, value=1)
     cfg = CoreConfig(policy="DOM", deadlock_cycles=500, cache=CacheConfig(mshrs=0))
-    with pytest.raises(DeadlockError, match=r"head seq=1 state=NONSPEC;"):
+    with pytest.raises(DeadlockError, match=r"head seq=1 state=NONSPEC;.*"
+                                            r"; oldest shadow=M cast by seq=1$"):
         core.run(tb.build(), config=cfg)
 
 

@@ -61,6 +61,21 @@ def test_mshr_exhaustion_stalls():
     assert list(mem.l1_mshr) == [0x1000] and mem.l1_misses == 1
 
 
+def test_mem_fills_count_the_memory_bound_mshrs():
+    mem = MemHierState()
+    mem.access(0x2000, 0, 0)
+    assert mem.mem_fills == 1 == sum(not e.l2_hit for e in mem.l1_mshr.values())
+    _drain(mem)
+    assert mem.mem_fills == 0 and not mem.l1_mshr
+
+
+def test_config_rejects_negative_latencies_and_mshrs():
+    for name in ("l1_latency", "l2_latency", "mem_latency", "mshrs"):
+        with pytest.raises(ValueError, match=name):
+            CacheConfig(**{name: -1})
+    assert CacheConfig(mshrs=0).mshrs == 0  # legal: every miss stalls
+
+
 def test_deferred_apply_and_squash():
     mem = MemHierState()
     mem.access(0x1000, 0, 0)

@@ -33,7 +33,7 @@ def test_register_associates_with_tail():
     sb.cast(ShadowKind.C, 0)
     assert sb.register_load(1) is False
     assert sb.register_load(2) is False
-    assert sb._rq[0].sb_id == sb._rq[1].sb_id
+    assert sb._rq[0][1] == sb._rq[1][1]
 
 
 def test_resolve_only_entry_empties_sb():
@@ -42,7 +42,8 @@ def test_resolve_only_entry_empties_sb():
     sb.register_load(1)
     sb.resolve(sid)
     assert sb.poll_unshadowed() == [1]
-    assert not sb._sb
+    assert sb.room() == sb.sb_capacity
+    assert sb.oldest_unresolved() is None
 
 
 def test_resolve_tail_keeps_head():
@@ -54,6 +55,22 @@ def test_resolve_tail_keeps_head():
     assert sb.poll_unshadowed() == []
     sb.resolve(head)
     assert sb.poll_unshadowed() == [2]
+
+
+def test_resolved_entry_behind_unresolved_head_holds_room_and_loads():
+    sb = ShadowState(sb_capacity=3)
+    head = sb.cast(ShadowKind.C, 0)
+    tail = sb.cast(ShadowKind.D, 1)
+    assert sb.register_load(2) is False
+    sb.resolve(tail)
+    assert sb.room() == 1                   # the resolved tail still takes room
+    assert sb.register_load(3) is False     # the SB is not empty
+    assert sb.poll_unshadowed() == []
+    assert sb.oldest_unresolved() == (ShadowKind.C, 0)
+    sb.resolve(head)
+    assert sb.room() == 3
+    assert sb.poll_unshadowed() == [2, 3]
+    assert sb.register_load(4) is True
 
 
 def test_double_resolve_raises():

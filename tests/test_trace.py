@@ -264,6 +264,15 @@ def test_window_trace_renumbers():
                    for v in validate_trace(w).violations)
 
 
+def test_window_trace_rejects_negative_skip_and_limit():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="STREAM", count=100, seed=3))
+    with pytest.raises(ValueError, match="skip and limit"):
+        window_trace(t, skip=-5)
+    with pytest.raises(ValueError, match="skip and limit"):
+        window_trace(t, limit=-1)
+    assert len(window_trace(t, skip=100, limit=0)) == 0
+
+
 def _frozen_record_sources():
     t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=600, seed=3))
     return {"gen_synthetic": t, "parse_trace": parse_trace(emit_trace(t)),
@@ -412,7 +421,7 @@ def _scan_writer(t: Trace, reg: int, seq: int) -> int | None:
 
 
 def _check_dataflow_against_scan(t: Trace) -> None:
-    df = t.dataflow
+    df = t.decode
     for seq, ins in enumerate(t.instructions):
         assert df.src_writers[seq] == tuple(_scan_writer(t, r, seq) for r in ins.srcs)
     for seq in sorted({0, len(t)} | set(range(1, len(t), 37))):
@@ -438,42 +447,23 @@ def test_dataflow_unwritten_source_register(tb):
     tb.load(0xC, 4, 0x40, srcs=(5,))        # r5 never written at all
     tb.branch(0x10, srcs=(4,))
     t = tb.build()
-    assert t.dataflow.src_writers == [(None, None), (0,), (1,), (None,), (3,)]
-    assert t.dataflow.writer_before(5, len(t)) is None
+    assert t.decode.src_writers == [(None, None), (0,), (1,), (None,), (3,)]
+    assert t.decode.writer_before(5, len(t)) is None
     _check_dataflow_against_scan(t)
-
-
-def test_dataflow_decoded_once_per_trace(monkeypatch):
-    built = []
-    decode = trace_mod.Dataflow.__init__
-
-    def counting_decode(self, instructions):
-        built.append(self)
-        decode(self, instructions)
-
-    monkeypatch.setattr(trace_mod.Dataflow, "__init__", counting_decode)
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
-                                            count=600, seed=1))
-    table, _ = slicer.annotate(t)
-    df = t.dataflow
-    run(t, annotations=table, config=CoreConfig(policy="VRC"))
-    run(t, annotations=table, config=CoreConfig(policy="DOM"))
-    assert t.dataflow is df
-    assert built == [df]
 
 
 def _check_core_decode(t: Trace) -> None:
     """Rebuild every decoded field from the instruction and its source
     writers: a store's first source is its data, its others the address; a
     load's sources are its address; any other kind's sources are data. The
-    consumer lists are the producer tuples inverted."""
-    dec = t.core_decode
-    fields = (dec.kinds, dec.fus, dec.latencies, dec.casts, dec.addr_writers,
-              dec.data_writers, dec.producers, dec.consumers)
+    consumer lists are the source writers inverted."""
+    dec = t.decode
+    fields = (dec.kinds, dec.fus, dec.latencies, dec.casts, dec.src_writers,
+              dec.addr_writers, dec.data_writers, dec.consumers)
     assert all(len(f) == len(t) for f in fields)
     for seq, ins in enumerate(t.instructions):
         addr, data = [], []
-        for i, w in enumerate(t.dataflow.src_writers[seq]):
+        for i, w in enumerate(dec.src_writers[seq]):
             is_addr = ins.kind == "LOAD" or (ins.kind == "STORE" and i > 0)
             if w is not None:
                 (addr if is_addr else data).append(w)
@@ -486,10 +476,8 @@ def _check_core_decode(t: Trace) -> None:
                                   + int(ins.kind == "STORE"))
         assert dec.addr_writers[seq] == tuple(addr)
         assert dec.data_writers[seq] == tuple(data)
-        assert len(set(dec.producers[seq])) == len(dec.producers[seq])
-        assert set(dec.producers[seq]) == set(addr + data)
         assert dec.consumers[seq] == [c for c in range(seq + 1, len(t))
-                                      if seq in dec.producers[c]]
+                                      if seq in dec.src_writers[c]]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
@@ -497,7 +485,7 @@ def test_core_decode_matches_rebuild(pattern):
     t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=600, seed=4))
     _check_core_decode(t)
     if pattern == "COMPUTE_STORE_LOAD":
-        assert FU_MUL in t.core_decode.fus
+        assert FU_MUL in t.decode.fus
 
 
 def test_core_decode_of_window_matches_rebuild():
@@ -514,34 +502,55 @@ def test_core_decode_unwritten_and_repeated_sources(tb):
     tb.branch(0x14, srcs=(4,))
     tb.nop(0x18, fault=True)
     t = tb.build()
-    dec = t.core_decode
+    dec = t.decode
+    assert dec.src_writers == [(None, None), (0, 0), (1, 0), (None, 1), (None,),
+                               (4,), ()]
     assert dec.addr_writers == [(), (), (0,), (1,), (), (), ()]
     assert dec.data_writers == [(), (0, 0), (1,), (), (), (4,), ()]
-    assert dec.producers == [(), (0,), (1, 0), (1,), (), (4,), ()]
     assert dec.consumers == [[1, 2], [2, 3], [], [], [5], [], []]
     assert dec.casts == [1, 0, 1, 1, 0, 1, 1]
     assert dec.latencies == [ALU_LATENCY["MUL"], 1, 1, 1, 1, 1, 1]
     _check_core_decode(t)
 
 
-def test_core_decode_built_once_per_trace(monkeypatch):
+def _count_decodes(monkeypatch) -> list:
     built = []
-    decode = trace_mod.CoreDecode.__init__
+    decode = trace_mod.TraceDecode.__init__
 
-    def counting_decode(self, instructions, dataflow):
+    def counting_decode(self, instructions):
         built.append(self)
-        decode(self, instructions, dataflow)
+        decode(self, instructions)
 
-    monkeypatch.setattr(trace_mod.CoreDecode, "__init__", counting_decode)
+    monkeypatch.setattr(trace_mod.TraceDecode, "__init__", counting_decode)
+    return built
+
+
+def test_dataflow_decoded_once_per_trace(monkeypatch):
+    # the slicer's annotation builds the one decode; later runs reuse it
+    built = _count_decodes(monkeypatch)
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
+                                            count=600, seed=1))
+    table, _ = slicer.annotate(t)
+    dec = t.decode
+    assert built == [dec]
+    run(t, annotations=table, config=CoreConfig(policy="VRC"))
+    run(t, annotations=table, config=CoreConfig(policy="DOM"))
+    assert t.decode is dec
+    assert built == [dec]
+
+
+def test_core_decode_built_once_per_trace(monkeypatch):
+    # every policy run, clean or probed, reads the decode annotation built
+    built = _count_decodes(monkeypatch)
     t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD",
                                             count=600, seed=1,
                                             mispredict_rate=0.3))
     table, _ = slicer.annotate(t)
-    assert built == []          # setup never decodes for the core
+    assert built == [t.decode]
     for policy in POLICIES:
         run(t, annotations=table, config=CoreConfig(policy=policy))
     site = next(ins.seq for ins in t.instructions
                 if ins.kind == "BRANCH" and not ins.br.predicted_correctly)
     inject_transient_probe(t, ProbeSpec(site, (0x7000_0000,)), annotations=table,
                            config=CoreConfig(policy="DOM"))
-    assert built == [t.core_decode]
+    assert built == [t.decode]

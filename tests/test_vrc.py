@@ -39,7 +39,7 @@ def test_rcmp_decide_respects_invalidation():
     v = VrcState(table, VrcConfig())
     v.invalidate_on_store(0x100, 8, store_pc=0x555)  # foreign store on the tag
     assert v.enqueue(0x40, 1) is False
-    assert 0 in v.invalid
+    assert 0 in v.unusable
 
 
 def test_own_producer_store_does_not_invalidate():
@@ -53,7 +53,7 @@ def test_store_elsewhere_no_effect():
     table = _table(add_slice(), rcmp={0x40: 0})
     v = VrcState(table, VrcConfig())
     v.invalidate_on_store(0x4000, 8, store_pc=0x555)
-    assert not v.invalid
+    assert not v.unusable
 
 
 def test_mutable_slice_not_loaded_by_default():
