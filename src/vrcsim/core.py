@@ -34,31 +34,35 @@ and a deadlock report names the head's kind and caster.
 A run keeps `rob_size` entries in a ring and resets the one at
 `seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
 last instruction has committed, so the core's state is bounded by the ROB,
-not the trace. `entries[seq]` is the entry while `seq` is in flight and
-None before dispatch and after commit. A producer is always older than its
-reader, so a reader that finds no entry for one treats it as committed:
-its value is ready and is read from `committed_values`.
+not the trace; an ALU op resets only the fields an ALU op reads.
+`entries[seq]` is the entry while `seq` is in flight and None before
+dispatch and after commit. A value is written to `committed_values[seq]` when it is bound (at
+execute, load completion, prediction, validation or replay), so an operand
+is read from there whether its producer is in flight or committed, and the
+final registers are their last writers' values. A producer is always older
+than its reader, so a reader that finds no entry for one treats it as
+committed and its value as ready.
 
-An ALU op or branch waiting for its data producers is ready one cycle
-after dispatch (or after its replay floor) and no earlier than their
-values; dispatch and a producer's wake apply that one rule, and loads,
-stores and replays go through `_reschedule`. A ready entry is filed in a
-calendar (R. Brown's calendar queue, CACM 1988): a dict from cycle to
-seqs, of which the issue stage pops exactly the current cycle's bucket and
-an idle cycle skips to the smallest key. Issue walks one issue pool in
-program order. An ALU op or branch executes on a unit of its FU class, or
-waits in the pool while the cycle's units of that class are used up; its
-producers had values when it left the calendar, so only an op a
-value-prediction replay visited is checked again. For a load the entry
-state chooses the action: NONSPEC
-reissues an unshadowed delayed or fallback load, AWAIT_VALIDATION validates
-a predicted load, and otherwise the load forwards, accesses, or has the
-policy applied to its shadowed miss.
-Every real hierarchy access goes through one path that takes a memory port
-and retries on an MSHR stall. A load "performs" when its value is bound by a
-real access, store forward, or recomputation; its memory-order shadow
-resolves then (at validation completion for predicted loads). Time skips
-ahead to the next scheduled event whenever a cycle makes no progress.
+An ALU op or branch waiting for its data producers is ready at its floor
+(the cycle after dispatch, raised by a replay) and no earlier than their
+values; `_op_ready` is that rule, and a producer's wake holds its one
+inlined copy. Loads, stores and replays go through `_reschedule`. A ready
+entry is filed in a calendar (R. Brown's calendar queue, CACM 1988): a dict
+from cycle to seqs, of which the issue stage pops exactly the current
+cycle's bucket and an idle cycle skips to the smallest key. Issue walks the
+bucket and the issue pool together in program order; what does not issue
+waits in the pool. An ALU op or branch executes inline in that walk on a
+unit of its FU class, or waits while the cycle's units of that class are
+used up; its producers had values when it left the calendar, so only an op
+a value-prediction replay visited is checked again. For a load the entry
+state chooses the action: NONSPEC reissues an unshadowed delayed or
+fallback load, AWAIT_VALIDATION validates a predicted load, and otherwise
+the load forwards, accesses, or has the policy applied to its shadowed
+miss. Every real hierarchy access goes through one path that takes a memory
+port and retries on an MSHR stall. A load "performs" when its value is
+bound by a real access, store forward, or recomputation; its memory-order
+shadow resolves then (at validation completion for predicted loads). Time
+skips ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -69,7 +73,7 @@ under BASELINE they mutate it like any speculative load would.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 
 from .audit import MutationLog
@@ -77,8 +81,8 @@ from .isa import ALU_FNS, FU_ALU, FU_MUL
 from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
-from .trace import (KIND_ALU, KIND_BRANCH, KIND_LOAD, KIND_NOP, KIND_STORE,
-                    KINDS, Trace)
+from .trace import (FORM_RI, FORM_RR, KIND_ALU, KIND_BRANCH, KIND_LOAD,
+                    KIND_NOP, KIND_STORE, KINDS, Trace)
 from .vp import VpConfig, VpState
 from .vrc import BUSY, DONE, VrcConfig, VrcState
 
@@ -118,6 +122,19 @@ class CoreConfig:
             raise ValueError(f"unknown consistency model {self.consistency!r}")
         if self.width < 1 or self.rob_size < self.iq_size:
             raise ValueError("width >= 1 and ROB >= IQ required")
+        # a structure with no room, or a unit class with no unit, stops the
+        # first instruction that needs it for good
+        for name in ("rob_size", "iq_size", "lq_size", "sq_size", "alu_units",
+                     "mul_units", "mem_ports", "rq_capacity", "deadlock_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a faulting load under TSO casts two shadows at once
+        if self.sb_capacity < 2:
+            raise ValueError(f"sb_capacity must be >= 2, got {self.sb_capacity}")
+        # a negative penalty would read as "blocked until the branch resolves"
+        if self.redirect_penalty < 0:
+            raise ValueError("redirect_penalty must be >= 0, "
+                             f"got {self.redirect_penalty}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,33 +174,46 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 class _Entry:
     """One in-flight instruction: a slot of the run's ring, reset at
-    dispatch."""
+    dispatch. Its value lives in the run's `committed_values`."""
 
     __slots__ = (
-        "seq", "ins", "kind", "state", "value", "value_ready", "complete",
+        "seq", "ins", "kind", "state", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
-        "predicted", "replay_floor", "in_ready", "iq_held", "unshadow_cycle",
+        "predicted", "ready_floor", "filed_for", "iq_held", "unshadow_cycle",
         "dispatch_cycle", "issue_at",
     )
 
     def reset(self, seq, ins, kind, now):
+        """Every field, for a load, store, branch or NOP."""
         self.seq = seq
         self.ins = ins
         self.kind = kind
         self.state = DISP
-        self.value = None
         self.value_ready = None
         self.complete = None
         self.addr_ready = None
         self.shadowed = False
         self.sb_e = self.sb_c = self.sb_d = self.sb_m = None
         self.predicted = None
-        self.replay_floor = 0
-        self.in_ready = False
+        self.ready_floor = now + 1
+        self.filed_for = -1
         self.iq_held = False
         self.unshadow_cycle = None
         self.dispatch_cycle = now
         self.issue_at = None
+
+    def reset_alu(self, seq, ins, kind, now):
+        """The fields an ALU op reads; the others belong to the other
+        kinds and keep whatever the slot's last occupant left."""
+        self.seq = seq
+        self.ins = ins
+        self.kind = kind
+        self.state = DISP
+        self.value_ready = None
+        self.complete = None
+        self.sb_e = None
+        self.ready_floor = now + 1
+        self.filed_for = -1
 
 
 class _Sim:
@@ -225,11 +255,11 @@ class _Sim:
             self.order_shadow = ShadowKind.VP
         else:
             self.order_shadow = None
+        self.load_casts = int(self.order_shadow is not None)
 
         self.decode = trace.decode
         self.data_writers = self.decode.data_writers
-        self.src_writers = self.decode.src_writers
-        self.latencies = self.decode.latencies
+        self.consumers = self.decode.consumers
         self.budget = (config.alu_units, config.mul_units, config.mem_ports,
                        config.width)
         self.fu_units = config.alu_units + config.mul_units
@@ -251,13 +281,16 @@ class _Sim:
         self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
         self.calendar: dict[int, list[int]] = {}  # ready cycle -> seqs
-        self.issue_pool: set[int] = set()       # seqs the issue stage visits
+        # the last cycle whose bucket the issue stage popped: every key is
+        # later, so an entry is filed while its `filed_for` is later too
+        self.popped = -1
+        self.issue_pool: set[int] = set()       # seqs that wait to issue
         self.replay_visited: set[int] = set()   # seqs a replay walk visited
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
 
+        # each seq's value as last bound; final once it commits
         self.committed_values: list = [None] * self.n
-        self.committed_regs = [0] * 64
         self.validation_completions: list = []
         self.load_timing: dict = {}
         self.counters = defaultdict(int)
@@ -279,11 +312,9 @@ class _Sim:
         if wseq is None:
             return 0
         e = self.entries[wseq]
-        if e is None:
-            return self.committed_values[wseq]
-        if e.value_ready is None or e.value_ready > self.now:
+        if e is not None and (e.value_ready is None or e.value_ready > self.now):
             return None
-        return e.value
+        return self.committed_values[wseq]
 
     def _ready_at(self, writers, floor: int) -> int | None:
         """Cycle by which every producer's value is ready, at least `floor`;
@@ -301,25 +332,39 @@ class _Sim:
         return floor
 
     def _wake(self, producer_seq: int) -> None:
-        entries = self.entries
-        for cseq in self.decode.consumers[producer_seq]:
+        entries, data_writers, popped = self.entries, self.data_writers, self.popped
+        for cseq in self.consumers[producer_seq]:
             e = entries[cseq]
             if e is None:
-                continue  # not dispatched yet
+                # not dispatched yet, as none after it is: consumers are in
+                # program order, and none has committed ahead of its producer
+                break
             kind = e.kind
-            if kind == KIND_ALU or kind == KIND_BRANCH:
-                if e.state == DISP:
-                    self._op_ready(e)
-            else:
+            if kind != KIND_ALU and kind != KIND_BRANCH:
                 self._reschedule(e)
+            elif e.state == DISP and e.filed_for <= popped:  # not filed
+                # `_op_ready` and `_push_ready`, inlined
+                ready = e.ready_floor
+                for w in data_writers[cseq]:
+                    p = entries[w]
+                    if p is not None:  # else committed: ready
+                        at = p.value_ready
+                        if at is None:
+                            break
+                        if at > ready:
+                            ready = at
+                else:
+                    if ready <= self.now:
+                        ready = self.now + 1
+                    e.filed_for = ready
+                    self.calendar.setdefault(ready, []).append(cseq)
 
     def _op_ready(self, e: _Entry) -> None:
-        """An ALU op or branch waiting in DISP becomes ready the cycle after
-        dispatch (after its replay floor once replayed), and no earlier than
-        its data producers' values. It inlines `_ready_at`, as it runs once
-        or more for nearly every instruction."""
-        ready = e.replay_floor if e.replay_floor > e.dispatch_cycle \
-            else e.dispatch_cycle + 1
+        """An ALU op or branch waiting in DISP becomes ready at its floor
+        (the cycle after dispatch, or its replay floor once replayed), and
+        no earlier than its data producers' values. It inlines `_ready_at`,
+        as it runs for nearly every instruction; `_wake` inlines it."""
+        ready = e.ready_floor
         entries = self.entries
         for w in self.data_writers[e.seq]:
             p = entries[w]
@@ -349,15 +394,11 @@ class _Sim:
         """Files the entry in the calendar under its ready cycle, the next
         cycle at the earliest, so the issue stage finds it in exactly that
         cycle's bucket."""
-        if not e.in_ready:
-            e.in_ready = True
+        if e.filed_for <= self.popped:
             if ready_at <= self.now:
                 ready_at = self.now + 1
-            bucket = self.calendar.get(ready_at)
-            if bucket is None:
-                self.calendar[ready_at] = [e.seq]
-            else:
-                bucket.append(e.seq)
+            e.filed_for = ready_at
+            self.calendar.setdefault(ready_at, []).append(e.seq)
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -392,7 +433,11 @@ class _Sim:
             self.redirect_until = None
         cfg = self.config
         first = seq = self.next_dispatch
-        end = min(self.n, seq + cfg.width, self.commit_head + cfg.rob_size)
+        end = self.commit_head + cfg.rob_size  # the ROB's room
+        if end > seq + cfg.width:
+            end = seq + cfg.width
+        if end > self.n:
+            end = self.n
         if seq >= end:
             return False
         now = self.now
@@ -401,35 +446,34 @@ class _Sim:
         # casts of the instructions dispatched here
         room = sb.room()
         kinds, casts = self.decode.kinds, self.decode.casts
-        load_casts = int(self.order_shadow is not None)
+        load_casts = self.load_casts
         instructions = self.trace.instructions
         entries, ring, rob = self.entries, self.ring, cfg.rob_size
-        iq_size = cfg.iq_size
+        iq_size, iq_used = cfg.iq_size, self.iq_used
         while seq < end:
             kind = kinds[seq]
             need = casts[seq]
             if kind == KIND_ALU:
                 # the common case, on its own short path
-                if need > room or self.iq_used >= iq_size:
+                if need > room or iq_used >= iq_size:
                     break
-                room -= need
-                ins = instructions[seq]
                 e = entries[seq] = ring[seq % rob]
-                e.reset(seq, ins, kind, now)
-                if ins.may_fault:
+                e.reset_alu(seq, instructions[seq], kind, now)
+                if need:  # an ALU op casts one shadow: it may fault
+                    room -= need
                     e.sb_e = sb.cast(ShadowKind.E, seq)
                 e.iq_held = True
-                self.iq_used += 1
+                iq_used += 1
                 self._op_ready(e)
                 seq += 1
                 continue
             if kind == KIND_LOAD:
                 need += load_casts
-                if need > room or self.iq_used >= iq_size \
+                if need > room or iq_used >= iq_size \
                         or self.lq_used >= cfg.lq_size or sb.rq_full():
                     break
             elif need > room \
-                    or (kind != KIND_NOP and self.iq_used >= iq_size) \
+                    or (kind != KIND_NOP and iq_used >= iq_size) \
                     or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
                 break
             room -= need
@@ -466,11 +510,14 @@ class _Sim:
                     e.sb_e = None
             else:
                 e.iq_held = True
-                self.iq_used += 1
+                # a store may release its IQ entry at once
+                self.iq_used = iq_used + 1
                 self._reschedule(e)
+                iq_used = self.iq_used
             seq += 1
             if self.redirect_until is not None:
                 break  # a mispredicted branch blocks dispatch until it resolves
+        self.iq_used = iq_used
         self.next_dispatch = seq
         return seq > first
 
@@ -479,40 +526,96 @@ class _Sim:
     def _issue_phase(self) -> bool:
         entries, pool = self.entries, self.issue_pool
         due = self.calendar.pop(self.now, None)
+        self.popped = self.now
         if due is not None:
-            for seq in due:
-                entries[seq].in_ready = False
-            pool.update(due)
+            if pool:
+                due.extend(pool)
+                if self.replay_visited:
+                    # only a replay's wake can file a waiting entry again
+                    due = list(set(due))
+            due.sort()
+        elif pool:
+            due = sorted(pool)
+        # what does not issue this cycle waits in a fresh pool
+        waiting = self.issue_pool = set()
         budget = list(self.budget)
-        fus = self.decode.fus
-        replay_visited = self.replay_visited
+        alu, mul, _, slots = budget  # loads see `slots` through the budget
         any_issued = False
-        for seq in sorted(pool):
-            if budget[_SLOTS] <= 0:
-                break
-            e = entries[seq]
-            if e.kind != KIND_LOAD:
+        if due:
+            now, values, consumers = self.now, self.committed_values, self.consumers
+            decode = self.decode
+            kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
+            forms, src_writers = decode.forms, decode.src_writers
+            replay_visited = self.replay_visited
+            for seq in due:
+                if slots <= 0:
+                    waiting.update(due[due.index(seq):])
+                    break
+                kind = kinds[seq]
+                if kind == KIND_LOAD:
+                    e = entries[seq]
+                    budget[_SLOTS] = slots
+                    state = e.state
+                    if state == NONSPEC:
+                        issued = self._try_reissue(e, budget)
+                    elif state == AWAIT_VAL:
+                        issued = self._try_perform(e, budget)
+                    else:
+                        issued = self._try_issue_load(e, budget)
+                    slots = budget[_SLOTS]
+                    if issued:
+                        any_issued = True
+                    else:
+                        waiting.add(seq)
+                    continue
                 # an ALU op or branch: its producers had values when it left
                 # the calendar, and only a replay can have reset one since
-                fu = fus[seq]
-                if seq in replay_visited and self._producers_late(e):
-                    issued = True
-                elif budget[fu] <= 0:
-                    continue  # waits in the pool for a unit of its class
+                if seq in replay_visited and self._producers_late(entries[seq]):
+                    any_issued = True
+                    continue
+                # it waits in the pool while its FU class has no unit left
+                if fus[seq] == FU_MUL:
+                    if mul <= 0:
+                        waiting.add(seq)
+                        continue
+                    mul -= 1
+                elif alu <= 0:
+                    waiting.add(seq)
+                    continue
                 else:
-                    budget[fu] -= 1
-                    budget[_SLOTS] -= 1
-                    self._execute(e)
-                    issued = True
-            elif e.state == NONSPEC:
-                issued = self._try_reissue(e, budget)
-            elif e.state == AWAIT_VAL:
-                issued = self._try_perform(e, budget)
-            else:
-                issued = self._try_issue_load(e, budget)
-            if issued:
-                pool.discard(seq)
+                    alu -= 1
+                slots -= 1
                 any_issued = True
+                # it executes
+                e = entries[seq]
+                if kind == KIND_ALU:
+                    ins = e.ins
+                    form = forms[seq]
+                    if form == FORM_RR:
+                        a, b = src_writers[seq]
+                        values[seq] = ALU_FNS[ins.alu_op](values[a], values[b])
+                    elif form == FORM_RI:
+                        values[seq] = ALU_FNS[ins.alu_op](
+                            values[src_writers[seq][0]], ins.imm)
+                    else:  # any other shape; an unwritten register reads 0
+                        args = [0 if w is None else values[w]
+                                for w in src_writers[seq]]
+                        if ins.imm is not None:
+                            args.append(ins.imm)
+                        values[seq] = ALU_FNS[ins.alu_op](*args)
+                else:
+                    self._schedule(now + 1, self._branch_resolved, seq)
+                e.value_ready = e.complete = now + latencies[seq]
+                e.state = DONE_ST
+                if e.iq_held:  # `_release_iq`, inlined
+                    e.iq_held = False
+                    self.iq_used -= 1
+                if e.sb_e is not None:
+                    self._schedule(e.complete, self.sb.resolve, e.sb_e)
+                    e.sb_e = None
+                if consumers[seq]:
+                    self._wake(seq)
+        budget[FU_ALU], budget[FU_MUL] = alu, mul
         engine_worked = self.vrc is not None and self._engine_tick(budget)
         # every FU op of the cycle, the engine's too, took one unit
         fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
@@ -531,35 +634,6 @@ class _Sim:
             self._push_ready(e, ready)
             return True
         return False
-
-    def _execute(self, e: _Entry) -> None:
-        """An ALU op or branch executes on the unit the issue stage took."""
-        seq = e.seq
-        now = self.now
-        ins = e.ins
-        if e.kind == KIND_ALU:
-            entries, values = self.entries, self.committed_values
-            ops = []
-            for w in self.src_writers[seq]:
-                if w is None:
-                    ops.append(0)
-                else:
-                    p = entries[w]
-                    ops.append((values[w] if p is None else p.value) or 0)
-            if ins.imm is not None:
-                ops.append(ins.imm)
-            e.value = ALU_FNS[ins.alu_op](*ops)
-        else:
-            self._schedule(now + 1, self._branch_resolved, seq)
-        e.value_ready = e.complete = now + self.latencies[seq]
-        e.state = DONE_ST
-        if e.iq_held:  # `_release_iq`, inlined
-            e.iq_held = False
-            self.iq_used -= 1
-        if ins.may_fault and e.sb_e is not None:
-            self._schedule(e.complete, self.sb.resolve, e.sb_e)
-            e.sb_e = None
-        self._wake(seq)
 
     # -- load paths ---------------------------------------------------------------
 
@@ -689,7 +763,7 @@ class _Sim:
 
     def _finish_load(self, e: _Entry, value: int, ready: int) -> None:
         e.state = DONE_ST
-        e.value = value
+        self.committed_values[e.seq] = value
         e.value_ready = ready
         e.complete = ready
         self._release_iq(e)
@@ -727,7 +801,7 @@ class _Sim:
     def _predict_done(self, seq: int) -> None:
         e = self.entries[seq]
         e.state = PREDICTED
-        e.value = e.predicted
+        self.committed_values[seq] = e.predicted
         e.value_ready = self.now
         self._release_iq(e)
         self._wake(e.seq)
@@ -740,9 +814,9 @@ class _Sim:
         e = self.entries[seq]
         actual = e.ins.mem_value
         self.validation_completions.append((seq, self.now))
-        if e.value != actual:
+        if self.committed_values[seq] != actual:
             self.counters["vp_mispredicts"] += 1
-            e.value = actual
+            self.committed_values[seq] = actual
             e.value_ready = self.now
             self._replay_dependents(seq, self.now)
         e.state = DONE_ST
@@ -759,7 +833,7 @@ class _Sim:
         seen = set()
         while stack:
             p = stack.pop()
-            for cseq in self.decode.consumers[p]:
+            for cseq in self.consumers[p]:
                 if cseq in seen:
                     continue
                 seen.add(cseq)
@@ -768,10 +842,10 @@ class _Sim:
                     continue
                 if ce.kind == KIND_ALU and ce.state == DONE_ST:
                     ce.state = DISP
-                    ce.value = None
+                    self.committed_values[cseq] = None
                     ce.value_ready = None
                     ce.complete = None
-                    ce.replay_floor = max(ce.replay_floor, floor)
+                    ce.ready_floor = max(ce.ready_floor, floor)
                     self.counters["replayed_ops"] += 1
                     self._reschedule(ce)
                     stack.append(cseq)
@@ -782,8 +856,9 @@ class _Sim:
 
     # ------------------------------------------------------------------ unshadow
 
-    def _poll_unshadowed(self) -> bool:
-        released = self.sb.poll_unshadowed()
+    def _unshadow(self, released: list[int]) -> None:
+        """The loads the shadow buffer released this cycle leave
+        speculation."""
         for seq in released:
             self.mem.apply_deferred(seq, self.now, seq)
             e = self.entries[seq]
@@ -803,7 +878,6 @@ class _Sim:
                     e.state = NONSPEC
                     self.issue_pool.add(seq)
                 # an already-running slice is left to finish
-        return bool(released)
 
     # ------------------------------------------------------------------ engine
 
@@ -841,44 +915,45 @@ class _Sim:
 
     def _commit(self) -> bool:
         now = self.now
-        entries, values, regs = self.entries, self.committed_values, self.committed_regs
+        entries = self.entries
         vp, vrc = self.vp, self.vrc
-        rec_sites = self.annotations.rec_sites
+        # checkpoint sites, which only the engine reads
+        rec_sites = self.annotations.rec_sites if vrc is not None else ()
         first = seq = self.commit_head
-        end = min(self.next_dispatch, seq + self.config.width)
+        end = seq + self.config.width
+        if end > self.next_dispatch:
+            end = self.next_dispatch
         while seq < end:
             e = entries[seq]
             complete = e.complete
             if complete is None or complete > now:
                 break
             kind = e.kind
-            ins = e.ins
-            if kind == KIND_LOAD:
-                self.lq_used -= 1
-                if vp is not None:
-                    vp.train(ins.pc, ins.mem_value,
-                             was_correct=(e.predicted == ins.mem_value)
-                             if e.predicted is not None else None)
-            elif kind == KIND_STORE:
-                _, ready = self.mem.access(ins.mem_addr, now, seq, store=True)
-                if ready is None:
-                    self.counters["store_commit_stalls"] += 1
-                    break
-                self.sq_used -= 1
-                # stores commit in program order, so the oldest live one leaves
-                if self.live_stores.popleft() != seq:
-                    raise RuntimeError(f"store {seq} committed out of order")
-                if vrc is not None:
-                    vrc.invalidate_on_store(ins.mem_addr, ins.mem_size,
-                                            store_pc=ins.pc)
-            elif kind == KIND_BRANCH and vp is not None:
-                vp.notify_branch(ins.br.taken)
-            if vrc is not None and seq in rec_sites:
+            if kind != KIND_ALU:  # an ALU op has nothing more to do
+                ins = e.ins
+                if kind == KIND_LOAD:
+                    self.lq_used -= 1
+                    if vp is not None:
+                        vp.train(ins.pc, ins.mem_value,
+                                 was_correct=(e.predicted == ins.mem_value)
+                                 if e.predicted is not None else None)
+                elif kind == KIND_STORE:
+                    _, ready = self.mem.access(ins.mem_addr, now, seq, store=True)
+                    if ready is None:
+                        self.counters["store_commit_stalls"] += 1
+                        break
+                    self.sq_used -= 1
+                    # stores commit in program order, so the oldest live one leaves
+                    if self.live_stores.popleft() != seq:
+                        raise RuntimeError(f"store {seq} committed out of order")
+                    if vrc is not None:
+                        vrc.invalidate_on_store(ins.mem_addr, ins.mem_size,
+                                                store_pc=ins.pc)
+                elif kind == KIND_BRANCH and vp is not None:
+                    vp.notify_branch(ins.br.taken)
+            if seq in rec_sites:
                 for key, value in rec_sites[seq]:
                     vrc.rec_checkpoint(key, value)
-            values[seq] = e.value  # None for stores
-            if ins.dst is not None:
-                regs[ins.dst] = e.value
             entries[seq] = None
             seq += 1
         if seq == first:
@@ -911,25 +986,31 @@ class _Sim:
     def run(self) -> RunResult:
         if self.n == 0:
             return self._result(0)
-        mem, sb, events = self.mem, self.sb, self.events
+        mem, sb, events, fills = self.mem, self.sb, self.events, self.mem.fills
+        n, deadlock_cycles = self.n, self.config.deadlock_cycles
         # a phase with no work due is skipped; it would have returned False
-        while self.commit_head < self.n:
+        while True:
             now = self.now
-            mem.advance(now)  # its own loop condition is the fill guard
-            progress = bool(events) and events[0][0] <= now
-            while events and events[0][0] <= now:
-                _, _, handler, payload = heapq.heappop(events)
-                handler(payload)
+            if fills and fills[0][0] <= now:
+                mem.advance(now)
+            progress = False
+            if events and events[0][0] <= now:
+                progress = True
+                while events and events[0][0] <= now:
+                    _, _, handler, payload = heapq.heappop(events)
+                    handler(payload)
             progress |= self._commit()
-            if sb.releases_pending():
-                progress |= self._poll_unshadowed()
+            released = sb.poll_unshadowed()
+            if released:
+                self._unshadow(released)
+                progress = True
             progress |= self._issue_phase()
             progress |= self._dispatch()
             if self.probes:
                 progress |= self._probe_tick()
-            if self.commit_head >= self.n:
+            if self.commit_head >= n:
                 break
-            if self.now - self.last_commit_cycle > self.config.deadlock_cycles:
+            if self.now - self.last_commit_cycle > deadlock_cycles:
                 raise DeadlockError(self._deadlock_dump())
             if progress:
                 self.now += 1
@@ -978,10 +1059,19 @@ class _Sim:
 
     # ------------------------------------------------------------------ results
 
+    def _final_regs(self) -> list:
+        """The architectural registers after the last commit: each holds
+        the committed value of its last writer, or 0."""
+        regs = [0] * 64
+        values = self.committed_values
+        for reg, seqs in self.decode.writers.items():
+            regs[reg] = values[seqs[-1]]
+        return regs
+
     def _result(self, cycles: int) -> RunResult:
         c = self.counters
         # every instruction was dispatched exactly once
-        for kind, count in Counter(self.decode.kinds).items():
+        for kind, count in self.decode.kind_counts:
             c[_DISPATCHED_KEYS[kind]] = count
         c["l1_hits"] = self.mem.l1_hits
         c["l1_misses"] = self.mem.l1_misses
@@ -1006,7 +1096,7 @@ class _Sim:
             memhier_digest=self.mem.snapshot_digest(),
             mutation_log=self.log,
             committed_values=self.committed_values,
-            committed_regs=self.committed_regs,
+            committed_regs=self._final_regs(),
             validation_completions=self.validation_completions,
             mean_slice_cycles=self.vrc.mean_slice_cycles() if self.vrc else None,
             load_timing=self.load_timing,

@@ -86,12 +86,17 @@ class _RecordDraft:
 
 
 class _Level:
-    """One set-associative level; per-set line lists are MRU-first."""
+    """One set-associative level; per-set line lists are MRU-first. Every
+    set starts as the level's one shared empty list, which nothing mutates:
+    `install` gives a set its own list at its first fill, so a level builds
+    lists only for the sets it fills, and `filled` holds their indices."""
 
     def __init__(self, sets: int, ways: int):
         self.sets = sets
         self.ways = ways
-        self.data: list[list[int]] = [[] for _ in range(sets)]
+        self._unfilled: list[int] = []
+        self.data: list[list[int]] = [self._unfilled] * sets
+        self.filled: set[int] = set()
         self.dirty: set[int] = set()
 
     def set_index(self, line: int) -> int:
@@ -110,7 +115,11 @@ class _Level:
 
     def install(self, line: int) -> tuple[int | None, bool]:
         """Insert as MRU; returns (victim line, victim was dirty) if one was evicted."""
-        s = self.data[self.set_index(line)]
+        index = self.set_index(line)
+        s = self.data[index]
+        if s is self._unfilled:
+            s = self.data[index] = []
+            self.filled.add(index)
         if line in s:
             s.remove(line)
             s.insert(0, line)
@@ -150,7 +159,8 @@ class MemHierState:
         self.l2 = _Level(self.config.l2_sets, self.config.l2_ways)
         self.l1_mshr: dict[int, _Mshr] = {}
         self.mem_fills = 0                           # l1_mshr lines in flight from memory
-        self._fills: list[tuple[int, int, int]] = [] # (ready, order, line)
+        # a heap of (ready, order, line); `advance` pops the due ones
+        self.fills: list[tuple[int, int, int]] = []
         self._fill_order = 0
         self.deferred_touches: dict[object, list[int]] = {}  # key -> lines to touch
         self.mshr_history: list[int] = []            # allocation order, both levels
@@ -230,18 +240,18 @@ class MemHierState:
             self.mem_fills += 1
             self._record(now, Structure.MSHR, 2, "mshr_alloc", line, cause_seq,
                          speculative, probe)
-        heapq.heappush(self._fills, (ready, self._fill_order, line))
+        heapq.heappush(self.fills, (ready, self._fill_order, line))
         self._fill_order += 1
 
     # -- fill processing -----------------------------------------------------------
 
     def next_fill_cycle(self) -> int | None:
-        return self._fills[0][0] if self._fills else None
+        return self.fills[0][0] if self.fills else None
 
     def advance(self, now: int) -> None:
         """Apply every fill due at or before `now`."""
-        while self._fills and self._fills[0][0] <= now:
-            ready, _, line = heapq.heappop(self._fills)
+        while self.fills and self.fills[0][0] <= now:
+            ready, _, line = heapq.heappop(self.fills)
             entry = self.l1_mshr.pop(line)
             spec = entry.speculative
             if not entry.l2_hit:
@@ -282,12 +292,18 @@ class MemHierState:
 
     def snapshot_digest(self) -> str:
         """SHA-256 over each set's (line, dirty) list, MRU first, a "|" after
-        each level, then the MSHR allocation history."""
+        each level, then the MSHR allocation history. Only the sets a run
+        has filled are walked; every other set is written as the empty
+        list it holds."""
         parts = []
         for level in (self.l1, self.l2):
-            dirty = level.dirty
-            parts.extend(repr([(line, line in dirty) for line in s]) if s else "[]"
-                         for s in level.data)
+            dirty, data = level.dirty, level.data
+            last = -1
+            for index in sorted(level.filled):
+                parts.append("[]" * (index - last - 1))
+                parts.append(repr([(line, line in dirty) for line in data[index]]))
+                last = index
+            parts.append("[]" * (level.sets - last - 1))
             parts.append("|")
         parts.append(repr(self.mshr_history))
         return hashlib.sha256("".join(parts).encode()).hexdigest()

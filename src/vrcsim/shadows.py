@@ -61,10 +61,6 @@ class ShadowState:
     def rq_full(self) -> bool:
         return len(self._rq) >= self.rq_capacity
 
-    def releases_pending(self) -> bool:
-        """True while a shadowed load waits in the release queue."""
-        return bool(self._rq)
-
     # -- casting & resolution ------------------------------------------------
 
     def cast(self, kind: ShadowKind, caster: int) -> int:

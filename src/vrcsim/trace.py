@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -33,6 +34,11 @@ from .isa import (ALU_ARITY, ALU_FU, ALU_LATENCY, ALU_OPS, FU_ALU, LINE_BYTES,
 KINDS = ("ALU", "LOAD", "STORE", "BRANCH", "NOP")
 # kind codes, the positions in KINDS
 KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH, KIND_NOP = range(len(KINDS))
+# an ALU op's operand form (`TraceDecode.forms`): two registers and no
+# immediate, one register and the immediate, or any other shape (and any op
+# reading a register that nothing earlier in the trace writes); FORM_ANY for
+# every other kind
+FORM_RR, FORM_RI, FORM_ANY = range(3)
 PATTERNS = ("POINTER_CHASE", "STREAM", "COMPUTE_STORE_LOAD", "MIXED")
 
 TRACE_VERSION = 1
@@ -126,29 +132,44 @@ class TraceDecode:
     it. `addr_writers` and `data_writers` are the producers of the address
     (a load's sources, a store's sources after the first) and of the data
     (a store's first source, every source of another kind), without None.
+    `forms` holds an ALU op's operand form (FORM_RR, FORM_RI or FORM_ANY).
     `consumers` is the reverse edge: the later seqs that read the seq's
     value, each once, in program order. `writers[reg]` lists every writer of
-    `reg` in program order. Seqs are trace positions."""
+    `reg` in program order. Seqs are trace positions. `kind_counts` holds
+    (kind code, instruction count) pairs in order of first appearance."""
 
-    __slots__ = ("kinds", "fus", "latencies", "casts", "src_writers",
-                 "addr_writers", "data_writers", "consumers", "writers")
+    __slots__ = ("kinds", "fus", "latencies", "casts", "forms", "src_writers",
+                 "addr_writers", "data_writers", "consumers", "writers",
+                 "kind_counts")
 
     def __init__(self, instructions: tuple[TraceInstruction, ...]):
         kind_code = {k: i for i, k in enumerate(KINDS)}
         self.kinds, self.fus, self.latencies, self.casts = [], [], [], []
+        self.forms = []
         self.src_writers, self.addr_writers, self.data_writers = [], [], []
         self.consumers: list[list[int]] = []
         self.writers: dict[int, list[int]] = {}
-        consumers, last = self.consumers, {}
+        consumers, last, writers = self.consumers, {}, self.writers
+        last_writer = last.get
+        add_kind, add_fu = self.kinds.append, self.fus.append
+        add_latency, add_casts = self.latencies.append, self.casts.append
+        add_form = self.forms.append
+        add_src, add_addr = self.src_writers.append, self.addr_writers.append
+        add_data, add_readers = self.data_writers.append, consumers.append
         for seq, ins in enumerate(instructions):
             kind = kind_code[ins.kind]
-            src_ws = tuple([last.get(r) for r in ins.srcs])
+            src_ws = tuple(map(last_writer, ins.srcs))
             written = src_ws if None not in src_ws else \
                 tuple([w for w in src_ws if w is not None])
-            fu, latency, casts = FU_ALU, 1, int(ins.may_fault)
+            fu, latency, casts, form = FU_ALU, 1, int(ins.may_fault), FORM_ANY
             data, addr = written, ()
             if kind == KIND_ALU:
                 fu, latency = ALU_FU[ins.alu_op], ALU_LATENCY[ins.alu_op]
+                if written is src_ws:
+                    if len(src_ws) == 2 and ins.imm is None:
+                        form = FORM_RR
+                    elif len(src_ws) == 1 and ins.imm is not None:
+                        form = FORM_RI
             elif kind == KIND_LOAD:
                 data, addr = (), written
             elif kind == KIND_STORE:
@@ -157,21 +178,27 @@ class TraceDecode:
                 addr = tuple([w for w in src_ws[1:] if w is not None])
             elif kind == KIND_BRANCH:
                 casts += 1
-            self.kinds.append(kind)
-            self.fus.append(fu)
-            self.latencies.append(latency)
-            self.casts.append(casts)
-            self.src_writers.append(src_ws)
-            self.addr_writers.append(addr)
-            self.data_writers.append(data)
-            consumers.append([])
+            add_kind(kind)
+            add_fu(fu)
+            add_latency(latency)
+            add_casts(casts)
+            add_form(form)
+            add_src(src_ws)
+            add_addr(addr)
+            add_data(data)
+            add_readers([])
             for w in written:
                 readers = consumers[w]
                 if not readers or readers[-1] != seq:
                     readers.append(seq)
-            if ins.dst is not None:
-                last[ins.dst] = seq
-                self.writers.setdefault(ins.dst, []).append(seq)
+            dst = ins.dst
+            if dst is not None:
+                last[dst] = seq
+                if dst in writers:
+                    writers[dst].append(seq)
+                else:
+                    writers[dst] = [seq]
+        self.kind_counts = tuple(Counter(self.kinds).items())
 
     def writer_before(self, reg: int, seq: int) -> int | None:
         """The last writer of `reg` strictly before `seq`, or None."""

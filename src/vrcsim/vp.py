@@ -3,6 +3,13 @@ components indexed by pc hashed with geometrically longer folded slices of
 the global branch history. Longest-history tag match provides the
 prediction; only saturated confidence counts as usable, and confidence rises
 probabilistically (forward probabilistic counters).
+
+A component's slice of `length` history bits folds into `bits` bits: the
+XOR of its `bits`-wide chunks, youngest first. Each component keeps its
+index fold and its tag fold in a register that a branch updates in O(1),
+the circular-shift form of TAGE/VTAGE predictors (Michaud, "A PPM-like,
+tag-based branch predictor", JILP 2005): the register rotates left by one,
+takes the new outcome into bit 0 and drops the bit that leaves the slice.
 """
 
 from __future__ import annotations
@@ -67,26 +74,22 @@ class VpState:
         ]
         self.hist_lengths = c.history_lengths()
         self.ghist = 0                       # branch outcomes, LSB = youngest
+        self.idx_bits = (c.entries - 1).bit_length()
+        # per component, the folds of its history slice that index and tag
+        self.idx_folds = [0] * (c.components - 1)
+        self.tag_folds = [0] * (c.components - 1)
         self.lookups = 0
         self.updates = 0
 
     # -- indexing ------------------------------------------------------------
 
-    def _fold(self, length: int, bits: int) -> int:
-        h = self.ghist & ((1 << length) - 1)
-        folded = 0
-        while h:
-            folded ^= h & ((1 << bits) - 1)
-            h >>= bits
-        return folded
-
     def _index(self, pc: int, comp: int) -> int:
-        idx_bits = (self.config.entries - 1).bit_length()
-        folded = self._fold(self.hist_lengths[comp], idx_bits)
+        idx_bits = self.idx_bits
+        folded = self.idx_folds[comp]
         return (pc ^ (pc >> idx_bits) ^ folded ^ (comp + 1)) & (self.config.entries - 1)
 
     def _tag(self, pc: int, comp: int) -> int:
-        folded = self._fold(self.hist_lengths[comp], self.config.tag_bits)
+        folded = self.tag_folds[comp]
         return (pc ^ (pc >> self.config.tag_bits) ^ (folded << 1)) & \
             ((1 << self.config.tag_bits) - 1)
 
@@ -162,5 +165,21 @@ class VpState:
         table[index] = _Entry(tag=self._tag(pc, comp), value=value)
 
     def notify_branch(self, outcome: bool) -> None:
+        new, ghist = int(outcome), self.ghist
+        for comp, length in enumerate(self.hist_lengths):
+            old = (ghist >> (length - 1)) & 1  # leaves the slice
+            self.idx_folds[comp] = _shift_fold(self.idx_folds[comp], self.idx_bits,
+                                               length, new, old)
+            self.tag_folds[comp] = _shift_fold(self.tag_folds[comp],
+                                               self.config.tag_bits, length, new, old)
         max_len = self.hist_lengths[-1]
-        self.ghist = ((self.ghist << 1) | int(outcome)) & ((1 << max_len) - 1)
+        self.ghist = ((ghist << 1) | new) & ((1 << max_len) - 1)
+
+
+def _shift_fold(folded: int, bits: int, length: int, new: int, old: int) -> int:
+    """The `bits`-wide fold of a `length`-bit history slice after the slice
+    shifts left by one: bit p of the slice folds into bit p % bits, so the
+    fold rotates left by one, `new` enters at bit 0 and `old`, the bit
+    shifted out to position `length`, leaves from bit `length % bits`."""
+    folded = ((folded << 1) | (folded >> (bits - 1))) & ((1 << bits) - 1)
+    return folded ^ new ^ (old << (length % bits))

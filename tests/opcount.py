@@ -1,0 +1,129 @@
+"""Executed bytecodes per simulated instruction on the three bench-shaped
+traces, in total and per function.
+
+    PYTHONPATH=src python3 tests/opcount.py [--top N]
+
+It counts bytecodes, not time: every Python opcode executed inside the
+`core.run` and `core.inject_transient_probe` calls of one iteration is
+counted with `sys.settrace` opcode events, and the total is divided by the
+instructions those runs committed. Work in C (builtins, `sorted`, `heapq`,
+list methods) costs no bytecodes and does not show. The count is
+deterministic, so two trees can be compared without host noise; a cut in
+bytecodes is a guide to a speed-up, not a measurement of one.
+
+The traces are those of `bench/run.py` at seed 1: mixed-sweep (a 1k MIXED
+trace under all seven policies), compute-audit (a 1k COMPUTE_STORE_LOAD
+trace, 0.75 recomputable and 0.3 mispredicted, under all seven policies
+clean and probed, the probe site chosen as the bench does) and
+stream-ingest (a 2k STREAM trace under BASELINE and DOM, its decode built
+by the first run as when the bench loads it from a file). The file has no
+`test_` prefix, so the test suite does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+
+from vrcsim import core
+from vrcsim.audit import differential_check
+from vrcsim.core import CoreConfig, ProbeSpec
+from vrcsim.slicer import annotate
+from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+
+SEED = 1
+PROBE_ADDRS = tuple(0x7100_0000 + i * 64 for i in range(8))
+PROBE_SITES = 8
+# name -> (pattern, count, policies, probed, annotated, generator options)
+WORKLOADS = {
+    "mixed-sweep": ("MIXED", 1_000, core.POLICIES, False, True, {}),
+    "compute-audit": ("COMPUTE_STORE_LOAD", 1_000, core.POLICIES, True, True,
+                      {"recomputable_fraction": 0.75, "mispredict_rate": 0.3}),
+    "stream-ingest": ("STREAM", 2_000, ("BASELINE", "DOM"), False, False,
+                      {"load_density": 0.2, "working_set_bytes": 4 << 20}),
+}
+
+
+class OpCounter:
+    """Counts executed opcodes per function while `call` runs."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self._local = {}
+
+    def _tracer(self, frame, event, arg):
+        code = frame.f_code
+        local = self._local.get(code)
+        if local is None:
+            key = f"{code.co_qualname} ({code.co_filename.rsplit('/', 1)[-1]}" \
+                  f":{code.co_firstlineno})"
+            counts = self.counts
+
+            def local(frame, event, arg):
+                if event == "opcode":
+                    counts[key] += 1
+                return local
+            self._local[code] = local
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    def call(self, fn, *args, **kwargs):
+        sys.settrace(self._tracer)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.settrace(None)
+
+
+def count_workload(name: str) -> tuple[Counter, int]:
+    """Opcode counts per function over one iteration's core runs, and the
+    instructions they committed."""
+    pattern, count, policies, probed, annotated, spec = WORKLOADS[name]
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=count,
+                                            seed=SEED, **spec))
+    table = annotate(t)[0] if annotated else None
+    sites = [i.seq for i in t.instructions if i.kind == "BRANCH"
+             and not i.br.predicted_correctly][:PROBE_SITES] if probed else []
+    counter = OpCounter()
+    committed = 0
+    probe = None
+    for policy in policies:
+        cfg = CoreConfig(policy=policy)
+        clean = counter.call(core.run, t, annotations=table, config=cfg)
+        committed += clean.committed
+        if policy == "BASELINE":
+            # the first site whose probe leaves a trace in the hierarchy
+            for site in sites:
+                candidate = ProbeSpec(site, PROBE_ADDRS)
+                result = counter.call(core.inject_transient_probe, t, candidate,
+                                      annotations=table, config=cfg)
+                committed += result.committed
+                if not differential_check(clean, result).equal:
+                    probe = candidate
+                    break
+        elif probe is not None:
+            result = counter.call(core.inject_transient_probe, t, probe,
+                                  annotations=table, config=cfg)
+            committed += result.committed
+    return counter.counts, committed
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--top", type=int, default=12,
+                    help="functions listed per workload (default 12)")
+    args = ap.parse_args(argv)
+    for name in WORKLOADS:
+        counts, committed = count_workload(name)
+        total = sum(counts.values())
+        print(f"{name}: {total / committed:.1f} bytecodes per instruction "
+              f"({total} over {committed} committed)")
+        for key, n in counts.most_common(args.top):
+            print(f"  {n / committed:8.1f}  {100 * n / total:5.1f}%  {key}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

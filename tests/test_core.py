@@ -8,9 +8,12 @@ from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
 from vrcsim.slicer import annotate
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
+
+from test_fingerprints import (_fingerprint, hand_fu_replay_trace,
+                               hand_paths_trace, hand_replay_trace)
 
 COLD_A = 0x10_0000
 COLD_B = 0x20_0000
@@ -355,3 +358,67 @@ def test_entries_are_bounded_by_the_rob(monkeypatch):
     assert r.committed == len(t) == 3000
     assert r.committed_values == functional_replay(t).results
     assert 0 < len(built) <= cfg.rob_size
+
+
+@pytest.mark.parametrize("overrides", [
+    {"rob_size": 0, "iq_size": 0}, {"iq_size": 0}, {"lq_size": 0},
+    {"sq_size": 0}, {"alu_units": 0}, {"mul_units": 0}, {"mem_ports": 0},
+    {"rq_capacity": 0}, {"alu_units": -1}, {"sb_capacity": 1},
+    {"redirect_penalty": -1}, {"deadlock_cycles": 0},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_config_that_cannot_progress_is_rejected(overrides):
+    # each of these stops a run with DeadlockError (or, for the penalty,
+    # reads an early redirect as "blocked until the branch resolves")
+    with pytest.raises(ValueError, match=next(iter(overrides))):
+        CoreConfig(**overrides)
+
+
+def test_smallest_legal_core_runs_to_completion(tb):
+    # one of everything, and a shadow buffer of two: a faulting load under
+    # TSO casts its exception and memory-order shadows at once
+    smallest = dict(width=1, rob_size=1, iq_size=1, lq_size=1, sq_size=1,
+                    alu_units=1, mul_units=1, mem_ports=1, rq_capacity=1,
+                    sb_capacity=2, redirect_penalty=0, deadlock_cycles=5_000)
+    tb.alu(0x0, 1, "MOV", imm=3)
+    tb.load(0x4, 2, COLD_A, fault=True)
+    tb.store(0x8, COLD_B, srcs=(1,))
+    tb.branch(0xC, srcs=(2,), predicted=False)
+    tb.alu(0x10, 3, "MUL", srcs=(1, 2))
+    traces = [tb.build()] + [
+        gen_synthetic(SyntheticWorkloadSpec(pattern=p, count=300, seed=1))
+        for p in PATTERNS]
+    for t in traces:
+        table, _ = annotate(t)
+        for policy in ("DOM", "VP", "VRC"):
+            r = core.run(t, annotations=table,
+                         config=CoreConfig(policy=policy, **smallest))
+            assert r.committed_values == functional_replay(t).results, policy
+
+
+def test_ring_slots_recycle_across_kinds(monkeypatch):
+    # a four-entry ROB passes every ring slot between kinds all the time;
+    # the ALU op's short reset must leave each run as resetting every field
+    # does, and `reset` must set every field
+    e = core._Entry()
+    e.reset(0, None, 0, 0)
+    assert all(hasattr(e, name) for name in core._Entry.__slots__)
+    small = {"rob_size": 4, "iq_size": 4}
+    traces = [gen_synthetic(SyntheticWorkloadSpec(pattern=p, count=600, seed=2))
+              for p in PATTERNS]
+    traces += [hand_paths_trace(), hand_replay_trace(), hand_fu_replay_trace()]
+    cases = [(t, annotate(t)[0], functional_replay(t)) for t in traces]
+
+    def fingerprints():
+        out = []
+        for t, table, oracle in cases:
+            for policy in core.POLICIES:
+                r = core.run(t, annotations=table,
+                             config=CoreConfig(policy=policy, **small))
+                assert r.committed_values == oracle.results, policy
+                assert r.committed_regs == oracle.final_regs, policy
+                out.append(_fingerprint(r))
+        return out
+
+    short = fingerprints()
+    monkeypatch.setattr(core._Entry, "reset_alu", core._Entry.reset)
+    assert fingerprints() == short

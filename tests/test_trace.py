@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from vrcsim import slicer, trace as trace_mod
 from vrcsim.core import POLICIES, CoreConfig, ProbeSpec, inject_transient_probe, run
 from vrcsim.isa import ALU_LATENCY, FU_ALU, FU_MUL
 from vrcsim.trace import (
-    KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
+    FORM_ANY, FORM_RI, FORM_RR, KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
     Trace, TraceFormatError, TraceHeader, TraceInstruction, BranchInfo,
     emit_trace, gen_synthetic, parse_trace, validate_trace, window_trace,
 )
@@ -554,3 +555,31 @@ def test_core_decode_built_once_per_trace(monkeypatch):
     inject_transient_probe(t, ProbeSpec(site, (0x7000_0000,)), annotations=table,
                            config=CoreConfig(policy="DOM"))
     assert built == [t.decode]
+
+
+def _form(ins, src_writers) -> int:
+    if ins.kind != "ALU" or None in src_writers:
+        return FORM_ANY
+    if len(src_writers) == 2 and ins.imm is None:
+        return FORM_RR
+    if len(src_writers) == 1 and ins.imm is not None:
+        return FORM_RI
+    return FORM_ANY
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_core_decode_operand_forms_and_kind_counts(pattern, tb):
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=600, seed=4))
+    tb.alu(0x0, 1, "ADD", srcs=(2,), imm=1)         # r2 never written
+    tb.alu(0x4, 2, "ADD", srcs=(1,), imm=1)
+    tb.alu(0x8, 3, "SUB", srcs=(1, 2))
+    tb.alu(0xC, 4, "MOV", srcs=(3,))
+    tb.alu(0x10, 5, "CMOV", srcs=(1, 2, 3))
+    tb.alu(0x14, 6, "MOV", imm=7)
+    for trace in (t, tb.build()):
+        dec = trace.decode
+        assert dec.forms == [_form(ins, dec.src_writers[seq])
+                             for seq, ins in enumerate(trace.instructions)]
+        assert dec.kind_counts == tuple(Counter(dec.kinds).items())
+    assert tb.build().decode.forms == [FORM_ANY, FORM_RI, FORM_RR, FORM_ANY,
+                                       FORM_ANY, FORM_ANY]

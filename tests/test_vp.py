@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vrcsim.vp import Prediction, VpConfig, VpState
@@ -98,3 +100,34 @@ def test_determinism_under_seed():
 def test_config_validation():
     with pytest.raises(ValueError):
         VpConfig(entries=100)  # not a power of two
+
+
+def _fold(ghist: int, length: int, bits: int) -> int:
+    """The reference fold: the XOR of the `bits`-wide chunks of the
+    youngest `length` history bits, recomputed from the whole history."""
+    h = ghist & ((1 << length) - 1)
+    folded = 0
+    while h:
+        folded ^= h & ((1 << bits) - 1)
+        h >>= bits
+    return folded
+
+
+@pytest.mark.parametrize("config", [
+    VpConfig(),
+    VpConfig(entries=64, tag_bits=5, components=8, min_history=3,
+             history_ratio=3),
+], ids=["default", "odd-lengths"])
+def test_folded_histories_match_the_reference_fold(config):
+    # the O(1) registers equal a full refold over a branch sequence longer
+    # than the longest history, so old outcomes leave every slice
+    vp = VpState(config)
+    rng = random.Random(11)
+    steps = config.history_lengths()[-1] + 1_500
+    for step in range(steps):
+        vp.notify_branch(rng.random() < 0.5)
+        if step % 61 == 0 or step >= steps - 5:
+            for comp, length in enumerate(vp.hist_lengths):
+                assert vp.idx_folds[comp] == _fold(vp.ghist, length, vp.idx_bits)
+                assert vp.tag_folds[comp] == _fold(vp.ghist, length,
+                                                   config.tag_bits)
