@@ -1,8 +1,10 @@
 """Memory-hierarchy mutation auditing.
 
-Every change to cache tag arrays, LRU stacks, dirty bits or MSHRs flows
-through one choke point (MutationLog.append), each entry tagged with the
-causing instruction and whether that cause was speculative at the time.
+Every change to cache tag arrays, LRU stacks, dirty bits or MSHRs is one
+MutationRecord, an immutable tuple record appended to the run's
+MutationLog, a plain list, at one choke point (`MemHierState._record`).
+Each record names the causing instruction and whether that cause was
+speculative at the time.
 `assert_invisibility` is the security verdict: under a secure policy no
 entry may carry a speculative cause. `differential_check` compares a
 probe-injected run against a clean run; the observation model is the
@@ -13,7 +15,8 @@ contention channels are outside this threat surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -27,49 +30,39 @@ class Structure(Enum):
     MSHR = "MSHR"
 
 
-@dataclass(frozen=True, slots=True)
-class MutationRecord:
-    cycle: int
-    structure: Structure
-    level: int               # 1 or 2
-    op: str                  # fill | evict | lru_touch | dirty | mshr_alloc
-    line_addr: int
-    victim_addr: int | None
-    cause_seq: int
-    speculative: bool
-    probe: bool
+class MutationRecord(namedtuple("MutationRecord", (
+        "cycle", "structure", "level", "op", "line_addr", "victim_addr",
+        "cause_seq", "speculative", "probe"))):
+    """One hierarchy mutation. `level` is 1 or 2; `op` is fill, evict,
+    lru_touch, dirty or mshr_alloc; `victim_addr` is the line a fill
+    evicted, or None."""
+
+    __slots__ = ()
 
     def format_line(self) -> str:
-        victim = f"{self.victim_addr:#x}" if self.victim_addr is not None else "-"
+        cycle, structure, _, op, line, victim, cause, spec, probe = self
+        victim = f"{victim:#x}" if victim is not None else "-"
         return (
-            f"M cycle={self.cycle} struct={self.structure.value} op={self.op} "
-            f"line={self.line_addr:#x} victim={victim} cause={self.cause_seq} "
-            f"spec={int(self.speculative)} probe={int(self.probe)}"
+            f"M cycle={cycle} struct={structure.value} op={op} "
+            f"line={line:#x} victim={victim} cause={cause} "
+            f"spec={int(spec)} probe={int(probe)}"
         )
 
 
-@dataclass(slots=True)
-class MutationLog:
-    records: list[MutationRecord] = field(default_factory=list)
+class MutationLog(list):
+    """A run's MutationRecords in the order they were made."""
 
-    def append(self, record: MutationRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+    __slots__ = ()
 
     def speculative_records(self) -> list[MutationRecord]:
-        return [r for r in self.records if r.speculative]
+        return [r for r in self if r.speculative]
 
     def committed_records(self) -> list[MutationRecord]:
         """Records attributable to non-speculative (committed/unshadowed) causes."""
-        return [r for r in self.records if not r.speculative and not r.probe]
+        return [r for r in self if not r.speculative and not r.probe]
 
     def export_lines(self) -> str:
-        return "\n".join(r.format_line() for r in self.records) + ("\n" if self.records else "")
+        return "".join(r.format_line() + "\n" for r in self)
 
 
 @dataclass(frozen=True, slots=True)

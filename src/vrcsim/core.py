@@ -271,11 +271,9 @@ class _Sim:
         self.now = 0
         self.next_dispatch = 0
         self.commit_head = 0
-        self.committed = 0
         self.last_commit_cycle = 0
         self.iq_used = 0
         self.lq_used = 0
-        self.sq_used = 0
         self.live_stores: deque[int] = deque()  # dispatched, uncommitted stores
 
         self.events: list = []                  # (cycle, order, handler, payload)
@@ -474,7 +472,7 @@ class _Sim:
                     break
             elif need > room \
                     or (kind != KIND_NOP and iq_used >= iq_size) \
-                    or (kind == KIND_STORE and self.sq_used >= cfg.sq_size):
+                    or (kind == KIND_STORE and len(self.live_stores) >= cfg.sq_size):
                 break
             room -= need
             ins = instructions[seq]
@@ -496,7 +494,6 @@ class _Sim:
                                    in enumerate(self.probe_spec.load_addrs)]
             elif kind == KIND_STORE:
                 e.sb_d = sb.cast(ShadowKind.D, seq)
-                self.sq_used += 1
                 self.live_stores.append(seq)
             elif kind == KIND_LOAD:
                 if self.order_shadow is not None:
@@ -942,7 +939,6 @@ class _Sim:
                     if ready is None:
                         self.counters["store_commit_stalls"] += 1
                         break
-                    self.sq_used -= 1
                     # stores commit in program order, so the oldest live one leaves
                     if self.live_stores.popleft() != seq:
                         raise RuntimeError(f"store {seq} committed out of order")
@@ -958,7 +954,6 @@ class _Sim:
             seq += 1
         if seq == first:
             return False
-        self.committed += seq - first
         self.commit_head = seq
         self.last_commit_cycle = now
         return True
@@ -1025,9 +1020,8 @@ class _Sim:
         candidates = []
         if self.events:
             candidates.append(self.events[0][0])
-        nf = self.mem.next_fill_cycle()
-        if nf is not None:
-            candidates.append(nf)
+        if self.mem.fills:
+            candidates.append(self.mem.fills[0][0])
         if self.calendar:
             candidates.append(min(self.calendar))
         if self.redirect_until is not None and self.redirect_until >= 0:
@@ -1048,10 +1042,10 @@ class _Sim:
         shadow = self.sb.oldest_unresolved()
         return "; ".join([
             f"no commit for {self.config.deadlock_cycles} cycles at cycle {self.now}",
-            f"policy={self.policy} committed={self.committed}/{self.n}",
+            f"policy={self.policy} committed={self.commit_head}/{self.n}",
             f"head seq={self.commit_head} "
             f"state={STATE_NAMES[head.state] if head else 'undispatched'}",
-            f"iq={self.iq_used} lq={self.lq_used} sq={self.sq_used}",
+            f"iq={self.iq_used} lq={self.lq_used} sq={len(self.live_stores)}",
             f"issue_pool={len(self.issue_pool)}",
             "oldest shadow=" + (f"{shadow[0].value} cast by seq={shadow[1]}"
                                 if shadow else "none"),
@@ -1091,7 +1085,7 @@ class _Sim:
             policy=self.policy,
             consistency=self.config.consistency,
             cycles=cycles,
-            committed=self.committed,
+            committed=self.commit_head,
             counters=dict(c),
             memhier_digest=self.mem.snapshot_digest(),
             mutation_log=self.log,

@@ -7,6 +7,9 @@ probe under a secure policy) may hit, its LRU update queued until the load
 leaves speculation or dropped if it is squashed, or ride an in-flight fill; a
 true miss is refused and changes nothing.
 
+Every change the hierarchy makes is one `MutationRecord`, a tuple record
+that `_record` appends to the run's `MutationLog`, a plain list.
+
 Timing: an L1 hit returns in 2 cycles, an L2 hit in 2+20, a memory access in
 2+20+mem_latency. Fills install the line at the ready cycle (memory fills
 install into L2 and L1 together); the hierarchy is inclusive, so an L2
@@ -60,29 +63,6 @@ class CacheConfig:
 L1_HIT = "L1_HIT"
 MSHR_HIT = "MSHR_HIT"
 L1_MISS = "L1_MISS"
-
-
-class _RecordDraft:
-    """Builds a MutationRecord with plain slot stores instead of the frozen
-    dataclass `__init__`, which pays one `object.__setattr__` call per
-    field; the slots match MutationRecord's, so the finished draft becomes
-    one by class assignment, equal, hashed and frozen like one built by
-    keyword."""
-
-    __slots__ = MutationRecord.__slots__
-
-    def __init__(self, cycle, structure, level, op, line_addr, victim_addr,
-                 cause_seq, speculative, probe):
-        self.cycle = cycle
-        self.structure = structure
-        self.level = level
-        self.op = op
-        self.line_addr = line_addr
-        self.victim_addr = victim_addr
-        self.cause_seq = cause_seq
-        self.speculative = speculative
-        self.probe = probe
-        self.__class__ = MutationRecord
 
 
 class _Level:
@@ -179,8 +159,8 @@ class MemHierState:
     def _record(self, now: int, structure: Structure, level: int, op: str,
                 line: int, cause_seq: int, speculative: bool, probe: bool,
                 victim: int | None = None) -> None:
-        self.log.append(_RecordDraft(now, structure, level, op, line, victim,
-                                     cause_seq, speculative, probe))
+        self.log.append(MutationRecord(now, structure, level, op, line, victim,
+                                       cause_seq, speculative, probe))
 
     # -- accesses ---------------------------------------------------------------
 
@@ -244,9 +224,6 @@ class MemHierState:
         self._fill_order += 1
 
     # -- fill processing -----------------------------------------------------------
-
-    def next_fill_cycle(self) -> int | None:
-        return self.fills[0][0] if self.fills else None
 
     def advance(self, now: int) -> None:
         """Apply every fill due at or before `now`."""
@@ -316,17 +293,17 @@ def replay_log(log: MutationLog, config: CacheConfig | None = None) -> str:
     state's snapshot_digest.
     """
     state = MemHierState(config or CacheConfig(), log=MutationLog())
-    for r in log:
-        level = state.l1 if r.level == 1 else state.l2
-        if r.op == "fill":
-            level.install(r.line_addr)
-        elif r.op == "evict":
-            level.evict(r.line_addr)
-        elif r.op == "lru_touch":
-            level.touch(r.line_addr)
-        elif r.op == "dirty":
-            level.dirty.add(r.line_addr)
-        elif r.op == "mshr_alloc":
-            if r.level == 1:
-                state.mshr_history.append(r.line_addr)
+    for _, _, level_no, op, line, _, _, _, _ in log:
+        level = state.l1 if level_no == 1 else state.l2
+        if op == "fill":
+            level.install(line)
+        elif op == "evict":
+            level.evict(line)
+        elif op == "lru_touch":
+            level.touch(line)
+        elif op == "dirty":
+            level.dirty.add(line)
+        elif op == "mshr_alloc":
+            if level_no == 1:
+                state.mshr_history.append(line)
     return state.snapshot_digest()

@@ -102,18 +102,20 @@ class VpState:
         provider = self._provider(pc)
         if provider is None:
             return None
-        entry = provider[2]
+        _, entry = provider
         return Prediction(value=entry.value,
                           confident=entry.conf >= self.config.conf_max)
 
     def _provider(self, pc: int):
+        """(component, entry) of the longest match, component -1 for the
+        base table; None if nothing matches."""
         for comp in range(self.config.components - 2, -1, -1):
             entry = self.tagged[comp][self._index(pc, comp)]
             if entry is not None and entry.tag == self._tag(pc, comp):
-                return ("tagged", comp, entry)
+                return comp, entry
         base = self.base[pc & (self.config.entries - 1)]
         if base is not None:
-            return ("base", -1, base)
+            return -1, base
         return None
 
     def train(self, pc: int, actual: int, was_correct: bool | None = None) -> None:
@@ -123,9 +125,8 @@ class VpState:
         last value, so the most recent trainer wins on aliasing."""
         self.updates += 1
         actual &= MASK64
-        provider = self._provider(pc)
-        if provider is not None and provider[0] == "tagged":
-            _, comp, entry = provider
+        comp, entry = self._provider(pc) or (None, None)
+        if entry is not None and comp >= 0:
             correct = entry.value == actual if was_correct is None else \
                 (was_correct and entry.value == actual)
             if correct:
@@ -142,7 +143,7 @@ class VpState:
         elif base.value == actual:
             self._bump_conf(base)
         else:
-            if provider is not None and provider[0] == "base":
+            if comp == -1:
                 self._allocate(pc, actual, longer_than=-1)
             base.conf = 0
             base.value = actual
@@ -153,10 +154,10 @@ class VpState:
             entry.conf += 1
 
     def _allocate(self, pc: int, value: int, longer_than: int) -> None:
-        candidates = list(range(longer_than + 1, self.config.components - 1))
-        if not candidates:
+        n = self.config.components - 2 - longer_than  # longer components
+        if n <= 0:
             return
-        comp = candidates[self.rng.randrange(len(candidates))]
+        comp = longer_than + 1 + self.rng.randrange(n)
         table, index = self.tagged[comp], self._index(pc, comp)
         entry = table[index]
         if entry is not None and entry.useful and self.rng.random() < 0.5:

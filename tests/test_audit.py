@@ -1,3 +1,6 @@
+import pickle
+from types import SimpleNamespace
+
 from vrcsim import core
 from vrcsim.audit import (MutationLog, MutationRecord, Structure,
                           assert_invisibility, differential_check)
@@ -85,3 +88,48 @@ def test_committed_filter_excludes_probe_records():
     log.append(_rec(spec=True, probe=True))
     assert len(log.committed_records()) == 1
     assert len(log.speculative_records()) == 1
+
+
+def _runs(records_a, records_b):
+    """Two stand-in runs with equal digests and the given mutation logs."""
+    return (SimpleNamespace(memhier_digest="d", mutation_log=MutationLog(records_a)),
+            SimpleNamespace(memhier_digest="d", mutation_log=MutationLog(records_b)))
+
+
+def test_differential_reports_first_mismatching_record():
+    a = [_rec(cycle=0), _rec(cycle=1), _rec(cycle=2)]
+    b = [_rec(cycle=0), _rec(cycle=1, line=0x80), _rec(cycle=2)]
+    result = differential_check(*_runs(a, b))
+    assert not result.equal
+    assert result.detail == "mutation log mismatch"
+    assert result.first_divergence is a[1]
+
+
+def test_differential_reports_first_extra_record_of_longer_log():
+    short = [_rec(cycle=0), _rec(cycle=1)]
+    long = short + [_rec(cycle=2), _rec(cycle=3)]
+    for a, b in ((short, long), (long, short)):
+        result = differential_check(*_runs(a, b))
+        assert not result.equal
+        assert result.detail == "mutation log length mismatch"
+        assert result.first_divergence is long[2]
+
+
+def test_differential_ignores_probe_records():
+    a = [_rec(cycle=0), _rec(cycle=1, probe=True, line=0x80), _rec(cycle=2)]
+    b = [_rec(cycle=0), _rec(cycle=2)]
+    assert differential_check(*_runs(a, b)).equal
+
+
+def test_run_results_survive_pickle():
+    t = _suite_trace()
+    clean = core.run(t, config=core.CoreConfig(policy="DOM"))
+    probed = core.inject_transient_probe(t, _probe_for(t),
+                                         config=core.CoreConfig(policy="BASELINE"))
+    assert any(r.probe for r in probed.mutation_log)
+    for r in (clean, probed):
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back.mutation_log) is MutationLog
+        assert back.mutation_log.export_lines() == r.mutation_log.export_lines()
+        assert back.memhier_digest == r.memhier_digest
+        assert differential_check(r, back).equal
