@@ -34,7 +34,8 @@ and a deadlock report names the head's kind and caster.
 A run keeps `rob_size` entries in a ring and resets the one at
 `seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
 last instruction has committed, so the core's state is bounded by the ROB,
-not the trace; an ALU op resets only the fields an ALU op reads.
+not the trace; an ALU op's dispatch writes only the fields an ALU op
+reads, inline.
 `entries[seq]` is the entry while `seq` is in flight and None before
 dispatch and after commit. A value is written to `committed_values[seq]` when it is bound (at
 execute, load completion, prediction, validation or replay), so an operand
@@ -45,24 +46,31 @@ committed and its value as ready.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
-values; `_op_ready` is that rule, and a producer's wake holds its one
-inlined copy. Loads, stores and replays go through `_reschedule`. A ready
-entry is filed in a calendar (R. Brown's calendar queue, CACM 1988): a dict
-from cycle to seqs, of which the issue stage pops exactly the current
-cycle's bucket and an idle cycle skips to the smallest key. Issue walks the
-bucket and the issue pool together in program order; what does not issue
-waits in the pool. An ALU op or branch executes inline in that walk on a
-unit of its FU class, or waits while the cycle's units of that class are
-used up; its producers had values when it left the calendar, so only an op
-a value-prediction replay visited is checked again. For a load the entry
-state chooses the action: NONSPEC reissues an unshadowed delayed or
-fallback load, AWAIT_VALIDATION validates a predicted load, and otherwise
-the load forwards, accesses, or has the policy applied to its shadowed
-miss. Every real hierarchy access goes through one path that takes a memory
-port and retries on an MSHR stall. A load "performs" when its value is
-bound by a real access, store forward, or recomputation; its memory-order
-shadow resolves then (at validation completion for predicted loads). Time
-skips ahead to the next scheduled event whenever a cycle makes no progress.
+values; `_op_ready` is that rule, and ALU dispatch and a producer's wake
+each hold an inlined copy. Loads, stores and replays go through
+`_reschedule`. A ready entry is filed in a calendar (R. Brown's calendar
+queue, CACM 1988): a dict from cycle to seqs, of which the issue stage pops
+exactly the current cycle's bucket and an idle cycle skips to the smallest
+key. Issue walks, in program order, the bucket, the loads waiting in the
+issue pool and the ops (ALU ops and branches) waiting for a unit, which
+each FU class keeps in a list sorted by seq; units and issue slots go in
+that order. A class's units can take only its oldest waiting ops, so the
+walk takes as many of them as the class has units and leaves the rest of
+its list, unvisited, for the next cycle. A load that does not issue waits
+in the pool, and an op that finds its class's units used up waits in the
+class's list. An ALU op or branch executes inline in the walk. Its
+producers had values when it left the calendar, so only an op a
+value-prediction replay visited since is checked again, before it takes a
+unit; while such an op may wait in a list, the walk takes the whole list.
+The recomputation engine steps only in a cycle it has work in. For a load the entry state chooses the action: NONSPEC reissues an
+unshadowed delayed or fallback load, AWAIT_VALIDATION validates a predicted
+load, and otherwise the load forwards, accesses, or has the policy applied
+to its shadowed miss. Every real hierarchy access goes through one path
+that takes a memory port and retries on an MSHR stall. A load "performs"
+when its value is bound by a real access, store forward, or recomputation;
+its memory-order shadow resolves then (at validation completion for
+predicted loads). Time skips ahead to the next scheduled event whenever a
+cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -174,7 +182,8 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 class _Entry:
     """One in-flight instruction: a slot of the run's ring, reset at
-    dispatch. Its value lives in the run's `committed_values`."""
+    dispatch (an ALU op's dispatch writes only the fields an ALU op reads).
+    Its value lives in the run's `committed_values`."""
 
     __slots__ = (
         "seq", "ins", "kind", "state", "value_ready", "complete",
@@ -201,19 +210,6 @@ class _Entry:
         self.unshadow_cycle = None
         self.dispatch_cycle = now
         self.issue_at = None
-
-    def reset_alu(self, seq, ins, kind, now):
-        """The fields an ALU op reads; the others belong to the other
-        kinds and keep whatever the slot's last occupant left."""
-        self.seq = seq
-        self.ins = ins
-        self.kind = kind
-        self.state = DISP
-        self.value_ready = None
-        self.complete = None
-        self.sb_e = None
-        self.ready_floor = now + 1
-        self.filed_for = -1
 
 
 class _Sim:
@@ -282,8 +278,13 @@ class _Sim:
         # the last cycle whose bucket the issue stage popped: every key is
         # later, so an entry is filed while its `filed_for` is later too
         self.popped = -1
-        self.issue_pool: set[int] = set()       # seqs that wait to issue
-        self.replay_visited: set[int] = set()   # seqs a replay walk visited
+        self.issue_pool: set[int] = set()       # loads that wait to issue
+        # per FU class, the ops (ALU ops and branches) that wait for a unit
+        self.fu_wait: tuple[list[int], list[int]] = ([], [])
+        # ops a replay walk visited and the issue walk has not checked since
+        self.recheck: set[int] = set()
+        # once a replay has run, a wake can file an entry that also waits
+        self.replayed = False
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
 
@@ -361,7 +362,7 @@ class _Sim:
         """An ALU op or branch waiting in DISP becomes ready at its floor
         (the cycle after dispatch, or its replay floor once replayed), and
         no earlier than its data producers' values. It inlines `_ready_at`,
-        as it runs for nearly every instruction; `_wake` inlines it."""
+        as it runs for every branch; ALU dispatch and `_wake` inline it."""
         ready = e.ready_floor
         entries = self.entries
         for w in self.data_writers[e.seq]:
@@ -443,7 +444,8 @@ class _Sim:
         # nothing resolves during dispatch, so the room only shrinks by the
         # casts of the instructions dispatched here
         room = sb.room()
-        kinds, casts = self.decode.kinds, self.decode.casts
+        decode = self.decode
+        kinds, casts, data_writers = decode.kinds, decode.casts, decode.data_writers
         load_casts = self.load_casts
         instructions = self.trace.instructions
         entries, ring, rob = self.entries, self.ring, cfg.rob_size
@@ -452,17 +454,38 @@ class _Sim:
             kind = kinds[seq]
             need = casts[seq]
             if kind == KIND_ALU:
-                # the common case, on its own short path
+                # the common case, on its own short path: it writes the
+                # fields an ALU op reads (the others keep whatever the
+                # slot's last occupant left) and files the op as `_op_ready`
+                # does, its floor the next cycle
                 if need > room or iq_used >= iq_size:
                     break
                 e = entries[seq] = ring[seq % rob]
-                e.reset_alu(seq, instructions[seq], kind, now)
+                e.seq = seq
+                e.ins = instructions[seq]
+                e.kind = kind
+                e.state = DISP
+                e.value_ready = e.complete = None
+                e.iq_held = True
+                iq_used += 1
                 if need:  # an ALU op casts one shadow: it may fault
                     room -= need
                     e.sb_e = sb.cast(ShadowKind.E, seq)
-                e.iq_held = True
-                iq_used += 1
-                self._op_ready(e)
+                else:
+                    e.sb_e = None
+                ready = e.ready_floor = now + 1
+                for w in data_writers[seq]:
+                    p = entries[w]
+                    if p is not None:  # else committed: ready
+                        at = p.value_ready
+                        if at is None:
+                            e.filed_for = -1
+                            break
+                        if at > ready:
+                            ready = at
+                else:
+                    e.filed_for = ready
+                    self.calendar.setdefault(ready, []).append(seq)
                 seq += 1
                 continue
             if kind == KIND_LOAD:
@@ -521,34 +544,52 @@ class _Sim:
     # ------------------------------------------------------------------ issue
 
     def _issue_phase(self) -> bool:
-        entries, pool = self.entries, self.issue_pool
-        due = self.calendar.pop(self.now, None)
-        self.popped = self.now
-        if due is not None:
-            if pool:
-                due.extend(pool)
-                if self.replay_visited:
-                    # only a replay's wake can file a waiting entry again
-                    due = list(set(due))
-            due.sort()
-        elif pool:
-            due = sorted(pool)
-        # what does not issue this cycle waits in a fresh pool
-        waiting = self.issue_pool = set()
+        now = self.now
+        due = self.calendar.pop(now, None)
+        self.popped = now
+        # the walk: the cycle's bucket, the loads in the pool and the ops
+        # that wait for a unit, in program order
         budget = list(self.budget)
         alu, mul, _, slots = budget  # loads see `slots` through the budget
+        pool = self.issue_pool
+        alu_wait, mul_wait = self.fu_wait
+        if pool or alu_wait or mul_wait:
+            if due is None:
+                due = []
+            if pool:
+                due += pool
+                pool.clear()
+            if self.recheck:
+                # a replay may have made a waiting op late: walk them all
+                due += alu_wait
+                due += mul_wait
+                alu_wait.clear()
+                mul_wait.clear()
+            else:
+                # a class's units can take only its oldest waiting ops; the
+                # others stay in its list, unvisited (a list is sorted here,
+                # as the last walk may have appended to it out of order)
+                if alu_wait:
+                    alu_wait.sort()
+                    due += alu_wait[:alu]
+                    del alu_wait[:alu]
+                if mul_wait:
+                    mul_wait.sort()
+                    due += mul_wait[:mul]
+                    del mul_wait[:mul]
+            if self.replayed:
+                due = list(set(due))  # an entry both filed and waiting
         any_issued = False
         if due:
-            now, values, consumers = self.now, self.committed_values, self.consumers
+            due.sort()
+            entries, values, consumers = self.entries, self.committed_values, self.consumers
             decode = self.decode
             kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
             forms, src_writers = decode.forms, decode.src_writers
-            replay_visited = self.replay_visited
+            recheck = self.recheck
+            alu_waits, mul_waits = alu_wait.append, mul_wait.append
             for seq in due:
-                if slots <= 0:
-                    waiting.update(due[due.index(seq):])
-                    break
-                kind = kinds[seq]
+                kind = kinds[seq]  # an issue-walk visit
                 if kind == KIND_LOAD:
                     e = entries[seq]
                     budget[_SLOTS] = slots
@@ -562,26 +603,32 @@ class _Sim:
                     slots = budget[_SLOTS]
                     if issued:
                         any_issued = True
+                        if not slots:
+                            self._hold(due, seq)
                     else:
-                        waiting.add(seq)
+                        pool.add(seq)
                     continue
                 # an ALU op or branch: its producers had values when it left
                 # the calendar, and only a replay can have reset one since
-                if seq in replay_visited and self._producers_late(entries[seq]):
-                    any_issued = True
-                    continue
-                # it waits in the pool while its FU class has no unit left
+                if recheck and seq in recheck:
+                    recheck.discard(seq)
+                    if self._producers_late(entries[seq]):
+                        any_issued = True
+                        continue
+                # it waits while its FU class has no unit left
                 if fus[seq] == FU_MUL:
                     if mul <= 0:
-                        waiting.add(seq)
+                        mul_waits(seq)  # an FU-starved visit
                         continue
                     mul -= 1
                 elif alu <= 0:
-                    waiting.add(seq)
+                    alu_waits(seq)  # an FU-starved visit
                     continue
                 else:
                     alu -= 1
                 slots -= 1
+                if not slots:
+                    self._hold(due, seq)
                 any_issued = True
                 # it executes
                 e = entries[seq]
@@ -613,15 +660,33 @@ class _Sim:
                 if consumers[seq]:
                     self._wake(seq)
         budget[FU_ALU], budget[FU_MUL] = alu, mul
-        engine_worked = self.vrc is not None and self._engine_tick(budget)
+        vrc = self.vrc
+        # the engine steps only with work: a slice, a request or a fallback
+        if vrc is not None and (vrc.active is not None or vrc.queue
+                                or vrc.fallbacks):
+            any_issued = self._engine_tick(budget) or any_issued
         # every FU op of the cycle, the engine's too, took one unit
         fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
         if fu_ops:
             self.counters["fu_ops"] += fu_ops
-        return any_issued or engine_worked
+        return any_issued
+
+    def _hold(self, due: list, seq: int) -> None:
+        """`seq` took the cycle's last issue slot: the walk ends after it,
+        as its list `due` does, and the rest of `due` waits unvisited, the
+        loads in the pool and the ops in their FU class's list."""
+        at = due.index(seq) + 1
+        kinds, fus, fu_wait = self.decode.kinds, self.decode.fus, self.fu_wait
+        pool = self.issue_pool
+        for rest in due[at:]:
+            if kinds[rest] == KIND_LOAD:
+                pool.add(rest)
+            else:
+                fu_wait[fus[rest]].append(rest)
+        del due[at:]
 
     def _producers_late(self, e: _Entry) -> bool:
-        """For an op a replay walk visited: True, and the op leaves the pool,
+        """For an op a replay walk visited: True, and the op leaves the walk,
         when a producer was reset (its re-execution wakes the op) or its
         value arrives after this cycle (the op goes back to the calendar)."""
         ready = self._ready_at(self.data_writers[e.seq], 0)
@@ -849,7 +914,13 @@ class _Sim:
                 elif ce.kind == KIND_STORE:
                     ce.complete = None
                     self._update_store(ce)
-        self.replay_visited |= seen
+        # a reset producer makes any op that read it late; each one that has
+        # not executed is checked at its next issue-walk visit
+        entries = self.entries
+        self.recheck.update([s for s in seen if (e := entries[s]) is not None
+                             and e.state == DISP
+                             and (e.kind == KIND_ALU or e.kind == KIND_BRANCH)])
+        self.replayed = True
 
     # ------------------------------------------------------------------ unshadow
 
@@ -1046,7 +1117,7 @@ class _Sim:
             f"head seq={self.commit_head} "
             f"state={STATE_NAMES[head.state] if head else 'undispatched'}",
             f"iq={self.iq_used} lq={self.lq_used} sq={len(self.live_stores)}",
-            f"issue_pool={len(self.issue_pool)}",
+            f"issue_pool={len(self.issue_pool) + sum(map(len, self.fu_wait))}",
             "oldest shadow=" + (f"{shadow[0].value} cast by seq={shadow[1]}"
                                 if shadow else "none"),
         ])

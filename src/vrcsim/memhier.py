@@ -159,8 +159,10 @@ class MemHierState:
     def _record(self, now: int, structure: Structure, level: int, op: str,
                 line: int, cause_seq: int, speculative: bool, probe: bool,
                 victim: int | None = None) -> None:
-        self.log.append(MutationRecord(now, structure, level, op, line, victim,
-                                       cause_seq, speculative, probe))
+        # `tuple.__new__` skips the generated `MutationRecord.__new__` frame
+        self.log.append(tuple.__new__(MutationRecord, (
+            now, structure, level, op, line, victim, cause_seq, speculative,
+            probe)))
 
     # -- accesses ---------------------------------------------------------------
 

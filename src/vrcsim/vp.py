@@ -78,6 +78,10 @@ class VpState:
         # per component, the folds of its history slice that index and tag
         self.idx_folds = [0] * (c.components - 1)
         self.tag_folds = [0] * (c.components - 1)
+        # per component, for a branch's fold update: the slice's oldest bit,
+        # and the fold bit that bit leaves from, in the index and the tag fold
+        self._fold_shifts = [(length - 1, length % self.idx_bits,
+                              length % c.tag_bits) for length in self.hist_lengths]
         self.lookups = 0
         self.updates = 0
 
@@ -108,12 +112,21 @@ class VpState:
 
     def _provider(self, pc: int):
         """(component, entry) of the longest match, component -1 for the
-        base table; None if nothing matches."""
-        for comp in range(self.config.components - 2, -1, -1):
-            entry = self.tagged[comp][self._index(pc, comp)]
-            if entry is not None and entry.tag == self._tag(pc, comp):
+        base table; None if nothing matches. It computes `_index` and
+        `_tag` with the pc's part of each taken once."""
+        c = self.config
+        index_mask, tag_bits = c.entries - 1, c.tag_bits
+        index_base = pc ^ (pc >> self.idx_bits)
+        tag_base = pc ^ (pc >> tag_bits)
+        tag_mask = (1 << tag_bits) - 1
+        tagged, idx_folds, tag_folds = self.tagged, self.idx_folds, self.tag_folds
+        for comp in range(c.components - 2, -1, -1):
+            entry = tagged[comp][(index_base ^ idx_folds[comp] ^ (comp + 1))
+                                 & index_mask]
+            if entry is not None and \
+                    entry.tag == (tag_base ^ (tag_folds[comp] << 1)) & tag_mask:
                 return comp, entry
-        base = self.base[pc & (self.config.entries - 1)]
+        base = self.base[pc & index_mask]
         if base is not None:
             return -1, base
         return None
@@ -166,21 +179,22 @@ class VpState:
         table[index] = _Entry(tag=self._tag(pc, comp), value=value)
 
     def notify_branch(self, outcome: bool) -> None:
+        """Shifts the outcome into the history and every component's folds:
+        bit p of a `length`-bit slice folds into bit p % bits, so a fold
+        rotates left by one, `new` enters at bit 0 and `old`, the bit shifted
+        out of the slice, leaves from bit `length % bits`."""
         new, ghist = int(outcome), self.ghist
-        for comp, length in enumerate(self.hist_lengths):
-            old = (ghist >> (length - 1)) & 1  # leaves the slice
-            self.idx_folds[comp] = _shift_fold(self.idx_folds[comp], self.idx_bits,
-                                               length, new, old)
-            self.tag_folds[comp] = _shift_fold(self.tag_folds[comp],
-                                               self.config.tag_bits, length, new, old)
+        idx_folds, tag_folds = self.idx_folds, self.tag_folds
+        idx_top, idx_mask = self.idx_bits - 1, (1 << self.idx_bits) - 1
+        tag_bits = self.config.tag_bits
+        tag_top, tag_mask = tag_bits - 1, (1 << tag_bits) - 1
+        for comp, (oldest, idx_out, tag_out) in enumerate(self._fold_shifts):
+            old = (ghist >> oldest) & 1  # leaves the slice
+            f = idx_folds[comp]
+            idx_folds[comp] = ((((f << 1) | (f >> idx_top)) & idx_mask)
+                               ^ new ^ (old << idx_out))
+            f = tag_folds[comp]
+            tag_folds[comp] = ((((f << 1) | (f >> tag_top)) & tag_mask)
+                               ^ new ^ (old << tag_out))
         max_len = self.hist_lengths[-1]
         self.ghist = ((ghist << 1) | new) & ((1 << max_len) - 1)
-
-
-def _shift_fold(folded: int, bits: int, length: int, new: int, old: int) -> int:
-    """The `bits`-wide fold of a `length`-bit history slice after the slice
-    shifts left by one: bit p of the slice folds into bit p % bits, so the
-    fold rotates left by one, `new` enters at bit 0 and `old`, the bit
-    shifted out to position `length`, leaves from bit `length % bits`."""
-    folded = ((folded << 1) | (folded >> (bits - 1))) & ((1 << bits) - 1)
-    return folded ^ new ^ (old << (length % bits))

@@ -1,5 +1,5 @@
 """Executed bytecodes per simulated instruction on the three bench-shaped
-traces, in total and per function.
+traces, in total and per function, and the issue walk's visits.
 
     PYTHONPATH=src python3 tests/opcount.py [--top N]
 
@@ -10,6 +10,13 @@ instructions those runs committed. Work in C (builtins, `sorted`, `heapq`,
 list methods) costs no bytecodes and does not show. The count is
 deterministic, so two trees can be compared without host noise; a cut in
 bytecodes is a guide to a speed-up, not a measurement of one.
+
+The same runs count the issue walk's visits per committed instruction, how
+many of them found the op's FU class used up for the cycle, and how many of
+those were re-visits, to an op that had found its class used up before in
+the same run. They come from line events on the lines of
+`_Sim._issue_phase` marked with the comments VISIT_MARK (the first line of
+every visit) and STARVED_MARK (where the op's seq is the local `seq`).
 
 The traces are those of `bench/run.py` at seed 1: mixed-sweep (a 1k MIXED
 trace under all seven policies), compute-audit (a 1k COMPUTE_STORE_LOAD
@@ -23,6 +30,7 @@ by the first run as when the bench loads it from a file). The file has no
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from collections import Counter
 
@@ -35,6 +43,8 @@ from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 SEED = 1
 PROBE_ADDRS = tuple(0x7100_0000 + i * 64 for i in range(8))
 PROBE_SITES = 8
+VISIT_MARK = "# an issue-walk visit"
+STARVED_MARK = "# an FU-starved visit"
 # name -> (pattern, count, policies, probed, annotated, generator options)
 WORKLOADS = {
     "mixed-sweep": ("MIXED", 1_000, core.POLICIES, False, True, {}),
@@ -45,12 +55,25 @@ WORKLOADS = {
 }
 
 
+def _marked_lines(fn, mark: str) -> frozenset:
+    lines, first = inspect.getsourcelines(fn)
+    return frozenset(first + i for i, line in enumerate(lines) if mark in line)
+
+
 class OpCounter:
-    """Counts executed opcodes per function while `call` runs."""
+    """Counts executed opcodes per function, and the issue walk's visits
+    and FU-starved visits, while `call` runs."""
 
     def __init__(self):
         self.counts: Counter = Counter()
+        self.walk: Counter = Counter()   # "visits", "starved", "revisits"
+        self._starved_seqs: set = set()  # of the current call's run
         self._local = {}
+        issue = core._Sim._issue_phase
+        self._issue_code = issue.__code__
+        self._marks = {line: "visits" for line in _marked_lines(issue, VISIT_MARK)}
+        self._marks.update(
+            (line, "starved") for line in _marked_lines(issue, STARVED_MARK))
 
     def _tracer(self, frame, event, arg):
         code = frame.f_code
@@ -59,17 +82,33 @@ class OpCounter:
             key = f"{code.co_qualname} ({code.co_filename.rsplit('/', 1)[-1]}" \
                   f":{code.co_firstlineno})"
             counts = self.counts
+            if code is self._issue_code:
+                walk, marks = self.walk, self._marks
 
-            def local(frame, event, arg):
-                if event == "opcode":
-                    counts[key] += 1
-                return local
+                def local(frame, event, arg):
+                    if event == "opcode":
+                        counts[key] += 1
+                    elif event == "line" and frame.f_lineno in marks:
+                        mark = marks[frame.f_lineno]
+                        walk[mark] += 1
+                        if mark == "starved":
+                            seq = frame.f_locals["seq"]
+                            if seq in self._starved_seqs:
+                                walk["revisits"] += 1
+                            self._starved_seqs.add(seq)
+                    return local
+            else:
+                def local(frame, event, arg):
+                    if event == "opcode":
+                        counts[key] += 1
+                    return local
             self._local[code] = local
-        frame.f_trace_lines = False
+        frame.f_trace_lines = code is self._issue_code
         frame.f_trace_opcodes = True
         return local
 
     def call(self, fn, *args, **kwargs):
+        self._starved_seqs.clear()
         sys.settrace(self._tracer)
         try:
             return fn(*args, **kwargs)
@@ -77,9 +116,9 @@ class OpCounter:
             sys.settrace(None)
 
 
-def count_workload(name: str) -> tuple[Counter, int]:
-    """Opcode counts per function over one iteration's core runs, and the
-    instructions they committed."""
+def count_workload(name: str) -> tuple[Counter, Counter, int]:
+    """Opcode counts per function over one iteration's core runs, the issue
+    walk's visit counts, and the instructions they committed."""
     pattern, count, policies, probed, annotated, spec = WORKLOADS[name]
     t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=count,
                                             seed=SEED, **spec))
@@ -107,7 +146,7 @@ def count_workload(name: str) -> tuple[Counter, int]:
             result = counter.call(core.inject_transient_probe, t, probe,
                                   annotations=table, config=cfg)
             committed += result.committed
-    return counter.counts, committed
+    return counter.counts, counter.walk, committed
 
 
 def main(argv=None) -> int:
@@ -116,10 +155,14 @@ def main(argv=None) -> int:
                     help="functions listed per workload (default 12)")
     args = ap.parse_args(argv)
     for name in WORKLOADS:
-        counts, committed = count_workload(name)
+        counts, walk, committed = count_workload(name)
         total = sum(counts.values())
         print(f"{name}: {total / committed:.1f} bytecodes per instruction "
               f"({total} over {committed} committed)")
+        print(f"  issue walk: {walk['visits'] / committed:.3f} visits per "
+              f"instruction, {walk['starved'] / committed:.3f} of them "
+              f"FU-starved, {walk['revisits'] / committed:.3f} re-visits "
+              "of an op starved before")
         for key, n in counts.most_common(args.top):
             print(f"  {n / committed:8.1f}  {100 * n / total:5.1f}%  {key}")
     return 0

@@ -397,8 +397,9 @@ def test_smallest_legal_core_runs_to_completion(tb):
 
 def test_ring_slots_recycle_across_kinds(monkeypatch):
     # a four-entry ROB passes every ring slot between kinds all the time;
-    # the ALU op's short reset must leave each run as resetting every field
-    # does, and `reset` must set every field
+    # the ALU op's short dispatch path writes only some fields, and must
+    # leave each run as dispatching into fully reset slots does; `reset`
+    # must set every field
     e = core._Entry()
     e.reset(0, None, 0, 0)
     assert all(hasattr(e, name) for name in core._Entry.__slots__)
@@ -419,6 +420,38 @@ def test_ring_slots_recycle_across_kinds(monkeypatch):
                 out.append(_fingerprint(r))
         return out
 
-    short = fingerprints()
-    monkeypatch.setattr(core._Entry, "reset_alu", core._Entry.reset)
-    assert fingerprints() == short
+    recycled = fingerprints()
+    dispatch = core._Sim._dispatch
+
+    def dispatch_into_reset_slots(sim):
+        # every slot dispatch may take this cycle is free: reset it fully
+        end = min(sim.commit_head + sim.config.rob_size, sim.n)
+        for seq in range(sim.next_dispatch, end):
+            sim.ring[seq % sim.config.rob_size].reset(
+                seq, sim.trace[seq], sim.decode.kinds[seq], sim.now)
+        return dispatch(sim)
+
+    monkeypatch.setattr(core._Sim, "_dispatch", dispatch_into_reset_slots)
+    assert fingerprints() == recycled
+
+
+def test_ops_waiting_for_a_unit_keep_program_order(tb):
+    # more ready ALU ops than ALUs, cycle after cycle: the younger MOVs wait
+    # for a unit from cycle 2 on. The older ADD waits on a forwarded load
+    # and is ready at cycle 3; it must take a unit ahead of every waiting
+    # younger op, so the load whose address it makes issues at cycle 5
+    tb.load(0x00, 9, COLD_B, value=1)           # stalls commit, keeps the store
+    tb.alu(0x04, 1, "MOV", imm=5)
+    tb.store(0x08, 0x40, srcs=(1,))
+    tb.load(0x0C, 2, 0x40)                      # forwards at 2, value at 3
+    tb.alu(0x10, 3, "ADD", srcs=(2,), imm=1)    # ready at 3, value at 4
+    tb.load(0x14, 4, COLD_A, srcs=(3,))         # address ready at 5
+    for i in range(40):
+        tb.alu(0x18 + 4 * i, 10 + i % 20, "MOV", imm=i)
+    t = tb.build()
+    r = core.run(t, config=_cfg("BASELINE"))
+    assert r.counters["store_forwards"] == 1
+    _, issue, ready = r.load_timing[5]
+    assert issue == 5
+    assert ready == 5 + MISS_LATENCY
+    assert r.committed_values == functional_replay(t).results
