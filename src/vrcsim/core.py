@@ -46,31 +46,31 @@ committed and its value as ready.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
-values; `_op_ready` is that rule, and ALU dispatch and a producer's wake
-each hold an inlined copy. Loads, stores and replays go through
-`_reschedule`. A ready entry is filed in a calendar (R. Brown's calendar
-queue, CACM 1988): a dict from cycle to seqs, of which the issue stage pops
-exactly the current cycle's bucket and an idle cycle skips to the smallest
-key. Issue walks, in program order, the bucket, the loads waiting in the
-issue pool and the ops (ALU ops and branches) waiting for a unit, which
-each FU class keeps in a list sorted by seq; units and issue slots go in
-that order. A class's units can take only its oldest waiting ops, so the
-walk takes as many of them as the class has units and leaves the rest of
-its list, unvisited, for the next cycle. A load that does not issue waits
-in the pool, and an op that finds its class's units used up waits in the
-class's list. An ALU op or branch executes inline in the walk. Its
-producers had values when it left the calendar, so only an op a
-value-prediction replay visited since is checked again, before it takes a
-unit; while such an op may wait in a list, the walk takes the whole list.
-The recomputation engine steps only in a cycle it has work in. For a load the entry state chooses the action: NONSPEC reissues an
-unshadowed delayed or fallback load, AWAIT_VALIDATION validates a predicted
-load, and otherwise the load forwards, accesses, or has the policy applied
-to its shadowed miss. Every real hierarchy access goes through one path
-that takes a memory port and retries on an MSHR stall. A load "performs"
-when its value is bound by a real access, store forward, or recomputation;
-its memory-order shadow resolves then (at validation completion for
-predicted loads). Time skips ahead to the next scheduled event whenever a
-cycle makes no progress.
+values. `_ready_at` is that rule, and `_reschedule` applies it to every
+kind; ALU dispatch and a producer's wake each hold an inlined copy. A ready
+entry is filed in a calendar (R. Brown's calendar queue, CACM 1988): a dict
+from cycle to seqs, of which the issue stage pops exactly the current
+cycle's bucket and an idle cycle skips to the smallest key. Issue walks, in
+program order, the bucket, the loads waiting in the issue pool and the ops
+(ALU ops and branches) waiting for a unit, which each FU class keeps in a
+list sorted by seq; units and issue slots go in that order. A class's units
+can take only its oldest waiting ops, so the walk takes as many of them as
+the class has units and leaves the rest of its list, unvisited, for the next
+cycle. A load that does not issue waits in the pool, and an op that finds
+its class's units used up waits in the class's list. An ALU op or branch
+executes inline in the walk, unchecked: its producers had values when it was
+filed, and a value-prediction replay takes each op that now reads a reset
+producer out of the calendar or its class's list, so that the producer's
+re-execution wakes it as it wakes any op. The recomputation engine steps
+only in a cycle it has work in. For a load the entry state chooses the
+action: NONSPEC reissues an unshadowed delayed or fallback load,
+AWAIT_VALIDATION validates a predicted load, and otherwise the load
+forwards, accesses, or has the policy applied to its shadowed miss. Every
+real hierarchy access goes through one path that takes a memory port and
+retries on an MSHR stall. A load "performs" when its value is bound by a
+real access, store forward, or recomputation; its memory-order shadow
+resolves then (at validation completion for predicted loads). Time skips
+ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -183,14 +183,23 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 class _Entry:
     """One in-flight instruction: a slot of the run's ring, reset at
     dispatch (an ALU op's dispatch writes only the fields an ALU op reads).
-    Its value lives in the run's `committed_values`."""
+    Its value lives in the run's `committed_values`. `sb_e` holds its
+    exception shadow and `sb_k` the one shadow its kind casts: a branch's
+    C, a store's D, a load's M or VP."""
 
     __slots__ = (
         "seq", "ins", "kind", "state", "value_ready", "complete",
-        "addr_ready", "shadowed", "sb_e", "sb_c", "sb_d", "sb_m",
+        "addr_ready", "shadowed", "sb_e", "sb_k",
         "predicted", "ready_floor", "filed_for", "iq_held", "unshadow_cycle",
         "dispatch_cycle", "issue_at",
     )
+
+    def __init__(self):
+        # what an ALU op's dispatch does not write, for a slot's first
+        # occupant: every later one finds them so, as an entry clears
+        # `sb_e` before it commits and its last filing has been popped
+        self.sb_e = None
+        self.filed_for = -1
 
     def reset(self, seq, ins, kind, now):
         """Every field, for a load, store, branch or NOP."""
@@ -202,7 +211,7 @@ class _Entry:
         self.complete = None
         self.addr_ready = None
         self.shadowed = False
-        self.sb_e = self.sb_c = self.sb_d = self.sb_m = None
+        self.sb_e = self.sb_k = None
         self.predicted = None
         self.ready_floor = now + 1
         self.filed_for = -1
@@ -281,9 +290,8 @@ class _Sim:
         self.issue_pool: set[int] = set()       # loads that wait to issue
         # per FU class, the ops (ALU ops and branches) that wait for a unit
         self.fu_wait: tuple[list[int], list[int]] = ([], [])
-        # ops a replay walk visited and the issue walk has not checked since
-        self.recheck: set[int] = set()
-        # once a replay has run, a wake can file an entry that also waits
+        # once a replay has run, a load's re-executed address producer can
+        # file the load while it waits in the issue pool
         self.replayed = False
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
@@ -342,7 +350,8 @@ class _Sim:
             if kind != KIND_ALU and kind != KIND_BRANCH:
                 self._reschedule(e)
             elif e.state == DISP and e.filed_for <= popped:  # not filed
-                # `_op_ready` and `_push_ready`, inlined
+                # `_reschedule` for an op: `_ready_at` and `_push_ready`,
+                # inlined
                 ready = e.ready_floor
                 for w in data_writers[cseq]:
                     p = entries[w]
@@ -358,24 +367,11 @@ class _Sim:
                     e.filed_for = ready
                     self.calendar.setdefault(ready, []).append(cseq)
 
-    def _op_ready(self, e: _Entry) -> None:
-        """An ALU op or branch waiting in DISP becomes ready at its floor
-        (the cycle after dispatch, or its replay floor once replayed), and
-        no earlier than its data producers' values. It inlines `_ready_at`,
-        as it runs for every branch; ALU dispatch and `_wake` inline it."""
-        ready = e.ready_floor
-        entries = self.entries
-        for w in self.data_writers[e.seq]:
-            p = entries[w]
-            if p is not None:  # else committed: ready
-                at = p.value_ready
-                if at is None:
-                    return
-                if at > ready:
-                    ready = at
-        self._push_ready(e, ready)
-
     def _reschedule(self, e: _Entry) -> None:
+        """Files a waiting entry once its producers have values. A load is
+        ready the cycle after its address; an ALU op or branch at its floor
+        (the cycle after dispatch, raised by a replay), and no earlier than
+        its data producers' values."""
         if e.kind == KIND_STORE:
             self._update_store(e)
             return
@@ -387,7 +383,9 @@ class _Sim:
                 e.addr_ready = at + 1
                 self._push_ready(e, e.addr_ready)  # loads never replay
         else:
-            self._op_ready(e)
+            at = self._ready_at(self.data_writers[e.seq], e.ready_floor)
+            if at is not None:
+                self._push_ready(e, at)
 
     def _push_ready(self, e: _Entry, ready_at: int) -> None:
         """Files the entry in the calendar under its ready cycle, the next
@@ -408,8 +406,8 @@ class _Sim:
             if at is None:
                 return
             e.addr_ready = at + 1
-            self._schedule(e.addr_ready, self.sb.resolve, e.sb_d)
-            e.sb_d = None
+            self._schedule(e.addr_ready, self.sb.resolve, e.sb_k)
+            e.sb_k = None
         e.complete = self._ready_at(
             decode.data_writers[e.seq], max(e.addr_ready, e.dispatch_cycle + 1))
         if e.complete is not None:
@@ -456,8 +454,9 @@ class _Sim:
             if kind == KIND_ALU:
                 # the common case, on its own short path: it writes the
                 # fields an ALU op reads (the others keep whatever the
-                # slot's last occupant left) and files the op as `_op_ready`
-                # does, its floor the next cycle
+                # slot's last occupant left; `sb_e` and `filed_for` are as
+                # `_Entry.__init__` sets them) and files the op as
+                # `_reschedule` does, its floor the next cycle
                 if need > room or iq_used >= iq_size:
                     break
                 e = entries[seq] = ring[seq % rob]
@@ -471,15 +470,12 @@ class _Sim:
                 if need:  # an ALU op casts one shadow: it may fault
                     room -= need
                     e.sb_e = sb.cast(ShadowKind.E, seq)
-                else:
-                    e.sb_e = None
                 ready = e.ready_floor = now + 1
                 for w in data_writers[seq]:
                     p = entries[w]
                     if p is not None:  # else committed: ready
                         at = p.value_ready
                         if at is None:
-                            e.filed_for = -1
                             break
                         if at > ready:
                             ready = at
@@ -508,7 +504,7 @@ class _Sim:
             if ins.may_fault:
                 e.sb_e = sb.cast(ShadowKind.E, seq)
             if kind == KIND_BRANCH:
-                e.sb_c = sb.cast(ShadowKind.C, seq)
+                e.sb_k = sb.cast(ShadowKind.C, seq)
                 if not ins.br.predicted_correctly:
                     self.redirect_until = -1  # blocked until the branch resolves
                     self.redirect_branch = seq
@@ -516,11 +512,11 @@ class _Sim:
                     self.probes = [(("probe", i), a) for i, a
                                    in enumerate(self.probe_spec.load_addrs)]
             elif kind == KIND_STORE:
-                e.sb_d = sb.cast(ShadowKind.D, seq)
+                e.sb_k = sb.cast(ShadowKind.D, seq)
                 self.live_stores.append(seq)
             elif kind == KIND_LOAD:
                 if self.order_shadow is not None:
-                    e.sb_m = sb.cast(self.order_shadow, seq)
+                    e.sb_k = sb.cast(self.order_shadow, seq)
                 self.lq_used += 1
 
             if kind == KIND_NOP:
@@ -559,26 +555,21 @@ class _Sim:
             if pool:
                 due += pool
                 pool.clear()
-            if self.recheck:
-                # a replay may have made a waiting op late: walk them all
-                due += alu_wait
-                due += mul_wait
-                alu_wait.clear()
-                mul_wait.clear()
-            else:
-                # a class's units can take only its oldest waiting ops; the
-                # others stay in its list, unvisited (a list is sorted here,
-                # as the last walk may have appended to it out of order)
-                if alu_wait:
-                    alu_wait.sort()
-                    due += alu_wait[:alu]
-                    del alu_wait[:alu]
-                if mul_wait:
-                    mul_wait.sort()
-                    due += mul_wait[:mul]
-                    del mul_wait[:mul]
+            # a class's units can take only its oldest waiting ops; the
+            # others stay in its list, unvisited (a list is sorted here, as
+            # the last walk may have appended to it out of order)
+            if alu_wait:
+                alu_wait.sort()
+                due += alu_wait[:alu]
+                del alu_wait[:alu]
+            if mul_wait:
+                mul_wait.sort()
+                due += mul_wait[:mul]
+                del mul_wait[:mul]
             if self.replayed:
-                due = list(set(due))  # an entry both filed and waiting
+                # a load both filed and waiting in the pool: its address
+                # producer, reset by a replay, filed it again on re-executing
+                due = list(set(due))
         any_issued = False
         if due:
             due.sort()
@@ -586,7 +577,6 @@ class _Sim:
             decode = self.decode
             kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
             forms, src_writers = decode.forms, decode.src_writers
-            recheck = self.recheck
             alu_waits, mul_waits = alu_wait.append, mul_wait.append
             for seq in due:
                 kind = kinds[seq]  # an issue-walk visit
@@ -608,14 +598,9 @@ class _Sim:
                     else:
                         pool.add(seq)
                     continue
-                # an ALU op or branch: its producers had values when it left
-                # the calendar, and only a replay can have reset one since
-                if recheck and seq in recheck:
-                    recheck.discard(seq)
-                    if self._producers_late(entries[seq]):
-                        any_issued = True
-                        continue
-                # it waits while its FU class has no unit left
+                # an ALU op or branch: its producers had values when it was
+                # filed, and a replay that resets one takes the op out of
+                # where it waits. It waits while its FU class has no unit left
                 if fus[seq] == FU_MUL:
                     if mul <= 0:
                         mul_waits(seq)  # an FU-starved visit
@@ -684,18 +669,6 @@ class _Sim:
             else:
                 fu_wait[fus[rest]].append(rest)
         del due[at:]
-
-    def _producers_late(self, e: _Entry) -> bool:
-        """For an op a replay walk visited: True, and the op leaves the walk,
-        when a producer was reset (its re-execution wakes the op) or its
-        value arrives after this cycle (the op goes back to the calendar)."""
-        ready = self._ready_at(self.data_writers[e.seq], 0)
-        if ready is None:
-            return True
-        if ready > self.now:
-            self._push_ready(e, ready)
-            return True
-        return False
 
     # -- load paths ---------------------------------------------------------------
 
@@ -836,9 +809,9 @@ class _Sim:
         self._wake(e.seq)
 
     def _resolve_perform_shadows(self, e: _Entry, at: int) -> None:
-        if e.sb_m is not None:
-            self._schedule(at, self.sb.resolve, e.sb_m)
-            e.sb_m = None
+        if e.sb_k is not None:
+            self._schedule(at, self.sb.resolve, e.sb_k)
+            e.sb_k = None
         if e.sb_e is not None:
             self._schedule(at, self.sb.resolve, e.sb_e)
             e.sb_e = None
@@ -847,9 +820,9 @@ class _Sim:
 
     def _branch_resolved(self, seq: int) -> None:
         e = self.entries[seq]
-        if e.sb_c is not None:
-            self.sb.resolve(e.sb_c)
-            e.sb_c = None
+        if e.sb_k is not None:
+            self.sb.resolve(e.sb_k)
+            e.sb_k = None
         if self.redirect_branch == seq:
             self.redirect_until = self.now + self.config.redirect_penalty
             self.redirect_branch = None
@@ -914,12 +887,26 @@ class _Sim:
                 elif ce.kind == KIND_STORE:
                     ce.complete = None
                     self._update_store(ce)
-        # a reset producer makes any op that read it late; each one that has
-        # not executed is checked at its next issue-walk visit
-        entries = self.entries
-        self.recheck.update([s for s in seen if (e := entries[s]) is not None
-                             and e.state == DISP
-                             and (e.kind == KIND_ALU or e.kind == KIND_BRANCH)])
+        # an op that has not executed and now reads a reset producer leaves
+        # where it waits, the calendar or its FU class's list (it is in
+        # neither if it already waited for a producer); the producer's
+        # re-execution wakes it
+        entries, data_writers = self.entries, self.data_writers
+        for s in seen:
+            e = entries[s]
+            if e is None or e.state != DISP \
+                    or (e.kind != KIND_ALU and e.kind != KIND_BRANCH) \
+                    or self._ready_at(data_writers[s], 0) is not None:
+                continue
+            waiting = self.fu_wait[self.decode.fus[s]]
+            if e.filed_for > self.popped:
+                bucket = self.calendar[e.filed_for]
+                bucket.remove(s)
+                if not bucket:
+                    del self.calendar[e.filed_for]
+                e.filed_for = -1
+            elif s in waiting:
+                waiting.remove(s)
         self.replayed = True
 
     # ------------------------------------------------------------------ unshadow

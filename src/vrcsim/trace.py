@@ -131,7 +131,8 @@ class TraceDecode:
     recent earlier writer, or None when nothing earlier in the trace writes
     it. `addr_writers` and `data_writers` are the producers of the address
     (a load's sources, a store's sources after the first) and of the data
-    (a store's first source, every source of another kind), without None.
+    (a store's first source, every source of an ALU op or branch), without
+    None; a NOP has neither.
     `forms` holds an ALU op's operand form (FORM_RR, FORM_RI or FORM_ANY).
     `consumers` is the reverse edge: the later seqs that read the seq's
     value, each once, in program order. `writers[reg]` lists every writer of
@@ -178,6 +179,8 @@ class TraceDecode:
                 addr = tuple([w for w in src_ws[1:] if w is not None])
             elif kind == KIND_BRANCH:
                 casts += 1
+            elif kind == KIND_NOP:
+                data = written = ()  # reads nothing, so nothing wakes it
             add_kind(kind)
             add_fu(fu)
             add_latency(latency)
@@ -396,6 +399,8 @@ def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstru
         raise TraceFormatError(lineno, f"alu_op not allowed on kind {kind}")
     elif dst is not None and kind != "LOAD":
         raise TraceFormatError(lineno, f"dst not allowed on kind {kind}")
+    if srcs and kind == "NOP":
+        raise TraceFormatError(lineno, "srcs not allowed on kind NOP")
 
     fault = get("fault")
     may_fault = fault is not None and _parse_flag(lineno, "fault", fault)

@@ -8,11 +8,14 @@ byte-identical:
     cmp matrix.txt other-tree-matrix.txt
 
 The runs are the four generated patterns at seeds 1-3 (2k instructions) and
-the hand-built traces of `test_fingerprints`, each under a default core and
-a tight one (8-entry shadow buffer and release queue, two MSHRs, lossy store
-tags), under TSO and RC, with every policy, clean and, where the trace has a
-mispredicted branch, probed. The file has no `test_` prefix, so the test
-suite does not collect it.
+the first three hand-built traces of `test_fingerprints`, each under a
+default core and a tight one (8-entry shadow buffer and release queue, two
+MSHRs, lossy store tags), under TSO and RC, with every policy, clean and,
+where the trace has a mispredicted branch, probed. Then the two
+replay-heavy builders of `test_fingerprints` at seeds 1-6 run under VP on
+three small cores (the one each builder is made for, and one with the
+smallest parts of both), under TSO and RC. The file has no `test_` prefix,
+so the test suite does not collect it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from vrcsim.slicer import annotate
 from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vrc import VrcConfig
 
-from test_fingerprints import (_fingerprint, _probe, hand_fu_replay_trace,
-                               hand_paths_trace, hand_replay_trace)
+from test_fingerprints import (REFILE_CORE, UNFILE_CORE, _fingerprint, _probe,
+                               hand_fu_replay_trace, hand_fu_unfile_trace,
+                               hand_paths_trace, hand_pool_refile_trace,
+                               hand_replay_trace)
 
 COUNT = 2000
 SEEDS = (1, 2, 3)
@@ -35,6 +40,11 @@ CONFIGS = (("default", {}),
            ("tight", {"sb_capacity": 8, "rq_capacity": 8,
                       "cache": CacheConfig(mshrs=2),
                       "vrc": VrcConfig(lossy_tags=True)}))
+REPLAY_SEEDS = range(1, 7)
+SMALL_CORES = (("unfile", UNFILE_CORE), ("refile", REFILE_CORE),
+               ("smallest", {**UNFILE_CORE, **REFILE_CORE,
+                             "cache": CacheConfig(mshrs=2, l2_latency=2,
+                                                  mem_latency=3)}))
 
 
 def traces():
@@ -65,6 +75,17 @@ def lines():
                     for suffix, r in runs:
                         yield f"{key}{suffix} " + json.dumps(_fingerprint(r),
                                                              sort_keys=True)
+    for name, build in (("HAND_FU_UNFILE", hand_fu_unfile_trace),
+                        ("HAND_POOL_REFILE", hand_pool_refile_trace)):
+        for seed in REPLAY_SEEDS:
+            t = build(seed)
+            for cfg_name, overrides in SMALL_CORES:
+                for consistency in ("TSO", "RC"):
+                    cfg = CoreConfig(policy="VP", consistency=consistency,
+                                     record_load_timing=True, **overrides)
+                    r = core.run(t, config=cfg)
+                    yield (f"{name} seed={seed} {cfg_name} {consistency} VP "
+                           + json.dumps(_fingerprint(r), sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -53,8 +53,8 @@ class TraceBuilder:
         return self._append(pc=pc, kind="BRANCH", srcs=tuple(srcs),
                             br=BranchInfo(taken=taken, predicted_correctly=predicted))
 
-    def nop(self, pc, fault=False):
-        return self._append(pc=pc, kind="NOP", may_fault=fault)
+    def nop(self, pc, srcs=(), fault=False):
+        return self._append(pc=pc, kind="NOP", srcs=tuple(srcs), may_fault=fault)
 
     def read_mem(self, addr, size=8) -> int:
         return sum(self._mem.get(addr + off, 0) << (8 * off) for off in range(size))

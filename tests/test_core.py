@@ -239,6 +239,21 @@ def test_exc_fallback_reverts_to_delay(tb):
     assert r.committed_values[1] == 77  # fallback load reads the real value
 
 
+def test_nop_with_sources_reads_nothing(tb):
+    # a NOP built with a source register is no consumer of it: the load's
+    # wake must not file the NOP, which would commit and then be issued
+    tb.load(0x0, 1, COLD_A, value=5)
+    tb.nop(0x4, srcs=(1,))
+    tb.alu(0x8, 2, "ADD", srcs=(1,), imm=1)
+    t = tb.build()
+    table, _ = annotate(t)
+    rep = functional_replay(t)
+    for policy in core.POLICIES:
+        r = core.run(t, annotations=table, config=_cfg(policy))
+        assert r.committed_values == rep.results, policy
+        assert r.committed_regs == rep.final_regs, policy
+
+
 def test_committed_register_state_isolation():
     # slice execution leaves committed state identical to other policies
     spec = SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD", count=5000,

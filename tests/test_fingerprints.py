@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -21,28 +22,41 @@ from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.slicer import annotate, emit_annotations
 from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.vp import VpConfig
 
 from conftest import TraceBuilder
 
 GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 COUNT = 800
 SEED = 1
-# (key suffix, cache, consistency, probed policies) per trace. MIXED runs a
-# second time with two MSHRs, so loads and store commits stall on full MSHRs
-# and shadowed loads ride in-flight fills, and BASELINE is probed there; and a
-# third time under RC, where only the value-predicting policies cast a shadow
-# for each load. The hand-built traces run under TSO and RC, and the first is
-# probed under both.
-RUNS = {"MIXED": (("", CacheConfig(), "TSO", ("VRC",)),
-                  (" mshrs=2", CacheConfig(mshrs=2), "TSO", ("BASELINE",)),
-                  (" RC", CacheConfig(), "RC", ())),
-        "HAND_PATHS": (("", CacheConfig(), "TSO", core.POLICIES),
-                       (" RC", CacheConfig(), "RC", core.POLICIES)),
-        "HAND_REPLAY": (("", CacheConfig(), "TSO", ()),
-                        (" RC", CacheConfig(), "RC", ())),
-        "HAND_FU_REPLAY": (("", CacheConfig(), "TSO", ()),
-                           (" RC", CacheConfig(), "RC", ()))}
-DEFAULT_RUNS = (("", CacheConfig(), "TSO", ()),)
+# a predictor that is confident after one correct prediction, so a load
+# pc whose value changes now and then is mispredicted once per change
+FAST_VP = VpConfig(conf_bits=1, conf_increment_prob=1.0)
+# one ALU and one multiplier behind a near-free L2 and memory
+UNFILE_CORE = {"alu_units": 1, "mul_units": 1, "vp": FAST_VP,
+               "cache": CacheConfig(l2_latency=2, mem_latency=3)}
+# one memory port, issue width 2 and two MSHRs
+REFILE_CORE = {"width": 2, "mem_ports": 1, "redirect_penalty": 2, "vp": FAST_VP,
+               "cache": CacheConfig(mshrs=2, mem_latency=40)}
+# (key suffix, `CoreConfig` overrides, consistency, probed policies) per
+# trace. MIXED runs a second time with two MSHRs, so loads and store commits
+# stall on full MSHRs and shadowed loads ride in-flight fills, and BASELINE is
+# probed there; and a third time under RC, where only the value-predicting
+# policies cast a shadow for each load. The first three hand-built traces run
+# under TSO and RC, and the first is probed under both; the last two run on
+# the small cores they are built for.
+RUNS = {"MIXED": (("", {}, "TSO", ("VRC",)),
+                  (" mshrs=2", {"cache": CacheConfig(mshrs=2)}, "TSO", ("BASELINE",)),
+                  (" RC", {}, "RC", ())),
+        "HAND_PATHS": (("", {}, "TSO", core.POLICIES),
+                       (" RC", {}, "RC", core.POLICIES)),
+        "HAND_REPLAY": (("", {}, "TSO", ()),
+                        (" RC", {}, "RC", ())),
+        "HAND_FU_REPLAY": (("", {}, "TSO", ()),
+                           (" RC", {}, "RC", ())),
+        "HAND_FU_UNFILE": (("", UNFILE_CORE, "TSO", ()),),
+        "HAND_POOL_REFILE": (("", REFILE_CORE, "TSO", ()),)}
+DEFAULT_RUNS = (("", {}, "TSO", ()),)
 
 
 def _sha(value) -> str:
@@ -150,6 +164,66 @@ def hand_fu_replay_trace():
         for k in range(4):
             tb.alu(0x64 + 4 * k, 10 + k, "ADD", srcs=(6,), imm=k)
         tb.alu(0x74, 14, "ADD", srcs=(2, 6))                # waits for an ALU
+    return tb.build()
+
+
+def hand_fu_unfile_trace(seed: int):
+    """Value-prediction replays that reset the producer of an op waiting
+    for a unit, on `UNFILE_CORE`. Each iteration has an older missing load,
+    independent ADDs that keep the one ALU busy, a branch on one of them, a
+    load whose value changes now and then, a MUL of it and ADD and MUL
+    chains on the MUL. A validation that finds the value changed resets the
+    MUL while chain ops that read it wait for the ALU."""
+    rng = random.Random(seed)
+    tb = TraceBuilder()
+    tb.alu(0x00, 40, "MOV", imm=3)
+    value = 7
+    for i in range(40):
+        tb.load(0x10, 1, 0x40_0000 + i * 4096, value=i)    # older miss: shadow
+        for k in range(rng.randrange(2, 9)):
+            tb.alu(0x20 + 4 * k, 20 + k % 4, "ADD", srcs=(40, 40))
+        tb.branch(0x3C, srcs=(20,))                        # shadow till it runs
+        for k in range(rng.randrange(2, 9)):
+            tb.alu(0x80 + 4 * k, 28 + k % 4, "ADD", srcs=(40, 40))
+        if rng.random() < 0.2:
+            value = rng.randrange(1, 100)
+        tb.load(0x40, 2, 0x50_0000 + i * 4096, value=value)
+        tb.alu(0x44, 3, "MUL", srcs=(2, 40))                # replayed
+        src = 3
+        for k in range(rng.randrange(1, 4)):
+            tb.alu(0x48 + 4 * k, 4 + k, rng.choice(("ADD", "ADD", "MUL")),
+                   srcs=(src, 2 if k else 40))
+            src = 4 + k
+        for k in range(rng.randrange(0, 4)):
+            tb.alu(0x60 + 4 * k, 24 + k, rng.choice(("ADD", "MUL")), srcs=(40, 40))
+        tb.alu(0x70, 8, "ADD", srcs=(src, 2))
+    return tb.build()
+
+
+def hand_pool_refile_trace(seed: int):
+    """Value-prediction replays that re-execute the address producer of a
+    load waiting in the issue pool, on `REFILE_CORE`. Each iteration has two
+    missing loads, a load in the second one's line whose value changes now
+    and then (predicted, then validated by that line's fill), a MUL of the
+    two, three to six misses addressed by the second load and a load
+    addressed by the MUL. After a mispredict the misses take the memory
+    port cycle after cycle, and the MUL re-executes and files the last load
+    again while it waits in the pool."""
+    rng = random.Random(seed)
+    tb = TraceBuilder()
+    value = 7
+    for i in range(40):
+        tb.load(0x10, 1, 0x40_0000 + i * 4096, value=rng.getrandbits(32))
+        tb.load(0x14, 2, 0x48_0000 + i * 4096, value=rng.getrandbits(32))
+        if rng.random() < 0.3:
+            value = rng.randrange(1, 100)
+        tb.load(0x18, 3, 0x48_0000 + i * 4096 + 8, value=value)
+        tb.alu(0x1C, 4, "MUL", srcs=(3, 2))                 # replayed
+        for k in range(rng.randrange(3, 7)):
+            tb.load(0x20 + 4 * k, 10 + k, 0x60_0000 + (i * 16 + k) * 4096,
+                    value=rng.getrandbits(32), srcs=(2,))
+        tb.load(0x30, 5, 0x70_0000 + i * 4096, value=rng.getrandbits(32),
+                srcs=(4,))
     return tb.build()
 
 
@@ -272,16 +346,18 @@ def traces():
     yield "HAND_PATHS", hand_paths_trace()
     yield "HAND_REPLAY", hand_replay_trace()
     yield "HAND_FU_REPLAY", hand_fu_replay_trace()
+    yield "HAND_FU_UNFILE", hand_fu_unfile_trace(2)  # seed 1 never unfiles from a list
+    yield "HAND_POOL_REFILE", hand_pool_refile_trace(1)
 
 
 def current_fingerprints() -> dict:
     out = {}
     for name, t in traces():
         table, _ = annotate(t)
-        for suffix, cache, consistency, probed in RUNS.get(name, DEFAULT_RUNS):
+        for suffix, overrides, consistency, probed in RUNS.get(name, DEFAULT_RUNS):
             for policy in core.POLICIES:
                 cfg = CoreConfig(policy=policy, consistency=consistency,
-                                 record_load_timing=True, cache=cache)
+                                 record_load_timing=True, **overrides)
                 key = f"{name} {policy}{suffix}"
                 out[key] = _fingerprint(core.run(t, annotations=table, config=cfg))
                 if policy in probed:

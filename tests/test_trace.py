@@ -157,6 +157,7 @@ MALFORMED = [
     (HEADER + _I + "kind=BRANCH dst=1 srcs=1 taken=1 pred=1\n", 2,
      "dst not allowed on kind BRANCH"),
     (HEADER + _I + "kind=NOP dst=1\n", 2, "dst not allowed on kind NOP"),
+    (HEADER + _I + "kind=NOP srcs=1\n", 2, "srcs not allowed on kind NOP"),
     (HEADER + _I + "kind=NOP fault=maybe\n", 2, "field fault: not an integer: 'maybe'"),
     # 0/1 flags
     (HEADER + _I + _BR.replace("taken=1", "taken=7") + "\n", 2,
