@@ -50,7 +50,10 @@ values. `_ready_at` is that rule, and `_reschedule` applies it to every
 kind; ALU dispatch and a producer's wake each hold an inlined copy. A ready
 entry is filed in a calendar (R. Brown's calendar queue, CACM 1988): a dict
 from cycle to seqs, of which the issue stage pops exactly the current
-cycle's bucket and an idle cycle skips to the smallest key. Issue walks, in
+cycle's bucket and an idle cycle skips to the smallest key. An entry is
+filed at most once per execution, so the walk never meets a seq twice: a
+load once, as its access stands after a replay, and an op again only once a
+replay has reset it or taken it out of the calendar. Issue walks, in
 program order, the bucket, the loads waiting in the issue pool and the ops
 (ALU ops and branches) waiting for a unit, which each FU class keeps in a
 list sorted by seq; units and issue slots go in that order. A class's units
@@ -197,7 +200,7 @@ class _Entry:
     def __init__(self):
         # what an ALU op's dispatch does not write, for a slot's first
         # occupant: every later one finds them so, as an entry clears
-        # `sb_e` before it commits and its last filing has been popped
+        # `sb_e` before it commits and was filed, if at all, for a past cycle
         self.sb_e = None
         self.filed_for = -1
 
@@ -284,15 +287,9 @@ class _Sim:
         self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
         self.calendar: dict[int, list[int]] = {}  # ready cycle -> seqs
-        # the last cycle whose bucket the issue stage popped: every key is
-        # later, so an entry is filed while its `filed_for` is later too
-        self.popped = -1
         self.issue_pool: set[int] = set()       # loads that wait to issue
         # per FU class, the ops (ALU ops and branches) that wait for a unit
         self.fu_wait: tuple[list[int], list[int]] = ([], [])
-        # once a replay has run, a load's re-executed address producer can
-        # file the load while it waits in the issue pool
-        self.replayed = False
         self.redirect_until: int | None = None  # None: clear; -1: until resolve
         self.redirect_branch: int | None = None
 
@@ -339,7 +336,7 @@ class _Sim:
         return floor
 
     def _wake(self, producer_seq: int) -> None:
-        entries, data_writers, popped = self.entries, self.data_writers, self.popped
+        entries, data_writers = self.entries, self.data_writers
         for cseq in self.consumers[producer_seq]:
             e = entries[cseq]
             if e is None:
@@ -349,9 +346,9 @@ class _Sim:
             kind = e.kind
             if kind != KIND_ALU and kind != KIND_BRANCH:
                 self._reschedule(e)
-            elif e.state == DISP and e.filed_for <= popped:  # not filed
-                # `_reschedule` for an op: `_ready_at` and `_push_ready`,
-                # inlined
+            elif e.state == DISP:
+                # `_reschedule` for an op, inlined: an op waiting here has
+                # no value for this producer, so it is not filed yet
                 ready = e.ready_floor
                 for w in data_writers[cseq]:
                     p = entries[w]
@@ -368,34 +365,33 @@ class _Sim:
                     self.calendar.setdefault(ready, []).append(cseq)
 
     def _reschedule(self, e: _Entry) -> None:
-        """Files a waiting entry once its producers have values. A load is
-        ready the cycle after its address; an ALU op or branch at its floor
-        (the cycle after dispatch, raised by a replay), and no earlier than
-        its data producers' values."""
+        """Files a waiting entry once its producers have values, in the
+        calendar under its ready cycle, the next cycle at the earliest, so
+        the issue stage finds it in exactly that cycle's bucket. A load is
+        ready the cycle after its address and is filed once: its access
+        stands after a replay, so a re-executed address producer does not
+        file it again. An ALU op or branch, which its callers pass only
+        while it waits, is ready at its floor (the cycle after dispatch,
+        raised by a replay) and no earlier than its data producers'
+        values."""
         if e.kind == KIND_STORE:
             self._update_store(e)
             return
-        if e.state != DISP:
-            return
         if e.kind == KIND_LOAD:
+            if e.addr_ready is not None:
+                return
             at = self._ready_at(self.decode.addr_writers[e.seq], e.dispatch_cycle)
-            if at is not None:
-                e.addr_ready = at + 1
-                self._push_ready(e, e.addr_ready)  # loads never replay
+            if at is None:
+                return
+            at = e.addr_ready = at + 1
         else:
             at = self._ready_at(self.data_writers[e.seq], e.ready_floor)
-            if at is not None:
-                self._push_ready(e, at)
-
-    def _push_ready(self, e: _Entry, ready_at: int) -> None:
-        """Files the entry in the calendar under its ready cycle, the next
-        cycle at the earliest, so the issue stage finds it in exactly that
-        cycle's bucket."""
-        if e.filed_for <= self.popped:
-            if ready_at <= self.now:
-                ready_at = self.now + 1
-            e.filed_for = ready_at
-            self.calendar.setdefault(ready_at, []).append(e.seq)
+            if at is None:
+                return
+        if at <= self.now:
+            at = self.now + 1
+        e.filed_for = at
+        self.calendar.setdefault(at, []).append(e.seq)
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -542,7 +538,6 @@ class _Sim:
     def _issue_phase(self) -> bool:
         now = self.now
         due = self.calendar.pop(now, None)
-        self.popped = now
         # the walk: the cycle's bucket, the loads in the pool and the ops
         # that wait for a unit, in program order
         budget = list(self.budget)
@@ -566,10 +561,6 @@ class _Sim:
                 mul_wait.sort()
                 due += mul_wait[:mul]
                 del mul_wait[:mul]
-            if self.replayed:
-                # a load both filed and waiting in the pool: its address
-                # producer, reset by a replay, filed it again on re-executing
-                due = list(set(due))
         any_issued = False
         if due:
             due.sort()
@@ -890,7 +881,9 @@ class _Sim:
         # an op that has not executed and now reads a reset producer leaves
         # where it waits, the calendar or its FU class's list (it is in
         # neither if it already waited for a producer); the producer's
-        # re-execution wakes it
+        # re-execution wakes it. This runs in an event, before the issue
+        # stage pops this cycle's bucket, and idle cycles never skip a
+        # bucket, so the op is filed exactly when `filed_for` is not past
         entries, data_writers = self.entries, self.data_writers
         for s in seen:
             e = entries[s]
@@ -899,7 +892,7 @@ class _Sim:
                     or self._ready_at(data_writers[s], 0) is not None:
                 continue
             waiting = self.fu_wait[self.decode.fus[s]]
-            if e.filed_for > self.popped:
+            if e.filed_for >= self.now:
                 bucket = self.calendar[e.filed_for]
                 bucket.remove(s)
                 if not bucket:
@@ -907,7 +900,6 @@ class _Sim:
                 e.filed_for = -1
             elif s in waiting:
                 waiting.remove(s)
-        self.replayed = True
 
     # ------------------------------------------------------------------ unshadow
 

@@ -397,6 +397,8 @@ def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstru
             )
     elif alu_op is not None:
         raise TraceFormatError(lineno, f"alu_op not allowed on kind {kind}")
+    elif imm is not None:
+        raise TraceFormatError(lineno, f"imm not allowed on kind {kind}")
     elif dst is not None and kind != "LOAD":
         raise TraceFormatError(lineno, f"dst not allowed on kind {kind}")
     if srcs and kind == "NOP":

@@ -14,13 +14,15 @@ MSHRs, lossy store tags), under TSO and RC, with every policy, clean and,
 where the trace has a mispredicted branch, probed. Then the two
 replay-heavy builders of `test_fingerprints` at seeds 1-6 run under VP on
 three small cores (the one each builder is made for, and one with the
-smallest parts of both), under TSO and RC. The file has no `test_` prefix,
+smallest parts of both), under TSO and RC, and last the pool-refile
+builder's `resident` variant the same way. The file has no `test_` prefix,
 so the test suite does not collect it.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from vrcsim import core
 from vrcsim.core import CoreConfig
@@ -76,7 +78,9 @@ def lines():
                         yield f"{key}{suffix} " + json.dumps(_fingerprint(r),
                                                              sort_keys=True)
     for name, build in (("HAND_FU_UNFILE", hand_fu_unfile_trace),
-                        ("HAND_POOL_REFILE", hand_pool_refile_trace)):
+                        ("HAND_POOL_REFILE", hand_pool_refile_trace),
+                        ("HAND_POOL_REFILE resident",
+                         partial(hand_pool_refile_trace, resident=True))):
         for seed in REPLAY_SEEDS:
             t = build(seed)
             for cfg_name, overrides in SMALL_CORES:

@@ -12,8 +12,9 @@ from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
 
-from test_fingerprints import (_fingerprint, hand_fu_replay_trace,
-                               hand_paths_trace, hand_replay_trace)
+from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, _fingerprint,
+                               hand_fu_replay_trace, hand_paths_trace,
+                               hand_pool_refile_trace, hand_replay_trace, traces)
 
 COLD_A = 0x10_0000
 COLD_B = 0x20_0000
@@ -470,3 +471,46 @@ def test_ops_waiting_for_a_unit_keep_program_order(tb):
     assert issue == 5
     assert ready == 5 + MISS_LATENCY
     assert r.committed_values == functional_replay(t).results
+
+
+@pytest.mark.parametrize("consistency", ["TSO", "RC"])
+def test_replayed_address_producer_files_a_load_once(consistency):
+    # the last load of each iteration waits in the issue pool while a
+    # replay resets its address producer, and hits in L1 once it issues: the
+    # producer's re-execution must not file it again, or it is visited once
+    # more (a second hidden access), after it may have committed
+    for seed in range(1, 21):
+        t = hand_pool_refile_trace(seed, resident=True)
+        rep = functional_replay(t)
+        r = core.run(t, config=CoreConfig(policy="VP", consistency=consistency,
+                                          **REFILE_CORE))
+        assert r.committed_values == rep.results, seed
+        assert r.committed_regs == rep.final_regs, seed
+
+
+class _FiledOnceSim(core._Sim):
+    """Checks after each issue stage that no seq waits twice: in the
+    calendar, the issue pool and the FU classes' lists together."""
+
+    def _issue_phase(self):
+        progress = super()._issue_phase()
+        waiting = [seq for bucket in self.calendar.values() for seq in bucket]
+        waiting += self.issue_pool
+        for ops in self.fu_wait:
+            waiting += ops
+        assert len(waiting) == len(set(waiting)), f"a seq waits twice at {self.now}"
+        return progress
+
+
+def test_no_seq_waits_twice():
+    cases = [(t, overrides, consistency) for name, t in traces()
+             for _, overrides, consistency, _ in RUNS.get(name, DEFAULT_RUNS)]
+    variant = hand_pool_refile_trace(1, resident=True)
+    cases += [(variant, REFILE_CORE, "TSO"), (variant, REFILE_CORE, "RC")]
+    for t, overrides, consistency in cases:
+        table, _ = annotate(t)
+        oracle = functional_replay(t).results
+        for policy in core.POLICIES:
+            cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
+            r = _FiledOnceSim(t, table, cfg, None).run()
+            assert r.committed_values == oracle, policy

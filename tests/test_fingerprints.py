@@ -38,25 +38,38 @@ UNFILE_CORE = {"alu_units": 1, "mul_units": 1, "vp": FAST_VP,
 # one memory port, issue width 2 and two MSHRs
 REFILE_CORE = {"width": 2, "mem_ports": 1, "redirect_penalty": 2, "vp": FAST_VP,
                "cache": CacheConfig(mshrs=2, mem_latency=40)}
+# a smaller ROB, IQ, LQ and SQ, an 8-entry shadow buffer and release queue
+# and two MSHRs: dispatch often stops on a full shadow buffer
+TIGHT_CORE = {"rob_size": 96, "iq_size": 32, "lq_size": 16, "sq_size": 8,
+              "sb_capacity": 8, "rq_capacity": 8, "cache": CacheConfig(mshrs=2)}
 # (key suffix, `CoreConfig` overrides, consistency, probed policies) per
 # trace. MIXED runs a second time with two MSHRs, so loads and store commits
 # stall on full MSHRs and shadowed loads ride in-flight fills, and BASELINE is
 # probed there; and a third time under RC, where only the value-predicting
-# policies cast a shadow for each load. The first three hand-built traces run
-# under TSO and RC, and the first is probed under both; the last two run on
-# the small cores they are built for.
+# policies cast a shadow for each load. The first three hand-built traces and
+# the store-queue one run under TSO and RC, and the first is probed under
+# both; the four patterns and those four traces also run on the tight core
+# under TSO and RC; HAND_FU_UNFILE and HAND_POOL_REFILE run on the small
+# cores they are built for.
+DEFAULT_RUNS = (("", {}, "TSO", ()),)
+TIGHT_RUNS = ((" tight", TIGHT_CORE, "TSO", ()),
+              (" tight RC", TIGHT_CORE, "RC", ()))
 RUNS = {"MIXED": (("", {}, "TSO", ("VRC",)),
                   (" mshrs=2", {"cache": CacheConfig(mshrs=2)}, "TSO", ("BASELINE",)),
-                  (" RC", {}, "RC", ())),
+                  (" RC", {}, "RC", ())) + TIGHT_RUNS,
+        "POINTER_CHASE": DEFAULT_RUNS + TIGHT_RUNS,
+        "STREAM": DEFAULT_RUNS + TIGHT_RUNS,
+        "COMPUTE_STORE_LOAD": DEFAULT_RUNS + TIGHT_RUNS,
         "HAND_PATHS": (("", {}, "TSO", core.POLICIES),
-                       (" RC", {}, "RC", core.POLICIES)),
+                       (" RC", {}, "RC", core.POLICIES)) + TIGHT_RUNS,
         "HAND_REPLAY": (("", {}, "TSO", ()),
-                        (" RC", {}, "RC", ())),
+                        (" RC", {}, "RC", ())) + TIGHT_RUNS,
         "HAND_FU_REPLAY": (("", {}, "TSO", ()),
-                           (" RC", {}, "RC", ())),
+                           (" RC", {}, "RC", ())) + TIGHT_RUNS,
+        "HAND_SQ_FILL": (("", {}, "TSO", ()),
+                         (" RC", {}, "RC", ())) + TIGHT_RUNS,
         "HAND_FU_UNFILE": (("", UNFILE_CORE, "TSO", ()),),
         "HAND_POOL_REFILE": (("", REFILE_CORE, "TSO", ()),)}
-DEFAULT_RUNS = (("", {}, "TSO", ()),)
 
 
 def _sha(value) -> str:
@@ -200,15 +213,21 @@ def hand_fu_unfile_trace(seed: int):
     return tb.build()
 
 
-def hand_pool_refile_trace(seed: int):
+def hand_pool_refile_trace(seed: int, resident: bool = False):
     """Value-prediction replays that re-execute the address producer of a
     load waiting in the issue pool, on `REFILE_CORE`. Each iteration has two
     missing loads, a load in the second one's line whose value changes now
     and then (predicted, then validated by that line's fill), a MUL of the
     two, three to six misses addressed by the second load and a load
     addressed by the MUL. After a mispredict the misses take the memory
-    port cycle after cycle, and the MUL re-executes and files the last load
-    again while it waits in the pool."""
+    port cycle after cycle, and the MUL re-executes while the last load
+    waits in the pool; the load keeps its address and is not filed again.
+
+    With `resident`, each iteration has zero to three misses that do not
+    wait for the second load, and the last load reads one of four lines
+    that stay in L1: it hits as soon as it issues, often in the walk in
+    which the re-executed MUL wakes it, and commits soon after, so a second
+    filing would visit a committed load."""
     rng = random.Random(seed)
     tb = TraceBuilder()
     value = 7
@@ -219,11 +238,34 @@ def hand_pool_refile_trace(seed: int):
             value = rng.randrange(1, 100)
         tb.load(0x18, 3, 0x48_0000 + i * 4096 + 8, value=value)
         tb.alu(0x1C, 4, "MUL", srcs=(3, 2))                 # replayed
+        if resident:
+            for k in range(rng.randrange(0, 4)):
+                tb.load(0x20 + 4 * k, 10 + k, 0x60_0000 + (i * 16 + k) * 4096,
+                        value=rng.getrandbits(32))
+            tb.load(0x30, 5, 0x70_0000 + i % 4 * 64, srcs=(4,))
+            continue
         for k in range(rng.randrange(3, 7)):
             tb.load(0x20 + 4 * k, 10 + k, 0x60_0000 + (i * 16 + k) * 4096,
                     value=rng.getrandbits(32), srcs=(2,))
         tb.load(0x30, 5, 0x70_0000 + i * 4096, value=rng.getrandbits(32),
                 srcs=(4,))
+    return tb.build()
+
+
+def hand_sq_fill_trace():
+    """A load that misses to memory, then more stores than the default
+    store queue holds, each of a value made from the load, and loads of
+    some of them: no store commits before the load, so dispatch waits on a
+    full store queue until the load's fill returns, and the younger loads
+    issue as the queue drains."""
+    tb = TraceBuilder()
+    tb.load(0x00, 1, 0x40_0000, value=3)
+    for i in range(48):
+        tb.alu(0x10, 2, "ADD", srcs=(1,), imm=i)
+        tb.store(0x14, 0x50_0000 + i * 8, srcs=(2,))
+        if i % 6 == 5:
+            tb.load(0x18, 3, 0x50_0000 + (i - 3) * 8)       # an older store
+            tb.load(0x1C, 4, 0x58_0000 + i * 64, value=i)   # misses
     return tb.build()
 
 
@@ -346,6 +388,7 @@ def traces():
     yield "HAND_PATHS", hand_paths_trace()
     yield "HAND_REPLAY", hand_replay_trace()
     yield "HAND_FU_REPLAY", hand_fu_replay_trace()
+    yield "HAND_SQ_FILL", hand_sq_fill_trace()
     yield "HAND_FU_UNFILE", hand_fu_unfile_trace(2)  # seed 1 never unfiles from a list
     yield "HAND_POOL_REFILE", hand_pool_refile_trace(1)
 

@@ -152,6 +152,10 @@ MALFORMED = [
     (HEADER + _I + "kind=ALU dst=1 srcs=2 imm=3 alu_op=MOV\n", 2,
      "alu_op MOV expects 1 operands, got 2"),
     (HEADER + _I + _LD + " alu_op=ADD\n", 2, "alu_op not allowed on kind LOAD"),
+    (HEADER + _I + _LD + " imm=5\n", 2, "imm not allowed on kind LOAD"),
+    (HEADER + _I + _ST + " imm=5\n", 2, "imm not allowed on kind STORE"),
+    (HEADER + _I + _BR + " imm=2\n", 2, "imm not allowed on kind BRANCH"),
+    (HEADER + _I + "kind=NOP imm=3\n", 2, "imm not allowed on kind NOP"),
     (HEADER + _I + "kind=STORE dst=1 srcs=1 mem_addr=0x40 mem_size=8 mem_value=0x1\n",
      2, "dst not allowed on kind STORE"),
     (HEADER + _I + "kind=BRANCH dst=1 srcs=1 taken=1 pred=1\n", 2,
