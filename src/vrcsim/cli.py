@@ -190,7 +190,7 @@ def _prepare_inputs(args):
         apath = Path(args.annotations)
         if not apath.exists():
             raise InputError(f"annotation file not found: {apath}")
-        annotations = slicer.load_annotations(apath.read_text(encoding="utf-8"))
+        annotations = slicer.load_annotations(apath.read_bytes())
     elif any(p in ("VRC", "VRC2") for p in policies):
         annotations, _ = slicer.annotate(t, max_len=args.max_len)
     return t, policies, annotations

@@ -26,7 +26,7 @@ from enum import Enum
 
 from .isa import ALU_ARITY, ALU_LATENCY, ALU_OPS, alu_eval
 from .replay import functional_replay
-from .trace import Trace, TraceFormatError, _parse_kv, validate_trace
+from .trace import Trace, TraceFormatError, _parse_kv, _read_text, validate_trace
 
 DEFAULT_MAX_SLICE_LEN = 100
 
@@ -490,10 +490,10 @@ _RECORD_FIELDS = {
 
 
 def load_annotations(data) -> AnnotationTable:
-    if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    try:
+        data = _read_text(data)
+    except TraceFormatError as e:
+        raise AnnotationFormatError(str(e)) from None
     table = AnnotationTable()
     current: dict | None = None
 

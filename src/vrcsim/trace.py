@@ -13,17 +13,21 @@ File format (UTF-8, one record per line):
     I seq=0 pc=0x1000 kind=ALU dst=1 srcs=2,3 alu_op=ADD
     I seq=1 pc=0x1004 kind=STORE srcs=1 mem_addr=0x100 mem_size=8 mem_value=0x2a
     I seq=2 pc=0x1008 kind=BRANCH srcs=1 taken=1 pred=1
-Field order within a record is fixed; optional fields are omitted when absent;
-`fault=1` marks instructions that cast an exception shadow. The header carries
-exactly `version` and `regs`; `taken`, `pred` and `fault` are 0 or 1. Integers
-may be written in hex with a `0x` prefix; addresses and data values are
-emitted in hex.
+`emit_trace` writes a record's fields in the order shown and omits optional
+fields when absent; `fault=1` marks instructions that cast an exception
+shadow. The header carries exactly `version` and `regs`; `taken`, `pred` and
+`fault` are 0 or 1. Integers may be written in hex with a `0x` prefix;
+addresses and data values are emitted in hex. `parse_trace` reads a record
+spelled exactly as `emit_trace` writes it with one compiled match, and
+accepts every other valid spelling (any field order, a decimal address,
+`0X` hex, `fault=0`, ...) through the field-by-field parser.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -410,17 +414,77 @@ def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstru
                              mem_size, mem_value, br, may_fault)
 
 
-def parse_trace(data) -> Trace:
-    """Parse a trace from bytes, a string, or a file-like object."""
+# an `I` record exactly as `_format_instruction` writes it: ASCII decimal
+# without leading zeros, lowercase `0x` hex, at most 3 srcs. Digit counts
+# are bounded (`int` refuses over 4300 decimal digits); longer spellings,
+# like every other, are left to `_parse_instruction`
+_DEC, _REG, _HEX = "0|[1-9][0-9]{0,19}", "0|[1-9][0-9]?", "0x(0|[1-9a-f][0-9a-f]{0,15})"
+_CANONICAL_INSTRUCTION = re.compile(
+    rf"I seq=({_DEC}) pc={_HEX} kind=({'|'.join(KINDS)})(?: dst=({_REG}))?"
+    rf"(?: srcs=((?:{_REG})(?:,(?:{_REG})){{0,2}}))?(?: imm=(0|-?[1-9][0-9]{{0,19}}))?"
+    rf"(?: alu_op=({'|'.join(ALU_OPS)}))?(?: mem_addr={_HEX} mem_size=([1248]) "
+    rf"mem_value={_HEX})?(?: taken=([01]) pred=([01]))?( fault=1)?")
+_BRANCH_INFO = {(t, p): BranchInfo(t == "1", p == "1") for t in "01" for p in "01"}
+
+
+def _parse_canonical(line: str, regs: int) -> TraceInstruction | None:
+    """The record on `line` when it is an `I` record spelled exactly as
+    `emit_trace` writes it and valid under `regs`; None for any other line,
+    which `_parse_instruction` then reads or rejects. The pattern fixes the
+    spelling; this checks what it cannot: which fields each kind allows or
+    requires, registers below `regs`, and ALU arity."""
+    m = _CANONICAL_INSTRUCTION.fullmatch(line)
+    if m is None:
+        return None
+    seq, pc, kind, dst, srcs, imm, alu_op, addr, size, value, taken, pred, \
+        fault = m.groups()
+    dst = None if dst is None else int(dst)
+    srcs = () if srcs is None else tuple(map(int, srcs.split(",")))
+    if dst is not None and dst >= regs or srcs and max(srcs) >= regs:
+        return None
+    if kind == "ALU":
+        imm = None if imm is None else int(imm)
+        if dst is None or alu_op is None or addr is not None or taken is not None \
+                or len(srcs) + (imm is not None) != ALU_ARITY[alu_op]:
+            return None
+    elif alu_op is not None or imm is not None or dst is not None and kind != "LOAD" \
+            or (addr is not None) != (kind == "LOAD" or kind == "STORE") \
+            or (taken is not None) != (kind == "BRANCH") or srcs and kind == "NOP":
+        return None
+    if addr is not None:
+        addr, size, value = int(addr, 16), int(size), int(value, 16)
+    return _InstructionDraft(int(seq), int(pc, 16), kind, dst, srcs, imm, alu_op,
+                             addr, size, value,
+                             None if taken is None else _BRANCH_INFO[taken, pred],
+                             fault is not None)
+
+
+def _read_text(data) -> str:
+    """The text of bytes, a string, or a file-like object; bytes that are
+    not UTF-8 raise TraceFormatError at the line of the first bad byte."""
     if hasattr(data, "read"):
         data = data.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        # the bytes before the bad one decode; with a character in the bad
+        # byte's place, their last line is the bad byte's
+        lineno = len((data[:e.start].decode("utf-8") + "?").splitlines())
+        raise TraceFormatError(lineno, f"not UTF-8: byte {data[e.start]:#04x}") from None
 
+
+def parse_trace(data) -> Trace:
+    """Parse a trace from bytes, a string, or a file-like object."""
+    data = _read_text(data)
     header: TraceHeader | None = None
     notes: list[str] = []
     instructions: list[TraceInstruction] = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
+        if header is not None:
+            ins = _parse_canonical(raw, regs)
+            if ins is not None:
+                instructions.append(ins)
+                continue
         tokens = raw.split()
         if not tokens:
             continue
@@ -459,7 +523,7 @@ def parse_trace(data) -> Trace:
 
 
 def load_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         return parse_trace(f)
 
 

@@ -254,6 +254,16 @@ def test_bad_annotations_are_an_input_error(tmp_path, capsys):
     assert "unknown op 'FOO'" in capsys.readouterr().err
 
 
+def test_files_that_are_not_utf8_are_an_input_error(tmp_path, capsys):
+    tr = _gen(tmp_path, count=300)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"A version=1\n\xff\n")
+    for trace, annotations in ((bad, tr), (tr, bad)):
+        assert main(["compare", "--trace", str(trace), "--annotations", str(annotations),
+                     "--policy", "VRC", "--out", str(tmp_path / "out")]) == 2
+        assert "line 2: not UTF-8: byte 0xff" in capsys.readouterr().err
+
+
 def test_seed_reaches_vp_config():
     parser = build_parser()
     for cmd in ("compare", "audit"):

@@ -268,6 +268,11 @@ def test_missing_slice_reference_errors():
         load_annotations("A version=1\nR pc=0x40 slice=7\n")
 
 
+def test_bytes_that_are_not_utf8_are_a_typed_error():
+    with pytest.raises(AnnotationFormatError, match="^line 2: not UTF-8: byte 0xff$"):
+        load_annotations(b"A version=1\n\xff")
+
+
 GOOD_ANNOTATIONS = """A version=1
 S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 len=2
   P pos=0 op=ADD a=H:0x900:0 b=L:3

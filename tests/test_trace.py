@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from vrcsim.isa import ALU_LATENCY, FU_ALU, FU_MUL
 from vrcsim.trace import (
     FORM_ANY, FORM_RI, FORM_RR, KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
     Trace, TraceFormatError, TraceHeader, TraceInstruction, BranchInfo,
-    emit_trace, gen_synthetic, parse_trace, validate_trace, window_trace,
+    emit_trace, gen_synthetic, load_trace, parse_trace, validate_trace, window_trace,
 )
 
 HEADER = "H version=1 regs=64\n"
@@ -380,31 +381,115 @@ _TRACE_FRAGMENTS = ("0", "1", "-1", "3", "4", "7", "64", "99", "0x40", "0x3f",
                     "0xffffffffffffffff", "0x10000000000000000", "1,2", "1,2,3,4",
                     "ALU", "LOAD", "STORE", "BRANCH", "NOP", "ADD", "MUL", "CMOV",
                     "FOO", "x", "=", "", "#", "I", "H", "dst=1", "srcs=", "imm=7",
-                    "mem_size=4", "taken=1", "pred=0", "fault=1", "version=2")
+                    "mem_size=4", "taken=1", "pred=0", "fault=1", "version=2",
+                    # spellings `int(x, 0)` reads or rejects that emit_trace
+                    # never writes, a trailing space and a tab
+                    "007", "00", "0X40", "0xFF", "+5", "1_0", "\u0663", "1 ", "1\t2")
+# (slot, how, fragment): the slot's token, or just its value, becomes the
+# fragment, or the fields of the slot's line are shuffled
+_FUZZ_EDITS = st.lists(st.tuples(st.integers(0, 100_000),
+                                 st.sampled_from(("token", "value", "shuffle")),
+                                 st.sampled_from(_TRACE_FRAGMENTS)), min_size=1, max_size=3)
+
+
+def _fuzzed_lines(edits) -> list[str]:
+    lines = [line.split(" ") for line in FUZZ_TEXT.splitlines()]
+    slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    for k, how, frag in edits:
+        i, j = slots[k % len(slots)]
+        if how == "shuffle":
+            fields = lines[i][1:]
+            random.Random(k).shuffle(fields)
+            lines[i][1:] = fields
+        else:
+            key, eq, _ = lines[i][j].partition("=")
+            lines[i][j] = key + eq + frag if how == "value" and eq else frag
+    return [" ".join(toks) for toks in lines]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.integers(0, 100_000), st.booleans(),
-                          st.sampled_from(_TRACE_FRAGMENTS)), min_size=1, max_size=3))
+@given(_FUZZ_EDITS)
 @example([])
 def test_fuzzed_traces_fail_only_typed(edits):
-    # mutate tokens (or just their values) of an emitted trace: parsing
-    # either raises TraceFormatError or yields a trace that validates
-    # without raising, and a trace that validates runs to completion
-    lines = [line.split(" ") for line in FUZZ_TEXT.splitlines()]
-    slots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
-    for k, value_only, frag in edits:
-        i, j = slots[k % len(slots)]
-        key, eq, _ = lines[i][j].partition("=")
-        lines[i][j] = key + eq + frag if value_only and eq else frag
+    # mutate an emitted trace: parsing either raises TraceFormatError or
+    # yields a trace that validates without raising, and a trace that
+    # validates runs to completion
     try:
-        t = parse_trace("\n".join(" ".join(toks) for toks in lines))
+        t = parse_trace("\n".join(_fuzzed_lines(edits)))
     except TraceFormatError:
         return
     if not validate_trace(t).ok:
         return
     for policy in ("BASELINE", "DOM"):
         assert run(t, config=CoreConfig(policy=policy)).committed == len(t)
+
+
+def _check_fast_path(line: str) -> None:
+    # under either register count, the fast path declines the line or reads
+    # exactly what the checked parser reads (repr tells a bool from an int),
+    # and it declines every line the checked parser rejects
+    tokens = line.split()
+    for regs in (64, 8):
+        fast = trace_mod._parse_canonical(line, regs)
+        if not tokens or tokens[0] != "I":
+            assert fast is None
+            continue
+        try:
+            slow = trace_mod._parse_instruction(1, tokens[1:], regs)
+        except TraceFormatError:
+            assert fast is None, line
+            continue
+        assert fast is None or (fast == slow and repr(fast) == repr(slow)), line
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_FUZZ_EDITS)
+def test_fast_path_agrees_with_checked_parser_on_fuzzed_lines(edits):
+    canonical = FUZZ_TEXT.splitlines()
+    for line, before in zip(_fuzzed_lines(edits), canonical):
+        if line != before:
+            _check_fast_path(line)
+
+
+def test_fast_path_agrees_with_checked_parser_on_emitted_lines():
+    for line in FUZZ_TEXT.splitlines():
+        _check_fast_path(line)
+
+
+def _refuse(*args):
+    raise AssertionError("a record emit_trace wrote reached _parse_instruction")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_instruction_stream())
+def test_fast_path_reads_roundtrip_streams_alone(t):
+    text = emit_trace(t)
+    for line in text.splitlines():
+        _check_fast_path(line)
+    # a pattern that stopped matching emitted records would send them all
+    # down the checked parser: same traces, and only the benchmark would tell
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_mod, "_parse_instruction", _refuse)
+        assert parse_trace(text) == t
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_fast_path_reads_generated_traces_alone(pattern, monkeypatch):
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=600, seed=2))
+    text = emit_trace(t)
+    monkeypatch.setattr(trace_mod, "_parse_instruction", _refuse)
+    assert parse_trace(text) == t
+
+
+def test_bytes_that_are_not_utf8_are_a_typed_error(tmp_path):
+    for data, lineno in ((HEADER.encode() + b"\xff", 2),
+                         (b"# note: \xc3\xa9\r\n" + HEADER.encode() + b"I \xc3", 3)):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        for read, source in ((parse_trace, data), (load_trace, path)):
+            with pytest.raises(TraceFormatError, match="not UTF-8") as exc:
+                read(source)
+            assert exc.value.lineno == lineno
 
 
 def test_gen_recomputable_fraction_contract():
