@@ -2,7 +2,7 @@
 delay-on-miss, load value prediction, and backward-slice value recomputation,
 with a differential transient-invisibility audit."""
 
-from .audit import (MutationLog, MutationRecord, Structure, assert_invisibility,
+from .audit import (MutationLog, MutationRecord, assert_invisibility,
                     differential_check)
 from .core import (CoreConfig, DeadlockError, POLICIES, ProbeSpec, RunResult,
                    SECURE_POLICIES, inject_transient_probe, run)

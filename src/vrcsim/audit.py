@@ -17,22 +17,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from enum import Enum
 
-
-class Structure(Enum):
-    L1_TAG = "L1_TAG"
-    L1_LRU = "L1_LRU"
-    L1_DIRTY = "L1_DIRTY"
-    L2_TAG = "L2_TAG"
-    L2_LRU = "L2_LRU"
-    L2_DIRTY = "L2_DIRTY"
-    MSHR = "MSHR"
+# the array of its level that each op other than mshr_alloc changes
+_STRUCT_OF_OP = {"fill": "TAG", "evict": "TAG", "lru_touch": "LRU",
+                 "dirty": "DIRTY"}
 
 
 class MutationRecord(namedtuple("MutationRecord", (
-        "cycle", "structure", "level", "op", "line_addr", "victim_addr",
-        "cause_seq", "speculative", "probe"))):
+        "cycle", "level", "op", "line_addr", "victim_addr", "cause_seq",
+        "speculative", "probe"))):
     """One hierarchy mutation. `level` is 1 or 2; `op` is fill, evict,
     lru_touch, dirty or mshr_alloc; `victim_addr` is the line a fill
     evicted, or None."""
@@ -40,10 +33,11 @@ class MutationRecord(namedtuple("MutationRecord", (
     __slots__ = ()
 
     def format_line(self) -> str:
-        cycle, structure, _, op, line, victim, cause, spec, probe = self
+        cycle, level, op, line, victim, cause, spec, probe = self
+        struct = "MSHR" if op == "mshr_alloc" else f"L{level}_{_STRUCT_OF_OP[op]}"
         victim = f"{victim:#x}" if victim is not None else "-"
         return (
-            f"M cycle={cycle} struct={structure.value} op={op} "
+            f"M cycle={cycle} struct={struct} op={op} "
             f"line={line:#x} victim={victim} cause={cause} "
             f"spec={int(spec)} probe={int(probe)}"
         )

@@ -72,7 +72,7 @@ def _auto_probe(t: trace_mod.Trace) -> core.ProbeSpec:
 def _config_flags(path: str, argv: list[str]) -> list[str]:
     """The config file's entries as flag tokens, less the flags argv sets."""
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
             try:
                 path = arg[len("--config="):] or argv[i + 1]
                 argv[1:1] = _config_flags(path, argv)
-            except (IndexError, OSError) as e:
+            except (IndexError, OSError, UnicodeDecodeError) as e:
                 print(f"error: cannot read config file: {e}", file=sys.stderr)
                 return EXIT_INPUT
             break

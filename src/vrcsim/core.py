@@ -121,7 +121,6 @@ class CoreConfig:
     sb_capacity: int = 64
     rq_capacity: int = 64
     deadlock_cycles: int = 100_000
-    record_load_timing: bool = False
     cache: CacheConfig = field(default_factory=CacheConfig)
     vp: VpConfig = field(default_factory=VpConfig)
     vrc: VrcConfig = field(default_factory=VrcConfig)
@@ -794,9 +793,8 @@ class _Sim:
         e.complete = ready
         self._release_iq(e)
         self._resolve_perform_shadows(e, ready)
-        if self.config.record_load_timing:
-            issue = e.issue_at if e.issue_at is not None else self.now
-            self.load_timing[e.seq] = (e.unshadow_cycle, issue, ready)
+        issue = e.issue_at if e.issue_at is not None else self.now
+        self.load_timing[e.seq] = (e.unshadow_cycle, issue, ready)
         self._wake(e.seq)
 
     def _resolve_perform_shadows(self, e: _Entry, at: int) -> None:
@@ -848,8 +846,7 @@ class _Sim:
         e.state = DONE_ST
         e.complete = self.now
         self._resolve_perform_shadows(e, self.now)
-        if self.config.record_load_timing:
-            self.load_timing[e.seq] = (e.unshadow_cycle, None, self.now)
+        self.load_timing[e.seq] = (e.unshadow_cycle, None, self.now)
 
     def _replay_dependents(self, seq: int, correct_cycle: int) -> None:
         """Selective replay: computation that consumed a mispredicted value

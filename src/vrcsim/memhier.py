@@ -22,7 +22,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 
-from .audit import MutationLog, MutationRecord, Structure
+from .audit import MutationLog, MutationRecord
 from .isa import LINE_BYTES
 
 
@@ -156,13 +156,11 @@ class MemHierState:
     def line_of(self, addr: int) -> int:
         return addr - (addr % LINE_BYTES)
 
-    def _record(self, now: int, structure: Structure, level: int, op: str,
-                line: int, cause_seq: int, speculative: bool, probe: bool,
-                victim: int | None = None) -> None:
+    def _record(self, now: int, level: int, op: str, line: int, cause_seq: int,
+                speculative: bool, probe: bool, victim: int | None = None) -> None:
         # `tuple.__new__` skips the generated `MutationRecord.__new__` frame
         self.log.append(tuple.__new__(MutationRecord, (
-            now, structure, level, op, line, victim, cause_seq, speculative,
-            probe)))
+            now, level, op, line, victim, cause_seq, speculative, probe)))
 
     # -- accesses ---------------------------------------------------------------
 
@@ -182,12 +180,10 @@ class MemHierState:
                 self.deferred_touches.setdefault(hide_key, []).append(line)
                 return L1_HIT, hit_ready
             self.l1.touch(line)
-            self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
-                         cause_seq, speculative, probe)
+            self._record(now, 1, "lru_touch", line, cause_seq, speculative, probe)
             if store and line not in self.l1.dirty:
                 self.l1.dirty.add(line)
-                self._record(now, Structure.L1_DIRTY, 1, "dirty", line,
-                             cause_seq, speculative, probe)
+                self._record(now, 1, "dirty", line, cause_seq, speculative, probe)
             return L1_HIT, hit_ready
         entry = self.l1_mshr.get(line)
         if entry is not None:
@@ -210,18 +206,15 @@ class MemHierState:
         self.l1_mshr[line] = _Mshr(ready=ready, l2_hit=l2_hit, dirty_on_fill=dirty,
                                    cause_seq=cause_seq, speculative=speculative)
         self.mshr_history.append(line)
-        self._record(now, Structure.MSHR, 1, "mshr_alloc", line, cause_seq,
-                     speculative, probe)
+        self._record(now, 1, "mshr_alloc", line, cause_seq, speculative, probe)
         if l2_hit:
             self.l2_hits += 1
             self.l2.touch(line)
-            self._record(now, Structure.L2_LRU, 2, "lru_touch", line, cause_seq,
-                         speculative, probe)
+            self._record(now, 2, "lru_touch", line, cause_seq, speculative, probe)
         else:
             self.mem_accesses += 1
             self.mem_fills += 1
-            self._record(now, Structure.MSHR, 2, "mshr_alloc", line, cause_seq,
-                         speculative, probe)
+            self._record(now, 2, "mshr_alloc", line, cause_seq, speculative, probe)
         heapq.heappush(self.fills, (ready, self._fill_order, line))
         self._fill_order += 1
 
@@ -236,24 +229,22 @@ class MemHierState:
             if not entry.l2_hit:
                 self.mem_fills -= 1
                 victim, victim_dirty = self.l2.install(line)
-                self._record(ready, Structure.L2_TAG, 2, "fill", line,
+                self._record(ready, 2, "fill", line,
                              entry.cause_seq, spec, False, victim=victim)
                 if victim is not None and self.l1.evict(victim):
                     # inclusive hierarchy: L2 eviction removes the L1 copy
-                    self._record(ready, Structure.L1_TAG, 1, "evict", victim,
+                    self._record(ready, 1, "evict", victim,
                                  entry.cause_seq, spec, False)
             victim, victim_dirty = self.l1.install(line)
-            self._record(ready, Structure.L1_TAG, 1, "fill", line,
+            self._record(ready, 1, "fill", line,
                          entry.cause_seq, spec, False, victim=victim)
             if victim is not None and victim_dirty and self.l2.contains(victim):
                 # write-back marks the L2 copy dirty without promoting it
                 self.l2.dirty.add(victim)
-                self._record(ready, Structure.L2_DIRTY, 2, "dirty", victim,
-                             entry.cause_seq, spec, False)
+                self._record(ready, 2, "dirty", victim, entry.cause_seq, spec, False)
             if entry.dirty_on_fill:
                 self.l1.dirty.add(line)
-                self._record(ready, Structure.L1_DIRTY, 1, "dirty", line,
-                             entry.cause_seq, spec, False)
+                self._record(ready, 1, "dirty", line, entry.cause_seq, spec, False)
 
     # -- deferred replacement -----------------------------------------------------
 
@@ -261,8 +252,7 @@ class MemHierState:
         """Apply queued LRU updates for a load that left speculation."""
         for line in self.deferred_touches.pop(key, []):
             if self.l1.touch(line):
-                self._record(now, Structure.L1_LRU, 1, "lru_touch", line,
-                             cause_seq, False, False)
+                self._record(now, 1, "lru_touch", line, cause_seq, False, False)
 
     def squash_deferred(self, key: object) -> None:
         self.deferred_touches.pop(key, None)
@@ -295,7 +285,7 @@ def replay_log(log: MutationLog, config: CacheConfig | None = None) -> str:
     state's snapshot_digest.
     """
     state = MemHierState(config or CacheConfig(), log=MutationLog())
-    for _, _, level_no, op, line, _, _, _, _ in log:
+    for _, level_no, op, line, _, _, _, _ in log:
         level = state.l1 if level_no == 1 else state.l2
         if op == "fill":
             level.install(line)

@@ -1,18 +1,15 @@
 """Aggregates raw run counters into reporting quantities and renders them as
 CSV plus an aligned text table. Coverage is the fraction of shadowed L1
 misses served by prediction or recomputation (loads coalescing onto an
-in-flight MSHR are not misses). Energy is an event-count proxy with
-relative weights loaded from energy_weights.cfg; only trends are meaningful.
+in-flight MSHR are not misses). Energy is an event-count proxy with the
+relative weights of ENERGY_WEIGHTS; only trends are meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .core import POLICIES, RunResult
-
-_WEIGHTS_FILE = Path(__file__).with_name("energy_weights.cfg")
 
 CSV_COLUMNS = (
     "policy", "cycles", "committed", "ipc", "norm_ipc",
@@ -24,23 +21,29 @@ CSV_COLUMNS = (
 )
 
 
-def default_weights() -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for line in _WEIGHTS_FILE.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        weights[key.strip()] = float(value.strip())
-    return weights
+# Relative, unitless energy weights for the event-count proxy.
+# These set trends, not absolute energy: a main-memory access is two orders
+# of magnitude more expensive than an L1 access; recomputation-structure
+# reads (SFile/IBuff/Hist) are far cheaper than a cache access. Static terms
+# accrue per cycle.
+ENERGY_WEIGHTS = {
+    "l1_access": 1.0,
+    "l2_access": 5.0,
+    "mem_access": 100.0,
+    "fu_op": 0.5,
+    "vp_lookup": 1.0,
+    "vp_update": 1.0,
+    "vrc_struct_access": 0.2,
+    "static_per_cycle": 2.0,
+    "mem_static_per_cycle": 0.5,
+}
 
 
-def energy_proxy(counters: dict, cycles: int,
-                 weights: dict[str, float] | None = None) -> dict[str, float]:
+def energy_proxy(counters: dict, cycles: int) -> dict[str, float]:
     """Weighted event counts, broken down the way the evaluation reports it:
     core dynamic, core static, memory (incl. an idle per-cycle term), and
     the prediction/recomputation structure overhead."""
-    w = weights if weights is not None else default_weights()
+    w = ENERGY_WEIGHTS
     l1 = counters.get("l1_hits", 0) + counters.get("l1_misses", 0) + \
         counters.get("mshr_hits", 0)
     l2 = counters.get("l2_hits", 0) + counters.get("mem_accesses", 0)
@@ -89,8 +92,7 @@ class MetricsReport:
     energy: dict
 
 
-def report_for(result: RunResult, baseline: RunResult,
-               weights: dict[str, float] | None = None) -> MetricsReport:
+def report_for(result: RunResult, baseline: RunResult) -> MetricsReport:
     c = result.counters
     ipc = result.committed / result.cycles if result.cycles else 0.0
     base_ipc = baseline.committed / baseline.cycles if baseline.cycles else 0.0
@@ -114,7 +116,7 @@ def report_for(result: RunResult, baseline: RunResult,
         predicted_loads=c.get("predicted_loads", 0),
         recomputed_loads=c.get("recomputes", 0),
         validations=c.get("validations", 0),
-        energy=energy_proxy(c, result.cycles, weights),
+        energy=energy_proxy(c, result.cycles),
     )
 
 
@@ -138,15 +140,14 @@ def _row(r: MetricsReport) -> list[str]:
                  else getattr(r, c)) for c in CSV_COLUMNS]
 
 
-def summarize(runs: dict[str, RunResult],
-              weights: dict[str, float] | None = None) -> Summary:
+def summarize(runs: dict[str, RunResult]) -> Summary:
     """Build per-policy reports normalized against the BASELINE run, in the
     canonical policy order. Identical runs yield byte-identical output."""
     if "BASELINE" not in runs:
         raise ValueError("summarize requires a BASELINE run")
     baseline = runs["BASELINE"]
     ordered = [p for p in POLICIES if p in runs]
-    reports = {p: report_for(runs[p], baseline, weights) for p in ordered}
+    reports = {p: report_for(runs[p], baseline) for p in ordered}
 
     rows = [list(CSV_COLUMNS)] + [_row(reports[p]) for p in ordered]
     csv_text = "\n".join(",".join(row) for row in rows) + "\n"

@@ -498,13 +498,17 @@ def load_annotations(data) -> AnnotationTable:
     current: dict | None = None
 
     def finish_current():
+        # a slice's errors name its S record's line
         if current is None:
             return
         sid = current["sid"]
+        where = f"line {current['lineno']}: slice {sid}"
         if len(current["instrs"]) != current["len"]:
             raise AnnotationFormatError(
-                f"slice {sid}: declared len {current['len']} but "
+                f"{where}: declared len {current['len']} but "
                 f"{len(current['instrs'])} instructions")
+        if not current["instrs"]:
+            raise AnnotationFormatError(f"{where} is empty")
         hist_keys = {key for key, _, _ in current["hist"]}
         live_regs = {reg for reg, _, _ in current["live"]}
         for ins in current["instrs"]:
@@ -512,7 +516,7 @@ def load_annotations(data) -> AnnotationTable:
                 if (op.kind == "HIST" and op.key not in hist_keys) or \
                         (op.kind == "LIVE_REG" and op.reg not in live_regs):
                     raise AnnotationFormatError(
-                        f"slice {sid}: operand {_fmt_operand(op)} has no H/V record")
+                        f"{where}: operand {_fmt_operand(op)} has no H/V record")
         table.slices[sid] = Slice(
             slice_id=sid,
             instrs=tuple(current["instrs"]),
@@ -527,7 +531,8 @@ def load_annotations(data) -> AnnotationTable:
         )
         table.slice_tags[sid] = tuple(current["tags"])
 
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    rcmp_lines: dict[int, int] = {}  # rcmp site pc -> its R record's line
+    for lineno, raw in enumerate(data.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -554,6 +559,7 @@ def load_annotations(data) -> AnnotationTable:
                     "immutable": bool(int(fields["immutable"])),
                     "len": int(fields["len"]),
                     "instrs": [], "hist": [], "live": [], "tags": [],
+                    "lineno": lineno,
                 }
             elif tag == "P":
                 pos, op = int(fields["pos"]), fields["op"]
@@ -585,7 +591,9 @@ def load_annotations(data) -> AnnotationTable:
             elif tag == "T":
                 current["tags"].append((int(fields["addr"], 0), int(fields["size"])))
             elif tag == "R":
-                table.rcmp_sites[int(fields["pc"], 0)] = int(fields["slice"])
+                pc = int(fields["pc"], 0)
+                table.rcmp_sites[pc] = int(fields["slice"])
+                rcmp_lines[pc] = lineno
             else:  # C
                 table.rec_sites.setdefault(int(fields["seq"]), []).append(
                     (_parse_key(fields["key"]), int(fields["val"], 0)))
@@ -596,9 +604,6 @@ def load_annotations(data) -> AnnotationTable:
     finish_current()
     for pc, sid in table.rcmp_sites.items():
         if sid not in table.slices:
-            raise AnnotationFormatError(
-                f"rcmp site {pc:#x} references missing slice {sid}")
-    for sid, s in table.slices.items():
-        if not s.instrs:
-            raise AnnotationFormatError(f"slice {sid} is empty")
+            raise AnnotationFormatError(f"line {rcmp_lines[pc]}: rcmp site {pc:#x} "
+                                        f"references missing slice {sid}")
     return table

@@ -460,26 +460,29 @@ def _parse_canonical(line: str, regs: int) -> TraceInstruction | None:
 
 
 def _read_text(data) -> str:
-    """The text of bytes, a string, or a file-like object; bytes that are
-    not UTF-8 raise TraceFormatError at the line of the first bad byte."""
-    if hasattr(data, "read"):
-        data = data.read()
+    """The text of bytes, a string, or a binary or text file object; bytes
+    that are not UTF-8 raise TraceFormatError at the line of the first bad
+    byte."""
     try:
+        if hasattr(data, "read"):
+            data = data.read()  # a text file decodes here
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as e:
-        # the bytes before the bad one decode; with a character in the bad
-        # byte's place, their last line is the bad byte's
-        lineno = len((data[:e.start].decode("utf-8") + "?").splitlines())
-        raise TraceFormatError(lineno, f"not UTF-8: byte {data[e.start]:#04x}") from None
+        # `e.object` holds the bytes being decoded, a text file's too
+        raw, at = e.object, e.start
+        raise TraceFormatError(raw.count(b"\n", 0, at) + 1,
+                               f"not UTF-8: byte {raw[at]:#04x}") from None
 
 
 def parse_trace(data) -> Trace:
-    """Parse a trace from bytes, a string, or a file-like object."""
+    """Parse a trace from bytes, a string, or a file-like object. Records
+    end at a line feed; a carriage return before it is whitespace, so CRLF
+    files parse too."""
     data = _read_text(data)
     header: TraceHeader | None = None
     notes: list[str] = []
     instructions: list[TraceInstruction] = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(data.split("\n"), start=1):
         if header is not None:
             ins = _parse_canonical(raw, regs)
             if ins is not None:

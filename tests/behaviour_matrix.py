@@ -68,7 +68,7 @@ def lines():
             for consistency in ("TSO", "RC"):
                 for policy in core.POLICIES:
                     cfg = CoreConfig(policy=policy, consistency=consistency,
-                                     record_load_timing=True, **overrides)
+                                     **overrides)
                     key = f"{name} {cfg_name} {consistency} {policy}"
                     runs = [("", core.run(t, annotations=table, config=cfg))]
                     if probed:
@@ -86,7 +86,7 @@ def lines():
             for cfg_name, overrides in SMALL_CORES:
                 for consistency in ("TSO", "RC"):
                     cfg = CoreConfig(policy="VP", consistency=consistency,
-                                     record_load_timing=True, **overrides)
+                                     **overrides)
                     r = core.run(t, config=cfg)
                     yield (f"{name} seed={seed} {cfg_name} {consistency} VP "
                            + json.dumps(_fingerprint(r), sort_keys=True))

@@ -283,8 +283,7 @@ def test_criterion_8_hand_checked_latencies():
     tb = TraceBuilder()
     tb.load(0x10, 1, 0x10_0000, value=1)
     tb.load(0x14, 2, 0x20_0000, value=2)
-    r = core.run(tb.build(), config=core.CoreConfig(policy="DOM",
-                                                    record_load_timing=True))
+    r = core.run(tb.build(), config=core.CoreConfig(policy="DOM"))
     unshadow, issue, ready = r.load_timing[1]
     assert unshadow == r.load_timing[0][2]  # R = older load's fill
     assert issue == unshadow

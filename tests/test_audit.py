@@ -2,18 +2,17 @@ import pickle
 from types import SimpleNamespace
 
 from vrcsim import core
-from vrcsim.audit import (MutationLog, MutationRecord, Structure,
-                          assert_invisibility, differential_check)
+from vrcsim.audit import (MutationLog, MutationRecord, assert_invisibility,
+                          differential_check)
 from vrcsim.memhier import replay_log
 from vrcsim.slicer import annotate
 from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 
 
-def _rec(cycle=0, spec=False, probe=False, line=0x40, op="fill",
-         structure=Structure.L1_TAG):
-    return MutationRecord(cycle=cycle, structure=structure, level=1, op=op,
-                          line_addr=line, victim_addr=None, cause_seq=1,
-                          speculative=spec, probe=probe)
+def _rec(cycle=0, spec=False, probe=False, line=0x40, op="fill"):
+    return MutationRecord(cycle=cycle, level=1, op=op, line_addr=line,
+                          victim_addr=None, cause_seq=1, speculative=spec,
+                          probe=probe)
 
 
 def test_invisibility_pass_and_fail():
@@ -30,8 +29,7 @@ def test_invisibility_pass_and_fail():
 def test_export_lines_roundtrippable_text():
     log = MutationLog()
     log.append(_rec())
-    log.append(_rec(cycle=3, spec=True, probe=True, op="lru_touch",
-                    structure=Structure.L1_LRU))
+    log.append(_rec(cycle=3, spec=True, probe=True, op="lru_touch"))
     text = log.export_lines()
     lines = text.strip().splitlines()
     assert len(lines) == 2

@@ -185,6 +185,14 @@ def test_config_values_checked_like_flags(tmp_path):
                      "--out", str(tmp_path / "out")]) == 1, text
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"count = 10\n\xff\n")
+    assert main(["compare", "--config", str(cfg),
+                 "--trace", str(tmp_path / "x.txt")]) == 2
+    assert "error: cannot read config file:" in capsys.readouterr().err
+
+
 def test_audit_secure_policies_exit_zero(tmp_path):
     tr = _gen(tmp_path, count=6000, extra=("--mispredict-rate", "0.2"))
     assert main(["audit", "--trace", str(tr), "--policy", "DOM",

@@ -22,7 +22,7 @@ MISS_LATENCY = 2 + 20 + 150
 
 
 def _cfg(policy, **kw):
-    return CoreConfig(policy=policy, record_load_timing=True, **kw)
+    return CoreConfig(policy=policy, **kw)
 
 
 def test_alu_only_trace_identical_across_policies(tb):

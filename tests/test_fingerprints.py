@@ -399,8 +399,7 @@ def current_fingerprints() -> dict:
         table, _ = annotate(t)
         for suffix, overrides, consistency, probed in RUNS.get(name, DEFAULT_RUNS):
             for policy in core.POLICIES:
-                cfg = CoreConfig(policy=policy, consistency=consistency,
-                                 record_load_timing=True, **overrides)
+                cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
                 key = f"{name} {policy}{suffix}"
                 out[key] = _fingerprint(core.run(t, annotations=table, config=cfg))
                 if policy in probed:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vrcsim.audit import MutationRecord, Structure
+from vrcsim.audit import MutationRecord
 from vrcsim.isa import LINE_BYTES
 from vrcsim.memhier import (CacheConfig, L1_HIT, L1_MISS, MSHR_HIT,
                             MemHierState, replay_log)
@@ -160,8 +160,7 @@ def test_inclusive_eviction_logs_l1_evict():
     for i in range(9):
         mem.access(0x1000 + i * 64, i * 1000, i)
         _drain(mem)
-    evicts = [r for r in mem.log if r.structure is Structure.L1_TAG
-              and r.op == "evict"]
+    evicts = [r for r in mem.log if r.level == 1 and r.op == "evict"]
     assert evicts, "L2 eviction must drop the L1 copy"
     assert not mem.l1.contains(0x1000)
 

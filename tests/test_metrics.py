@@ -1,8 +1,9 @@
+import hashlib
+
 import pytest
 
 from vrcsim import core
-from vrcsim.metrics import (CSV_COLUMNS, default_weights, energy_proxy,
-                            summarize)
+from vrcsim.metrics import CSV_COLUMNS, ENERGY_WEIGHTS, energy_proxy, summarize
 from vrcsim.slicer import AnnotationTable, Slice, SliceInstr, annotate, const_op
 from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 
@@ -81,14 +82,23 @@ def test_energy_doubling_cycles_doubles_static_terms_only():
     b = energy_proxy(counters, cycles=2000)
     assert b["core_static"] == 2 * a["core_static"]
     assert b["core_dynamic"] == a["core_dynamic"]
-    w = default_weights()
-    assert b["memory"] - a["memory"] == w["mem_static_per_cycle"] * 1000
+    assert b["memory"] - a["memory"] == ENERGY_WEIGHTS["mem_static_per_cycle"] * 1000
 
 
-def test_energy_zero_weights_zero_total():
-    weights = {k: 0.0 for k in default_weights()}
-    counters = {"fu_ops": 100, "l1_hits": 50, "mem_accesses": 5}
-    assert energy_proxy(counters, cycles=500, weights=weights)["total"] == 0.0
+def test_energy_totals_match_hand_computed_weights():
+    w = ENERGY_WEIGHTS
+    counters = {"fu_ops": 100, "l1_hits": 50, "l1_misses": 7, "mshr_hits": 3,
+                "l2_hits": 4, "mem_accesses": 5, "vp_lookups": 11,
+                "vp_updates": 13, "vrc_struct_accesses": 17}
+    expected = {
+        "core_dynamic": w["fu_op"] * 100 + w["l1_access"] * 60 + w["l2_access"] * 9,
+        "core_static": w["static_per_cycle"] * 500,
+        "memory": w["mem_access"] * 5 + w["mem_static_per_cycle"] * 500,
+        "overhead": w["vp_lookup"] * 11 + w["vp_update"] * 13
+        + w["vrc_struct_access"] * 17,
+    }
+    expected["total"] = sum(expected.values())
+    assert energy_proxy(counters, cycles=500) == pytest.approx(expected)
 
 
 def test_vrc_coverage_excludes_mshr_hits():
@@ -116,3 +126,18 @@ def test_csv_schema_and_policy_order():
     lines = summary.csv.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert [ln.split(",")[0] for ln in lines[1:]] == ["BASELINE", "DOM", "VRC"]
+
+
+def test_golden_mixed_report_bytes_are_pinned():
+    # the seven clean policies on the golden 800-instruction MIXED seed-1
+    # trace; a change to a counter, a report formula or ENERGY_WEIGHTS
+    # changes these bytes
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=800, seed=1))
+    table, _ = annotate(t)
+    summary = summarize({p: core.run(t, annotations=table,
+                                     config=core.CoreConfig(policy=p))
+                         for p in core.POLICIES})
+    assert hashlib.sha256(summary.csv.encode()).hexdigest() == \
+        "462794148ef5cc0f7b8de2f71f550aa51ffd7ac47af898329f16c749d4019ce4"
+    assert hashlib.sha256(summary.table.encode()).hexdigest() == \
+        "edca43b5c1d37e117e7e2e8cb45f25e71e7e510aa76474446e33a95ae9fb4d41"

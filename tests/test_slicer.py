@@ -264,13 +264,27 @@ def test_annotations_roundtrip():
 
 
 def test_missing_slice_reference_errors():
-    with pytest.raises(AnnotationFormatError, match="missing slice"):
-        load_annotations("A version=1\nR pc=0x40 slice=7\n")
+    with pytest.raises(AnnotationFormatError,
+                       match="^line 2: rcmp site 0x40 references missing slice 7$"):
+        load_annotations("A version=1\nR pc=0x40 slice=7\nA version=1\n")
 
 
-def test_bytes_that_are_not_utf8_are_a_typed_error():
-    with pytest.raises(AnnotationFormatError, match="^line 2: not UTF-8: byte 0xff$"):
-        load_annotations(b"A version=1\n\xff")
+def test_bytes_that_are_not_utf8_are_a_typed_error(tmp_path):
+    path = tmp_path / "bad.ann"
+    path.write_bytes(b"A version=1\n\xff")
+    with open(path, encoding="utf-8") as text_file:
+        for source in (b"A version=1\n\xff", text_file):
+            with pytest.raises(AnnotationFormatError,
+                               match="^line 2: not UTF-8: byte 0xff$"):
+                load_annotations(source)
+
+
+@pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+def test_records_end_at_line_feed_only(sep):
+    # a character `str.splitlines` also breaks at leaves the second record
+    # on line 2, where its tag is a malformed field
+    with pytest.raises(AnnotationFormatError, match="^line 2: malformed field 'A'"):
+        load_annotations(f"A version=1\nA version=1{sep}A version=1\n")
 
 
 GOOD_ANNOTATIONS = """A version=1
@@ -314,6 +328,22 @@ def test_bad_annotations_rejected_at_load(old, new, match):
     assert old in GOOD_ANNOTATIONS
     with pytest.raises(AnnotationFormatError, match=match):
         load_annotations(GOOD_ANNOTATIONS.replace(old, new))
+
+
+_S = "S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 "
+
+
+@pytest.mark.parametrize("text, match", [
+    ("A version=1\n" + _S + "len=3\n  P pos=0 op=ADD a=C:0x1 b=C:0x2\n",
+     "^line 2: slice 0: declared len 3 but 1 instructions$"),
+    (GOOD_ANNOTATIONS.replace("  H key=0x900:0 seq=0 val=0x2\n", ""),
+     "^line 2: slice 0: operand H:0x900:0 has no H/V record$"),
+    ("A version=1\n\n" + _S + "len=0\nR pc=0x14 slice=0\n",
+     "^line 3: slice 0 is empty$"),
+], ids=["len", "operand", "empty"])
+def test_slice_errors_name_the_slice_record_line(text, match):
+    with pytest.raises(AnnotationFormatError, match=match):
+        load_annotations(text)
 
 
 # a slice the two-load trace below recomputes (no Hist leaf to wait for)

@@ -481,15 +481,38 @@ def test_fast_path_reads_generated_traces_alone(pattern, monkeypatch):
     assert parse_trace(text) == t
 
 
+def _parse_text_file(path) -> Trace:
+    with open(path, encoding="utf-8") as f:
+        return parse_trace(f)
+
+
 def test_bytes_that_are_not_utf8_are_a_typed_error(tmp_path):
     for data, lineno in ((HEADER.encode() + b"\xff", 2),
                          (b"# note: \xc3\xa9\r\n" + HEADER.encode() + b"I \xc3", 3)):
         path = tmp_path / "bad.txt"
         path.write_bytes(data)
-        for read, source in ((parse_trace, data), (load_trace, path)):
+        for read, source in ((parse_trace, data), (load_trace, path),
+                             (_parse_text_file, path)):
             with pytest.raises(TraceFormatError, match="not UTF-8") as exc:
                 read(source)
             assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+@pytest.mark.parametrize("kind", ["NOP", "FOO"])
+def test_records_end_at_line_feed_only(sep, kind):
+    # a character `str.splitlines` also breaks at leaves the second record
+    # on line 2, where its tag is a malformed field
+    with pytest.raises(TraceFormatError, match="^line 2: malformed field 'I'") as exc:
+        parse_trace(HEADER + f"I seq=0 pc=0x0 kind=NOP{sep}I seq=1 pc=0x4 kind={kind}\n")
+    assert exc.value.lineno == 2
+
+
+def test_crlf_trace_parses_like_its_lf_twin():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=300, seed=3))
+    text = emit_trace(t)
+    assert "\r" not in text and "# note:" in text
+    assert parse_trace(text.replace("\n", "\r\n").encode()) == t
 
 
 def test_gen_recomputable_fraction_contract():
