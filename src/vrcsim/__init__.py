@@ -13,10 +13,10 @@ from .shadows import ShadowKind, ShadowState
 from .slicer import (AnnotationTable, Slice, SliceFailure, SliceInstr,
                      annotate, build_slice, emit_annotations, load_annotations,
                      replay_slice)
-from .trace import (SyntheticWorkloadSpec, Trace, TraceInstruction,
-                    emit_trace, gen_synthetic, load_trace, parse_trace,
-                    save_trace, validate_trace, window_trace)
+from .trace import (Trace, TraceInstruction, emit_trace, load_trace,
+                    parse_trace, save_trace, validate_trace, window_trace)
 from .vp import VpConfig, VpState
 from .vrc import VrcConfig, VrcState
+from .workloads import SyntheticWorkloadSpec, gen_synthetic
 
 __version__ = "0.1.0"

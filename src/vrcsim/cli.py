@@ -14,11 +14,12 @@ has no flag for is a usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from . import audit as audit_mod
-from . import core, metrics, slicer, trace as trace_mod
+from . import core, metrics, slicer, trace as trace_mod, workloads
 from .memhier import CacheConfig
 from .replay import functional_replay
 from .vp import VpConfig
@@ -36,8 +37,15 @@ class InputError(Exception):
 
 
 # every accepted --pattern spelling -> the generator's pattern name
-_PATTERNS = {p.lower(): p for p in trace_mod.PATTERNS} | {
+_PATTERNS = {p.lower(): p for p in workloads.PATTERNS} | {
     "compute": "COMPUTE_STORE_LOAD", "chase": "POINTER_CHASE",
+}
+# gen's flag for each generator knob -> its SyntheticWorkloadSpec field,
+# whose default the flag takes
+_GEN_KNOBS = {
+    "--branch-density": "branch_density", "--mispredict-rate": "mispredict_rate",
+    "--load-density": "load_density", "--store-density": "store_density",
+    "--working-set": "working_set_bytes", "--recomputable": "recomputable_fraction",
 }
 
 
@@ -72,7 +80,8 @@ def _auto_probe(t: trace_mod.Trace) -> core.ProbeSpec:
 def _config_flags(path: str, argv: list[str]) -> list[str]:
     """The config file's entries as flag tokens, less the flags argv sets."""
     values = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    # entries end at a line feed only, as trace records do
+    for line in Path(path).read_bytes().decode("utf-8").split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,12 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument("--pattern", required=True, choices=_PATTERNS)
     p_gen.add_argument("--count", type=int, required=True)
-    p_gen.add_argument("--branch-density", type=float, default=0.05)
-    p_gen.add_argument("--mispredict-rate", type=float, default=0.1)
-    p_gen.add_argument("--load-density", type=float, default=0.04)
-    p_gen.add_argument("--store-density", type=float, default=0.04)
-    p_gen.add_argument("--working-set", type=int, default=256 * 1024)
-    p_gen.add_argument("--recomputable", type=float, default=0.5)
+    defaults = {f.name: f.default
+                for f in dataclasses.fields(workloads.SyntheticWorkloadSpec)}
+    for flag, name in _GEN_KNOBS.items():
+        p_gen.add_argument(flag, dest=name, type=type(defaults[name]),
+                           default=defaults[name])
     p_gen.add_argument("--out", default="trace.txt")
 
     p_slice = sub.add_parser("slice", help="build slice annotations for a trace")
@@ -140,18 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    spec = trace_mod.SyntheticWorkloadSpec(
-        pattern=_PATTERNS[args.pattern],
-        count=args.count,
-        branch_density=args.branch_density,
-        mispredict_rate=args.mispredict_rate,
-        load_density=args.load_density,
-        store_density=args.store_density,
-        working_set_bytes=args.working_set,
-        recomputable_fraction=args.recomputable,
-        seed=args.seed,
-    )
-    t = trace_mod.gen_synthetic(spec)
+    spec = workloads.SyntheticWorkloadSpec(
+        pattern=_PATTERNS[args.pattern], count=args.count, seed=args.seed,
+        **{name: getattr(args, name) for name in _GEN_KNOBS.values()})
+    t = workloads.gen_synthetic(spec)
     trace_mod.save_trace(t, args.out)
     print(f"wrote {len(t)} instructions to {args.out}")
     return EXIT_OK
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args)
         return cmd_audit(args)
-    except (InputError, trace_mod.TraceFormatError, trace_mod.SyntheticSpecError,
+    except (InputError, trace_mod.TraceFormatError, workloads.SyntheticSpecError,
             slicer.AnnotationFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,5 @@
-"""Dynamic instruction traces: record format, parsing, validation and
-synthetic workload generation.
+"""Dynamic instruction traces: record format, parsing, validation, decoding
+and windowing. Synthetic traces come from `workloads.py`.
 
 A trace is a dynamic instruction stream annotated with the data values and
 addresses observed when the program ran, plus per-branch outcome/prediction
@@ -26,14 +26,13 @@ accepts every other valid spelling (any field order, a decimal address,
 from __future__ import annotations
 
 import bisect
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .isa import (ALU_ARITY, ALU_FU, ALU_LATENCY, ALU_OPS, FU_ALU, LINE_BYTES,
-                  MASK64, alu_eval)
+                  MASK64)
 
 KINDS = ("ALU", "LOAD", "STORE", "BRANCH", "NOP")
 # kind codes, the positions in KINDS
@@ -43,7 +42,6 @@ KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH, KIND_NOP = range(len(KINDS))
 # reading a register that nothing earlier in the trace writes); FORM_ANY for
 # every other kind
 FORM_RR, FORM_RI, FORM_ANY = range(3)
-PATTERNS = ("POINTER_CHASE", "STREAM", "COMPUTE_STORE_LOAD", "MIXED")
 
 TRACE_VERSION = 1
 
@@ -461,17 +459,18 @@ def _parse_canonical(line: str, regs: int) -> TraceInstruction | None:
 
 def _read_text(data) -> str:
     """The text of bytes, a string, or a binary or text file object; bytes
-    that are not UTF-8 raise TraceFormatError at the line of the first bad
-    byte."""
+    that are not UTF-8 (or not in a text file's own encoding) raise
+    TraceFormatError at the line of the first bad byte."""
     try:
         if hasattr(data, "read"):
             data = data.read()  # a text file decodes here
         return data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as e:
-        # `e.object` holds the bytes being decoded, a text file's too
+        # `e.object` holds the bytes being decoded, a text file's too, and
+        # `e.encoding` names the decoder that refused them
         raw, at = e.object, e.start
         raise TraceFormatError(raw.count(b"\n", 0, at) + 1,
-                               f"not UTF-8: byte {raw[at]:#04x}") from None
+                               f"not {e.encoding.upper()}: byte {raw[at]:#04x}") from None
 
 
 def parse_trace(data) -> Trace:
@@ -563,396 +562,6 @@ def validate_trace(t: Trace) -> ValidationReport:
                             report.add(ins.seq, f"value inconsistency at seq={ins.seq}")
                             break
     return report
-
-
-# ---------------------------------------------------------------------------
-# synthetic workloads
-
-@dataclass(frozen=True, slots=True)
-class SyntheticWorkloadSpec:
-    pattern: str
-    count: int
-    branch_density: float = 0.05
-    mispredict_rate: float = 0.1
-    load_density: float = 0.04
-    store_density: float = 0.04
-    working_set_bytes: int = 256 * 1024
-    recomputable_fraction: float = 0.5
-    seed: int = 0
-
-
-class SyntheticSpecError(ValueError):
-    """The workload spec is invalid or infeasible."""
-
-
-# register roles used by the generator
-_INPUT_REGS = tuple(range(0, 8))       # initialized once, never rewritten
-_HIST_REGS = tuple(range(8, 16))       # rewritten by a fixed MOV each use
-_TEMP_REGS = tuple(range(16, 48))      # chain temporaries
-_PTR_REG = 56                          # pointer-chase cursor
-_SCRATCH_REGS = tuple(range(57, 64))   # filler targets
-
-_RING_BASE = 0x1000_0000
-_STREAM_BASE = 0x2000_0000
-_CHASE_BASE = 0x3000_0000
-_UNTRACED_BASE = 0x4000_0000
-
-
-class _TraceBuilder:
-    """Emits instructions while tracking static-site identity, register values
-    and the memory image, so the output always passes validate_trace."""
-
-    def __init__(self, spec: SyntheticWorkloadSpec):
-        self.spec = spec
-        self.rng = random.Random(spec.seed)
-        self.instrs: list[TraceInstruction] = []
-        self.regs = [0] * 64
-        self.mem: dict[int, int] = {}        # byte image of stored data
-        self.sites: dict[object, tuple] = {} # site key -> (pc, static fields)
-        self.next_pc = 0x1000
-        self.untraced: dict[int, int] = {}   # stable values for never-stored addrs
-
-    def full(self) -> bool:
-        return len(self.instrs) >= self.spec.count
-
-    def emit(self, key, kind, *, dst=None, srcs=(), imm=None, alu_op=None,
-             mem_addr=None, mem_size=None, mem_value=None, br=None,
-             may_fault=False) -> bool:
-        seq = len(self.instrs)
-        if seq >= self.spec.count:
-            return False
-        srcs = tuple(srcs)
-        # one pc per static site, which must always carry the same fields
-        static = (kind, dst, srcs, imm, alu_op, may_fault)
-        site = self.sites.get(key)
-        if site is None:
-            pc = self.next_pc
-            self.next_pc += 4
-            self.sites[key] = (pc, static)
-        else:
-            pc, prev = site
-            assert prev == static, f"static site {key} reused with different fields"
-        self.instrs.append(_InstructionDraft(
-            seq, pc, kind, dst, srcs, imm, alu_op, mem_addr, mem_size,
-            mem_value, br, may_fault))
-        if kind == "ALU":
-            ops = [self.regs[r] for r in srcs]
-            if imm is not None:
-                ops.append(imm)
-            self.regs[dst] = alu_eval(alu_op, ops)
-        elif kind == "LOAD":
-            if dst is not None:
-                self.regs[dst] = mem_value
-        return True
-
-    def alu(self, key, dst, op, srcs=(), imm=None, may_fault=False) -> None:
-        self.emit(key, "ALU", dst=dst, srcs=srcs, imm=imm, alu_op=op,
-                  may_fault=may_fault)
-
-    def store(self, key, data_reg, addr) -> None:
-        value = self.regs[data_reg]
-        if self.emit(key, "STORE", srcs=(data_reg,), mem_addr=addr, mem_size=8,
-                     mem_value=value):
-            for off in range(8):
-                self.mem[addr + off] = (value >> (8 * off)) & 0xFF
-
-    def load(self, key, dst, addr, srcs=()) -> None:
-        value = self._read_mem(addr)
-        self.emit(key, "LOAD", dst=dst, srcs=srcs, mem_addr=addr, mem_size=8,
-                  mem_value=value)
-
-    def _read_mem(self, addr) -> int:
-        if addr in self.mem:
-            return sum(self.mem.get(addr + off, 0) << (8 * off) for off in range(8))
-        if addr not in self.untraced:
-            # stable arbitrary content for memory the trace never stores to
-            self.untraced[addr] = random.Random((self.spec.seed << 32) ^ addr).getrandbits(64)
-        return self.untraced[addr]
-
-    def branch(self, key, src_reg) -> None:
-        taken = self.rng.random() < 0.5
-        predicted = self.rng.random() >= self.spec.mispredict_rate
-        self.emit(key, "BRANCH", srcs=(src_reg,),
-                  br=BranchInfo(taken=taken, predicted_correctly=predicted))
-
-
-@dataclass(frozen=True)
-class _ComputeTemplate:
-    index: int
-    recomputable: bool
-    chain_ops: tuple[tuple, ...]   # (op, uses imm, imm) per chain step
-    uses_hist: bool                # chain input reloaded each slot -> Hist leaf
-    hist_reg: int
-    hist_addr: int                 # fixed untraced address the hist input reads
-    input_a: int
-    input_b: int
-    has_branch: bool
-    fault_site: bool
-    filler: int
-
-
-@dataclass(frozen=True)
-class _ComputeLayout:
-    """Shared store ring for the compute pattern. Ring lines all map to one
-    L1 set (4 KiB stride), so a dozen intervening stores are enough to evict
-    the produced line before its consuming load; the slot lag also exceeds
-    the reorder-buffer window so the store queue can never forward. Slots in
-    the warmup prefix produce values but read nothing."""
-    ring_base: int
-    ring_slots: int
-    lag: int
-    slot_len: int
-
-
-def _check_spec(spec: SyntheticWorkloadSpec) -> None:
-    if spec.pattern not in PATTERNS:
-        raise SyntheticSpecError(f"unknown pattern {spec.pattern!r}")
-    if spec.count <= 0:
-        raise SyntheticSpecError("count must be positive")
-    for name in ("branch_density", "mispredict_rate", "load_density",
-                 "store_density", "recomputable_fraction"):
-        v = getattr(spec, name)
-        if not 0.0 <= v <= 1.0:
-            raise SyntheticSpecError(f"{name} must be within [0,1], got {v}")
-    if spec.working_set_bytes < 4 * LINE_BYTES:
-        raise SyntheticSpecError("working set too small")
-    if spec.pattern in ("COMPUTE_STORE_LOAD", "MIXED"):
-        if spec.recomputable_fraction > 0 and spec.load_density == 0:
-            raise SyntheticSpecError("recomputable loads requested but load density is 0")
-        if spec.load_density > 0.2:
-            raise SyntheticSpecError(
-                "load density too high to fit compute/store/load slots"
-            )
-
-
-def _tag_id(tag: str) -> int:
-    return sum(ord(c) * (i + 1) for i, c in enumerate(tag)) & 0xFF
-
-
-# stores-to-one-set stride: 64 sets x 64 B lines in the modeled L1
-_SET_STRIDE = 4096
-# slot lag must clear the reorder-buffer window so stores always commit
-# (and their lines get evicted) before the paired load dispatches
-_FORWARD_SAFE_DISTANCE = 224
-
-
-def _make_compute_layout(b: _TraceBuilder, tag: str,
-                         n_templates: int) -> _ComputeLayout:
-    spec = b.spec
-    slot_len = max(5, int(round(1.0 / spec.load_density)) if spec.load_density else 16)
-    # the lag covers the reorder-buffer drain (commit-lagged stores have not
-    # filled their lines yet) plus the 8 committed same-set fills needed to
-    # evict the produced line, with margin
-    lag = -(-_FORWARD_SAFE_DISTANCE // slot_len) + 12
-    # a multiple of the template count so each ring position is only ever
-    # written by one static store site (sites own disjoint mini-rings)
-    ring_slots = n_templates * max(2, -(-(lag + 8) // n_templates))
-    return _ComputeLayout(
-        ring_base=_RING_BASE + _tag_id(tag) * 0x100_0000,
-        ring_slots=ring_slots,
-        lag=lag,
-        slot_len=slot_len,
-    )
-
-
-def _make_compute_templates(b: _TraceBuilder, n_templates: int, slot_len: int,
-                            tag: str) -> list[_ComputeTemplate]:
-    spec = b.spec
-    rng = b.rng
-    f = spec.recomputable_fraction
-    # checkpoint-input templates add one auxiliary (non-recomputable) load
-    # per slot; provision extra recomputable templates to cover the dilution
-    # so that at least the requested fraction of loads carries an
-    # arithmetic-only producer chain. Near full fraction the budget has no
-    # room for auxiliary loads at all.
-    n_hist = n_templates // 8 if f <= n_templates / (n_templates + n_templates // 8) \
-        else 0
-    n_rec = 0 if f == 0 else min(n_templates,
-                                 -(-int(f * (n_templates + n_hist) * 1000) // 1000) + 1)
-    templates = []
-    for t in range(n_templates):
-        chain_len = rng.randint(1, 3)
-        ops = []
-        op_pool = ("ADD", "SUB", "XOR", "AND", "OR", "ADD", "XOR", "MUL")
-        for _ in range(chain_len):
-            op = rng.choice(op_pool)
-            use_imm = rng.random() < 0.4
-            imm = rng.randint(1, 0xFFFF) if use_imm else None
-            ops.append((op, use_imm, imm))
-        uses_hist = n_hist > 0 and t % 8 == 7
-        has_branch = rng.random() < spec.branch_density * slot_len
-        # bias chain inputs toward the load-initialized registers: their
-        # producers cannot be expanded, keeping slices short
-        pick = lambda: _INPUT_REGS[4 + rng.randrange(4)] \
-            if rng.random() < 0.75 else _INPUT_REGS[rng.randrange(4)]
-        base_cost = chain_len + 2 + (1 if uses_hist else 0) + (1 if has_branch else 0)
-        templates.append(_ComputeTemplate(
-            index=t,
-            recomputable=t < n_rec,
-            chain_ops=tuple(ops),
-            uses_hist=uses_hist,
-            hist_reg=_HIST_REGS[t % len(_HIST_REGS)],
-            hist_addr=_UNTRACED_BASE + 0x100_0000 + (_tag_id(tag) * 256 + t) * LINE_BYTES,
-            input_a=pick(),
-            input_b=pick(),
-            has_branch=has_branch,
-            fault_site=rng.random() < 0.05,
-            filler=max(0, slot_len - base_cost),
-        ))
-    return templates
-
-
-def _emit_prologue(b: _TraceBuilder) -> None:
-    # r0..r3: immediates (slices expand their MOVs into constants);
-    # r4..r7: loaded once from untraced memory and never rewritten, so
-    # slices consuming them bind live register values. When every load must
-    # be recomputable there is no budget for unresolvable seed loads, so the
-    # live registers fall back to immediates too.
-    for r in _INPUT_REGS[:4]:
-        b.alu(("init", r), r, "MOV", imm=b.rng.randint(1, MASK64 >> 1))
-    for i, r in enumerate(_INPUT_REGS[4:]):
-        if b.spec.recomputable_fraction >= 1.0 and \
-                b.spec.pattern == "COMPUTE_STORE_LOAD":
-            b.alu(("init", r), r, "MOV", imm=b.rng.randint(1, MASK64 >> 1))
-        else:
-            b.load(("init", r), r, _UNTRACED_BASE + 0x200_0000 + i * LINE_BYTES)
-    b.alu(("init", _PTR_REG), _PTR_REG, "MOV", imm=0)
-
-
-def _emit_compute_slot(b: _TraceBuilder, tpl: _ComputeTemplate,
-                       layout: _ComputeLayout, slot: int, tag: str) -> None:
-    t = tpl.index
-    temps = [_TEMP_REGS[(t * 4 + i) % len(_TEMP_REGS)] for i in range(4)]
-    if tpl.has_branch:
-        b.branch((tag, "br", t), tpl.input_a)
-    if tpl.uses_hist:
-        # reloaded every slot from a fixed untraced address: the register is
-        # dead by the time the paired load runs, forcing a Hist checkpoint
-        b.load((tag, "hld", t), tpl.hist_reg, tpl.hist_addr)
-    cur = tpl.hist_reg if tpl.uses_hist else tpl.input_a
-    for step, (op, use_imm, imm) in enumerate(tpl.chain_ops):
-        dst = temps[step % len(temps)]
-        if use_imm:
-            b.alu((tag, "chain", t, step), dst, op, srcs=(cur,), imm=imm)
-        else:
-            b.alu((tag, "chain", t, step), dst, op, srcs=(cur, tpl.input_b))
-        cur = dst
-    b.store((tag, "st", t), cur,
-            layout.ring_base + (slot % layout.ring_slots) * _SET_STRIDE)
-    dst = _SCRATCH_REGS[t % len(_SCRATCH_REGS)]
-    if slot < layout.lag:
-        pass  # warmup prefix: fill the ring, read nothing
-    elif tpl.recomputable:
-        addr = layout.ring_base + ((slot - layout.lag) % layout.ring_slots) * _SET_STRIDE
-        b.load((tag, "ld", t), dst, addr)
-    else:
-        span = max(1, b.spec.working_set_bytes // LINE_BYTES)
-        line = b.rng.randrange(span)
-        b.load((tag, "ldu", t), dst, _UNTRACED_BASE + line * LINE_BYTES)
-    for i in range(tpl.filler):
-        dst = _SCRATCH_REGS[(t + i) % len(_SCRATCH_REGS)]
-        b.alu((tag, "fill", t, i), dst, "ADD", srcs=(dst,), imm=1,
-              may_fault=tpl.fault_site and i == 0)
-
-
-def _emit_compute(b: _TraceBuilder, tag: str = "c") -> None:
-    layout = _make_compute_layout(b, tag, n_templates=40)
-    templates = _make_compute_templates(b, n_templates=40,
-                                        slot_len=layout.slot_len, tag=tag)
-    slot = 0
-    while not b.full():
-        tpl = templates[slot % len(templates)]
-        _emit_compute_slot(b, tpl, layout, slot, tag=tag)
-        slot += 1
-
-
-def _emit_pointer_chase(b: _TraceBuilder, tag: str = "p", bound: int | None = None) -> None:
-    spec = b.spec
-    ws_lines = max(8, spec.working_set_bytes // LINE_BYTES)
-    slot_len = max(2, int(round(1.0 / spec.load_density)) if spec.load_density else 16)
-    cursor = b.rng.randrange(ws_lines)
-    slot = 0
-    limit = bound if bound is not None else spec.count
-    while not b.full() and len(b.instrs) < limit:
-        addr = _CHASE_BASE + cursor * LINE_BYTES
-        b.load((tag, "ld"), _PTR_REG, addr, srcs=(_PTR_REG,))
-        # next hop derived from the (stable) loaded value
-        cursor = b.regs[_PTR_REG] % ws_lines
-        if b.rng.random() < spec.branch_density * slot_len:
-            b.branch((tag, "br"), _PTR_REG)
-        for i in range(slot_len - 1):
-            dst = _SCRATCH_REGS[i % len(_SCRATCH_REGS)]
-            b.alu((tag, "fill", i), dst, "ADD", srcs=(dst,), imm=1)
-        slot += 1
-
-
-def _emit_stream(b: _TraceBuilder, tag: str = "s", bound: int | None = None) -> None:
-    spec = b.spec
-    ws_lines = max(8, spec.working_set_bytes // LINE_BYTES)
-    gap = max(1, int(round(1.0 / spec.load_density)) - 2 if spec.load_density else 8)
-    pos = 0
-    limit = bound if bound is not None else spec.count
-    while not b.full() and len(b.instrs) < limit:
-        addr = _STREAM_BASE + (pos % (ws_lines * 8)) * 8
-        b.load((tag, "ld"), _SCRATCH_REGS[0], addr)
-        pos += 1
-        if spec.store_density > 0 and pos % max(1, int(1 / max(spec.store_density, 1e-9))) == 0:
-            b.alu((tag, "val"), _TEMP_REGS[0], "ADD", srcs=(_INPUT_REGS[0],), imm=7)
-            waddr = _STREAM_BASE + 0x80_0000 + (pos % ws_lines) * LINE_BYTES
-            b.store((tag, "st"), _TEMP_REGS[0], waddr)
-        if b.rng.random() < spec.branch_density * gap:
-            b.branch((tag, "br"), _SCRATCH_REGS[0])
-        for i in range(gap):
-            dst = _SCRATCH_REGS[(1 + i) % len(_SCRATCH_REGS)]
-            b.alu((tag, "fill", i), dst, "XOR", srcs=(dst, _INPUT_REGS[1]))
-
-
-def _emit_mixed(b: _TraceBuilder) -> None:
-    spec = b.spec
-    seg = max(200, spec.count // 12)
-    layout = _make_compute_layout(b, "mc", n_templates=20)
-    templates = _make_compute_templates(b, n_templates=20,
-                                        slot_len=layout.slot_len, tag="mc")
-    compute_slot = 0
-    i = 0
-    while not b.full():
-        kind = ("c", "s", "p")[i % 3]
-        target = min(spec.count, len(b.instrs) + seg)
-        if kind == "c":
-            while not b.full() and len(b.instrs) < target:
-                tpl = templates[compute_slot % len(templates)]
-                _emit_compute_slot(b, tpl, layout, compute_slot, tag="mc")
-                compute_slot += 1
-        elif kind == "s":
-            _emit_stream(b, tag="ms", bound=target)
-        else:
-            _emit_pointer_chase(b, tag="mp", bound=target)
-        i += 1
-
-
-def gen_synthetic(spec: SyntheticWorkloadSpec) -> Trace:
-    """Generate a deterministic synthetic trace for the given spec.
-
-    Output always passes validate_trace with zero violations; for
-    COMPUTE_STORE_LOAD at least the requested fraction of loads read values
-    produced by arithmetic-only chains.
-    """
-    _check_spec(spec)
-    b = _TraceBuilder(spec)
-    _emit_prologue(b)
-    if spec.pattern == "COMPUTE_STORE_LOAD":
-        _emit_compute(b)
-    elif spec.pattern == "POINTER_CHASE":
-        _emit_pointer_chase(b)
-    elif spec.pattern == "STREAM":
-        _emit_stream(b)
-    else:
-        _emit_mixed(b)
-    header = TraceHeader(
-        version=TRACE_VERSION, regs=64,
-        notes=(f"pattern={spec.pattern} count={spec.count} seed={spec.seed}",),
-    )
-    return Trace(header=header, instructions=tuple(b.instrs[: spec.count]))
 
 
 def window_trace(t: Trace, skip: int = 0, limit: int | None = None) -> Trace:

@@ -28,8 +28,8 @@ from vrcsim import core
 from vrcsim.core import CoreConfig
 from vrcsim.memhier import CacheConfig
 from vrcsim.slicer import annotate
-from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vrc import VrcConfig
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 from test_fingerprints import (REFILE_CORE, UNFILE_CORE, _fingerprint, _probe,
                                hand_fu_replay_trace, hand_fu_unfile_trace,

@@ -38,7 +38,7 @@ from vrcsim import core
 from vrcsim.audit import differential_check
 from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.slicer import annotate
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 SEED = 1
 PROBE_ADDRS = tuple(0x7100_0000 + i * 64 for i in range(8))

@@ -17,8 +17,8 @@ from vrcsim.replay import functional_replay
 from vrcsim.shadows import ShadowKind, ShadowState
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, annotate,
                            const_op, temp_op)
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vrc import VrcState, VrcConfig
+from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 from conftest import TraceBuilder
 

@@ -6,7 +6,7 @@ from vrcsim.audit import (MutationLog, MutationRecord, assert_invisibility,
                           differential_check)
 from vrcsim.memhier import replay_log
 from vrcsim.slicer import annotate
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 
 def _rec(cycle=0, spec=False, probe=False, line=0x40, op="fill"):

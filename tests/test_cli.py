@@ -6,8 +6,9 @@ import pytest
 from vrcsim.cli import _config_for, build_parser, main
 from vrcsim.slicer import emit_annotations, load_annotations, AnnotationTable, \
     Slice, SliceInstr, const_op, annotate
-from vrcsim.trace import load_trace
+from vrcsim.trace import emit_trace, load_trace
 from vrcsim.vp import VpConfig
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 
 def _gen(tmp_path, name="tr.txt", count=6000, seed=5, recomputable=1.0,
@@ -24,6 +25,15 @@ def test_gen_deterministic_files(tmp_path):
     a = _gen(tmp_path, "a.txt", count=2000)
     b = _gen(tmp_path, "b.txt", count=2000)
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_gen_defaults_are_the_spec_defaults(tmp_path, pattern):
+    out = tmp_path / "t.txt"
+    assert main(["gen", "--pattern", pattern.lower(), "--count", "700",
+                 "--seed", "3", "--out", str(out)]) == 0
+    spec = SyntheticWorkloadSpec(pattern=pattern, count=700, seed=3)
+    assert out.read_text(encoding="utf-8") == emit_trace(gen_synthetic(spec))
 
 
 def test_gen_invalid_pattern_usage_error(tmp_path):
@@ -183,6 +193,18 @@ def test_config_values_checked_like_flags(tmp_path):
         cfg.write_text(text)
         assert main(["compare", "--trace", str(tr), "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 1, text
+
+
+def test_config_entries_end_at_line_feed_only(tmp_path):
+    # `str.splitlines` would also break at the form feed and read
+    # `--count 10 --seed 3`; the whole line is `--count`'s value instead
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("pattern = stream\ncount = 10\x0cseed = 3\r\n")
+    assert main(["gen", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.txt")]) == 1
+    cfg.write_text("pattern = stream\r\ncount = 10\r\n")
+    assert main(["gen", "--config", str(cfg),
+                 "--out", str(tmp_path / "x.txt")]) == 0
 
 
 def test_config_file_not_utf8_exits_2(tmp_path, capsys):

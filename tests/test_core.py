@@ -8,9 +8,9 @@ from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
 from vrcsim.slicer import annotate
-from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, _fingerprint,
                                hand_fu_replay_trace, hand_paths_trace,

@@ -21,8 +21,8 @@ from vrcsim import core
 from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.slicer import annotate, emit_annotations
-from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from vrcsim.vp import VpConfig
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
 from conftest import TraceBuilder
 

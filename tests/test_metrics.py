@@ -5,7 +5,7 @@ import pytest
 from vrcsim import core
 from vrcsim.metrics import CSV_COLUMNS, ENERGY_WEIGHTS, energy_proxy, summarize
 from vrcsim.slicer import AnnotationTable, Slice, SliceInstr, annotate, const_op
-from vrcsim.trace import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 
 def _runs(policies=("BASELINE", "DOM"), count=3000, seed=71):

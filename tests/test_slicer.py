@@ -8,7 +8,7 @@ from vrcsim.slicer import (
     SliceInstr, annotate, build_slice, const_op, emit_annotations, hist_op,
     live_op, load_annotations, replay_slice,
 )
-from vrcsim.trace import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 from test_fingerprints import hand_slices_trace
 
 UNTRACED = 0x9000_0000
@@ -277,6 +277,16 @@ def test_bytes_that_are_not_utf8_are_a_typed_error(tmp_path):
             with pytest.raises(AnnotationFormatError,
                                match="^line 2: not UTF-8: byte 0xff$"):
                 load_annotations(source)
+
+
+def test_text_file_in_another_encoding_names_that_encoding(tmp_path):
+    path = tmp_path / "cafe.ann"
+    path.write_bytes("A version=1\n# café\n".encode())
+    assert load_annotations(path.read_bytes()) == AnnotationTable()
+    with open(path, encoding="ascii") as text_file:
+        with pytest.raises(AnnotationFormatError,
+                           match="^line 2: not ASCII: byte 0xc3$"):
+            load_annotations(text_file)
 
 
 @pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")

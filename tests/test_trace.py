@@ -11,10 +11,12 @@ from vrcsim import slicer, trace as trace_mod
 from vrcsim.core import POLICIES, CoreConfig, ProbeSpec, inject_transient_probe, run
 from vrcsim.isa import ALU_LATENCY, FU_ALU, FU_MUL
 from vrcsim.trace import (
-    FORM_ANY, FORM_RI, FORM_RR, KINDS, PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
-    Trace, TraceFormatError, TraceHeader, TraceInstruction, BranchInfo,
-    emit_trace, gen_synthetic, load_trace, parse_trace, validate_trace, window_trace,
+    FORM_ANY, FORM_RI, FORM_RR, KINDS, Trace, TraceFormatError, TraceHeader,
+    TraceInstruction, BranchInfo, emit_trace, load_trace, parse_trace,
+    validate_trace, window_trace,
 )
+from vrcsim.workloads import (PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
+                              gen_synthetic)
 
 HEADER = "H version=1 regs=64\n"
 
@@ -303,21 +305,40 @@ def test_built_records_are_frozen_trace_instructions(source):
                 setattr(ins, name, None)
 
 
-# sha256 of emit_trace(gen_synthetic(...)) at count=1500, seed=11: the
-# generator and the emitter may change only with a deliberate format change
+# sha256 of emit_trace(gen_synthetic(...)) at count=1500, seed=11 for each
+# pattern, and for edge specs: a count inside the 9-instruction prologue, a
+# MIXED count that ends inside a compute segment, every load recomputable,
+# no loads and no stores. The generator and the emitter may change only with
+# a deliberate format change
 EMITTED_SHA256 = {
     "POINTER_CHASE": "203ab4a5f7e73efbbe58783476a9f45dde15f13da20ab742fabac2e71fe5611d",
     "STREAM": "72e547a3bfb9f135391245720bba105745e119882ba81ee6410b6a6113a2b6a1",
     "COMPUTE_STORE_LOAD": "481aca261b10c4f8a6d9e6d066b0a06cc9f7a569dcf39c5cfc481428b29520ab",
     "MIXED": "42c734918d12e7f27cd375602fab7ecf7c325bf526da515bfc4e12fc440b87ce",
+    "MIXED count=5": "bc58f03a09ef9d5babf2ce2cea378b8625c49d3be69f2393c89a798271c40fa0",
+    "MIXED count=750": "680e4e5c936ecbb1b73d7e6e3920b570dc66e6eb2d921f1c6b3d8ec31d1ffa00",
+    "COMPUTE_STORE_LOAD recomputable=1":
+        "f35bdbfa9e574d1677f1aecf49db3d46141eab47a9c3249ee36d082b7449767e",
+    "STREAM loads=0": "d29b2558cd3e0ab17186e7254ff24be68b19fbde38e57f392cc7dd29e22980e5",
+    "POINTER_CHASE loads=0": "7b9ff74f478cfd964a624a42a754299cb4e6edb4bc7396b9ae1d9ee3d010d4d0",
+    "STREAM stores=0": "cd9ca1b9bbf1d8cef67286ddbe3a94606b2d5fc46adcb6fb681a59fa3f07bd0d",
+}
+EDGE_SPECS = {
+    "MIXED count=5": {"pattern": "MIXED", "count": 5},
+    "MIXED count=750": {"pattern": "MIXED", "count": 750},
+    "COMPUTE_STORE_LOAD recomputable=1": {"pattern": "COMPUTE_STORE_LOAD",
+                                          "recomputable_fraction": 1.0},
+    "STREAM loads=0": {"pattern": "STREAM", "load_density": 0.0},
+    "POINTER_CHASE loads=0": {"pattern": "POINTER_CHASE", "load_density": 0.0},
+    "STREAM stores=0": {"pattern": "STREAM", "store_density": 0.0},
 }
 
 
-@pytest.mark.parametrize("pattern", PATTERNS)
-def test_emitted_trace_bytes_are_pinned(pattern):
-    text = emit_trace(gen_synthetic(SyntheticWorkloadSpec(pattern=pattern,
-                                                          count=1500, seed=11)))
-    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[pattern]
+@pytest.mark.parametrize("name", PATTERNS + tuple(EDGE_SPECS))
+def test_emitted_trace_bytes_are_pinned(name):
+    spec = {"pattern": name, "count": 1500, "seed": 11} | EDGE_SPECS.get(name, {})
+    text = emit_trace(gen_synthetic(SyntheticWorkloadSpec(**spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[name]
 
 
 def test_header_notes_roundtrip():
@@ -496,6 +517,17 @@ def test_bytes_that_are_not_utf8_are_a_typed_error(tmp_path):
             with pytest.raises(TraceFormatError, match="not UTF-8") as exc:
                 read(source)
             assert exc.value.lineno == lineno
+
+
+def test_text_file_in_another_encoding_names_that_encoding(tmp_path):
+    path = tmp_path / "cafe.txt"
+    path.write_bytes("# trace\n# note: café\n".encode() + HEADER.encode())
+    assert parse_trace(path.read_bytes()) == _parse_text_file(path)
+    with open(path, encoding="ascii") as f:
+        with pytest.raises(TraceFormatError,
+                           match="^line 2: not ASCII: byte 0xc3$") as exc:
+            parse_trace(f)
+    assert exc.value.lineno == 2
 
 
 @pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
