@@ -120,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic trace")
     _add_common(p_gen)
-    p_gen.add_argument("--seed", type=int, default=1)
-    p_gen.add_argument("--pattern", required=True, choices=_PATTERNS)
-    p_gen.add_argument("--count", type=int, required=True)
     defaults = {f.name: f.default
                 for f in dataclasses.fields(workloads.SyntheticWorkloadSpec)}
+    p_gen.add_argument("--seed", type=int, default=defaults["seed"])
+    p_gen.add_argument("--pattern", required=True, choices=_PATTERNS)
+    p_gen.add_argument("--count", type=int, required=True)
     for flag, name in _GEN_KNOBS.items():
         p_gen.add_argument(flag, dest=name, type=type(defaults[name]),
                            default=defaults[name])

@@ -995,8 +995,11 @@ class _Sim:
                 elif kind == KIND_BRANCH and vp is not None:
                     vp.notify_branch(ins.br.taken)
             if seq in rec_sites:
-                for key, value in rec_sites[seq]:
-                    vrc.rec_checkpoint(key, value)
+                # Hist takes the committed value; a store or branch has none
+                value = self.committed_values[seq]
+                if value is not None:
+                    for key, _ in rec_sites[seq]:
+                        vrc.rec_checkpoint(key, value)
             entries[seq] = None
             seq += 1
         if seq == first:

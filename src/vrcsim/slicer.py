@@ -29,6 +29,7 @@ from .replay import functional_replay
 from .trace import Trace, TraceFormatError, _parse_kv, _read_text, validate_trace
 
 DEFAULT_MAX_SLICE_LEN = 100
+ANNOTATION_VERSION = 1
 
 LeafKey = tuple[int, int]  # (consumer static pc, operand slot)
 
@@ -121,10 +122,6 @@ class AnnotationTable:
     rcmp_sites: dict[int, int] = field(default_factory=dict)       # load pc -> slice id
     rec_sites: dict[int, list[tuple[LeafKey, int]]] = field(default_factory=dict)
     slice_tags: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
-
-    def slice_for_pc(self, pc: int) -> Slice | None:
-        sid = self.rcmp_sites.get(pc)
-        return self.slices.get(sid) if sid is not None else None
 
 
 class AnnotationFormatError(ValueError):
@@ -448,7 +445,7 @@ def _parse_operand(text: str) -> Operand:
 
 
 def emit_annotations(table: AnnotationTable) -> str:
-    lines = ["A version=1"]
+    lines = [f"A version={ANNOTATION_VERSION}"]
     for sid in sorted(table.slices):
         s = table.slices[sid]
         lines.append(
@@ -538,6 +535,8 @@ def load_annotations(data) -> AnnotationTable:
             continue
         tokens = line.split()
         tag = tokens[0]
+        if tag == "S":
+            finish_current()   # its errors name its own S record's line
         try:
             fields = _parse_kv(lineno, tokens[1:])
             if tag not in _RECORD_FIELDS:
@@ -546,9 +545,10 @@ def load_annotations(data) -> AnnotationTable:
             if unknown:
                 raise AnnotationFormatError(f"unknown fields {sorted(unknown)}")
             if tag == "A":
-                continue
+                if (version := int(fields["version"])) != ANNOTATION_VERSION:
+                    raise AnnotationFormatError(
+                        f"version mismatch: got {version}, expected {ANNOTATION_VERSION}")
             elif tag == "S":
-                finish_current()
                 current = {
                     "sid": int(fields["slice_id"]),
                     "tag": int(fields["tag"], 0),
@@ -561,6 +561,10 @@ def load_annotations(data) -> AnnotationTable:
                     "instrs": [], "hist": [], "live": [], "tags": [],
                     "lineno": lineno,
                 }
+                if current["sid"] in table.slices:
+                    raise AnnotationFormatError(f"duplicate slice {current['sid']}")
+            elif tag in "PHVT" and current is None:
+                raise AnnotationFormatError(f"{tag} record before any S record")
             elif tag == "P":
                 pos, op = int(fields["pos"]), fields["op"]
                 # the engine runs a slice in record order into an SFile of
@@ -592,6 +596,8 @@ def load_annotations(data) -> AnnotationTable:
                 current["tags"].append((int(fields["addr"], 0), int(fields["size"])))
             elif tag == "R":
                 pc = int(fields["pc"], 0)
+                if pc in table.rcmp_sites:
+                    raise AnnotationFormatError(f"duplicate rcmp site {pc:#x}")
                 table.rcmp_sites[pc] = int(fields["slice"])
                 rcmp_lines[pc] = lineno
             else:  # C

@@ -460,7 +460,7 @@ def _parse_canonical(line: str, regs: int) -> TraceInstruction | None:
 def _read_text(data) -> str:
     """The text of bytes, a string, or a binary or text file object; bytes
     that are not UTF-8 (or not in a text file's own encoding) raise
-    TraceFormatError at the line of the first bad byte."""
+    TraceFormatError at the first bad byte's line, or at line 1."""
     try:
         if hasattr(data, "read"):
             data = data.read()  # a text file decodes here
@@ -471,6 +471,8 @@ def _read_text(data) -> str:
         raw, at = e.object, e.start
         raise TraceFormatError(raw.count(b"\n", 0, at) + 1,
                                f"not {e.encoding.upper()}: byte {raw[at]:#04x}") from None
+    except UnicodeError as e:   # such as a UTF-16 file without its BOM
+        raise TraceFormatError(1, str(e)) from None
 
 
 def parse_trace(data) -> Trace:

@@ -14,6 +14,9 @@ Recomputation needs no validation: the load is complete at delivery. A
 clamped request (VRC2, or an oracle request that carries its value) skips
 the per-instruction timing and completes after the clamp.
 
+Hist holds committed values: when an instruction at a checkpoint site
+commits, the core checkpoints the value that instruction committed.
+
 A recomputation that cannot complete, because its slice faults or is
 invalidated while queued or running, leaves the engine on one channel,
 `fallbacks`, as a (load seq, faulted) pair; the core reissues the load.
@@ -21,16 +24,15 @@ invalidated while queued or running, leaves the engine on one channel,
 Committed stores are matched against producer tags to invalidate slices
 whose data may have changed. In exact mode (default) each slice keeps its
 own tag set and dies permanently on a foreign-store hit; in lossy mode tags
-share one line-granular signature that resets in bulk on any hit, and
-slices re-arm as their producer stores commit again. A store at the slice's
-own producer site refreshes the value the slice recomputes and therefore
-never invalidates it.
+share one line-granular signature that resets in bulk on any hit. A store
+refreshes the value of every slice whose producer pc it is, so it never
+invalidates one of them, and in lossy mode it re-arms all of them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isa import ALU_FU, LINE_BYTES, ArithmeticFault, alu_eval_strict
 from .slicer import AnnotationTable, Slice
@@ -49,31 +51,22 @@ class VrcConfig:
 
 
 @dataclass(slots=True)
-class _Pending:
-    slice_id: int | None       # None for oracle requests
+class _Request:
     load_seq: int
-    oracle_value: int | None = None
-
-
-@dataclass(slots=True)
-class _Active:
-    pend: _Pending
+    slice_id: int | None       # None for oracle requests
     instrs: tuple
     live: tuple
-    start_cycle: int
     clamp_left: int | None
+    sfile: list                # an oracle request's holds its value
+    start_cycle: int = 0       # stamped when the request starts
     cursor: int = 0
     cycles_into_instr: int = 0
-    sfile: list = field(default_factory=list)
     started: bool = False
 
 
 IDLE = "IDLE"
 BUSY = "BUSY"
 DONE = "DONE"
-
-OK = "OK"
-OVERFLOW = "OVERFLOW"
 
 
 class VrcState:
@@ -91,10 +84,12 @@ class VrcState:
         # reset, until their producer stores commit again
         self.unusable: set[int] = set(self.ibuff) if self.config.lossy_tags else set()
         self.signature: set[int] = set()
-        self._producer_pcs = {s.producer_store_pc: sid
-                              for sid, s in self.ibuff.items()}
-        self.queue: deque[_Pending] = deque()
-        self.active: _Active | None = None
+        # producer store pc -> the IBuff slices whose value it stores
+        self._produced_by: dict[int, set[int]] = {}
+        for sid, s in self.ibuff.items():
+            self._produced_by.setdefault(s.producer_store_pc, set()).add(sid)
+        self.queue: deque[_Request] = deque()
+        self.active: _Request | None = None
         self.fallbacks: list[tuple[int, bool]] = []   # (load seq, faulted)
         # counters
         self.completed = 0
@@ -107,57 +102,54 @@ class VrcState:
 
     # -- requests -------------------------------------------------------------
 
-    def slice_usable(self, sid: int | None) -> bool:
-        if sid not in self.ibuff or sid in self.unusable:
-            return False
-        return all(key in self.hist for key, _, _ in self.ibuff[sid].hist_requirements)
-
     def enqueue(self, pc: int, load_seq: int, oracle_value: int | None = None) -> bool:
         """Request recomputation of the shadowed L1 miss `load_seq` at `pc`.
-        Queues it and returns True when the queue has room and the pc's slice
-        is usable, else returns False and the load delays. An oracle request
-        carries its value and needs no slice."""
+        Queues it and returns True when the queue has room, the pc's slice is
+        in IBuff and usable, and Hist holds every leaf it reads; else returns
+        False and the load delays. An oracle request carries its value and
+        needs no slice."""
         if len(self.queue) >= self.config.queue_depth:
             return False
-        sid = None
-        if oracle_value is None:
-            sid = self.table.rcmp_sites.get(pc)
-            if not self.slice_usable(sid):
-                return False
-        self.queue.append(_Pending(sid, load_seq, oracle_value))
+        if oracle_value is not None:
+            self.queue.append(_Request(load_seq, None, (), (), ORACLE_CLAMP_CYCLES,
+                                       [oracle_value]))
+            return True
+        sid = self.table.rcmp_sites.get(pc)
+        s = self.ibuff.get(sid)
+        if s is None or sid in self.unusable or \
+                any(key not in self.hist for key, _, _ in s.hist_requirements):
+            return False
+        self.queue.append(_Request(load_seq, sid, s.instrs, s.live_bindings,
+                                   self.config.clamp_cycles, [None] * len(s.instrs)))
         return True
 
     def cancel_queued(self, load_seq: int) -> bool:
         """Drop a not-yet-started recomputation (load left speculation first)."""
-        for pend in self.queue:
-            if pend.load_seq == load_seq:
-                self.queue.remove(pend)
+        for req in self.queue:
+            if req.load_seq == load_seq:
+                self.queue.remove(req)
                 return True
         return False
 
     def _pop_queue(self, now: int) -> None:
         if self.active is not None or not self.queue:
             return
-        pend = self.queue.popleft()
-        if pend.slice_id is None:
-            self.active = _Active(pend, (), (), now, ORACLE_CLAMP_CYCLES)
-            return
-        if pend.slice_id in self.unusable:
+        req = self.queue.popleft()
+        if req.slice_id in self.unusable:
             # slice was invalidated while queued: fall back to the load
-            self.fallbacks.append((pend.load_seq, False))
+            self.fallbacks.append((req.load_seq, False))
             return
-        s = self.ibuff[pend.slice_id]
-        self.active = _Active(pend, s.instrs, s.live_bindings, now,
-                              self.config.clamp_cycles, sfile=[None] * len(s.instrs))
+        req.start_cycle = now
+        self.active = req
 
     # -- execution -------------------------------------------------------------
 
-    def _slice_operand(self, act: _Active, op, read_live) -> int:
+    def _slice_operand(self, act: _Request, op, read_live) -> int:
         self.struct_accesses += 1
         if op.kind == "CONST":
             return op.value
         if op.kind == "LIVE_REG":
-            value = read_live(op.reg, act.pend.load_seq)
+            value = read_live(op.reg, act.load_seq)
             assert value is not None, "live operand must be ready before start"
             return value
         if op.kind == "HIST":
@@ -179,7 +171,7 @@ class VrcState:
                 return IDLE, None
         act = self.active
         if not act.started:
-            if any(read_live(reg, act.pend.load_seq) is None for reg, _, _ in act.live):
+            if any(read_live(reg, act.load_seq) is None for reg, _, _ in act.live):
                 return BUSY, None
             act.started = True
 
@@ -189,8 +181,6 @@ class VrcState:
             act.clamp_left -= 1
             if act.clamp_left > 0:
                 return BUSY, None
-            if act.pend.slice_id is None:
-                return self._finish(act, act.pend.oracle_value, now)
             try:
                 for ins in act.instrs:
                     self._execute(act, ins, read_live)
@@ -214,45 +204,42 @@ class VrcState:
         # delivery: one cycle to copy the root value to the destination
         return self._finish(act, act.sfile[-1], now)
 
-    def _execute(self, act: _Active, ins, read_live) -> None:
+    def _execute(self, act: _Request, ins, read_live) -> None:
         ops = [self._slice_operand(act, o, read_live) for o in ins.operands]
         act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
 
-    def _finish(self, act: _Active, value: int, now: int):
+    def _finish(self, act: _Request, value: int, now: int):
         finish = now + 1
         self.total_slice_cycles += finish - act.start_cycle
         self.completed += 1
         self.active = None
-        return DONE, (act.pend.load_seq, value, finish)
+        return DONE, (act.load_seq, value, finish)
 
-    def _fault(self, act: _Active):
+    def _fault(self, act: _Request):
         self.active = None
-        self.fallbacks.append((act.pend.load_seq, True))
+        self.fallbacks.append((act.load_seq, True))
         return BUSY, None
 
     # -- Hist ---------------------------------------------------------------------
 
-    def rec_checkpoint(self, key, value: int) -> str:
+    def rec_checkpoint(self, key, value: int) -> None:
         """Checkpoint a leaf operand. Overwriting an existing key is free;
         inserting at capacity fails and leaves dependent slices unavailable."""
-        if key in self.hist:
-            self.hist[key] = value
-            return OK
-        if len(self.hist) >= self.config.hist_capacity:
-            self.hist_overflows += 1
-            return OVERFLOW
+        if key not in self.hist:
+            if len(self.hist) >= self.config.hist_capacity:
+                self.hist_overflows += 1
+                return
+            self.hist_inserts += 1
         self.hist[key] = value
-        self.hist_inserts += 1
-        return OK
 
     # -- store-tag invalidation ------------------------------------------------------
 
     def invalidate_on_store(self, addr: int, size: int = 8,
                             store_pc: int | None = None) -> None:
-        """Match a committed store against producer tags. The slice's own
-        producer site is the definition of the value, not a foreign update,
-        so it re-arms rather than invalidates."""
-        own_sid = self._producer_pcs.get(store_pc) if store_pc is not None else None
+        """Match a committed store against producer tags. A store defines
+        the value of every slice whose producer pc it is, so it never
+        invalidates one of them, and in lossy mode it re-arms them all."""
+        own = self._produced_by.get(store_pc, ())
         if self.config.lossy_tags:
             line = addr - (addr % LINE_BYTES)
             if line in self.signature:
@@ -261,12 +248,12 @@ class VrcState:
                 self.unusable = set(self.ibuff)
                 self.invalidations += 1
                 self._abort_active_if_unusable()
-            if own_sid is not None:
-                self.unusable.discard(own_sid)
+            if own:
+                self.unusable.difference_update(own)
                 self.signature.add(line)
             return
         for sid, ranges in self.table.slice_tags.items():
-            if sid not in self.ibuff or sid in self.unusable or sid == own_sid:
+            if sid not in self.ibuff or sid in self.unusable or sid in own:
                 continue
             for taddr, tsize in ranges:
                 if addr < taddr + tsize and taddr < addr + size:
@@ -277,8 +264,8 @@ class VrcState:
 
     def _abort_active_if_unusable(self) -> None:
         act = self.active
-        if act is not None and act.pend.slice_id in self.unusable:
-            self.fallbacks.append((act.pend.load_seq, False))
+        if act is not None and act.slice_id in self.unusable:
+            self.fallbacks.append((act.load_seq, False))
             self.active = None
 
     def mean_slice_cycles(self) -> float | None:

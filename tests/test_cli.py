@@ -27,12 +27,16 @@ def test_gen_deterministic_files(tmp_path):
     assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("pattern", PATTERNS)
-def test_gen_defaults_are_the_spec_defaults(tmp_path, pattern):
+@pytest.mark.parametrize("pattern, seed", [
+    pytest.param(pattern, seed, id=pattern if seed else f"{pattern}-no-seed")
+    for pattern in PATTERNS for seed in (3, None)])
+def test_gen_defaults_are_the_spec_defaults(tmp_path, pattern, seed):
     out = tmp_path / "t.txt"
+    seed_flag = ["--seed", str(seed)] if seed is not None else []
     assert main(["gen", "--pattern", pattern.lower(), "--count", "700",
-                 "--seed", "3", "--out", str(out)]) == 0
-    spec = SyntheticWorkloadSpec(pattern=pattern, count=700, seed=3)
+                 *seed_flag, "--out", str(out)]) == 0
+    spec = SyntheticWorkloadSpec(pattern=pattern, count=700,
+                                 **({"seed": seed} if seed is not None else {}))
     assert out.read_text(encoding="utf-8") == emit_trace(gen_synthetic(spec))
 
 

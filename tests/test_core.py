@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -319,6 +320,41 @@ def test_invalidated_recompute_falls_back_to_real_load(consistency):
     assert aborted > 0
     assert r.committed_values == rep.results
     assert r.committed_regs == rep.final_regs
+
+
+def _shift_site_values(table, t):
+    # every checkpoint site records a value one off the run's
+    return {seq: [(key, value + 1) for key, value in site]
+            for seq, site in table.rec_sites.items()}
+
+
+def _add_storeless_sites(table, t):
+    # every store becomes a checkpoint site of every key, with a value that
+    # no store has to checkpoint
+    keys = sorted({key for site in table.rec_sites.values() for key, _ in site})
+    return {**table.rec_sites,
+            **{ins.seq: [(key, 0) for key in keys]
+               for ins in t.instructions if ins.kind == "STORE"}}
+
+
+@pytest.mark.parametrize("tamper", [_shift_site_values, _add_storeless_sites])
+def test_hist_checkpoints_the_committed_value(tamper):
+    # Hist holds what the run committed at a checkpoint site, not the value
+    # the annotation file records there, so a tampered file changes nothing
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD", count=3000,
+                                            seed=1, recomputable_fraction=0.75))
+    table, _ = annotate(t)
+    tampered = replace(table, rec_sites=tamper(table, t))
+    assert tampered.rec_sites != table.rec_sites
+    oracle = functional_replay(t).results
+    for policy in ("VRC", "VRC2"):
+        clean = core.run(t, annotations=table, config=_cfg(policy))
+        r = core.run(t, annotations=tampered, config=_cfg(policy))
+        assert r.committed_values == oracle, policy
+        assert r.counters.get("unsound_recomputes", 0) == 0, policy
+        assert r.counters["recompute_done"] > 0, policy
+        assert (r.cycles, r.memhier_digest, r.counters) == \
+            (clean.cycles, clean.memhier_digest, clean.counters), policy
 
 
 def test_runs_leave_no_reference_cycles():

@@ -151,8 +151,8 @@ def test_annotate_mutable_slice_not_recomputable(tb):
     tb.store(0x1C, 0x100, 9, srcs=(2,))  # overwrites before the load
     tb.load(0x20, 3, 0x100)
     table, stats = annotate(tb.build())
-    s = table.slice_for_pc(0x20)
-    assert s is not None and s.immutable is False
+    s = table.slices[table.rcmp_sites[0x20]]
+    assert s.immutable is False
 
 
 def test_annotate_immutable_flag_set(tb):
@@ -160,7 +160,7 @@ def test_annotate_immutable_flag_set(tb):
     tb.store(0x14, 0x100, 5, srcs=(1,))
     tb.load(0x20, 3, 0x100)
     table, _ = annotate(tb.build())
-    assert table.slice_for_pc(0x20).immutable is True
+    assert table.slices[table.rcmp_sites[0x20]].immutable is True
 
 
 def test_annotate_shape_instability_drops_pc(tb):
@@ -172,7 +172,7 @@ def test_annotate_shape_instability_drops_pc(tb):
     tb.store(0x1C, 0x180, 10, srcs=(2,))
     tb.load(0x30, 3, 0x180)
     table, stats = annotate(tb.build())
-    assert table.slice_for_pc(0x30) is None
+    assert 0x30 not in table.rcmp_sites
 
 
 def test_annotate_full_coverage_on_recomputable_trace():
@@ -243,7 +243,7 @@ def test_replay_matches_traced_values_everywhere():
             by_pc.setdefault(ins.pc, []).append(ins)
     assert by_pc
     for pc, loads in by_pc.items():
-        s = table.slice_for_pc(pc)
+        s = table.slices[table.rcmp_sites[pc]]
         for load in loads:
             # shape-stable static slice + constant leaf keys: the recorded
             # replay value matches every dynamic instance
@@ -286,6 +286,11 @@ def test_text_file_in_another_encoding_names_that_encoding(tmp_path):
     with open(path, encoding="ascii") as text_file:
         with pytest.raises(AnnotationFormatError,
                            match="^line 2: not ASCII: byte 0xc3$"):
+            load_annotations(text_file)
+    # a decoder that names no byte reports line 1
+    with open(path, encoding="utf-16") as text_file:
+        with pytest.raises(AnnotationFormatError,
+                           match="^line 1: UTF-16 stream does not start with BOM$"):
             load_annotations(text_file)
 
 
@@ -333,6 +338,9 @@ def test_good_annotations_load():
     ("A version=1", "A version=1 when=now", r"unknown fields \['when'\]"),
     ("  T addr=0x100 size=8", "  T addr=0x100 size=8 seq=3", r"unknown fields \['seq'\]"),
     ("R pc=0x14", "Q pc=0x14", "unknown record 'Q'"),
+    ("A version=1", "A version=2", "^line 1: version mismatch: got 2, expected 1$"),
+    ("R pc=0x14 slice=0", "R pc=0x14 slice=0\nR pc=0x14 slice=0",
+     "^line 9: duplicate rcmp site 0x14$"),
 ])
 def test_bad_annotations_rejected_at_load(old, new, match):
     assert old in GOOD_ANNOTATIONS
@@ -350,7 +358,18 @@ _S = "S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 "
      "^line 2: slice 0: operand H:0x900:0 has no H/V record$"),
     ("A version=1\n\n" + _S + "len=0\nR pc=0x14 slice=0\n",
      "^line 3: slice 0 is empty$"),
-], ids=["len", "operand", "empty"])
+    ("A version=1\n" + _S + "len=3\n  P pos=0 op=ADD a=C:0x1 b=C:0x2\n"
+     + _S.replace("slice_id=0", "slice_id=1") + "len=1\n",
+     "^line 2: slice 0: declared len 3 but 1 instructions$"),
+    (GOOD_ANNOTATIONS.replace("R pc=", _S + "len=1\n  P pos=0 op=MOV a=C:0x1\nR pc="),
+     "^line 8: duplicate slice 0$"),
+    ("A version=1\n  P pos=0 op=MOV a=C:0x1\n", "^line 2: P record before any S record$"),
+    ("A version=1\n  H key=0x900:0 seq=0 val=0x2\n",
+     "^line 2: H record before any S record$"),
+    ("A version=1\n  V reg=3 seq=-1 val=0x0\n", "^line 2: V record before any S record$"),
+    ("A version=1\n  T addr=0x100 size=8\n", "^line 2: T record before any S record$"),
+], ids=["len", "operand", "empty", "len-before-next-slice", "duplicate", "P-first",
+        "H-first", "V-first", "T-first"])
 def test_slice_errors_name_the_slice_record_line(text, match):
     with pytest.raises(AnnotationFormatError, match=match):
         load_annotations(text)

@@ -528,6 +528,12 @@ def test_text_file_in_another_encoding_names_that_encoding(tmp_path):
                            match="^line 2: not ASCII: byte 0xc3$") as exc:
             parse_trace(f)
     assert exc.value.lineno == 2
+    # a decoder that names no byte reports line 1
+    with open(path, encoding="utf-16") as f:
+        with pytest.raises(TraceFormatError,
+                           match="^line 1: UTF-16 stream does not start with BOM$") as exc:
+            parse_trace(f)
+    assert exc.value.lineno == 1
 
 
 @pytest.mark.parametrize("sep", "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")

@@ -1,6 +1,6 @@
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, const_op,
                            hist_op, live_op, temp_op)
-from vrcsim.vrc import BUSY, DONE, IDLE, OK, OVERFLOW, VrcConfig, VrcState
+from vrcsim.vrc import BUSY, DONE, IDLE, VrcConfig, VrcState
 
 
 def _slice(sid, instrs, *, tag=0x100, pc=0x900, hist=(), live=(),
@@ -47,6 +47,23 @@ def test_own_producer_store_does_not_invalidate():
     v = VrcState(table, VrcConfig())
     v.invalidate_on_store(0x100, 8, store_pc=0x900)
     assert v.enqueue(0x40, 1) is True
+
+
+def test_store_spares_every_slice_of_its_producer_pc():
+    # two slices whose producer pc is the same and whose tags overlap: the
+    # store defines both values, so exact mode invalidates neither of them
+    # and lossy mode re-arms both
+    a, b = add_slice(0, pc=0x900), add_slice(1, pc=0x900)
+    table = _table(a, b, rcmp={0x40: 0, 0x44: 1})
+    exact = VrcState(table, VrcConfig())
+    exact.invalidate_on_store(0x100, 8, store_pc=0x900)
+    assert not exact.unusable and exact.invalidations == 0
+    lossy = VrcState(table, VrcConfig(lossy_tags=True))
+    lossy.invalidate_on_store(0x100, 8, store_pc=0x900)
+    assert not lossy.unusable
+    for v in (exact, lossy):
+        assert v.enqueue(0x40, 1) is True
+        assert v.enqueue(0x44, 2) is True
 
 
 def test_store_elsewhere_no_effect():
@@ -173,7 +190,8 @@ def test_hist_gating_and_checkpoint():
     table = _table(s, rcmp={0x40: 0})
     v = VrcState(table, VrcConfig())
     assert v.enqueue(0x40, 1) is False          # no hist yet
-    assert v.rec_checkpoint(key, 41) == OK
+    v.rec_checkpoint(key, 41)
+    assert v.hist_inserts == 1
     assert v.enqueue(0x40, 1) is True
     v.step(0)
     status, (_, value, _) = v.step(1)
@@ -185,11 +203,13 @@ def test_hist_overflow_marks_unavailable():
     s = _slice(0, [SliceInstr(0, "ADD", (hist_op(key2), const_op(1)))],
                hist=((key2, 3, 1),))
     v = VrcState(_table(s, rcmp={0x40: 0}), VrcConfig(hist_capacity=1))
-    assert v.rec_checkpoint(key1, 5) == OK
-    assert v.rec_checkpoint(key2, 6) == OVERFLOW
+    v.rec_checkpoint(key1, 5)
+    v.rec_checkpoint(key2, 6)
+    assert (v.hist_inserts, v.hist_overflows) == (1, 1)
     assert v.enqueue(0x40, 1) is False
-    assert v.rec_checkpoint(key1, 7) == OK   # overwrite stays fine
-    assert v.hist[key1] == 7
+    v.rec_checkpoint(key1, 7)                # overwrite stays fine
+    assert (v.hist_inserts, v.hist_overflows) == (1, 1)
+    assert v.hist == {key1: 7}
 
 
 def test_cancel_queued():
