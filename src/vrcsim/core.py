@@ -53,20 +53,23 @@ from cycle to seqs, of which the issue stage pops exactly the current
 cycle's bucket and an idle cycle skips to the smallest key. An entry is
 filed at most once per execution, so the walk never meets a seq twice: a
 load once, as its access stands after a replay, and an op again only once a
-replay has reset it or taken it out of the calendar. Issue walks, in
-program order, the bucket, the loads waiting in the issue pool and the ops
-(ALU ops and branches) waiting for a unit, which each FU class keeps in a
-list sorted by seq; units and issue slots go in that order. A class's units
-can take only its oldest waiting ops, so the walk takes as many of them as
-the class has units and leaves the rest of its list, unvisited, for the next
-cycle. A load that does not issue waits in the pool, and an op that finds
-its class's units used up waits in the class's list. An ALU op or branch
-executes inline in the walk, unchecked: its producers had values when it was
-filed, and a value-prediction replay takes each op that now reads a reset
-producer out of the calendar or its class's list, so that the producer's
-re-execution wakes it as it wakes any op. The recomputation engine steps
-only in a cycle it has work in. For a load the entry state chooses the
-action: NONSPEC reissues an unshadowed delayed or fallback load,
+replay has reset it or taken it out of the calendar. A load waiting in the
+pool for store data in flight files an empty bucket at the data's arrival,
+where an idle stretch stops. Issue walks, in program order, the bucket, the
+loads waiting in the issue pool and the ops (ALU ops and branches) waiting
+for a unit, which each FU class keeps in a list sorted by seq; units and
+issue slots go in that order. A class's units can take only its oldest
+waiting ops, so the walk takes as many of them as the class has units and
+leaves the rest of its list, unvisited, for the next cycle. A load that does
+not issue waits in the pool, and an op that finds its class's units used up
+waits in the class's list. An ALU op or branch executes inline in the walk,
+unchecked: its producers had values when it was filed, and a
+value-prediction replay takes each op that now reads a reset producer out of
+the calendar or its class's list, so that the producer's re-execution wakes
+it as it wakes any op. The recomputation engine steps only in a cycle it has
+work in, takes its units from the cycle's budget, and hands back each
+request it ended as a value or a fallback. For a load the entry state
+chooses the action: NONSPEC reissues an unshadowed delayed or fallback load,
 AWAIT_VALIDATION validates a predicted load, and otherwise the load
 forwards, accesses, or has the policy applied to its shadowed miss. Every
 real hierarchy access goes through one path that takes a memory port and
@@ -95,7 +98,7 @@ from .slicer import AnnotationTable
 from .trace import (FORM_RI, FORM_RR, KIND_ALU, KIND_BRANCH, KIND_LOAD,
                     KIND_NOP, KIND_STORE, KINDS, Trace)
 from .vp import VpConfig, VpState
-from .vrc import BUSY, DONE, VrcConfig, VrcState
+from .vrc import VrcConfig, VrcState
 
 POLICIES = ("BASELINE", "DOM", "VP", "VRC", "VRC2", "ORACLE_VP", "ORACLE_VRC")
 SECURE_POLICIES = ("DOM", "VP", "VRC", "VRC2", "ORACLE_VP", "ORACLE_VRC")
@@ -636,9 +639,9 @@ class _Sim:
                     self._wake(seq)
         budget[FU_ALU], budget[FU_MUL] = alu, mul
         vrc = self.vrc
-        # the engine steps only with work: a slice, a request or a fallback
+        # the engine steps only with work: a slice, a request or an ended one
         if vrc is not None and (vrc.active is not None or vrc.queue
-                                or vrc.fallbacks):
+                                or vrc.ended):
             any_issued = self._engine_tick(budget) or any_issued
         # every FU op of the cycle, the engine's too, took one unit
         fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
@@ -686,8 +689,14 @@ class _Sim:
         if not exact:
             return False  # wait for the partially overlapping store to commit
         ready = self._ready_at(self.data_writers[se.seq], 0)
-        if ready is None or ready > self.now:
-            return False  # store data still in flight
+        if ready is None:
+            return False  # the data's producer has not executed
+        if ready > self.now:
+            # store data in flight: the load waits in the pool, where it
+            # sees a younger store whose address becomes known meanwhile,
+            # and an empty bucket at the data's arrival stops a skip there
+            self.calendar.setdefault(ready, [])
+            return False
         budget[_SLOTS] -= 1
         self.counters["store_forwards"] += 1
         self._finish_load(e, e.ins.mem_value, self.now + 1)
@@ -926,34 +935,26 @@ class _Sim:
     # ------------------------------------------------------------------ engine
 
     def _engine_tick(self, budget) -> bool:
-        def take_fu(fu: int) -> bool:
-            if budget[fu] <= 0:
-                return False
-            budget[fu] -= 1
-            return True
-
-        status, payload = self.vrc.step(self.now, take_fu, self._live_reg_value)
-        # faulted or invalidated recomputations: the load reverts to a delayed
-        # load, or reissues at once if it has left speculation meanwhile
-        for seq, faulted in self.vrc.fallbacks:
-            if faulted:
-                self.counters["exc_fallbacks"] += 1
+        vrc = self.vrc
+        busy = vrc.step(self.now, budget, self._live_reg_value)
+        # each ended request: a value completes the load in the next cycle;
+        # None (a fault or an invalidation) reverts it to a delayed load, or
+        # reissues it at once if it has left speculation meanwhile
+        for seq, value in vrc.ended:
             e = self.entries[seq]
-            if e.shadowed:
-                self._delay_load(e)
-            else:
-                e.state = NONSPEC
-                self.issue_pool.add(seq)
-        self.vrc.fallbacks.clear()
-        if status == DONE:
-            seq, value, finish = payload
-            e = self.entries[seq]
+            if value is None:
+                if e.shadowed:
+                    self._delay_load(e)
+                else:
+                    e.state = NONSPEC
+                    self.issue_pool.add(seq)
+                continue
             if value != e.ins.mem_value:
                 self.counters["unsound_recomputes"] += 1
             self.counters["recompute_done"] += 1
-            self._finish_load(e, value, finish)
-            return True
-        return status == BUSY
+            self._finish_load(e, value, self.now + 1)
+        vrc.ended.clear()
+        return busy
 
     # ------------------------------------------------------------------ commit
 
@@ -1131,6 +1132,8 @@ class _Sim:
             c["hist_inserts"] = self.vrc.hist_inserts
             c["hist_overflows"] = self.vrc.hist_overflows
             c["slice_invalidations"] = self.vrc.invalidations
+            if self.vrc.faults:
+                c["exc_fallbacks"] = self.vrc.faults
         return RunResult(
             policy=self.policy,
             consistency=self.config.consistency,

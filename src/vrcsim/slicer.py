@@ -605,7 +605,10 @@ def load_annotations(data) -> AnnotationTable:
                     (_parse_key(fields["key"]), int(fields["val"], 0)))
         except TraceFormatError as e:
             raise AnnotationFormatError(str(e)) from None
-        except (KeyError, ValueError, TypeError) as e:
+        except KeyError as missing:
+            raise AnnotationFormatError(
+                f"line {lineno}: missing required field {missing.args[0]!r}") from None
+        except (ValueError, TypeError) as e:
             raise AnnotationFormatError(f"line {lineno}: {e}") from None
     finish_current()
     for pc, sid in table.rcmp_sites.items():

@@ -17,9 +17,10 @@ the per-instruction timing and completes after the clamp.
 Hist holds committed values: when an instruction at a checkpoint site
 commits, the core checkpoints the value that instruction committed.
 
-A recomputation that cannot complete, because its slice faults or is
-invalidated while queued or running, leaves the engine on one channel,
-`fallbacks`, as a (load seq, faulted) pair; the core reissues the load.
+Every request leaves the engine on one channel, `ended`, as a (load seq,
+value) pair: the value is delivered the cycle after the step that ends the
+request, and None means the slice faulted or was invalidated while queued or
+running, so the load falls back to Delay-on-Miss.
 
 Committed stores are matched against producer tags to invalidate slices
 whose data may have changed. In exact mode (default) each slice keeps its
@@ -64,11 +65,6 @@ class _Request:
     started: bool = False
 
 
-IDLE = "IDLE"
-BUSY = "BUSY"
-DONE = "DONE"
-
-
 class VrcState:
     def __init__(self, table: AnnotationTable | None = None,
                  config: VrcConfig | None = None):
@@ -90,9 +86,12 @@ class VrcState:
             self._produced_by.setdefault(s.producer_store_pc, set()).add(sid)
         self.queue: deque[_Request] = deque()
         self.active: _Request | None = None
-        self.fallbacks: list[tuple[int, bool]] = []   # (load seq, faulted)
+        # requests ended since the core last read them: (load seq, value),
+        # the value None when the load falls back
+        self.ended: list[tuple[int, int | None]] = []
         # counters
         self.completed = 0
+        self.faults = 0
         self.busy_cycles = 0
         self.total_slice_cycles = 0
         self.hist_inserts = 0
@@ -131,17 +130,6 @@ class VrcState:
                 return True
         return False
 
-    def _pop_queue(self, now: int) -> None:
-        if self.active is not None or not self.queue:
-            return
-        req = self.queue.popleft()
-        if req.slice_id in self.unusable:
-            # slice was invalidated while queued: fall back to the load
-            self.fallbacks.append((req.load_seq, False))
-            return
-        req.start_cycle = now
-        self.active = req
-
     # -- execution -------------------------------------------------------------
 
     def _slice_operand(self, act: _Request, op, read_live) -> int:
@@ -156,23 +144,27 @@ class VrcState:
             return self.hist[op.key]
         return act.sfile[op.pos]
 
-    def step(self, now: int, take_fu=lambda fu: True,
-             read_live=lambda reg, load_seq: 0) -> tuple[str, object]:
-        """Advance the engine by one cycle. `take_fu(fu)` claims a shared
-        unit of the instruction's functional-unit class (`isa.ALU_FU`);
-        recomputation stalls for the cycle when none is free. `read_live(reg, load_seq)` is the value a
-        live-register leaf holds at the load's program point, or None while
-        its producer has not executed (the slice waits to start). Returns
-        (status, payload); DONE carries (load_seq, value, finish_cycle). A
-        faulting slice is BUSY for its last cycle and leaves on `fallbacks`."""
-        if self.active is None:
-            self._pop_queue(now)
-            if self.active is None:
-                return IDLE, None
+    def step(self, now: int, budget: list, read_live) -> bool:
+        """Advance the engine by one cycle. Each slice instruction takes a
+        unit of its op's FU class (`isa.ALU_FU`) from `budget`, the core's
+        units left this cycle; recomputation stalls for the cycle when none
+        is left. `read_live(reg, load_seq)` is the value a live-register
+        leaf holds at the load's program point, or None while its producer
+        has not executed (the slice waits to start). Returns whether the
+        engine worked this cycle: False when it is idle, and in a cycle that
+        only drops a request invalidated while queued."""
         act = self.active
+        if act is None:
+            if not self.queue:
+                return False
+            act = self.active = self.queue.popleft()
+            if act.slice_id in self.unusable:
+                self._end(None)  # invalidated while queued
+                return False
+            act.start_cycle = now
         if not act.started:
             if any(read_live(reg, act.load_seq) is None for reg, _, _ in act.live):
-                return BUSY, None
+                return True
             act.started = True
 
         self.busy_cycles += 1
@@ -180,45 +172,47 @@ class VrcState:
             # capped latency, no FU demand: evaluate everything, charge the cap
             act.clamp_left -= 1
             if act.clamp_left > 0:
-                return BUSY, None
-            try:
-                for ins in act.instrs:
-                    self._execute(act, ins, read_live)
-            except ArithmeticFault:
-                return self._fault(act)
-            return self._finish(act, act.sfile[-1], now)
-
-        if act.cursor < len(act.instrs):
+                return True
+        elif act.cursor < len(act.instrs):
             ins = act.instrs[act.cursor]
-            if not take_fu(ALU_FU[ins.alu_op]):
-                return BUSY, None  # contended out this cycle
+            fu = ALU_FU[ins.alu_op]
+            if budget[fu] <= 0:
+                return True  # contended out this cycle
+            budget[fu] -= 1
             act.cycles_into_instr += 1
             if act.cycles_into_instr >= ins.latency:
-                try:
-                    self._execute(act, ins, read_live)
-                except ArithmeticFault:
-                    return self._fault(act)
                 act.cursor += 1
                 act.cycles_into_instr = 0
-            return BUSY, None
-        # delivery: one cycle to copy the root value to the destination
-        return self._finish(act, act.sfile[-1], now)
+                self._execute(act, (ins,), read_live)
+            return True
+        # the last cycle: a clamped request evaluates its whole slice, and
+        # an unclamped one copies the root value to the load's destination
+        if self._execute(act, act.instrs[act.cursor:], read_live):
+            self._end(act.sfile[-1], now)
+        return True
 
-    def _execute(self, act: _Request, ins, read_live) -> None:
-        ops = [self._slice_operand(act, o, read_live) for o in ins.operands]
-        act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
+    def _execute(self, act: _Request, instrs, read_live) -> bool:
+        """Evaluate `instrs` into the SFile. A fault ends the request and
+        returns False."""
+        try:
+            for ins in instrs:
+                ops = [self._slice_operand(act, o, read_live) for o in ins.operands]
+                act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
+        except ArithmeticFault:
+            self.faults += 1
+            self._end(None)
+            return False
+        return True
 
-    def _finish(self, act: _Request, value: int, now: int):
-        finish = now + 1
-        self.total_slice_cycles += finish - act.start_cycle
-        self.completed += 1
+    def _end(self, value: int | None, now: int = 0) -> None:
+        """End the active request: its value is delivered at `now + 1`, or
+        None sends the load back to Delay-on-Miss."""
+        act = self.active
         self.active = None
-        return DONE, (act.load_seq, value, finish)
-
-    def _fault(self, act: _Request):
-        self.active = None
-        self.fallbacks.append((act.load_seq, True))
-        return BUSY, None
+        self.ended.append((act.load_seq, value))
+        if value is not None:
+            self.total_slice_cycles += now + 1 - act.start_cycle
+            self.completed += 1
 
     # -- Hist ---------------------------------------------------------------------
 
@@ -240,33 +234,29 @@ class VrcState:
         the value of every slice whose producer pc it is, so it never
         invalidates one of them, and in lossy mode it re-arms them all."""
         own = self._produced_by.get(store_pc, ())
-        if self.config.lossy_tags:
+        lossy = self.config.lossy_tags
+        if lossy:
             line = addr - (addr % LINE_BYTES)
             if line in self.signature:
                 # false positives allowed: reset everything in bulk
                 self.signature.clear()
                 self.unusable = set(self.ibuff)
                 self.invalidations += 1
-                self._abort_active_if_unusable()
-            if own:
-                self.unusable.difference_update(own)
-                self.signature.add(line)
-            return
-        for sid, ranges in self.table.slice_tags.items():
-            if sid not in self.ibuff or sid in self.unusable or sid in own:
-                continue
-            for taddr, tsize in ranges:
-                if addr < taddr + tsize and taddr < addr + size:
-                    self.unusable.add(sid)
-                    self.invalidations += 1
-                    break
-        self._abort_active_if_unusable()
-
-    def _abort_active_if_unusable(self) -> None:
-        act = self.active
-        if act is not None and act.slice_id in self.unusable:
-            self.fallbacks.append((act.load_seq, False))
-            self.active = None
+        else:
+            for sid, ranges in self.table.slice_tags.items():
+                if sid not in self.ibuff or sid in self.unusable or sid in own:
+                    continue
+                for taddr, tsize in ranges:
+                    if addr < taddr + tsize and taddr < addr + size:
+                        self.unusable.add(sid)
+                        self.invalidations += 1
+                        break
+        # a running slice made unusable falls back, also one this store re-arms
+        if self.active is not None and self.active.slice_id in self.unusable:
+            self._end(None)
+        if lossy and own:
+            self.unusable.difference_update(own)
+            self.signature.add(line)
 
     def mean_slice_cycles(self) -> float | None:
         if not self.completed:

@@ -292,10 +292,12 @@ def test_criterion_8_hand_checked_latencies():
     # MUL followed by ADD recomputes in 3 + 1 + 1 = 5 cycles
     engine = VrcState(_mul_add_table(), VrcConfig())
     engine.enqueue(0x40, 1)
-    outcomes = [engine.step(100 + i) for i in range(5)]
-    assert outcomes[-1][0] == "DONE"
-    dest, value, finish = outcomes[-1][1]
-    assert finish - 100 == 5 and value == 13
+    now = 100
+    while not engine.ended:
+        assert engine.step(now, [1, 1], lambda reg, load_seq: 0)
+        now += 1
+    # the request ends on the step at `now - 1`; its value arrives at `now`
+    assert engine.ended == [(1, 13)] and now - 100 == 5
 
     # the same slice driven by the full core reports a 5-cycle mean latency
     tb2 = TraceBuilder()

@@ -8,14 +8,17 @@ from vrcsim.audit import assert_invisibility
 from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
-from vrcsim.slicer import annotate
+from vrcsim.slicer import AnnotationTable, Slice, SliceInstr, annotate, const_op
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
 from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
 
-from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, _fingerprint,
-                               hand_fu_replay_trace, hand_paths_trace,
-                               hand_pool_refile_trace, hand_replay_trace, traces)
+from conftest import TraceBuilder, random_loop_trace
+from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, TIGHT_CORE,
+                               UNFILE_CORE, _fingerprint, hand_fu_replay_trace,
+                               hand_fu_unfile_trace, hand_paths_trace,
+                               hand_pool_refile_trace, hand_replay_trace,
+                               hand_sq_fill_trace, traces)
 
 COLD_A = 0x10_0000
 COLD_B = 0x20_0000
@@ -89,6 +92,65 @@ def test_store_to_load_forwarding_one_cycle(tb):
     assert not [rec for rec in r.mutation_log if rec.speculative]
     assert not [rec for rec in r.mutation_log if rec.line_addr == 0x40
                 and rec.cause_seq == 3]
+
+
+def store_data_in_flight_trace():
+    """A load of a store whose data a MUL has not delivered yet, while a
+    miss at the ROB head keeps the store in the store queue."""
+    tb = TraceBuilder()
+    tb.load(0x00, 1, COLD_A, value=1)           # misses at the ROB head
+    tb.alu(0x04, 2, "MOV", imm=3)
+    tb.alu(0x08, 3, "MUL", srcs=(2, 2))         # issues at 2, done at 5
+    tb.store(0x0C, COLD_B, srcs=(3,))
+    tb.load(0x10, 4, COLD_B)                    # forwards at 5
+    tb.alu(0x14, 5, "ADD", srcs=(4,), imm=0x1000)
+    tb.load(0x18, 6, 0x30_0000)
+    return tb.build()
+
+
+def younger_store_trace():
+    """A load that first finds an older store A whose data is a miss in
+    flight, then a younger store B of the same bytes, whose address a
+    MOV, ADD and MUL make known at 7 and whose data is ready."""
+    tb = TraceBuilder()
+    tb.load(0x00, 1, COLD_A, value=1)           # misses at the ROB head
+    tb.load(0x04, 2, 0x50_0000, value=3)        # A's data, a miss
+    tb.store(0x08, COLD_B, srcs=(2,))           # A
+    tb.alu(0x0C, 8, "MOV", imm=COLD_B)          # issues at 1, done at 2
+    tb.alu(0x10, 9, "ADD", srcs=(8,), imm=0)    # issues at 2, done at 3
+    tb.alu(0x14, 9, "MUL", srcs=(9,), imm=1)    # issues at 3, done at 6
+    tb.alu(0x18, 10, "MOV", imm=7)
+    tb.store(0x1C, COLD_B, srcs=(10, 9))        # B: address known at 7
+    tb.load(0x20, 4, COLD_B)                    # forwards from B at 7
+    return tb.build()
+
+
+def test_load_waiting_for_store_data_forwards_when_it_arrives():
+    # the load waits in the issue pool for the MUL's value while nothing
+    # else is due: a skip over the idle cycles must stop when it arrives,
+    # not at the next fill. BASELINE: one miss issued at 1 (172 cycles),
+    # then the commit cycle; DOM: load 6 is shadowed by load 0 under TSO
+    # and issues its own miss when that one fills at 173
+    t = store_data_in_flight_trace()
+    for policy, cycles in (("BASELINE", 1 + MISS_LATENCY + 1),
+                           ("DOM", 1 + 2 * MISS_LATENCY + 1)):
+        r = core.run(t, config=_cfg(policy))
+        assert r.cycles == cycles, policy
+        assert r.counters["store_forwards"] == 1, policy
+        assert r.load_timing[4][2] == 5 + 1, policy   # MUL done at 5, +1
+        assert r.committed_values == functional_replay(t).results
+
+
+def test_load_forwards_from_a_younger_store_once_its_address_is_known():
+    # the load that waits for store A's data visits again when store B's
+    # address becomes known at 7 and forwards from B: it waits for the
+    # youngest older store it knows of, not for A's data at 173. Nine
+    # instructions take two commit cycles at width 8
+    t = younger_store_trace()
+    r = core.run(t, config=_cfg("BASELINE"))
+    assert r.load_timing[8][2] == 7 + 1
+    assert r.counters["store_forwards"] == 1
+    assert r.cycles == 1 + MISS_LATENCY + 2
 
 
 def test_architectural_equivalence_all_policies():
@@ -550,3 +612,78 @@ def test_no_seq_waits_twice():
             cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
             r = _FiledOnceSim(t, table, cfg, None).run()
             assert r.committed_values == oracle, policy
+
+
+class _SteppedSim(core._Sim):
+    """Steps every cycle where `_Sim` skips an idle stretch."""
+
+    def _advance_time(self):
+        self.now += 1
+
+
+def _timing(r):
+    # counters are left out: a retry counter counts the cycles a waiting
+    # load is visited in, and only stepping visits it in idle cycles
+    return (r.cycles, r.memhier_digest, r.mutation_log.export_lines(),
+            r.load_timing, r.committed_values, r.committed_regs,
+            r.validation_completions)
+
+
+# a ROB of 16, one memory port and one MSHR
+SMALL_CORE = {"rob_size": 16, "iq_size": 8, "lq_size": 4, "sq_size": 2,
+              "mem_ports": 1, "cache": CacheConfig(mshrs=1)}
+
+
+def test_skipping_idle_cycles_equals_stepping_them():
+    # a cycle that makes no progress skips to the next one at which
+    # something is due; stepping through every cycle must give the same run
+    short = (hand_paths_trace(), hand_sq_fill_trace(),
+             store_data_in_flight_trace(), younger_store_trace())
+    cases = [(t, overrides, consistency) for t in short
+             for overrides in ({}, TIGHT_CORE) for consistency in ("TSO", "RC")]
+    cases += [(hand_fu_replay_trace(), {}, "TSO"),
+              (hand_fu_unfile_trace(2), UNFILE_CORE, "TSO"),
+              (hand_pool_refile_trace(1), REFILE_CORE, "TSO")]
+    cases += [(random_loop_trace(seed), overrides, ("TSO", "RC")[seed % 2])
+              for seed in range(20) for overrides in ({}, SMALL_CORE)]
+    for t, overrides, consistency in cases:
+        table, _ = annotate(t)
+        for policy in core.POLICIES:
+            cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
+            skipped = core._Sim(t, table, cfg, None).run()
+            stepped = _SteppedSim(t, table, cfg, None).run()
+            assert _timing(skipped) == _timing(stepped), (policy, cfg)
+
+
+def test_foreign_store_invalidates_a_slice_for_good():
+    # the slice for the load at 0x44 recomputes the value its producer
+    # store at 0x04 wrote (5); the store at 0x0C writes 7 over it, so its
+    # commit must invalidate the slice. The line leaves the 512-byte
+    # direct-mapped L1 when T + 4096 fills, so the load, shadowed by the
+    # miss before it, misses and asks for a recomputation, and delays
+    T = 0x10_0000
+    tb = TraceBuilder()
+    tb.alu(0x00, 1, "MOV", imm=5)
+    tb.store(0x04, T, srcs=(1,))
+    tb.alu(0x08, 2, "MOV", imm=7)
+    tb.store(0x0C, T, srcs=(2,))
+    tb.load(0x10, 6, 0xA0_0000, value=1)                 # misses
+    tb.load(0x14, 3, T + 4096, srcs=(6,))                # evicts T
+    tb.load(0x18, 4, 0x90_0000, value=2, srcs=(3,))      # misses: a shadow
+    tb.load(0x44, 5, T, srcs=(3,))                       # reads 7
+    t = tb.build()
+    table = AnnotationTable()
+    table.slices[0] = Slice(
+        slice_id=0, instrs=(SliceInstr(0, "MOV", (const_op(5),)),),
+        producer_store_addr=T, producer_store_size=8, producer_store_seq=1,
+        producer_store_pc=0x04, root_value=5, hist_requirements=(),
+        live_bindings=(), immutable=True)
+    table.rcmp_sites[0x44] = 0
+    table.slice_tags[0] = ((T, 8),)
+    cache = CacheConfig(l1_bytes=512, l1_ways=1)
+    for policy in ("VRC", "VRC2"):
+        r = core.run(t, annotations=table, config=_cfg(policy, cache=cache))
+        assert r.committed_values == functional_replay(t).results, policy
+        assert r.counters["slice_invalidations"] == 1, policy
+        assert r.counters["rcmp_delay"] == 1, policy
+        assert r.counters.get("unsound_recomputes", 0) == 0, policy

@@ -341,6 +341,11 @@ def test_good_annotations_load():
     ("A version=1", "A version=2", "^line 1: version mismatch: got 2, expected 1$"),
     ("R pc=0x14 slice=0", "R pc=0x14 slice=0\nR pc=0x14 slice=0",
      "^line 9: duplicate rcmp site 0x14$"),
+    ("A version=1", "A", "^line 1: missing required field 'version'$"),
+    ("tag=0x100 ", "", "^line 2: missing required field 'tag'$"),
+    ("P pos=0 op=ADD ", "P pos=0 ", "^line 3: missing required field 'op'$"),
+    ("seq=0 val=0x2", "seq=0", "^line 5: missing required field 'val'$"),
+    ("R pc=0x14 slice=0", "R pc=0x14", "^line 8: missing required field 'slice'$"),
 ])
 def test_bad_annotations_rejected_at_load(old, new, match):
     assert old in GOOD_ANNOTATIONS

@@ -1,6 +1,6 @@
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, const_op,
                            hist_op, live_op, temp_op)
-from vrcsim.vrc import BUSY, DONE, IDLE, VrcConfig, VrcState
+from vrcsim.vrc import VrcConfig, VrcState
 
 
 def _slice(sid, instrs, *, tag=0x100, pc=0x900, hist=(), live=(),
@@ -24,6 +24,13 @@ def _table(*slices, rcmp=None, tags=None):
 
 def add_slice(sid=0, **kw):
     return _slice(sid, [SliceInstr(0, "ADD", (const_op(2), const_op(3)))], **kw)
+
+
+def _step(v, now, units=1, read_live=lambda reg, load_seq: 0):
+    """One engine cycle with `units` units of each FU class left; returns
+    whether the engine worked. A request that ends on the step at `now`
+    has its value delivered at `now + 1`."""
+    return v.step(now, [units, units], read_live)
 
 
 def test_rcmp_decide_matrix():
@@ -93,11 +100,10 @@ def test_queue_full_delays():
 def test_single_add_slice_two_cycles():
     v = VrcState(_table(add_slice(), rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 10)
-    assert v.step(100) == (BUSY, None)                  # starts this cycle
-    status, payload = v.step(101)
-    assert status == DONE
-    load_seq, value, finish = payload
-    assert (load_seq, value, finish) == (10, 5, 102)   # 1 FU + 1 delivery
+    assert _step(v, 100) and not v.ended               # starts this cycle
+    assert _step(v, 101)
+    assert v.ended == [(10, 5)]                        # 1 FU + 1 delivery: 102
+    assert v.total_slice_cycles == 102 - 100
 
 
 def test_mul_add_slice_five_cycles():
@@ -105,10 +111,10 @@ def test_mul_add_slice_five_cycles():
                    SliceInstr(1, "ADD", (temp_op(0), const_op(1)))])
     v = VrcState(_table(s, rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 1)
-    results = [v.step(50 + i) for i in range(5)]
-    assert [r[0] for r in results[:4]] == [BUSY] * 4
-    status, (load_seq, value, finish) = results[4]
-    assert status == DONE and value == 13 and finish == 55  # 3 + 1 + 1
+    for now in range(50, 54):
+        assert _step(v, now) and not v.ended
+    assert _step(v, 54)
+    assert v.ended == [(1, 13)]                        # 3 + 1 + 1: at 55
 
 
 def test_seven_add_slice_eight_cycles():
@@ -117,19 +123,23 @@ def test_seven_add_slice_eight_cycles():
         instrs.append(SliceInstr(i, "ADD", (temp_op(i - 1), const_op(1))))
     v = VrcState(_table(_slice(0, instrs), rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 1)
-    out = [v.step(i) for i in range(8)]
-    assert out[-1][0] == DONE
-    assert out[-1][1][2] == 8
+    for now in range(7):
+        assert _step(v, now) and not v.ended
+    assert _step(v, 7)
+    assert v.ended == [(1, 8)] and v.total_slice_cycles == 8
 
 
 def test_fu_contention_stalls_engine():
     v = VrcState(_table(add_slice(), rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 1)
-    # no ALU slot this cycle: BUSY without consuming the instruction
-    assert v.step(0, take_fu=lambda k: False) == (BUSY, None)
-    assert v.step(1, take_fu=lambda k: True) == (BUSY, None)
-    status, (_, _, finish) = v.step(2, take_fu=lambda k: True)
-    assert status == DONE and finish == 3
+    # no ALU left this cycle: busy without consuming the instruction
+    assert _step(v, 0, units=0)
+    assert v.active.cycles_into_instr == 0
+    budget = [1, 1]
+    assert v.step(1, budget, lambda reg, load_seq: 0)
+    assert budget == [0, 1]                            # the ADD took an ALU
+    assert _step(v, 2, units=0)                        # delivery takes no unit
+    assert v.ended == [(1, 5)]                         # at 3
 
 
 def test_clamped_latency_two_cycles():
@@ -139,17 +149,17 @@ def test_clamped_latency_two_cycles():
                  VrcConfig(clamp_cycles=2))
     assert v.enqueue(0x40, 1)
     # the clamp claims no functional unit
-    assert v.step(10, take_fu=lambda k: False) == (BUSY, None)
-    status, (load_seq, value, finish) = v.step(11, take_fu=lambda k: False)
-    assert status == DONE and value == 13 and finish == 12
+    assert _step(v, 10, units=0) and not v.ended
+    assert _step(v, 11, units=0)
+    assert v.ended == [(1, 13)]                        # at 12
 
 
 def test_oracle_pseudo_slice():
     v = VrcState(AnnotationTable(), VrcConfig())
     assert v.enqueue(0x99, 5, oracle_value=777)   # needs no slice
-    assert v.step(20, take_fu=lambda k: False) == (BUSY, None)
-    status, (load_seq, value, finish) = v.step(21)
-    assert status == DONE and (load_seq, value, finish) == (5, 777, 22)
+    assert _step(v, 20, units=0) and not v.ended
+    assert _step(v, 21)
+    assert v.ended == [(5, 777)]                  # at 22
     assert v.busy_cycles == 2 and v.struct_accesses == 0
 
 
@@ -157,9 +167,10 @@ def test_arithmetic_fault_falls_back():
     s = _slice(0, [SliceInstr(0, "SHL", (const_op(1), const_op(70)))])
     v = VrcState(_table(s, rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 1)
-    assert v.step(0) == (BUSY, None)
-    assert v.fallbacks == [(1, True)]           # faulted
-    assert v.step(1) == (IDLE, None)
+    assert _step(v, 0)                          # busy for its last cycle
+    assert v.ended == [(1, None)] and v.faults == 1
+    v.ended.clear()
+    assert not _step(v, 1)
     assert v.completed == 0
 
 
@@ -174,13 +185,13 @@ def test_live_operand_stalls_until_ready():
 
     v = VrcState(_table(s, rcmp={0x40: 0}), VrcConfig())
     assert v.enqueue(0x40, 1)
-    assert v.step(0, read_live=read_live) == (BUSY, None)  # producer not run yet
-    assert v.step(1, read_live=read_live) == (BUSY, None)
+    assert _step(v, 0, read_live=read_live)     # producer not run yet
+    assert _step(v, 1, read_live=read_live)
     assert v.busy_cycles == 0
     ready["v"] = 9
-    assert v.step(2, read_live=read_live) == (BUSY, None)  # FU cycle
-    status, (_, value, finish) = v.step(3, read_live=read_live)
-    assert status == DONE and value == 10
+    assert _step(v, 2, read_live=read_live)     # FU cycle
+    assert _step(v, 3, read_live=read_live)
+    assert v.ended == [(1, 10)]
 
 
 def test_hist_gating_and_checkpoint():
@@ -193,9 +204,9 @@ def test_hist_gating_and_checkpoint():
     v.rec_checkpoint(key, 41)
     assert v.hist_inserts == 1
     assert v.enqueue(0x40, 1) is True
-    v.step(0)
-    status, (_, value, _) = v.step(1)
-    assert status == DONE and value == 42
+    _step(v, 0)
+    _step(v, 1)
+    assert v.ended == [(1, 42)]
 
 
 def test_hist_overflow_marks_unavailable():
@@ -217,7 +228,7 @@ def test_cancel_queued():
     assert v.enqueue(0x40, 1)
     assert v.cancel_queued(1) is True
     assert v.cancel_queued(1) is False
-    assert v.step(0) == (IDLE, None)
+    assert not _step(v, 0) and not v.ended
 
 
 def test_queued_entry_invalidated_before_start_aborts():
@@ -225,8 +236,8 @@ def test_queued_entry_invalidated_before_start_aborts():
     v = VrcState(table, VrcConfig())
     assert v.enqueue(0x40, 1)
     v.invalidate_on_store(0x100, 8, store_pc=0x555)
-    assert v.step(0) == (IDLE, None)            # the pop falls back
-    assert v.fallbacks == [(1, False)]          # invalidated, not faulted
+    assert not _step(v, 0)                      # the pop falls back
+    assert v.ended == [(1, None)] and v.faults == 0   # invalidated
 
 
 def test_lossy_signature_bulk_reset_and_rearm():
@@ -239,11 +250,11 @@ def test_lossy_signature_bulk_reset_and_rearm():
     v.invalidate_on_store(0x2000, 8, store_pc=0x904)
     assert v.enqueue(0x40, 2) is True
     assert v.enqueue(0x44, 3) is True
-    assert v.step(0) == (BUSY, None)            # slice 0 runs for load 2
+    assert _step(v, 0) and not v.ended          # slice 0 runs for load 2
     # a foreign store into a signed line resets everything in bulk and
     # aborts the running slice
     v.invalidate_on_store(0x2008, 8, store_pc=0x555)
-    assert v.fallbacks == [(2, False)] and v.active is None
+    assert v.ended == [(2, None)] and v.active is None
     assert v.enqueue(0x40, 4) is False
     assert v.enqueue(0x44, 5) is False
     v.invalidate_on_store(0x100, 8, store_pc=0x900)   # repopulates slice 0
@@ -254,6 +265,6 @@ def test_mean_slice_cycles():
     v = VrcState(_table(add_slice(), rcmp={0x40: 0}), VrcConfig())
     assert v.mean_slice_cycles() is None
     assert v.enqueue(0x40, 1)
-    v.step(0)
-    v.step(1)
+    _step(v, 0)
+    _step(v, 1)
     assert v.mean_slice_cycles() == 2.0
