@@ -20,63 +20,64 @@ and commits in order. Loads run through the policy automaton:
 
 Cycle phase order: fills, scheduled events (shadow resolves, branch
 resolves, prediction and validation completions; each event carries its
-handler), commit, unshadow polling, issue, recomputation engine, dispatch,
-probes. The trace's one decode (`Trace.decode`), built once per trace and
-shared by the slicer and every run on it, owns each instruction's kind code,
-FU class (`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its
-address and data producers, and its consumers, which a completing or
-replayed producer wakes. Entry states and kinds are integer codes, named
-only in deadlock reports. Each shadow cast takes the next id of the shadow
-buffer, an id range whose head is the oldest unresolved shadow; a shadowed
-load leaves speculation once the head passes the newest id at its dispatch,
-and a deadlock report names the head's kind and caster.
+handler), commit, unshadow, issue, recomputation engine, dispatch, probes.
+The trace's one decode (`Trace.decode`), built once per trace and shared by
+the slicer and every run on it, owns each instruction's kind code, FU class
+(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
+and data producers, and its consumers, which a completing or replayed
+producer files. Entry states and kinds are integer codes, named only in
+deadlock reports.
 
-A run keeps `rob_size` entries in a ring and resets the one at
+A run keeps `rob_size` entries in a ring and takes the one at
 `seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
-last instruction has committed, so the core's state is bounded by the ROB,
-not the trace; an ALU op's dispatch writes only the fields an ALU op
-reads, inline.
-`entries[seq]` is the entry while `seq` is in flight and None before
-dispatch and after commit. A value is written to `committed_values[seq]` when it is bound (at
-execute, load completion, prediction, validation or replay), so an operand
-is read from there whether its producer is in flight or committed, and the
-final registers are their last writers' values. A producer is always older
-than its reader, so a reader that finds no entry for one treats it as
-committed and its value as ready.
+last occupant has committed, so the core's state is bounded by the ROB, not
+the trace. `entries[seq]` is the entry while `seq` is in flight and None
+before dispatch and after commit. A value is written to
+`committed_values[seq]` when it is bound (at execute, load completion,
+prediction, validation or replay), so an operand is read from there whether
+its producer is in flight or committed, and the final registers are their
+last writers' values. A producer is always older than its reader, so a
+reader that finds no entry for one treats it as committed and its value as
+ready.
+
+ALU ops and loads take a short path through dispatch, issue and
+completion: dispatch writes only the fields the kind reads, inline, a load
+registering and casting its own shadows in one `ShadowState.register_load`
+call; issue executes an ALU op inline and serves a load's first issue and
+every retry in `_issue_load`; either completion files the waiting consumers
+inline. `ShadowState` keeps the shadow buffer's ids, the release queue and
+the shadow statistics: each cast takes the next id, the head is the oldest
+unresolved one, and a resolve that moves the head releases each load whose
+newest id at dispatch it passed, which the run loop takes only when there
+are some. `MemHierState` keeps the caches, MSHRs, fills and deferred
+touches, and serves a real access and a hidden one in one call each.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
-values. `_ready_at` is that rule, and `_reschedule` applies it to every
-kind; ALU dispatch and a producer's wake each hold an inlined copy. A ready
-entry is filed in a calendar (R. Brown's calendar queue, CACM 1988): a dict
-from cycle to seqs, of which the issue stage pops exactly the current
-cycle's bucket and an idle cycle skips to the smallest key. An entry is
-filed at most once per execution, so the walk never meets a seq twice: a
-load once, as its access stands after a replay, and an op again only once a
-replay has reset it or taken it out of the calendar. A load waiting in the
-pool for store data in flight files an empty bucket at the data's arrival,
-where an idle stretch stops. Issue walks, in program order, the bucket, the
-loads waiting in the issue pool and the ops (ALU ops and branches) waiting
-for a unit, which each FU class keeps in a list sorted by seq; units and
-issue slots go in that order. A class's units can take only its oldest
-waiting ops, so the walk takes as many of them as the class has units and
-leaves the rest of its list, unvisited, for the next cycle. A load that does
-not issue waits in the pool, and an op that finds its class's units used up
-waits in the class's list. An ALU op or branch executes inline in the walk,
-unchecked: its producers had values when it was filed, and a
-value-prediction replay takes each op that now reads a reset producer out of
-the calendar or its class's list, so that the producer's re-execution wakes
-it as it wakes any op. The recomputation engine steps only in a cycle it has
-work in, takes its units from the cycle's budget, and hands back each
-request it ended as a value or a fallback. For a load the entry state
-chooses the action: NONSPEC reissues an unshadowed delayed or fallback load,
-AWAIT_VALIDATION validates a predicted load, and otherwise the load
-forwards, accesses, or has the policy applied to its shadowed miss. Every
-real hierarchy access goes through one path that takes a memory port and
-retries on an MSHR stall. A load "performs" when its value is bound by a
-real access, store forward, or recomputation; its memory-order shadow
-resolves then (at validation completion for predicted loads). Time skips
-ahead to the next scheduled event whenever a cycle makes no progress.
+values; a load is ready the cycle after its address. `_reschedule` applies
+that rule (`_ready_at`) to every kind, and the short paths hold inlined
+copies. A ready entry is filed in a calendar (R. Brown's calendar queue,
+CACM 1988): a dict from cycle to seqs, of which the issue stage pops exactly
+the current cycle's bucket and an idle cycle skips to the smallest key. An
+entry is filed at most once per execution, so the walk never meets a seq
+twice: a load once, as its access stands after a replay, and an op again
+only once a replay has reset it or taken it out of the calendar. A load
+waiting in the pool for store data in flight files an empty bucket at the
+data's arrival, where an idle stretch stops. Issue walks, in program order,
+the bucket, the loads waiting in the issue pool and the ops (ALU ops and
+branches) waiting for a unit, which each FU class keeps in a list sorted by
+seq; units and issue slots go in that order. A class's units can take only
+its oldest waiting ops, so the walk takes as many of them as the class has
+units and leaves the rest of its list, unvisited, for the next cycle. An ALU
+op or branch executes unchecked: its producers had values when it was filed,
+and a value-prediction replay takes each op that now reads a reset producer
+out of the calendar or its class's list, so that the producer's re-execution
+files it as it files any op. The recomputation engine steps only in a cycle
+it has work in, takes its units from the cycle's budget, and hands back each
+request it ended as a value or a fallback. A load "performs" when its value
+is bound by a real access, store forward, or recomputation; its memory-order
+shadow resolves then (at validation completion for predicted loads). Time
+skips ahead to the next scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -187,7 +188,8 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 class _Entry:
     """One in-flight instruction: a slot of the run's ring, reset at
-    dispatch (an ALU op's dispatch writes only the fields an ALU op reads).
+    dispatch (the short paths of ALU ops and loads write only the fields
+    their kind reads).
     Its value lives in the run's `committed_values`. `sb_e` holds its
     exception shadow and `sb_k` the one shadow its kind casts: a branch's
     C, a store's D, a load's M or VP."""
@@ -200,30 +202,22 @@ class _Entry:
     )
 
     def __init__(self):
-        # what an ALU op's dispatch does not write, for a slot's first
-        # occupant: every later one finds them so, as an entry clears
-        # `sb_e` before it commits and was filed, if at all, for a past cycle
+        # what the short paths do not write, for a slot's first occupant:
+        # every later one finds them so, as an entry clears `sb_e` before
+        # it commits and was filed, if at all, for a past cycle
         self.sb_e = None
         self.filed_for = -1
 
     def reset(self, seq, ins, kind, now):
-        """Every field, for a load, store, branch or NOP."""
-        self.seq = seq
-        self.ins = ins
-        self.kind = kind
-        self.state = DISP
-        self.value_ready = None
-        self.complete = None
-        self.addr_ready = None
-        self.shadowed = False
-        self.sb_e = self.sb_k = None
-        self.predicted = None
+        """Every field, for a store, branch or NOP."""
+        self.seq, self.ins, self.kind, self.state = seq, ins, kind, DISP
+        self.value_ready = self.complete = self.addr_ready = None
+        self.sb_e = self.sb_k = self.predicted = self.unshadow_cycle = None
+        self.shadowed = self.iq_held = False
+        self.issue_at = None
         self.ready_floor = now + 1
         self.filed_for = -1
-        self.iq_held = False
-        self.unshadow_cycle = None
         self.dispatch_cycle = now
-        self.issue_at = None
 
 
 class _Sim:
@@ -265,7 +259,6 @@ class _Sim:
             self.order_shadow = ShadowKind.VP
         else:
             self.order_shadow = None
-        self.load_casts = int(self.order_shadow is not None)
 
         self.decode = trace.decode
         self.data_writers = self.decode.data_writers
@@ -273,8 +266,6 @@ class _Sim:
         self.budget = (config.alu_units, config.mul_units, config.mem_ports,
                        config.width)
         self.fu_units = config.alu_units + config.mul_units
-        # entries[seq] is the ring entry while seq is in flight, else None:
-        # not yet dispatched, or committed (its value is in committed_values)
         self.ring = [_Entry() for _ in range(config.rob_size)]
         self.entries: list[_Entry | None] = [None] * self.n
 
@@ -338,44 +329,22 @@ class _Sim:
         return floor
 
     def _wake(self, producer_seq: int) -> None:
-        entries, data_writers = self.entries, self.data_writers
+        """Files each waiting consumer of a producer that now has its value
+        as `_reschedule` does; an op waits only until it executes."""
+        entries = self.entries
         for cseq in self.consumers[producer_seq]:
             e = entries[cseq]
             if e is None:
-                # not dispatched yet, as none after it is: consumers are in
-                # program order, and none has committed ahead of its producer
-                break
-            kind = e.kind
-            if kind != KIND_ALU and kind != KIND_BRANCH:
+                break  # consumers are in program order
+            if e.state == DISP or e.kind == KIND_LOAD or e.kind == KIND_STORE:
                 self._reschedule(e)
-            elif e.state == DISP:
-                # `_reschedule` for an op, inlined: an op waiting here has
-                # no value for this producer, so it is not filed yet
-                ready = e.ready_floor
-                for w in data_writers[cseq]:
-                    p = entries[w]
-                    if p is not None:  # else committed: ready
-                        at = p.value_ready
-                        if at is None:
-                            break
-                        if at > ready:
-                            ready = at
-                else:
-                    if ready <= self.now:
-                        ready = self.now + 1
-                    e.filed_for = ready
-                    self.calendar.setdefault(ready, []).append(cseq)
 
     def _reschedule(self, e: _Entry) -> None:
         """Files a waiting entry once its producers have values, in the
-        calendar under its ready cycle, the next cycle at the earliest, so
-        the issue stage finds it in exactly that cycle's bucket. A load is
-        ready the cycle after its address and is filed once: its access
-        stands after a replay, so a re-executed address producer does not
-        file it again. An ALU op or branch, which its callers pass only
-        while it waits, is ready at its floor (the cycle after dispatch,
-        raised by a replay) and no earlier than its data producers'
-        values."""
+        calendar under its ready cycle (see the module docstring), the next
+        cycle at the earliest. A load is filed once: its access stands after
+        a replay, so a re-executed address producer does not file it again.
+        Its callers pass an ALU op or branch only while it waits."""
         if e.kind == KIND_STORE:
             self._update_store(e)
             return
@@ -442,19 +411,19 @@ class _Sim:
         room = sb.room()
         decode = self.decode
         kinds, casts, data_writers = decode.kinds, decode.casts, decode.data_writers
-        load_casts = self.load_casts
+        addr_writers = decode.addr_writers
+        order = self.order_shadow
         instructions = self.trace.instructions
         entries, ring, rob = self.entries, self.ring, cfg.rob_size
         iq_size, iq_used = cfg.iq_size, self.iq_used
+        calendar = self.calendar
         while seq < end:
             kind = kinds[seq]
             need = casts[seq]
             if kind == KIND_ALU:
-                # the common case, on its own short path: it writes the
-                # fields an ALU op reads (the others keep whatever the
-                # slot's last occupant left; `sb_e` and `filed_for` are as
-                # `_Entry.__init__` sets them) and files the op as
-                # `_reschedule` does, its floor the next cycle
+                # an ALU op's short path: the other fields keep what the
+                # slot's last occupant left (`sb_e` and `filed_for` as
+                # `_Entry.__init__` sets them); its floor is the next cycle
                 if need > room or iq_used >= iq_size:
                     break
                 e = entries[seq] = ring[seq % rob]
@@ -479,15 +448,50 @@ class _Sim:
                             ready = at
                 else:
                     e.filed_for = ready
-                    self.calendar.setdefault(ready, []).append(seq)
+                    calendar.setdefault(ready, []).append(seq)
                 seq += 1
                 continue
             if kind == KIND_LOAD:
-                need += load_casts
-                if need > room or iq_used >= iq_size \
-                        or self.lq_used >= cfg.lq_size or sb.rq_full():
+                # a load's short path, as an ALU op's (`sb_e` is None): it
+                # files its address readiness as `_reschedule` does
+                need += order is not None  # its memory-order shadow
+                if need > room or iq_used >= iq_size or self.lq_used >= cfg.lq_size:
                     break
-            elif need > room \
+                ins = instructions[seq]
+                got = sb.register_load(seq, ins.may_fault, order)
+                if got is None:
+                    break  # the release queue is full
+                shadowed, sb_id = got
+                room -= need
+                e = entries[seq] = ring[seq % rob]
+                e.seq, e.ins, e.kind, e.state = seq, ins, kind, DISP
+                e.value_ready = e.complete = e.addr_ready = e.predicted = None
+                e.issue_at = None
+                e.dispatch_cycle = now
+                e.iq_held = True
+                iq_used += 1
+                self.lq_used += 1
+                e.shadowed = shadowed
+                e.unshadow_cycle = None if shadowed else now
+                if ins.may_fault:
+                    e.sb_e = sb_id
+                    sb_id += 1
+                e.sb_k = None if order is None else sb_id
+                at = now
+                for w in addr_writers[seq]:
+                    p = entries[w]
+                    if p is not None:  # else committed: ready
+                        ready = p.value_ready
+                        if ready is None:
+                            break
+                        if ready > at:
+                            at = ready
+                else:
+                    e.addr_ready = at + 1
+                    calendar.setdefault(at + 1, []).append(seq)
+                seq += 1
+                continue
+            if need > room \
                     or (kind != KIND_NOP and iq_used >= iq_size) \
                     or (kind == KIND_STORE and len(self.live_stores) >= cfg.sq_size):
                 break
@@ -495,10 +499,6 @@ class _Sim:
             ins = instructions[seq]
             e = entries[seq] = ring[seq % rob]
             e.reset(seq, ins, kind, now)
-            if kind == KIND_LOAD:
-                e.shadowed = not sb.register_load(seq)
-                if not e.shadowed:
-                    e.unshadow_cycle = now
             if ins.may_fault:
                 e.sb_e = sb.cast(ShadowKind.E, seq)
             if kind == KIND_BRANCH:
@@ -512,10 +512,6 @@ class _Sim:
             elif kind == KIND_STORE:
                 e.sb_k = sb.cast(ShadowKind.D, seq)
                 self.live_stores.append(seq)
-            elif kind == KIND_LOAD:
-                if self.order_shadow is not None:
-                    e.sb_k = sb.cast(self.order_shadow, seq)
-                self.lq_used += 1
 
             if kind == KIND_NOP:
                 e.complete = now + 1
@@ -563,81 +559,95 @@ class _Sim:
                 mul_wait.sort()
                 due += mul_wait[:mul]
                 del mul_wait[:mul]
-        any_issued = False
         if due:
             due.sort()
             entries, values, consumers = self.entries, self.committed_values, self.consumers
-            decode = self.decode
+            decode, calendar = self.decode, self.calendar
             kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
             forms, src_writers = decode.forms, decode.src_writers
+            data_writers = decode.data_writers
             alu_waits, mul_waits = alu_wait.append, mul_wait.append
             for seq in due:
                 kind = kinds[seq]  # an issue-walk visit
                 if kind == KIND_LOAD:
                     e = entries[seq]
                     budget[_SLOTS] = slots
-                    state = e.state
-                    if state == NONSPEC:
-                        issued = self._try_reissue(e, budget)
-                    elif state == AWAIT_VAL:
-                        issued = self._try_perform(e, budget)
-                    else:
-                        issued = self._try_issue_load(e, budget)
+                    issued = self._issue_load(e, budget)
                     slots = budget[_SLOTS]
-                    if issued:
-                        any_issued = True
-                        if not slots:
-                            self._hold(due, seq)
-                    else:
+                    if not issued:
                         pool.add(seq)
-                    continue
-                # an ALU op or branch: its producers had values when it was
-                # filed, and a replay that resets one takes the op out of
-                # where it waits. It waits while its FU class has no unit left
-                if fus[seq] == FU_MUL:
-                    if mul <= 0:
-                        mul_waits(seq)  # an FU-starved visit
                         continue
-                    mul -= 1
-                elif alu <= 0:
-                    alu_waits(seq)  # an FU-starved visit
-                    continue
+                    if not slots:
+                        self._hold(due, seq)
+                    if e.state != DONE_ST:
+                        continue  # its value comes later, or it delays
                 else:
-                    alu -= 1
-                slots -= 1
-                if not slots:
-                    self._hold(due, seq)
-                any_issued = True
-                # it executes
-                e = entries[seq]
-                if kind == KIND_ALU:
-                    ins = e.ins
-                    form = forms[seq]
-                    if form == FORM_RR:
-                        a, b = src_writers[seq]
-                        values[seq] = ALU_FNS[ins.alu_op](values[a], values[b])
-                    elif form == FORM_RI:
-                        values[seq] = ALU_FNS[ins.alu_op](
-                            values[src_writers[seq][0]], ins.imm)
-                    else:  # any other shape; an unwritten register reads 0
-                        args = [0 if w is None else values[w]
-                                for w in src_writers[seq]]
-                        if ins.imm is not None:
-                            args.append(ins.imm)
-                        values[seq] = ALU_FNS[ins.alu_op](*args)
-                else:
-                    self._schedule(now + 1, self._branch_resolved, seq)
-                e.value_ready = e.complete = now + latencies[seq]
-                e.state = DONE_ST
-                if e.iq_held:  # `_release_iq`, inlined
-                    e.iq_held = False
-                    self.iq_used -= 1
-                if e.sb_e is not None:
-                    self._schedule(e.complete, self.sb.resolve, e.sb_e)
-                    e.sb_e = None
-                if consumers[seq]:
-                    self._wake(seq)
+                    # an ALU op or branch, unchecked (see the module
+                    # docstring): it waits while its FU class has no unit left
+                    if fus[seq] == FU_MUL:
+                        if mul <= 0:
+                            mul_waits(seq)  # an FU-starved visit
+                            continue
+                        mul -= 1
+                    elif alu <= 0:
+                        alu_waits(seq)  # an FU-starved visit
+                        continue
+                    else:
+                        alu -= 1
+                    slots -= 1
+                    if not slots:
+                        self._hold(due, seq)
+                    # it executes
+                    e = entries[seq]
+                    if kind == KIND_ALU:
+                        ins = e.ins
+                        form = forms[seq]
+                        if form == FORM_RR:
+                            a, b = src_writers[seq]
+                            values[seq] = ALU_FNS[ins.alu_op](values[a], values[b])
+                        elif form == FORM_RI:
+                            values[seq] = ALU_FNS[ins.alu_op](
+                                values[src_writers[seq][0]], ins.imm)
+                        else:  # any other shape; an unwritten register reads 0
+                            args = [0 if w is None else values[w]
+                                    for w in src_writers[seq]]
+                            if ins.imm is not None:
+                                args.append(ins.imm)
+                            values[seq] = ALU_FNS[ins.alu_op](*args)
+                    else:
+                        self._schedule(now + 1, self._branch_resolved, seq)
+                    done = e.value_ready = e.complete = now + latencies[seq]
+                    e.state = DONE_ST
+                    if e.iq_held:  # `_release_iq`, inlined
+                        e.iq_held = False
+                        self.iq_used -= 1
+                    if e.sb_e is not None:
+                        self._schedule(done, self.sb.resolve, e.sb_e)
+                        e.sb_e = None
+                # the op or load has its value, ready after `now`: its
+                # consumers that wait are filed as `_wake` files them, inline
+                for cseq in consumers[seq]:
+                    c = entries[cseq]
+                    if c is None:
+                        break  # consumers are in program order
+                    if c.kind != KIND_ALU and c.kind != KIND_BRANCH:
+                        self._reschedule(c)
+                    elif c.state == DISP:
+                        ready = c.ready_floor
+                        for w in data_writers[cseq]:
+                            p = entries[w]
+                            if p is not None:
+                                at = p.value_ready
+                                if at is None:
+                                    break
+                                if at > ready:
+                                    ready = at
+                        else:
+                            c.filed_for = ready
+                            calendar.setdefault(ready, []).append(cseq)
         budget[FU_ALU], budget[FU_MUL] = alu, mul
+        # every load or op that issued took a slot
+        any_issued = slots < self.budget[_SLOTS]
         vrc = self.vrc
         # the engine steps only with work: a slice, a request or an ended one
         if vrc is not None and (vrc.active is not None or vrc.queue
@@ -665,154 +675,132 @@ class _Sim:
 
     # -- load paths ---------------------------------------------------------------
 
-    def _forwarding_store(self, e: _Entry):
-        """Youngest older uncommitted store with a known overlapping address."""
-        ins = e.ins
-        for sseq in reversed(self.live_stores):
-            if sseq >= e.seq:
-                continue
-            se = self.entries[sseq]
-            if se is None or se.addr_ready is None or se.addr_ready > self.now:
-                continue
-            si = se.ins
-            if si.mem_addr < ins.mem_addr + ins.mem_size and \
-                    ins.mem_addr < si.mem_addr + si.mem_size:
-                exact = (si.mem_addr == ins.mem_addr and si.mem_size == ins.mem_size)
-                return se, exact
-        return None, False
-
-    def _try_forward(self, e: _Entry, budget):
-        """Returns True (forwarded), False (blocked on a store), or None."""
-        se, exact = self._forwarding_store(e)
-        if se is None:
-            return None
-        if not exact:
-            return False  # wait for the partially overlapping store to commit
-        ready = self._ready_at(self.data_writers[se.seq], 0)
-        if ready is None:
-            return False  # the data's producer has not executed
-        if ready > self.now:
-            # store data in flight: the load waits in the pool, where it
-            # sees a younger store whose address becomes known meanwhile,
-            # and an empty bucket at the data's arrival stops a skip there
-            self.calendar.setdefault(ready, [])
-            return False
-        budget[_SLOTS] -= 1
-        self.counters["store_forwards"] += 1
-        self._finish_load(e, e.ins.mem_value, self.now + 1)
-        return True
-
-    def _try_perform(self, e: _Entry, budget) -> bool:
-        """The one real hierarchy access. It needs a free memory port; when
-        the MSHRs are full it takes none and the load retries next cycle. A
-        predicted load awaiting validation completes at the validation event.
-        A load still shadowed here runs under BASELINE."""
+    def _issue_load(self, e: _Entry, budget) -> bool:
+        """A load's visit to the issue stage, first issue and every retry;
+        True when it took an issue slot. A dispatched or NONSPEC load
+        forwards from the youngest older store with a known address over its
+        bytes, or waits for its data (for its commit on a partial overlap);
+        else a secure policy's shadowed dispatched load makes a hidden
+        access, and any other load the one real access, which retries on an
+        MSHR stall (a load still shadowed there runs under BASELINE)."""
+        now, seq, ins, state, counters = self.now, e.seq, e.ins, e.state, self.counters
+        if state != AWAIT_VAL:
+            if state == NONSPEC:  # an unshadowed delayed or fallback load
+                e.issue_at = now
+            stores = self.live_stores
+            if stores and stores[0] < seq:  # a live store is older
+                addr, size, entries = ins.mem_addr, ins.mem_size, self.entries
+                for sseq in reversed(stores):
+                    if sseq > seq:
+                        continue
+                    se = entries[sseq]
+                    if se.addr_ready is None or se.addr_ready > now:
+                        continue  # its address is not known yet
+                    si = se.ins
+                    if si.mem_addr >= addr + size or addr >= si.mem_addr + si.mem_size:
+                        continue
+                    if si.mem_addr != addr or si.mem_size != size:
+                        return False  # a partial overlap: wait for the commit
+                    ready = self._ready_at(self.data_writers[sseq], 0)
+                    if ready is None:
+                        return False  # the data's producer has not executed
+                    if ready > now:
+                        # store data in flight: the load waits in the pool,
+                        # where it sees a younger store whose address becomes
+                        # known meanwhile, and an empty bucket at the data's
+                        # arrival stops a skip there
+                        self.calendar.setdefault(ready, [])
+                        return False
+                    budget[_SLOTS] -= 1
+                    counters["store_forwards"] += 1
+                    self._finish_load(e, ins.mem_value, now + 1)
+                    return True
         if budget[_PORT] <= 0:
             return False
-        kind, ready = self.mem.access(e.ins.mem_addr, self.now, e.seq,
-                                      speculative=e.shadowed)
+        if state == DISP:
+            counters["load_lookups"] += 1
+            if self.secure and e.shadowed:
+                # a hidden access, which only hits or rides a fill
+                budget[_PORT] -= 1
+                budget[_SLOTS] -= 1
+                kind, ready = self.mem.hidden_access(ins.mem_addr, now, seq)
+                if ready is not None:
+                    if kind == MSHR_HIT:
+                        counters["mshr_wait_loads"] += 1
+                    self._finish_load(e, ins.mem_value, ready)
+                    return True
+                # a refused miss: the policy delays, predicts or recomputes it
+                counters["shadowed_l1_misses"] += 1
+                e.issue_at = now
+                policy = self.policy
+                if policy == "DOM":
+                    self._delay_load(e)
+                elif policy == "VP" or policy == "ORACLE_VP":
+                    if policy == "ORACLE_VP":
+                        e.predicted = ins.mem_value
+                    else:
+                        pred = self.vp.predict(ins.pc)
+                        if pred and pred.confident:
+                            e.predicted = pred.value
+                    if e.predicted is None:  # not confident
+                        self._delay_load(e)
+                    else:
+                        counters["predicted_loads"] += 1
+                        self._schedule(now + self.config.vp.predict_latency,
+                                       self._predict_done, seq)
+                else:
+                    # VRC, VRC2 and ORACLE_VRC; an oracle request carries
+                    # its value
+                    oracle = policy == "ORACLE_VRC"
+                    accepted = self.vrc.enqueue(ins.pc, seq,
+                                                ins.mem_value if oracle else None)
+                    if not oracle:
+                        counters["rcmp_recompute" if accepted else "rcmp_delay"] += 1
+                    if accepted:
+                        e.state = RECOMPUTING
+                        counters["recomputes"] += 1
+                        self._release_iq(e)
+                    else:
+                        self._delay_load(e)
+                return True
+        kind, ready = self.mem.access(ins.mem_addr, now, seq, speculative=e.shadowed)
         if e.shadowed and kind == L1_MISS:
-            self.counters["shadowed_l1_misses"] += 1
+            counters["shadowed_l1_misses"] += 1
         if ready is None:
-            self.counters["mshr_stalls"] += 1
+            counters["mshr_stalls"] += 1
             return False
         budget[_PORT] -= 1
         budget[_SLOTS] -= 1
-        if e.state == AWAIT_VAL:
-            self.counters["validations"] += 1
-            self._schedule(ready, self._validation_done, e.seq)
+        if state == AWAIT_VAL:
+            counters["validations"] += 1
+            self._schedule(ready, self._validation_done, seq)
         else:
-            self._finish_load(e, e.ins.mem_value, ready)
-        return True
-
-    def _try_reissue(self, e: _Entry, budget) -> bool:
-        """Delayed or fallback load reissuing once unshadowed, program order."""
-        e.issue_at = self.now
-        fwd = self._try_forward(e, budget)
-        return self._try_perform(e, budget) if fwd is None else fwd
-
-    def _try_issue_load(self, e: _Entry, budget) -> bool:
-        now = self.now
-        fwd = self._try_forward(e, budget)
-        if fwd is not None:
-            return fwd  # blocked loads stay in the pool and retry
-        if budget[_PORT] <= 0:
-            return False
-        self.counters["load_lookups"] += 1
-        if not (self.secure and e.shadowed):
-            return self._try_perform(e, budget)
-        # secure policy, shadowed load: a hidden access, which only hits or
-        # rides an in-flight fill
-        budget[_PORT] -= 1
-        budget[_SLOTS] -= 1
-        kind, ready = self.mem.access(e.ins.mem_addr, now, e.seq,
-                                      speculative=True, hide_key=e.seq)
-        if ready is not None:
-            if kind == MSHR_HIT:
-                self.counters["mshr_wait_loads"] += 1
-            self._finish_load(e, e.ins.mem_value, ready)
-            return True
-        # shadowed true L1 miss
-        self.counters["shadowed_l1_misses"] += 1
-        e.issue_at = now
-        if self.policy == "DOM":
-            self._delay_load(e)
-        elif self.policy in ("VP", "ORACLE_VP"):
-            self._predict_load(e)
-        else:
-            # VRC, VRC2 and ORACLE_VRC; an oracle request carries its value
-            oracle = self.policy == "ORACLE_VRC"
-            accepted = self.vrc.enqueue(e.ins.pc, e.seq,
-                                        e.ins.mem_value if oracle else None)
-            if not oracle:
-                self.counters["rcmp_recompute" if accepted else "rcmp_delay"] += 1
-            if accepted:
-                self._start_recompute(e)
-            else:
-                self._delay_load(e)
+            self._finish_load(e, ins.mem_value, ready)
         return True
 
     def _delay_load(self, e: _Entry) -> None:
         e.state = DELAYED
         self.counters["delayed_loads"] += 1
 
-    def _start_recompute(self, e: _Entry) -> None:
-        e.state = RECOMPUTING
-        self.counters["recomputes"] += 1
-        self._release_iq(e)
-
-    def _predict_load(self, e: _Entry) -> None:
-        if self.policy == "ORACLE_VP":
-            value, confident = e.ins.mem_value, True
-        else:
-            pred = self.vp.predict(e.ins.pc)
-            value, confident = (pred.value, pred.confident) if pred else (0, False)
-        if not confident:
-            self._delay_load(e)
-            return
-        e.predicted = value
-        self.counters["predicted_loads"] += 1
-        self._schedule(self.now + self.config.vp.predict_latency,
-                       self._predict_done, e.seq)
-
     def _finish_load(self, e: _Entry, value: int, ready: int) -> None:
+        """The load performs: its value is bound, ready at `ready`, when its
+        shadows resolve, and it leaves the IQ. The issue walk files its
+        consumers, and `_wake` those of a recomputed load."""
+        seq = e.seq
         e.state = DONE_ST
-        self.committed_values[e.seq] = value
-        e.value_ready = ready
-        e.complete = ready
-        self._release_iq(e)
-        self._resolve_perform_shadows(e, ready)
-        issue = e.issue_at if e.issue_at is not None else self.now
-        self.load_timing[e.seq] = (e.unshadow_cycle, issue, ready)
-        self._wake(e.seq)
-
-    def _resolve_perform_shadows(self, e: _Entry, at: int) -> None:
-        if e.sb_k is not None:
-            self._schedule(at, self.sb.resolve, e.sb_k)
-            e.sb_k = None
-        if e.sb_e is not None:
-            self._schedule(at, self.sb.resolve, e.sb_e)
-            e.sb_e = None
+        self.committed_values[seq] = value
+        e.value_ready = e.complete = ready
+        if e.iq_held:
+            e.iq_held = False
+            self.iq_used -= 1
+        for sb_id in (e.sb_k, e.sb_e):
+            if sb_id is not None:
+                heapq.heappush(self.events,
+                               (ready, self._event_order, self.sb.resolve, sb_id))
+                self._event_order += 1
+        e.sb_k = e.sb_e = None
+        self.load_timing[seq] = (
+            e.unshadow_cycle, self.now if e.issue_at is None else e.issue_at, ready)
 
     # ------------------------------------------------------------------ event handlers
 
@@ -837,7 +825,7 @@ class _Sim:
         self.committed_values[seq] = e.predicted
         e.value_ready = self.now
         self._release_iq(e)
-        self._wake(e.seq)
+        self._wake(seq)
         if not e.shadowed:
             # unshadowed while the prediction was in flight: validate now
             e.state = AWAIT_VAL
@@ -854,7 +842,10 @@ class _Sim:
             self._replay_dependents(seq, self.now)
         e.state = DONE_ST
         e.complete = self.now
-        self._resolve_perform_shadows(e, self.now)
+        for sb_id in (e.sb_k, e.sb_e):
+            if sb_id is not None:
+                self._schedule(self.now, self.sb.resolve, sb_id)
+        e.sb_k = e.sb_e = None
         self.load_timing[e.seq] = (e.unshadow_cycle, None, self.now)
 
     def _replay_dependents(self, seq: int, correct_cycle: int) -> None:
@@ -912,13 +903,14 @@ class _Sim:
     def _unshadow(self, released: list[int]) -> None:
         """The loads the shadow buffer released this cycle leave
         speculation."""
+        now, apply_deferred, entries = self.now, self.mem.apply_deferred, self.entries
         for seq in released:
-            self.mem.apply_deferred(seq, self.now, seq)
-            e = self.entries[seq]
+            apply_deferred(seq, now, seq)
+            e = entries[seq]
             if e is None:
                 continue  # committed while shadowed: only its touches remain
             e.shadowed = False
-            e.unshadow_cycle = self.now
+            e.unshadow_cycle = now
             if e.state == DELAYED:
                 e.state = NONSPEC
                 self.issue_pool.add(seq)
@@ -953,6 +945,7 @@ class _Sim:
                 self.counters["unsound_recomputes"] += 1
             self.counters["recompute_done"] += 1
             self._finish_load(e, value, self.now + 1)
+            self._wake(seq)
         vrc.ended.clear()
         return busy
 
@@ -1019,9 +1012,10 @@ class _Sim:
         # stays delayed until the squash; under BASELINE a stall retries
         pending = []
         for key, addr in self.probes:
-            _, ready = self.mem.access(addr, self.now, branch_seq, speculative=True,
-                                       probe=True, hide_key=key if self.secure else None)
-            if ready is None and not self.secure:
+            if self.secure:
+                self.mem.hidden_access(addr, self.now, key)
+            elif self.mem.access(addr, self.now, branch_seq, speculative=True,
+                                 probe=True)[1] is None:
                 pending.append((key, addr))
         acted = len(pending) < len(self.probes)
         self.probes = pending
@@ -1046,9 +1040,8 @@ class _Sim:
                     _, _, handler, payload = heapq.heappop(events)
                     handler(payload)
             progress |= self._commit()
-            released = sb.poll_unshadowed()
-            if released:
-                self._unshadow(released)
+            if sb.released:  # loads that the events' resolves released
+                self._unshadow(sb.poll_unshadowed())
                 progress = True
             progress |= self._issue_phase()
             progress |= self._dispatch()

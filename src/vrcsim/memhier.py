@@ -1,11 +1,12 @@
 """Two-level cache hierarchy with MSHRs, write-back write-allocate stores,
 deferred replacement updates for hidden hits, and full mutation logging.
 
-Every load, store commit and wrong-path probe is one `access` call, and the
-hierarchy applies the Delay-on-Miss rule: a hidden access (a shadowed load or
-probe under a secure policy) may hit, its LRU update queued until the load
-leaves speculation or dropped if it is squashed, or ride an in-flight fill; a
-true miss is refused and changes nothing.
+Every real load, store commit and wrong-path probe is one `access` call,
+which looks up the L1 set itself. A hidden access (a shadowed load or probe
+under a secure policy) is one `hidden_access` call, where the hierarchy
+applies the Delay-on-Miss rule: it may hit, its LRU update queued until the
+load leaves speculation or dropped if it is squashed, or ride an in-flight
+fill; a true miss is refused and changes nothing.
 
 Every change the hierarchy makes is one `MutationRecord`, a tuple record
 that `_record` appends to the run's `MutationLog`, a plain list.
@@ -54,11 +55,6 @@ class CacheConfig:
     def l2_sets(self) -> int:
         return self.l2_bytes // (LINE_BYTES * self.l2_ways)
 
-    def miss_latency(self, l2_hit: bool) -> int:
-        if l2_hit:
-            return self.l1_latency + self.l2_latency
-        return self.l1_latency + self.l2_latency + self.mem_latency
-
 
 L1_HIT = "L1_HIT"
 MSHR_HIT = "MSHR_HIT"
@@ -81,9 +77,6 @@ class _Level:
 
     def set_index(self, line: int) -> int:
         return (line // LINE_BYTES) % self.sets
-
-    def contains(self, line: int) -> bool:
-        return line in self.data[self.set_index(line)]
 
     def touch(self, line: int) -> bool:
         s = self.data[self.set_index(line)]
@@ -151,11 +144,6 @@ class MemHierState:
         self.l2_hits = 0
         self.mem_accesses = 0
 
-    # -- helpers ---------------------------------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        return addr - (addr % LINE_BYTES)
-
     def _record(self, now: int, level: int, op: str, line: int, cause_seq: int,
                 speculative: bool, probe: bool, victim: int | None = None) -> None:
         # `tuple.__new__` skips the generated `MutationRecord.__new__` frame
@@ -165,51 +153,42 @@ class MemHierState:
     # -- accesses ---------------------------------------------------------------
 
     def access(self, addr: int, now: int, cause_seq: int, *, store: bool = False,
-               speculative: bool = False, probe: bool = False,
-               hide_key: object = None) -> tuple[str, int | None]:
+               speculative: bool = False, probe: bool = False) -> tuple[str, int | None]:
         """A load, or a committed store (write-allocate, write-back). Returns
-        (kind, ready cycle); ready is None when the access changed nothing:
-        no MSHR was free (the caller retries) or a hidden miss was refused.
-        A hidden access (`hide_key` set) only hits, its LRU touch deferred
-        under `hide_key`, or rides an in-flight fill, counting nothing here."""
-        line = self.line_of(addr)
-        hit_ready = now + self.config.l1_latency
-        if self.l1.contains(line):
+        (kind, ready cycle); ready is None when no MSHR was free, and the
+        access changed nothing (the caller retries)."""
+        line = addr - addr % LINE_BYTES
+        l1 = self.l1
+        s = l1.data[(line // LINE_BYTES) % l1.sets]
+        if line in s:
             self.l1_hits += 1
-            if hide_key is not None:
-                self.deferred_touches.setdefault(hide_key, []).append(line)
-                return L1_HIT, hit_ready
-            self.l1.touch(line)
+            s.remove(line)  # the LRU touch
+            s.insert(0, line)
             self._record(now, 1, "lru_touch", line, cause_seq, speculative, probe)
-            if store and line not in self.l1.dirty:
-                self.l1.dirty.add(line)
+            if store and line not in l1.dirty:
+                l1.dirty.add(line)
                 self._record(now, 1, "dirty", line, cause_seq, speculative, probe)
-            return L1_HIT, hit_ready
+            return L1_HIT, now + self.config.l1_latency
         entry = self.l1_mshr.get(line)
         if entry is not None:
-            if hide_key is None:
-                self.mshr_hits += 1
-                entry.dirty_on_fill |= store
-            return MSHR_HIT, max(hit_ready, entry.ready)
-        l2_hit = self.l2.contains(line)
-        if hide_key is not None or len(self.l1_mshr) >= self.config.mshrs or \
-                (not l2_hit and self.mem_fills >= self.config.mshrs):
+            self.mshr_hits += 1
+            entry.dirty_on_fill |= store
+            return MSHR_HIT, max(now + self.config.l1_latency, entry.ready)
+        l2, cfg = self.l2, self.config
+        l2_hit = line in l2.data[l2.set_index(line)]
+        if len(self.l1_mshr) >= cfg.mshrs or (not l2_hit and self.mem_fills >= cfg.mshrs):
             return L1_MISS, None
+        # a miss takes an MSHR; its fill is due at `ready`
         self.l1_misses += 1
-        ready = now + self.config.miss_latency(l2_hit)
-        self._alloc_mshr(line, ready, l2_hit, dirty=store, now=now,
-                         cause_seq=cause_seq, speculative=speculative, probe=probe)
-        return L1_MISS, ready
-
-    def _alloc_mshr(self, line: int, ready: int, l2_hit: bool, dirty: bool,
-                    now: int, cause_seq: int, speculative: bool, probe: bool) -> None:
-        self.l1_mshr[line] = _Mshr(ready=ready, l2_hit=l2_hit, dirty_on_fill=dirty,
-                                   cause_seq=cause_seq, speculative=speculative)
+        ready = now + cfg.l1_latency + cfg.l2_latency
+        if not l2_hit:
+            ready += cfg.mem_latency
+        self.l1_mshr[line] = _Mshr(ready, l2_hit, store, cause_seq, speculative)
         self.mshr_history.append(line)
         self._record(now, 1, "mshr_alloc", line, cause_seq, speculative, probe)
         if l2_hit:
             self.l2_hits += 1
-            self.l2.touch(line)
+            l2.touch(line)
             self._record(now, 2, "lru_touch", line, cause_seq, speculative, probe)
         else:
             self.mem_accesses += 1
@@ -217,6 +196,22 @@ class MemHierState:
             self._record(now, 2, "mshr_alloc", line, cause_seq, speculative, probe)
         heapq.heappush(self.fills, (ready, self._fill_order, line))
         self._fill_order += 1
+        return L1_MISS, ready
+
+    def hidden_access(self, addr: int, now: int, key: object) -> tuple[str, int | None]:
+        """A hidden access: an L1 hit, its LRU touch deferred under `key`
+        (the only thing counted), a ride on an in-flight fill, or a refused
+        miss (ready None). It changes no cache state."""
+        line = addr - addr % LINE_BYTES
+        l1 = self.l1
+        if line in l1.data[(line // LINE_BYTES) % l1.sets]:
+            self.l1_hits += 1
+            self.deferred_touches.setdefault(key, []).append(line)
+            return L1_HIT, now + self.config.l1_latency
+        entry = self.l1_mshr.get(line)
+        if entry is None:
+            return L1_MISS, None
+        return MSHR_HIT, max(now + self.config.l1_latency, entry.ready)
 
     # -- fill processing -----------------------------------------------------------
 
@@ -238,7 +233,7 @@ class MemHierState:
             victim, victim_dirty = self.l1.install(line)
             self._record(ready, 1, "fill", line,
                          entry.cause_seq, spec, False, victim=victim)
-            if victim is not None and victim_dirty and self.l2.contains(victim):
+            if victim_dirty and victim in self.l2.data[self.l2.set_index(victim)]:
                 # write-back marks the L2 copy dirty without promoting it
                 self.l2.dirty.add(victim)
                 self._record(ready, 2, "dirty", victim, entry.cause_seq, spec, False)

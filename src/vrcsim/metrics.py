@@ -1,8 +1,12 @@
 """Aggregates raw run counters into reporting quantities and renders them as
-CSV plus an aligned text table. Coverage is the fraction of shadowed L1
-misses served by prediction or recomputation (loads coalescing onto an
-in-flight MSHR are not misses). Energy is an event-count proxy with the
-relative weights of ENERGY_WEIGHTS; only trends are meaningful.
+CSV plus an aligned text table. Coverage is recomputed or predicted loads
+over `shadowed_l1_misses` (loads coalescing onto an in-flight MSHR are not
+misses). That counter, like `mshr_stalls`, `store_commit_stalls` and
+`load_lookups`, counts the cycles in which the core visits a waiting load or
+store, not machine events: a load that retries an access counts each try,
+and under BASELINE an MSHR-stall retry of a shadowed load counts as a miss.
+Energy is an event-count proxy with the relative weights of ENERGY_WEIGHTS;
+only trends are meaningful.
 """
 
 from __future__ import annotations

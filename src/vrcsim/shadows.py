@@ -7,8 +7,9 @@ the id range [head, tail): resolving the head entry advances the head past
 every resolved entry behind it, so the head is always unresolved, and only
 the unresolved entries are stored. Each load dispatched under a non-empty SB
 is associated with the newest SB id in a FIFO release queue; a load leaves
-speculation once the head has moved past its associated id. This needs only
-head comparisons, no CAM search.
+speculation once the head has moved past its associated id, when the resolve
+that moved it appends the load to `released`. This needs only head
+comparisons, no CAM search.
 
 `oracle_is_shadowed` is the brute-force reference: a load is shadowed iff
 some unresolved caster is older in program order. The two views must agree
@@ -44,6 +45,7 @@ class ShadowState:
         self._tail = 0               # the next id to cast
         self._casts: dict[int, tuple[ShadowKind, int]] = {}  # unresolved id -> (kind, caster)
         self._rq: deque[tuple[int, int]] = deque()  # (load, newest SB id at dispatch)
+        self.released: list[int] = []  # loads the head passed, in dispatch order
         # statistics
         self.loads_registered = 0
         self.loads_shadowed = 0
@@ -55,21 +57,15 @@ class ShadowState:
         """How many more entries fit in the SB."""
         return self.sb_capacity - (self._tail - self._head)
 
-    def sb_full(self) -> bool:
-        return self.room() < 1
-
-    def rq_full(self) -> bool:
-        return len(self._rq) >= self.rq_capacity
-
     # -- casting & resolution ------------------------------------------------
 
     def cast(self, kind: ShadowKind, caster: int) -> int:
         """Allocate an unresolved entry at the SB tail; raises on overflow
         (the core must stall dispatch instead)."""
-        if self.sb_full():
-            raise ShadowError("shadow buffer overflow")
         sb_id = self._tail
-        self._tail += 1
+        if sb_id - self._head >= self.sb_capacity:
+            raise ShadowError("shadow buffer overflow")
+        self._tail = sb_id + 1
         self._casts[sb_id] = (kind, caster)
         return sb_id
 
@@ -78,11 +74,15 @@ class ShadowState:
         if casts.pop(sb_id, None) is None:
             raise ShadowError(f"double or unknown resolve of sb entry {sb_id}")
         if sb_id == self._head:
-            # advance the head over the resolved entries behind it
+            # advance the head over the resolved entries behind it; release
+            # the loads it passed
             head, tail = sb_id + 1, self._tail
             while head < tail and head not in casts:
                 head += 1
             self._head = head
+            rq = self._rq
+            while rq and rq[0][1] < head:
+                self.released.append(rq.popleft()[0])
 
     def oldest_unresolved(self) -> tuple[ShadowKind, int] | None:
         """(kind, caster) of the SB head, or None when the SB is empty."""
@@ -90,27 +90,34 @@ class ShadowState:
 
     # -- load registration & release ------------------------------------------
 
-    def register_load(self, load: int) -> bool:
-        """Returns True when the load is unshadowed immediately (empty SB);
-        otherwise associates it with the newest SB id."""
-        empty = self._head == self._tail
-        if not empty and self.rq_full():
-            raise ShadowError("release queue overflow")
+    def register_load(self, load: int, fault: bool = False,
+                      order: ShadowKind | None = None) -> tuple[bool, int] | None:
+        """Registers a dispatching load, shadowed unless the SB is empty,
+        then casts its own shadows: E if it may fault, then `order`, if
+        any. Returns (shadowed, the id of its first cast), or None, changing
+        nothing, when a shadowed load finds the release queue full."""
+        casts, head, first = self._casts, self._head, self._tail
+        tail = first + fault + (order is not None)
+        if tail - head > self.sb_capacity:
+            raise ShadowError("shadow buffer overflow")
+        shadowed = head != first
+        if shadowed:
+            if len(self._rq) >= self.rq_capacity:
+                return None
+            self.loads_shadowed += 1
+            self._rq.append((load, first - 1))
         self.loads_registered += 1
-        self.shadow_count_sum += len(self._casts)
-        if empty:
-            return True
-        self.loads_shadowed += 1
-        self._rq.append((load, self._tail - 1))
-        return False
+        self.shadow_count_sum += len(casts)
+        if fault:
+            casts[first] = (ShadowKind.E, load)
+        if order is not None:
+            casts[tail - 1] = (order, load)
+        self._tail = tail
+        return shadowed, first
 
     def poll_unshadowed(self) -> list[int]:
-        """Pop every release-queue entry whose associated id the SB head has
-        passed; returns loads in dispatch order."""
-        rq, head = self._rq, self._head
-        released = []
-        while rq and rq[0][1] < head:
-            released.append(rq.popleft()[0])
+        """The loads released since the last poll, in dispatch order."""
+        released, self.released = self.released, []
         return released
 
     # -- oracle ---------------------------------------------------------------

@@ -11,7 +11,10 @@ list methods) costs no bytecodes and does not show. The count is
 deterministic, so two trees can be compared without host noise; a cut in
 bytecodes is a guide to a speed-up, not a measurement of one.
 
-The same runs count the issue walk's visits per committed instruction, how
+The same runs count the Python calls per committed instruction (`call`
+trace events: frames entered, which inlining saves more of than
+bytecodes) and the committed loads per instruction, and the issue walk's
+visits per committed instruction, how
 many of them found the op's FU class used up for the cycle, and how many of
 those were re-visits, to an op that had found its class used up before in
 the same run. They come from line events on the lines of
@@ -61,11 +64,12 @@ def _marked_lines(fn, mark: str) -> frozenset:
 
 
 class OpCounter:
-    """Counts executed opcodes per function, and the issue walk's visits
-    and FU-starved visits, while `call` runs."""
+    """Counts executed opcodes per function, Python calls, and the issue
+    walk's visits and FU-starved visits, while `call` runs."""
 
     def __init__(self):
         self.counts: Counter = Counter()
+        self.calls = 0
         self.walk: Counter = Counter()   # "visits", "starved", "revisits"
         self._starved_seqs: set = set()  # of the current call's run
         self._local = {}
@@ -76,6 +80,7 @@ class OpCounter:
             (line, "starved") for line in _marked_lines(issue, STARVED_MARK))
 
     def _tracer(self, frame, event, arg):
+        self.calls += 1  # the global tracer sees only `call` events
         code = frame.f_code
         local = self._local.get(code)
         if local is None:
@@ -118,7 +123,8 @@ class OpCounter:
 
 def count_workload(name: str) -> tuple[Counter, Counter, int]:
     """Opcode counts per function over one iteration's core runs, the issue
-    walk's visit counts, and the instructions they committed."""
+    walk's visit counts and the calls and loads (under "calls" and "loads"
+    in the second), and the instructions they committed."""
     pattern, count, policies, probed, annotated, spec = WORKLOADS[name]
     t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=count,
                                             seed=SEED, **spec))
@@ -128,10 +134,13 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
     counter = OpCounter()
     committed = 0
     probe = None
+    loads = sum(i.kind == "LOAD" for i in t.instructions)
+    runs = 0
     for policy in policies:
         cfg = CoreConfig(policy=policy)
         clean = counter.call(core.run, t, annotations=table, config=cfg)
         committed += clean.committed
+        runs += 1
         if policy == "BASELINE":
             # the first site whose probe leaves a trace in the hierarchy
             for site in sites:
@@ -139,6 +148,7 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
                 result = counter.call(core.inject_transient_probe, t, candidate,
                                       annotations=table, config=cfg)
                 committed += result.committed
+                runs += 1
                 if not differential_check(clean, result).equal:
                     probe = candidate
                     break
@@ -146,6 +156,9 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
             result = counter.call(core.inject_transient_probe, t, probe,
                                   annotations=table, config=cfg)
             committed += result.committed
+            runs += 1
+    counter.walk["calls"] = counter.calls
+    counter.walk["loads"] = loads * runs  # each run commits the whole trace
     return counter.counts, counter.walk, committed
 
 
@@ -159,6 +172,8 @@ def main(argv=None) -> int:
         total = sum(counts.values())
         print(f"{name}: {total / committed:.1f} bytecodes per instruction "
               f"({total} over {committed} committed)")
+        print(f"  {walk['calls'] / committed:.2f} Python calls and "
+              f"{walk['loads'] / committed:.3f} loads per instruction")
         print(f"  issue walk: {walk['visits'] / committed:.3f} visits per "
               f"instruction, {walk['starved'] / committed:.3f} of them "
               f"FU-starved, {walk['revisits'] / committed:.3f} re-visits "

@@ -146,7 +146,7 @@ def _replay_schedule(events):
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
         elif ev == "register":
-            registered[idx] = bool(sb.register_load(idx))
+            registered[idx] = not sb.register_load(idx)[0]
             idx += 1
         else:
             sb.resolve(live.pop(ev[1]))
@@ -183,11 +183,11 @@ def test_criterion_4_shadow_tracker_equivalence():
     for _ in range(100_000):
         events += 1
         roll = rng.random()
-        if roll < 0.32 and not sb.sb_full():
+        if roll < 0.32 and sb.room():
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
-        elif roll < 0.64 and not sb.rq_full():
-            registered[idx] = bool(sb.register_load(idx))
+        elif roll < 0.64 and (got := sb.register_load(idx)) is not None:
+            registered[idx] = not got[0]
             idx += 1
         elif live:
             sb.resolve(live.pop(rng.randrange(len(live))))

@@ -511,9 +511,10 @@ def test_smallest_legal_core_runs_to_completion(tb):
 
 def test_ring_slots_recycle_across_kinds(monkeypatch):
     # a four-entry ROB passes every ring slot between kinds all the time;
-    # the ALU op's short dispatch path writes only some fields, and must
-    # leave each run as dispatching into fully reset slots does; `reset`
-    # must set every field
+    # the short dispatch paths of ALU ops and loads write only some fields,
+    # and must leave each run as dispatching into fully reset slots does;
+    # `reset` must set every field. The load-dense STREAM traces (a fifth
+    # of their instructions are loads) run under TSO and RC
     e = core._Entry()
     e.reset(0, None, 0, 0)
     assert all(hasattr(e, name) for name in core._Entry.__slots__)
@@ -521,17 +522,23 @@ def test_ring_slots_recycle_across_kinds(monkeypatch):
     traces = [gen_synthetic(SyntheticWorkloadSpec(pattern=p, count=600, seed=2))
               for p in PATTERNS]
     traces += [hand_paths_trace(), hand_replay_trace(), hand_fu_replay_trace()]
-    cases = [(t, annotate(t)[0], functional_replay(t)) for t in traces]
+    cases = [(t, annotate(t)[0], functional_replay(t), "TSO") for t in traces]
+    for seed in (2, 3):
+        t = gen_synthetic(SyntheticWorkloadSpec(
+            pattern="STREAM", count=400, seed=seed, load_density=0.2,
+            working_set_bytes=4 << 20))
+        cases += [(t, annotate(t)[0], functional_replay(t), consistency)
+                  for consistency in ("TSO", "RC")]
 
     def fingerprints():
         out = []
-        for t, table, oracle in cases:
+        for t, table, oracle, consistency in cases:
             for policy in core.POLICIES:
-                r = core.run(t, annotations=table,
-                             config=CoreConfig(policy=policy, **small))
+                r = core.run(t, annotations=table, config=CoreConfig(
+                    policy=policy, consistency=consistency, **small))
                 assert r.committed_values == oracle.results, policy
                 assert r.committed_regs == oracle.final_regs, policy
-                out.append(_fingerprint(r))
+                out.append((_fingerprint(r), r.shadow_stats))
         return out
 
     recycled = fingerprints()
@@ -626,7 +633,7 @@ def _timing(r):
     # load is visited in, and only stepping visits it in idle cycles
     return (r.cycles, r.memhier_digest, r.mutation_log.export_lines(),
             r.load_timing, r.committed_values, r.committed_regs,
-            r.validation_completions)
+            r.validation_completions, r.shadow_stats)
 
 
 # a ROB of 16, one memory port and one MSHR

@@ -15,6 +15,12 @@ def _drain(mem, now=BIG):
     mem.advance(now)
 
 
+def _holds(level, addr) -> bool:
+    """Whether the level holds the line of `addr`."""
+    line = addr - addr % LINE_BYTES
+    return line in level.data[level.set_index(line)]
+
+
 def test_lookup_classes():
     mem = MemHierState()
     kind, ready = mem.access(0x1000, 0, 0)
@@ -38,7 +44,7 @@ def test_latency_formulas():
     for i in range(1, 9):
         mem.access(0x2000 + i * set_stride, 2000 + i, 2)
         _drain(mem)
-    assert not mem.l1.contains(0x2000) and mem.l2.contains(0x2000)
+    assert not _holds(mem.l1, 0x2000) and _holds(mem.l2, 0x2000)
     assert mem.access(0x2000, 5000, 3) == (L1_MISS, 5000 + 2 + 20)
 
 
@@ -82,12 +88,12 @@ def test_deferred_apply_and_squash():
     _drain(mem)
     before = mem.snapshot_digest()
     # a hidden hit defers the LRU update
-    assert mem.access(0x1000, 100, 1, speculative=True, hide_key="a") == (L1_HIT, 102)
+    assert mem.hidden_access(0x1000, 100, "a") == (L1_HIT, 102)
     assert mem.snapshot_digest() == before
     mem.squash_deferred("a")
     assert mem.snapshot_digest() == before
     # now defer and apply: line becomes MRU
-    mem.access(0x1000, 200, 2, speculative=True, hide_key="b")
+    mem.hidden_access(0x1000, 200, "b")
     mem.apply_deferred("b", 210, 2)
     assert mem.l1.data[mem.l1.set_index(0x1000)][0] == 0x1000
 
@@ -99,8 +105,8 @@ def test_deferred_order_preserving():
     for ln in lines:
         mem.access(ln, 0, 0)
         _drain(mem)
-    mem.access(lines[0], 100, 1, speculative=True, hide_key="k1")
-    mem.access(lines[1], 101, 2, speculative=True, hide_key="k2")
+    mem.hidden_access(lines[0], 100, "k1")
+    mem.hidden_access(lines[1], 101, "k2")
     mem.apply_deferred("k1", 110, 1)
     mem.apply_deferred("k2", 111, 2)
     s = mem.l1.data[mem.l1.set_index(lines[0])]
@@ -122,7 +128,7 @@ def test_hidden_access_only_hits_or_rides():
     _drain(mem)
     # hit: 2-cycle ready, counted, LRU touch deferred until applied
     before, hits = mem.snapshot_digest(), mem.l1_hits
-    assert mem.access(0x1000, 100, 1, speculative=True, hide_key="h") == (L1_HIT, 102)
+    assert mem.hidden_access(0x1000, 100, "h") == (L1_HIT, 102)
     assert mem.l1_hits == hits + 1
     assert mem.snapshot_digest() == before
     mem.apply_deferred("h", 110, 1)
@@ -131,11 +137,11 @@ def test_hidden_access_only_hits_or_rides():
     # ride on an in-flight fill: the fill cycle, nothing counted
     _, fill = mem.access(0x9000, 200, 2)
     counts = _counts(mem)
-    assert mem.access(0x9008, 201, 3, speculative=True, hide_key="r") == (MSHR_HIT, fill)
+    assert mem.hidden_access(0x9008, 201, "r") == (MSHR_HIT, fill)
     assert _counts(mem) == counts
     # true miss: refused, leaves no MSHR, record, counter or deferred touch
     digest = mem.snapshot_digest()
-    assert mem.access(0xA000, 202, 4, speculative=True, hide_key="m") == (L1_MISS, None)
+    assert mem.hidden_access(0xA000, 202, "m") == (L1_MISS, None)
     assert _counts(mem) == counts and mem.snapshot_digest() == digest
     assert "m" not in mem.deferred_touches
 
@@ -144,13 +150,13 @@ def test_store_write_allocate_dirty():
     mem = MemHierState()
     mem.access(0x4000, 0, 0, store=True)
     _drain(mem)
-    line = mem.line_of(0x4000)
+    line = 0x4000
     assert line in mem.l1.dirty
     # store hit sets dirty on a clean resident line
     mem.access(0x5000, 0, 1)
     _drain(mem)
     mem.access(0x5000, 100, 2, store=True)
-    assert mem.line_of(0x5000) in mem.l1.dirty
+    assert 0x5000 in mem.l1.dirty
 
 
 def test_inclusive_eviction_logs_l1_evict():
@@ -162,7 +168,7 @@ def test_inclusive_eviction_logs_l1_evict():
         _drain(mem)
     evicts = [r for r in mem.log if r.level == 1 and r.op == "evict"]
     assert evicts, "L2 eviction must drop the L1 copy"
-    assert not mem.l1.contains(0x1000)
+    assert not _holds(mem.l1, 0x1000)
 
 
 def test_snapshot_digests():
@@ -295,7 +301,7 @@ def test_differential_vs_naive_lru():
         store = rng.random() < 0.3
         now += 1000  # fills complete between accesses
         mem.advance(now)
-        l2_hit = mem.l2.contains(mem.line_of(addr))
+        l2_hit = _holds(mem.l2, addr)
         expected = naive.access(addr, store=store)
         kind, _ = mem.access(addr, now, i, store=store)
         got = {L1_HIT: "hit", MSHR_HIT: "mshr",

@@ -128,16 +128,33 @@ def test_csv_schema_and_policy_order():
     assert [ln.split(",")[0] for ln in lines[1:]] == ["BASELINE", "DOM", "VRC"]
 
 
-def test_golden_mixed_report_bytes_are_pinned():
-    # the seven clean policies on the golden 800-instruction MIXED seed-1
-    # trace; a change to a counter, a report formula or ENERGY_WEIGHTS
-    # changes these bytes
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=800, seed=1))
+def _report_digests(spec: SyntheticWorkloadSpec) -> tuple[str, str]:
+    """sha256 of `summarize`'s CSV and table over the seven clean policies."""
+    t = gen_synthetic(spec)
     table, _ = annotate(t)
     summary = summarize({p: core.run(t, annotations=table,
                                      config=core.CoreConfig(policy=p))
                          for p in core.POLICIES})
-    assert hashlib.sha256(summary.csv.encode()).hexdigest() == \
-        "462794148ef5cc0f7b8de2f71f550aa51ffd7ac47af898329f16c749d4019ce4"
-    assert hashlib.sha256(summary.table.encode()).hexdigest() == \
-        "edca43b5c1d37e117e7e2e8cb45f25e71e7e510aa76474446e33a95ae9fb4d41"
+    return (hashlib.sha256(summary.csv.encode()).hexdigest(),
+            hashlib.sha256(summary.table.encode()).hexdigest())
+
+
+def test_golden_mixed_report_bytes_are_pinned():
+    # the seven clean policies on the golden 800-instruction MIXED seed-1
+    # trace; a change to a counter, a report formula or ENERGY_WEIGHTS
+    # changes these bytes
+    assert _report_digests(SyntheticWorkloadSpec(
+        pattern="MIXED", count=800, seed=1)) == (
+        "462794148ef5cc0f7b8de2f71f550aa51ffd7ac47af898329f16c749d4019ce4",
+        "edca43b5c1d37e117e7e2e8cb45f25e71e7e510aa76474446e33a95ae9fb4d41")
+
+
+def test_golden_stream_report_bytes_are_pinned():
+    # a load-dense trace (a quarter of its instructions are loads, against
+    # 3% on MIXED): its report carries the shadow statistics, which no
+    # fingerprint holds, of 193 loads under each policy
+    assert _report_digests(SyntheticWorkloadSpec(
+        pattern="STREAM", count=800, seed=1, load_density=0.2,
+        working_set_bytes=4 << 20)) == (
+        "d5aa23055caa0f928199a0ba886428e98504cca95bc64d4256f9535f99e9420b",
+        "b0498ccdc6cf5a1674dadc8abed784d64ba0734e1ec7245f42e9af1d1f17489a")

@@ -17,22 +17,22 @@ def test_overflow_raises():
     sb = ShadowState(sb_capacity=2)
     sb.cast(ShadowKind.C, 0)
     sb.cast(ShadowKind.C, 1)
-    assert sb.sb_full()
+    assert sb.room() == 0
     with pytest.raises(ShadowError):
         sb.cast(ShadowKind.C, 2)
 
 
 def test_register_under_empty_sb_is_immediate():
     sb = ShadowState()
-    assert sb.register_load(0) is True
+    assert sb.register_load(0) == (False, 0)
     assert sb.poll_unshadowed() == []
 
 
 def test_register_associates_with_tail():
     sb = ShadowState()
     sb.cast(ShadowKind.C, 0)
-    assert sb.register_load(1) is False
-    assert sb.register_load(2) is False
+    assert sb.register_load(1) == (True, 1)
+    assert sb.register_load(2) == (True, 1)
     assert sb._rq[0][1] == sb._rq[1][1]
 
 
@@ -61,16 +61,33 @@ def test_resolved_entry_behind_unresolved_head_holds_room_and_loads():
     sb = ShadowState(sb_capacity=3)
     head = sb.cast(ShadowKind.C, 0)
     tail = sb.cast(ShadowKind.D, 1)
-    assert sb.register_load(2) is False
+    assert sb.register_load(2) == (True, 2)
     sb.resolve(tail)
     assert sb.room() == 1                   # the resolved tail still takes room
-    assert sb.register_load(3) is False     # the SB is not empty
+    assert sb.register_load(3) == (True, 2)  # the SB is not empty
     assert sb.poll_unshadowed() == []
     assert sb.oldest_unresolved() == (ShadowKind.C, 0)
     sb.resolve(head)
     assert sb.room() == 3
     assert sb.poll_unshadowed() == [2, 3]
-    assert sb.register_load(4) is True
+    assert sb.register_load(4) == (False, 2)
+
+
+def test_register_casts_the_loads_own_shadows():
+    # a load that may fault, under TSO: its E and M shadows take the next
+    # two ids, after its registration, so they shadow only younger loads
+    sb = ShadowState(sb_capacity=3)
+    assert sb.register_load(0, fault=True, order=ShadowKind.M) == (False, 0)
+    assert sb.oldest_unresolved() == (ShadowKind.E, 0)
+    assert sb.register_load(1, order=ShadowKind.M) == (True, 2)
+    assert sb.room() == 0 and sb.oracle_is_shadowed(1)
+    with pytest.raises(ShadowError):
+        sb.register_load(2, order=ShadowKind.M)   # no room: nothing changes
+    assert sb.room() == 0 and sb.shadowed_load_fraction() == 0.5
+    sb.resolve(1)
+    sb.resolve(0)
+    assert sb.poll_unshadowed() == [1]
+    assert sb.poll_unshadowed() == []
 
 
 def test_double_resolve_raises():
@@ -85,9 +102,11 @@ def test_rq_overflow():
     sb = ShadowState(rq_capacity=1)
     sb.cast(ShadowKind.C, 0)
     sb.register_load(1)
-    assert sb.rq_full()
-    with pytest.raises(ShadowError):
-        sb.register_load(2)
+    # the release queue is full: a shadowed load is refused, and nothing
+    # changes
+    assert sb.register_load(2, order=ShadowKind.M) is None
+    assert sb.room() == sb.sb_capacity - 1
+    assert sb.shadowed_load_fraction() == 1.0
 
 
 def test_statistics_counters():
@@ -126,7 +145,7 @@ def _replay(events):
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
         elif ev == "register":
-            if sb.register_load(idx):
+            if not sb.register_load(idx)[0]:
                 registered[idx] = True
             else:
                 registered[idx] = False
@@ -176,12 +195,12 @@ def test_randomized_long_schedule_matches_oracle():
     idx = 0
     for _ in range(100_000):
         roll = rng.random()
-        if roll < 0.32 and not sb.sb_full():
+        if roll < 0.32 and sb.room():
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
-        elif roll < 0.64 and not sb.rq_full():
+        elif roll < 0.64 and (got := sb.register_load(idx)) is not None:
             shadows_seen += len(live)
-            registered[idx] = bool(sb.register_load(idx))
+            registered[idx] = not got[0]
             idx += 1
         elif live:
             sb.resolve(live.pop(rng.randrange(len(live))))
@@ -203,11 +222,11 @@ def test_property_random_schedules(choices):
     live: list[int] = []
     idx = 0
     for c in choices:
-        if c <= 1 and not sb.sb_full():
+        if c <= 1 and sb.room():
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
-        elif c <= 3 and not sb.rq_full():
-            registered[idx] = bool(sb.register_load(idx))
+        elif c <= 3 and (got := sb.register_load(idx)) is not None:
+            registered[idx] = not got[0]
             idx += 1
         elif live:
             sb.resolve(live.pop(c % len(live)))
