@@ -210,14 +210,22 @@ class _Entry:
 
     def reset(self, seq, ins, kind, now):
         """Every field, for a store, branch or NOP."""
-        self.seq, self.ins, self.kind, self.state = seq, ins, kind, DISP
-        self.value_ready = self.complete = self.addr_ready = None
-        self.sb_e = self.sb_k = self.predicted = self.unshadow_cycle = None
-        self.shadowed = self.iq_held = False
-        self.issue_at = None
+        self.seq = seq
+        self.ins = ins
+        self.kind = kind
+        self.state = DISP
+        self.value_ready = None
+        self.complete = None
+        self.addr_ready = None
+        self.shadowed = False
+        self.sb_e = self.sb_k = None
+        self.predicted = None
         self.ready_floor = now + 1
         self.filed_for = -1
+        self.iq_held = False
+        self.unshadow_cycle = None
         self.dispatch_cycle = now
+        self.issue_at = None
 
 
 class _Sim:
@@ -266,6 +274,8 @@ class _Sim:
         self.budget = (config.alu_units, config.mul_units, config.mem_ports,
                        config.width)
         self.fu_units = config.alu_units + config.mul_units
+        # entries[seq] is the ring entry while seq is in flight, else None:
+        # not yet dispatched, or committed (its value is in committed_values)
         self.ring = [_Entry() for _ in range(config.rob_size)]
         self.entries: list[_Entry | None] = [None] * self.n
 
@@ -344,7 +354,10 @@ class _Sim:
         calendar under its ready cycle (see the module docstring), the next
         cycle at the earliest. A load is filed once: its access stands after
         a replay, so a re-executed address producer does not file it again.
-        Its callers pass an ALU op or branch only while it waits."""
+        Its callers pass an ALU op or branch only while it waits. The rule
+        has three inlined copies, which a change to it must reach: ALU-op
+        and load dispatch in `_dispatch`, and the consumer filing in
+        `_issue_phase`."""
         if e.kind == KIND_STORE:
             self._update_store(e)
             return
@@ -464,7 +477,10 @@ class _Sim:
                 shadowed, sb_id = got
                 room -= need
                 e = entries[seq] = ring[seq % rob]
-                e.seq, e.ins, e.kind, e.state = seq, ins, kind, DISP
+                e.seq = seq
+                e.ins = ins
+                e.kind = kind
+                e.state = DISP
                 e.value_ready = e.complete = e.addr_ready = e.predicted = None
                 e.issue_at = None
                 e.dispatch_cycle = now
@@ -582,8 +598,10 @@ class _Sim:
                     if e.state != DONE_ST:
                         continue  # its value comes later, or it delays
                 else:
-                    # an ALU op or branch, unchecked (see the module
-                    # docstring): it waits while its FU class has no unit left
+                    # an ALU op or branch: its producers had values when it
+                    # was filed, and a replay that resets one takes the op out
+                    # of where it waits. It waits while its FU class has no
+                    # unit left
                     if fus[seq] == FU_MUL:
                         if mul <= 0:
                             mul_waits(seq)  # an FU-starved visit
@@ -624,25 +642,35 @@ class _Sim:
                     if e.sb_e is not None:
                         self._schedule(done, self.sb.resolve, e.sb_e)
                         e.sb_e = None
-                # the op or load has its value, ready after `now`: its
-                # consumers that wait are filed as `_wake` files them, inline
+                # the op or load has its value: its consumers that wait are
+                # filed as `_wake` files them, inline
                 for cseq in consumers[seq]:
                     c = entries[cseq]
                     if c is None:
-                        break  # consumers are in program order
+                        # not dispatched yet, as none after it is: consumers
+                        # are in program order, and none has committed ahead
+                        # of its producer
+                        break
                     if c.kind != KIND_ALU and c.kind != KIND_BRANCH:
                         self._reschedule(c)
                     elif c.state == DISP:
+                        # `_reschedule` for an op, inlined: an op waiting
+                        # here has no value for this producer, so it is not
+                        # filed yet
                         ready = c.ready_floor
                         for w in data_writers[cseq]:
                             p = entries[w]
-                            if p is not None:
+                            if p is not None:  # else committed: ready
                                 at = p.value_ready
                                 if at is None:
                                     break
                                 if at > ready:
                                     ready = at
                         else:
+                            # the next cycle at the earliest: an L1 hit with
+                            # no L1 latency is ready now, past this bucket
+                            if ready <= now:
+                                ready = now + 1
                             c.filed_for = ready
                             calendar.setdefault(ready, []).append(cseq)
         budget[FU_ALU], budget[FU_MUL] = alu, mul
@@ -795,9 +823,7 @@ class _Sim:
             self.iq_used -= 1
         for sb_id in (e.sb_k, e.sb_e):
             if sb_id is not None:
-                heapq.heappush(self.events,
-                               (ready, self._event_order, self.sb.resolve, sb_id))
-                self._event_order += 1
+                self._schedule(ready, self.sb.resolve, sb_id)
         e.sb_k = e.sb_e = None
         self.load_timing[seq] = (
             e.unshadow_cycle, self.now if e.issue_at is None else e.issue_at, ready)
@@ -900,12 +926,14 @@ class _Sim:
 
     # ------------------------------------------------------------------ unshadow
 
-    def _unshadow(self, released: list[int]) -> None:
-        """The loads the shadow buffer released this cycle leave
-        speculation."""
-        now, apply_deferred, entries = self.now, self.mem.apply_deferred, self.entries
+    def _unshadow(self) -> None:
+        """The loads the shadow buffer released this cycle leave speculation,
+        and its release list is emptied."""
+        now, entries, mem = self.now, self.entries, self.mem
+        released, deferred = self.sb.released, mem.deferred_touches
         for seq in released:
-            apply_deferred(seq, now, seq)
+            if seq in deferred:  # it hit in L1 while hidden
+                mem.apply_deferred(seq, now, seq)
             e = entries[seq]
             if e is None:
                 continue  # committed while shadowed: only its touches remain
@@ -923,6 +951,7 @@ class _Sim:
                     e.state = NONSPEC
                     self.issue_pool.add(seq)
                 # an already-running slice is left to finish
+        released.clear()
 
     # ------------------------------------------------------------------ engine
 
@@ -1040,8 +1069,8 @@ class _Sim:
                     _, _, handler, payload = heapq.heappop(events)
                     handler(payload)
             progress |= self._commit()
-            if sb.released:  # loads that the events' resolves released
-                self._unshadow(sb.poll_unshadowed())
+            if sb.released:  # loads that this cycle's resolves released
+                self._unshadow()
                 progress = True
             progress |= self._issue_phase()
             progress |= self._dispatch()

@@ -78,6 +78,9 @@ class _Level:
     def set_index(self, line: int) -> int:
         return (line // LINE_BYTES) % self.sets
 
+    def contains(self, line: int) -> bool:
+        return line in self.data[self.set_index(line)]
+
     def touch(self, line: int) -> bool:
         s = self.data[self.set_index(line)]
         if line not in s:
@@ -175,7 +178,7 @@ class MemHierState:
             entry.dirty_on_fill |= store
             return MSHR_HIT, max(now + self.config.l1_latency, entry.ready)
         l2, cfg = self.l2, self.config
-        l2_hit = line in l2.data[l2.set_index(line)]
+        l2_hit = l2.contains(line)
         if len(self.l1_mshr) >= cfg.mshrs or (not l2_hit and self.mem_fills >= cfg.mshrs):
             return L1_MISS, None
         # a miss takes an MSHR; its fill is due at `ready`
@@ -233,7 +236,7 @@ class MemHierState:
             victim, victim_dirty = self.l1.install(line)
             self._record(ready, 1, "fill", line,
                          entry.cause_seq, spec, False, victim=victim)
-            if victim_dirty and victim in self.l2.data[self.l2.set_index(victim)]:
+            if victim_dirty and self.l2.contains(victim):
                 # write-back marks the L2 copy dirty without promoting it
                 self.l2.dirty.add(victim)
                 self._record(ready, 2, "dirty", victim, entry.cause_seq, spec, False)

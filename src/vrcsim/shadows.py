@@ -8,8 +8,8 @@ every resolved entry behind it, so the head is always unresolved, and only
 the unresolved entries are stored. Each load dispatched under a non-empty SB
 is associated with the newest SB id in a FIFO release queue; a load leaves
 speculation once the head has moved past its associated id, when the resolve
-that moved it appends the load to `released`. This needs only head
-comparisons, no CAM search.
+that moved it appends the load to `released`, which its reader empties. This
+needs only head comparisons, no CAM search.
 
 `oracle_is_shadowed` is the brute-force reference: a load is shadowed iff
 some unresolved caster is older in program order. The two views must agree
@@ -45,7 +45,9 @@ class ShadowState:
         self._tail = 0               # the next id to cast
         self._casts: dict[int, tuple[ShadowKind, int]] = {}  # unresolved id -> (kind, caster)
         self._rq: deque[tuple[int, int]] = deque()  # (load, newest SB id at dispatch)
-        self.released: list[int] = []  # loads the head passed, in dispatch order
+        # the loads the head passed, in dispatch order, until the reader
+        # empties the list
+        self.released: list[int] = []
         # statistics
         self.loads_registered = 0
         self.loads_shadowed = 0
@@ -90,8 +92,8 @@ class ShadowState:
 
     # -- load registration & release ------------------------------------------
 
-    def register_load(self, load: int, fault: bool = False,
-                      order: ShadowKind | None = None) -> tuple[bool, int] | None:
+    def register_load(self, load: int, fault: bool,
+                      order: ShadowKind | None) -> tuple[bool, int] | None:
         """Registers a dispatching load, shadowed unless the SB is empty,
         then casts its own shadows: E if it may fault, then `order`, if
         any. Returns (shadowed, the id of its first cast), or None, changing
@@ -114,11 +116,6 @@ class ShadowState:
             casts[tail - 1] = (order, load)
         self._tail = tail
         return shadowed, first
-
-    def poll_unshadowed(self) -> list[int]:
-        """The loads released since the last poll, in dispatch order."""
-        released, self.released = self.released, []
-        return released
 
     # -- oracle ---------------------------------------------------------------
 

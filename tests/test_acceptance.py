@@ -21,6 +21,7 @@ from vrcsim.vrc import VrcState, VrcConfig
 from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 from conftest import TraceBuilder
+from test_shadows import _poll
 
 SEEDS = range(1, 51)
 PATTERNS = ("MIXED", "COMPUTE_STORE_LOAD", "STREAM", "POINTER_CHASE")
@@ -131,7 +132,7 @@ def test_criterion_3_slice_soundness_and_coverage():
 
 
 def _shadow_equivalence_check(sb, registered):
-    for load in sb.poll_unshadowed():
+    for load in _poll(sb):
         assert registered[load] is False
         registered[load] = True
     for load, released in registered.items():
@@ -146,7 +147,7 @@ def _replay_schedule(events):
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
         elif ev == "register":
-            registered[idx] = not sb.register_load(idx)[0]
+            registered[idx] = not sb.register_load(idx, False, None)[0]
             idx += 1
         else:
             sb.resolve(live.pop(ev[1]))
@@ -186,12 +187,12 @@ def test_criterion_4_shadow_tracker_equivalence():
         if roll < 0.32 and sb.room():
             live.append(sb.cast(ShadowKind.C, idx))
             idx += 1
-        elif roll < 0.64 and (got := sb.register_load(idx)) is not None:
+        elif roll < 0.64 and (got := sb.register_load(idx, False, None)) is not None:
             registered[idx] = not got[0]
             idx += 1
         elif live:
             sb.resolve(live.pop(rng.randrange(len(live))))
-        for load in sb.poll_unshadowed():
+        for load in _poll(sb):
             assert registered[load] is False
             registered[load] = True
     for load, released in registered.items():

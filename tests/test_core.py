@@ -125,6 +125,21 @@ def younger_store_trace():
     return tb.build()
 
 
+def no_l1_latency_trace():
+    """Under `l1_latency=0` an L1 hit's value is ready in the cycle the load
+    issues, whose bucket the issue stage has already popped: the load at
+    0x0C hits the line the first miss filled, a real hit under BASELINE and
+    a hidden one under DOM (the miss at 0x08 shadows it), and its waiting
+    ALU consumer must be filed for the next cycle."""
+    tb = TraceBuilder()
+    tb.load(0x00, 1, COLD_A, value=3)                   # misses
+    tb.alu(0x04, 2, "ADD", srcs=(1,), imm=1)
+    tb.load(0x08, 3, COLD_B, value=4, srcs=(2,))        # misses after it
+    tb.load(0x0C, 4, COLD_A + 8, value=5, srcs=(2,))    # hits COLD_A's line
+    tb.alu(0x10, 5, "ADD", srcs=(4,), imm=1)
+    return tb.build()
+
+
 def test_load_waiting_for_store_data_forwards_when_it_arrives():
     # the load waits in the issue pool for the MUL's value while nothing
     # else is due: a skip over the idle cycles must stop when it arrives,
@@ -648,6 +663,8 @@ def test_skipping_idle_cycles_equals_stepping_them():
              store_data_in_flight_trace(), younger_store_trace())
     cases = [(t, overrides, consistency) for t in short
              for overrides in ({}, TIGHT_CORE) for consistency in ("TSO", "RC")]
+    cases += [(no_l1_latency_trace(), {"cache": CacheConfig(l1_latency=0)},
+               consistency) for consistency in ("TSO", "RC")]
     cases += [(hand_fu_replay_trace(), {}, "TSO"),
               (hand_fu_unfile_trace(2), UNFILE_CORE, "TSO"),
               (hand_pool_refile_trace(1), REFILE_CORE, "TSO")]

@@ -15,12 +15,6 @@ def _drain(mem, now=BIG):
     mem.advance(now)
 
 
-def _holds(level, addr) -> bool:
-    """Whether the level holds the line of `addr`."""
-    line = addr - addr % LINE_BYTES
-    return line in level.data[level.set_index(line)]
-
-
 def test_lookup_classes():
     mem = MemHierState()
     kind, ready = mem.access(0x1000, 0, 0)
@@ -44,7 +38,7 @@ def test_latency_formulas():
     for i in range(1, 9):
         mem.access(0x2000 + i * set_stride, 2000 + i, 2)
         _drain(mem)
-    assert not _holds(mem.l1, 0x2000) and _holds(mem.l2, 0x2000)
+    assert not mem.l1.contains(0x2000) and mem.l2.contains(0x2000)
     assert mem.access(0x2000, 5000, 3) == (L1_MISS, 5000 + 2 + 20)
 
 
@@ -168,7 +162,7 @@ def test_inclusive_eviction_logs_l1_evict():
         _drain(mem)
     evicts = [r for r in mem.log if r.level == 1 and r.op == "evict"]
     assert evicts, "L2 eviction must drop the L1 copy"
-    assert not _holds(mem.l1, 0x1000)
+    assert not mem.l1.contains(0x1000)
 
 
 def test_snapshot_digests():
@@ -301,7 +295,7 @@ def test_differential_vs_naive_lru():
         store = rng.random() < 0.3
         now += 1000  # fills complete between accesses
         mem.advance(now)
-        l2_hit = _holds(mem.l2, addr)
+        l2_hit = mem.l2.contains(addr - addr % LINE_BYTES)
         expected = naive.access(addr, store=store)
         kind, _ = mem.access(addr, now, i, store=store)
         got = {L1_HIT: "hit", MSHR_HIT: "mshr",
