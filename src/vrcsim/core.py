@@ -20,13 +20,22 @@ and commits in order. Loads run through the policy automaton:
 
 Cycle phase order: fills, scheduled events (shadow resolves, branch
 resolves, prediction and validation completions; each event carries its
-handler), commit, unshadow, issue, recomputation engine, dispatch, probes.
-The trace's one decode (`Trace.decode`), built once per trace and shared by
-the slicer and every run on it, owns each instruction's kind code, FU class
-(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its address
-and data producers, and its consumers, which a completing or replayed
-producer files. Entry states and kinds are integer codes, named only in
-deadlock reports.
+handler), commit, unshadow, issue, recomputation engine, dispatch,
+probes. Commit, issue (with the engine) and dispatch are generators that
+`run` makes once per run, as its locals, and resumes once per stepped
+cycle. Each binds once, before its loop, what no code reassigns during a
+run: the decode's columns, the entry list and ring, `committed_values`,
+the calendar, issue pool and FU wait lists, the live stores, the
+counters, the shadow, hierarchy, VP and engine states, the checkpoint
+sites and the config's scalars. Each resume reads from the simulator
+every scalar that changes: the cycle, the commit head, the next seq to
+dispatch, IQ and LQ occupancy, the redirect and the probes. The trace's
+one decode (`Trace.decode`), built once per trace and shared by the
+slicer and every run on it, owns each instruction's kind code, FU class
+(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its
+address and data producers, and its consumers, which a completing or
+replayed producer files. Entry states and kinds are integer codes, named
+only in deadlock reports.
 
 A run keeps `rob_size` entries in a ring and takes the one at
 `seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
@@ -41,16 +50,18 @@ reader that finds no entry for one treats it as committed and its value as
 ready.
 
 ALU ops and loads take a short path through dispatch, issue and
-completion: dispatch writes only the fields the kind reads, inline, a load
-registering and casting its own shadows in one `ShadowState.register_load`
-call; issue executes an ALU op inline and serves a load's first issue and
-every retry in `_issue_load`; either completion files the waiting consumers
-inline. `ShadowState` keeps the shadow buffer's ids, the release queue and
-the shadow statistics: each cast takes the next id, the head is the oldest
-unresolved one, and a resolve that moves the head releases each load whose
-newest id at dispatch it passed, which the run loop takes only when there
-are some. `MemHierState` keeps the caches, MSHRs, fills and deferred
-touches, and serves a real access and a hidden one in one call each.
+completion, on the state those two generators bind once: dispatch writes
+only the fields the kind reads, inline, a load registering and casting
+its own shadows in one `ShadowState.register_load` call; issue executes
+an ALU op inline and serves a load's first issue and every retry in
+`_issue_load`; either completion files the waiting consumers inline.
+`ShadowState` keeps the shadow buffer's ids, the release queue and the
+shadow statistics: each cast takes the next id, the head is the oldest
+unresolved one, and a resolve that moves the head releases each load
+whose newest id at dispatch it passed, which the run loop takes only
+when there are some. `MemHierState` keeps the caches, MSHRs, fills and
+deferred touches, and serves a real access and a hidden one in one call
+each.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
@@ -271,9 +282,6 @@ class _Sim:
         self.decode = trace.decode
         self.data_writers = self.decode.data_writers
         self.consumers = self.decode.consumers
-        self.budget = (config.alu_units, config.mul_units, config.mem_ports,
-                       config.width)
-        self.fu_units = config.alu_units + config.mul_units
         # entries[seq] is the ring entry while seq is in flight, else None:
         # not yet dispatched, or committed (its value is in committed_values)
         self.ring = [_Entry() for _ in range(config.rob_size)]
@@ -403,289 +411,309 @@ class _Sim:
 
     # ------------------------------------------------------------------ dispatch
 
-    def _dispatch(self) -> bool:
-        if self.redirect_until is not None:
-            if self.redirect_until < 0 or self.now < self.redirect_until:
-                return False
-            self.redirect_until = None
+    def _dispatch(self):
+        """The dispatch stage, a generator that `run` makes once per run and
+        resumes once per cycle: each resume dispatches, in order, what the
+        ROB, the queues, the shadow buffer and its release queue have room
+        for, up to `width`, and yields whether it dispatched any."""
         cfg = self.config
-        first = seq = self.next_dispatch
-        end = self.commit_head + cfg.rob_size  # the ROB's room
-        if end > seq + cfg.width:
-            end = seq + cfg.width
-        if end > self.n:
-            end = self.n
-        if seq >= end:
-            return False
-        now = self.now
         sb = self.sb
-        # nothing resolves during dispatch, so the room only shrinks by the
-        # casts of the instructions dispatched here
-        room = sb.room()
         decode = self.decode
         kinds, casts, data_writers = decode.kinds, decode.casts, decode.data_writers
         addr_writers = decode.addr_writers
         order = self.order_shadow
         instructions = self.trace.instructions
-        entries, ring, rob = self.entries, self.ring, cfg.rob_size
-        iq_size, iq_used = cfg.iq_size, self.iq_used
-        calendar = self.calendar
-        while seq < end:
-            kind = kinds[seq]
-            need = casts[seq]
-            if kind == KIND_ALU:
-                # an ALU op's short path: the other fields keep what the
-                # slot's last occupant left (`sb_e` and `filed_for` as
-                # `_Entry.__init__` sets them); its floor is the next cycle
-                if need > room or iq_used >= iq_size:
-                    break
-                e = entries[seq] = ring[seq % rob]
-                e.seq = seq
-                e.ins = instructions[seq]
-                e.kind = kind
-                e.state = DISP
-                e.value_ready = e.complete = None
-                e.iq_held = True
-                iq_used += 1
-                if need:  # an ALU op casts one shadow: it may fault
+        entries, ring, rob, n = self.entries, self.ring, cfg.rob_size, self.n
+        width, iq_size = cfg.width, cfg.iq_size
+        lq_size, sq_size = cfg.lq_size, cfg.sq_size
+        calendar, live_stores = self.calendar, self.live_stores
+        probe = self.probe_spec
+        while True:
+            redirect_until = self.redirect_until
+            if redirect_until is not None:
+                if redirect_until < 0 or self.now < redirect_until:
+                    yield False
+                    continue
+                self.redirect_until = None
+            first = seq = self.next_dispatch
+            end = self.commit_head + rob  # the ROB's room
+            if end > seq + width:
+                end = seq + width
+            if end > n:
+                end = n
+            if seq >= end:
+                yield False
+                continue
+            now = self.now
+            # nothing resolves during dispatch, so the room only shrinks by
+            # the casts of the instructions dispatched here
+            room = sb.room()
+            iq_used, lq_used = self.iq_used, self.lq_used
+            while seq < end:
+                kind = kinds[seq]
+                need = casts[seq]
+                if kind == KIND_ALU:
+                    # an ALU op's short path: the other fields keep what the
+                    # slot's last occupant left (`sb_e` and `filed_for` as
+                    # `_Entry.__init__` sets them); its floor is the next cycle
+                    if need > room or iq_used >= iq_size:
+                        break
+                    e = entries[seq] = ring[seq % rob]
+                    e.seq = seq
+                    e.ins = instructions[seq]
+                    e.kind = kind
+                    e.state = DISP
+                    e.value_ready = e.complete = None
+                    e.iq_held = True
+                    iq_used += 1
+                    if need:  # an ALU op casts one shadow: it may fault
+                        room -= need
+                        e.sb_e = sb.cast(ShadowKind.E, seq)
+                    ready = e.ready_floor = now + 1
+                    for w in data_writers[seq]:
+                        p = entries[w]
+                        if p is not None:  # else committed: ready
+                            at = p.value_ready
+                            if at is None:
+                                break
+                            if at > ready:
+                                ready = at
+                    else:
+                        e.filed_for = ready
+                        calendar.setdefault(ready, []).append(seq)
+                    seq += 1
+                    continue
+                if kind == KIND_LOAD:
+                    # a load's short path, as an ALU op's (`sb_e` is None): it
+                    # files its address readiness as `_reschedule` does
+                    need += order is not None  # its memory-order shadow
+                    if need > room or iq_used >= iq_size or lq_used >= lq_size:
+                        break
+                    ins = instructions[seq]
+                    got = sb.register_load(seq, ins.may_fault, order)
+                    if got is None:
+                        break  # the release queue is full
+                    shadowed, sb_id = got
                     room -= need
-                    e.sb_e = sb.cast(ShadowKind.E, seq)
-                ready = e.ready_floor = now + 1
-                for w in data_writers[seq]:
-                    p = entries[w]
-                    if p is not None:  # else committed: ready
-                        at = p.value_ready
-                        if at is None:
-                            break
-                        if at > ready:
-                            ready = at
-                else:
-                    e.filed_for = ready
-                    calendar.setdefault(ready, []).append(seq)
-                seq += 1
-                continue
-            if kind == KIND_LOAD:
-                # a load's short path, as an ALU op's (`sb_e` is None): it
-                # files its address readiness as `_reschedule` does
-                need += order is not None  # its memory-order shadow
-                if need > room or iq_used >= iq_size or self.lq_used >= cfg.lq_size:
+                    e = entries[seq] = ring[seq % rob]
+                    e.seq = seq
+                    e.ins = ins
+                    e.kind = kind
+                    e.state = DISP
+                    e.value_ready = e.complete = e.addr_ready = e.predicted = None
+                    e.issue_at = None
+                    e.dispatch_cycle = now
+                    e.iq_held = True
+                    iq_used += 1
+                    lq_used += 1
+                    e.shadowed = shadowed
+                    e.unshadow_cycle = None if shadowed else now
+                    if ins.may_fault:
+                        e.sb_e = sb_id
+                        sb_id += 1
+                    e.sb_k = None if order is None else sb_id
+                    at = now
+                    for w in addr_writers[seq]:
+                        p = entries[w]
+                        if p is not None:  # else committed: ready
+                            ready = p.value_ready
+                            if ready is None:
+                                break
+                            if ready > at:
+                                at = ready
+                    else:
+                        e.addr_ready = at + 1
+                        calendar.setdefault(at + 1, []).append(seq)
+                    seq += 1
+                    continue
+                if need > room \
+                        or (kind != KIND_NOP and iq_used >= iq_size) \
+                        or (kind == KIND_STORE and len(live_stores) >= sq_size):
                     break
-                ins = instructions[seq]
-                got = sb.register_load(seq, ins.may_fault, order)
-                if got is None:
-                    break  # the release queue is full
-                shadowed, sb_id = got
                 room -= need
+                ins = instructions[seq]
                 e = entries[seq] = ring[seq % rob]
-                e.seq = seq
-                e.ins = ins
-                e.kind = kind
-                e.state = DISP
-                e.value_ready = e.complete = e.addr_ready = e.predicted = None
-                e.issue_at = None
-                e.dispatch_cycle = now
-                e.iq_held = True
-                iq_used += 1
-                self.lq_used += 1
-                e.shadowed = shadowed
-                e.unshadow_cycle = None if shadowed else now
+                e.reset(seq, ins, kind, now)
                 if ins.may_fault:
-                    e.sb_e = sb_id
-                    sb_id += 1
-                e.sb_k = None if order is None else sb_id
-                at = now
-                for w in addr_writers[seq]:
-                    p = entries[w]
-                    if p is not None:  # else committed: ready
-                        ready = p.value_ready
-                        if ready is None:
-                            break
-                        if ready > at:
-                            at = ready
-                else:
-                    e.addr_ready = at + 1
-                    calendar.setdefault(at + 1, []).append(seq)
-                seq += 1
-                continue
-            if need > room \
-                    or (kind != KIND_NOP and iq_used >= iq_size) \
-                    or (kind == KIND_STORE and len(self.live_stores) >= cfg.sq_size):
-                break
-            room -= need
-            ins = instructions[seq]
-            e = entries[seq] = ring[seq % rob]
-            e.reset(seq, ins, kind, now)
-            if ins.may_fault:
-                e.sb_e = sb.cast(ShadowKind.E, seq)
-            if kind == KIND_BRANCH:
-                e.sb_k = sb.cast(ShadowKind.C, seq)
-                if not ins.br.predicted_correctly:
-                    self.redirect_until = -1  # blocked until the branch resolves
-                    self.redirect_branch = seq
-                if self.probe_spec is not None and seq == self.probe_spec.branch_seq:
-                    self.probes = [(("probe", i), a) for i, a
-                                   in enumerate(self.probe_spec.load_addrs)]
-            elif kind == KIND_STORE:
-                e.sb_k = sb.cast(ShadowKind.D, seq)
-                self.live_stores.append(seq)
+                    e.sb_e = sb.cast(ShadowKind.E, seq)
+                if kind == KIND_BRANCH:
+                    e.sb_k = sb.cast(ShadowKind.C, seq)
+                    if not ins.br.predicted_correctly:
+                        self.redirect_until = -1  # blocked until the branch resolves
+                        self.redirect_branch = seq
+                    if probe is not None and seq == probe.branch_seq:
+                        self.probes = [(("probe", i), a) for i, a
+                                       in enumerate(probe.load_addrs)]
+                elif kind == KIND_STORE:
+                    e.sb_k = sb.cast(ShadowKind.D, seq)
+                    live_stores.append(seq)
 
-            if kind == KIND_NOP:
-                e.complete = now + 1
-                if e.sb_e is not None:
-                    self._schedule(e.complete, sb.resolve, e.sb_e)
-                    e.sb_e = None
-            else:
-                e.iq_held = True
-                # a store may release its IQ entry at once
-                self.iq_used = iq_used + 1
-                self._reschedule(e)
-                iq_used = self.iq_used
-            seq += 1
-            if self.redirect_until is not None:
-                break  # a mispredicted branch blocks dispatch until it resolves
-        self.iq_used = iq_used
-        self.next_dispatch = seq
-        return seq > first
+                if kind == KIND_NOP:
+                    e.complete = now + 1
+                    if e.sb_e is not None:
+                        self._schedule(e.complete, sb.resolve, e.sb_e)
+                        e.sb_e = None
+                else:
+                    e.iq_held = True
+                    # a store may release its IQ entry at once
+                    self.iq_used = iq_used + 1
+                    self._reschedule(e)
+                    iq_used = self.iq_used
+                seq += 1
+                if self.redirect_until is not None:
+                    break  # a mispredicted branch blocks dispatch until it resolves
+            self.iq_used, self.lq_used = iq_used, lq_used
+            self.next_dispatch = seq
+            yield seq > first
 
     # ------------------------------------------------------------------ issue
 
-    def _issue_phase(self) -> bool:
-        now = self.now
-        due = self.calendar.pop(now, None)
-        # the walk: the cycle's bucket, the loads in the pool and the ops
-        # that wait for a unit, in program order
-        budget = list(self.budget)
-        alu, mul, _, slots = budget  # loads see `slots` through the budget
-        pool = self.issue_pool
+    def _issue_phase(self):
+        """The issue stage and the recomputation engine, a generator that
+        `run` makes once per run and resumes once per cycle: each resume
+        walks the cycle's ready loads and ops and steps the engine, and
+        yields whether any load or op issued or the engine worked."""
+        decode = self.decode
+        kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
+        forms, src_writers = decode.forms, decode.src_writers
+        data_writers, consumers = decode.data_writers, decode.consumers
+        entries, values, counters = self.entries, self.committed_values, self.counters
+        calendar, pool, vrc = self.calendar, self.issue_pool, self.vrc
         alu_wait, mul_wait = self.fu_wait
-        if pool or alu_wait or mul_wait:
-            if due is None:
-                due = []
-            if pool:
-                due += pool
-                pool.clear()
-            # a class's units can take only its oldest waiting ops; the
-            # others stay in its list, unvisited (a list is sorted here, as
-            # the last walk may have appended to it out of order)
-            if alu_wait:
-                alu_wait.sort()
-                due += alu_wait[:alu]
-                del alu_wait[:alu]
-            if mul_wait:
-                mul_wait.sort()
-                due += mul_wait[:mul]
-                del mul_wait[:mul]
-        if due:
-            due.sort()
-            entries, values, consumers = self.entries, self.committed_values, self.consumers
-            decode, calendar = self.decode, self.calendar
-            kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
-            forms, src_writers = decode.forms, decode.src_writers
-            data_writers = decode.data_writers
-            alu_waits, mul_waits = alu_wait.append, mul_wait.append
-            for seq in due:
-                kind = kinds[seq]  # an issue-walk visit
-                if kind == KIND_LOAD:
-                    e = entries[seq]
-                    budget[_SLOTS] = slots
-                    issued = self._issue_load(e, budget)
-                    slots = budget[_SLOTS]
-                    if not issued:
-                        pool.add(seq)
-                        continue
-                    if not slots:
-                        self._hold(due, seq)
-                    if e.state != DONE_ST:
-                        continue  # its value comes later, or it delays
-                else:
-                    # an ALU op or branch: its producers had values when it
-                    # was filed, and a replay that resets one takes the op out
-                    # of where it waits. It waits while its FU class has no
-                    # unit left
-                    if fus[seq] == FU_MUL:
-                        if mul <= 0:
-                            mul_waits(seq)  # an FU-starved visit
+        alu_waits, mul_waits = alu_wait.append, mul_wait.append
+        cfg = self.config
+        units = (cfg.alu_units, cfg.mul_units, cfg.mem_ports, cfg.width)
+        fu_units, width = cfg.alu_units + cfg.mul_units, cfg.width
+        while True:
+            now = self.now
+            due = calendar.pop(now, None)
+            # the walk: the cycle's bucket, the loads in the pool and the ops
+            # that wait for a unit, in program order
+            budget = list(units)
+            alu, mul, _, slots = budget  # loads see `slots` through the budget
+            if pool or alu_wait or mul_wait:
+                if due is None:
+                    due = []
+                if pool:
+                    due += pool
+                    pool.clear()
+                # a class's units can take only its oldest waiting ops; the
+                # others stay in its list, unvisited (a list is sorted here,
+                # as the last walk may have appended to it out of order)
+                if alu_wait:
+                    alu_wait.sort()
+                    due += alu_wait[:alu]
+                    del alu_wait[:alu]
+                if mul_wait:
+                    mul_wait.sort()
+                    due += mul_wait[:mul]
+                    del mul_wait[:mul]
+            if due:
+                due.sort()
+                for seq in due:
+                    kind = kinds[seq]  # an issue-walk visit
+                    if kind == KIND_LOAD:
+                        e = entries[seq]
+                        budget[_SLOTS] = slots
+                        issued = self._issue_load(e, budget)
+                        slots = budget[_SLOTS]
+                        if not issued:
+                            pool.add(seq)
                             continue
-                        mul -= 1
-                    elif alu <= 0:
-                        alu_waits(seq)  # an FU-starved visit
-                        continue
+                        if not slots:
+                            self._hold(due, seq)
+                        if e.state != DONE_ST:
+                            continue  # its value comes later, or it delays
                     else:
-                        alu -= 1
-                    slots -= 1
-                    if not slots:
-                        self._hold(due, seq)
-                    # it executes
-                    e = entries[seq]
-                    if kind == KIND_ALU:
-                        ins = e.ins
-                        form = forms[seq]
-                        if form == FORM_RR:
-                            a, b = src_writers[seq]
-                            values[seq] = ALU_FNS[ins.alu_op](values[a], values[b])
-                        elif form == FORM_RI:
-                            values[seq] = ALU_FNS[ins.alu_op](
-                                values[src_writers[seq][0]], ins.imm)
-                        else:  # any other shape; an unwritten register reads 0
-                            args = [0 if w is None else values[w]
-                                    for w in src_writers[seq]]
-                            if ins.imm is not None:
-                                args.append(ins.imm)
-                            values[seq] = ALU_FNS[ins.alu_op](*args)
-                    else:
-                        self._schedule(now + 1, self._branch_resolved, seq)
-                    done = e.value_ready = e.complete = now + latencies[seq]
-                    e.state = DONE_ST
-                    if e.iq_held:  # `_release_iq`, inlined
-                        e.iq_held = False
-                        self.iq_used -= 1
-                    if e.sb_e is not None:
-                        self._schedule(done, self.sb.resolve, e.sb_e)
-                        e.sb_e = None
-                # the op or load has its value: its consumers that wait are
-                # filed as `_wake` files them, inline
-                for cseq in consumers[seq]:
-                    c = entries[cseq]
-                    if c is None:
-                        # not dispatched yet, as none after it is: consumers
-                        # are in program order, and none has committed ahead
-                        # of its producer
-                        break
-                    if c.kind != KIND_ALU and c.kind != KIND_BRANCH:
-                        self._reschedule(c)
-                    elif c.state == DISP:
-                        # `_reschedule` for an op, inlined: an op waiting
-                        # here has no value for this producer, so it is not
-                        # filed yet
-                        ready = c.ready_floor
-                        for w in data_writers[cseq]:
-                            p = entries[w]
-                            if p is not None:  # else committed: ready
-                                at = p.value_ready
-                                if at is None:
-                                    break
-                                if at > ready:
-                                    ready = at
+                        # an ALU op or branch: its producers had values when
+                        # it was filed, and a replay that resets one takes the
+                        # op out of where it waits. It waits while its FU
+                        # class has no unit left
+                        if fus[seq] == FU_MUL:
+                            if mul <= 0:
+                                mul_waits(seq)  # an FU-starved visit
+                                continue
+                            mul -= 1
+                        elif alu <= 0:
+                            alu_waits(seq)  # an FU-starved visit
+                            continue
                         else:
-                            # the next cycle at the earliest: an L1 hit with
-                            # no L1 latency is ready now, past this bucket
-                            if ready <= now:
-                                ready = now + 1
-                            c.filed_for = ready
-                            calendar.setdefault(ready, []).append(cseq)
-        budget[FU_ALU], budget[FU_MUL] = alu, mul
-        # every load or op that issued took a slot
-        any_issued = slots < self.budget[_SLOTS]
-        vrc = self.vrc
-        # the engine steps only with work: a slice, a request or an ended one
-        if vrc is not None and (vrc.active is not None or vrc.queue
-                                or vrc.ended):
-            any_issued = self._engine_tick(budget) or any_issued
-        # every FU op of the cycle, the engine's too, took one unit
-        fu_ops = self.fu_units - budget[FU_ALU] - budget[FU_MUL]
-        if fu_ops:
-            self.counters["fu_ops"] += fu_ops
-        return any_issued
+                            alu -= 1
+                        slots -= 1
+                        if not slots:
+                            self._hold(due, seq)
+                        # it executes
+                        e = entries[seq]
+                        if kind == KIND_ALU:
+                            ins = e.ins
+                            form = forms[seq]
+                            if form == FORM_RR:
+                                a, b = src_writers[seq]
+                                values[seq] = ALU_FNS[ins.alu_op](values[a], values[b])
+                            elif form == FORM_RI:
+                                values[seq] = ALU_FNS[ins.alu_op](
+                                    values[src_writers[seq][0]], ins.imm)
+                            else:  # any other shape; an unwritten register reads 0
+                                args = [0 if w is None else values[w]
+                                        for w in src_writers[seq]]
+                                if ins.imm is not None:
+                                    args.append(ins.imm)
+                                values[seq] = ALU_FNS[ins.alu_op](*args)
+                        else:
+                            self._schedule(now + 1, self._branch_resolved, seq)
+                        done = e.value_ready = e.complete = now + latencies[seq]
+                        e.state = DONE_ST
+                        if e.iq_held:  # `_release_iq`, inlined
+                            e.iq_held = False
+                            self.iq_used -= 1
+                        if e.sb_e is not None:
+                            self._schedule(done, self.sb.resolve, e.sb_e)
+                            e.sb_e = None
+                    # the op or load has its value: its consumers that wait
+                    # are filed as `_wake` files them, inline
+                    for cseq in consumers[seq]:
+                        c = entries[cseq]
+                        if c is None:
+                            # not dispatched yet, as none after it is:
+                            # consumers are in program order, and none has
+                            # committed ahead of its producer
+                            break
+                        if c.kind != KIND_ALU and c.kind != KIND_BRANCH:
+                            self._reschedule(c)
+                        elif c.state == DISP:
+                            # `_reschedule` for an op, inlined: an op waiting
+                            # here has no value for this producer, so it is
+                            # not filed yet
+                            ready = c.ready_floor
+                            for w in data_writers[cseq]:
+                                p = entries[w]
+                                if p is not None:  # else committed: ready
+                                    at = p.value_ready
+                                    if at is None:
+                                        break
+                                    if at > ready:
+                                        ready = at
+                            else:
+                                # the next cycle at the earliest: an L1 hit
+                                # with no L1 latency is ready now, past this
+                                # bucket
+                                if ready <= now:
+                                    ready = now + 1
+                                c.filed_for = ready
+                                calendar.setdefault(ready, []).append(cseq)
+            budget[FU_ALU], budget[FU_MUL] = alu, mul
+            # every load or op that issued took a slot
+            any_issued = slots < width
+            # the engine steps only with work: a slice, a request or an
+            # ended one
+            if vrc is not None and (vrc.active is not None or vrc.queue
+                                    or vrc.ended):
+                any_issued = self._engine_tick(budget) or any_issued
+            # every FU op of the cycle, the engine's too, took one unit
+            fu_ops = fu_units - budget[FU_ALU] - budget[FU_MUL]
+            if fu_ops:
+                counters["fu_ops"] += fu_ops
+            yield any_issued
 
     def _hold(self, due: list, seq: int) -> None:
         """`seq` took the cycle's last issue slot: the walk ends after it,
@@ -980,56 +1008,63 @@ class _Sim:
 
     # ------------------------------------------------------------------ commit
 
-    def _commit(self) -> bool:
-        now = self.now
-        entries = self.entries
-        vp, vrc = self.vp, self.vrc
+    def _commit(self):
+        """The commit stage, a generator that `run` makes once per run and
+        resumes once per cycle: each resume commits, in order, up to `width`
+        completed entries and yields whether it committed any."""
+        entries, values, counters = self.entries, self.committed_values, self.counters
+        mem, live_stores, vp, vrc = self.mem, self.live_stores, self.vp, self.vrc
+        width = self.config.width
         # checkpoint sites, which only the engine reads
         rec_sites = self.annotations.rec_sites if vrc is not None else ()
-        first = seq = self.commit_head
-        end = seq + self.config.width
-        if end > self.next_dispatch:
-            end = self.next_dispatch
-        while seq < end:
-            e = entries[seq]
-            complete = e.complete
-            if complete is None or complete > now:
-                break
-            kind = e.kind
-            if kind != KIND_ALU:  # an ALU op has nothing more to do
-                ins = e.ins
-                if kind == KIND_LOAD:
-                    self.lq_used -= 1
-                    if vp is not None:
-                        vp.train(ins.pc, ins.mem_value,
-                                 was_correct=(e.predicted == ins.mem_value)
-                                 if e.predicted is not None else None)
-                elif kind == KIND_STORE:
-                    _, ready = self.mem.access(ins.mem_addr, now, seq, store=True)
-                    if ready is None:
-                        self.counters["store_commit_stalls"] += 1
-                        break
-                    # stores commit in program order, so the oldest live one leaves
-                    if self.live_stores.popleft() != seq:
-                        raise RuntimeError(f"store {seq} committed out of order")
-                    if vrc is not None:
-                        vrc.invalidate_on_store(ins.mem_addr, ins.mem_size,
-                                                store_pc=ins.pc)
-                elif kind == KIND_BRANCH and vp is not None:
-                    vp.notify_branch(ins.br.taken)
-            if seq in rec_sites:
-                # Hist takes the committed value; a store or branch has none
-                value = self.committed_values[seq]
-                if value is not None:
-                    for key, _ in rec_sites[seq]:
-                        vrc.rec_checkpoint(key, value)
-            entries[seq] = None
-            seq += 1
-        if seq == first:
-            return False
-        self.commit_head = seq
-        self.last_commit_cycle = now
-        return True
+        while True:
+            now = self.now
+            first = seq = self.commit_head
+            end = seq + width
+            if end > self.next_dispatch:
+                end = self.next_dispatch
+            while seq < end:
+                e = entries[seq]
+                complete = e.complete
+                if complete is None or complete > now:
+                    break
+                kind = e.kind
+                if kind != KIND_ALU:  # an ALU op has nothing more to do
+                    ins = e.ins
+                    if kind == KIND_LOAD:
+                        self.lq_used -= 1
+                        if vp is not None:
+                            vp.train(ins.pc, ins.mem_value,
+                                     was_correct=(e.predicted == ins.mem_value)
+                                     if e.predicted is not None else None)
+                    elif kind == KIND_STORE:
+                        _, ready = mem.access(ins.mem_addr, now, seq, store=True)
+                        if ready is None:
+                            counters["store_commit_stalls"] += 1
+                            break
+                        # stores commit in program order, so the oldest live
+                        # one leaves
+                        if live_stores.popleft() != seq:
+                            raise RuntimeError(f"store {seq} committed out of order")
+                        if vrc is not None:
+                            vrc.invalidate_on_store(ins.mem_addr, ins.mem_size,
+                                                    store_pc=ins.pc)
+                    elif kind == KIND_BRANCH and vp is not None:
+                        vp.notify_branch(ins.br.taken)
+                if seq in rec_sites:
+                    # Hist takes the committed value; a store or branch has none
+                    value = values[seq]
+                    if value is not None:
+                        for key, _ in rec_sites[seq]:
+                            vrc.rec_checkpoint(key, value)
+                entries[seq] = None
+                seq += 1
+            if seq > first:
+                self.commit_head = seq
+                self.last_commit_cycle = now
+                yield True
+            else:
+                yield False
 
     # ------------------------------------------------------------------ probes
 
@@ -1057,7 +1092,14 @@ class _Sim:
             return self._result(0)
         mem, sb, events, fills = self.mem, self.sb, self.events, self.mem.fills
         n, deadlock_cycles = self.n, self.config.deadlock_cycles
-        # a phase with no work due is skipped; it would have returned False
+        # commit, issue and dispatch are generators, made here once per run
+        # and resumed once per cycle. They stay locals, never attributes:
+        # each one's frame holds the simulator, so that would be a reference
+        # cycle. Any other phase with no work due is skipped; it would make
+        # no progress
+        commit = self._commit().__next__
+        issue = self._issue_phase().__next__
+        dispatch = self._dispatch().__next__
         while True:
             now = self.now
             if fills and fills[0][0] <= now:
@@ -1068,12 +1110,12 @@ class _Sim:
                 while events and events[0][0] <= now:
                     _, _, handler, payload = heapq.heappop(events)
                     handler(payload)
-            progress |= self._commit()
+            progress |= commit()
             if sb.released:  # loads that this cycle's resolves released
                 self._unshadow()
                 progress = True
-            progress |= self._issue_phase()
-            progress |= self._dispatch()
+            progress |= issue()
+            progress |= dispatch()
             if self.probes:
                 progress |= self._probe_tick()
             if self.commit_head >= n:

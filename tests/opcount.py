@@ -11,13 +11,16 @@ list methods) costs no bytecodes and does not show. The count is
 deterministic, so two trees can be compared without host noise; a cut in
 bytecodes is a guide to a speed-up, not a measurement of one.
 
-The same runs count the Python calls per committed instruction (`call`
-trace events: frames entered, which inlining saves more of than
-bytecodes) and the committed loads per instruction, and the issue walk's
-visits per committed instruction, how
-many of them found the op's FU class used up for the cycle, and how many of
-those were re-visits, to an op that had found its class used up before in
-the same run. They come from line events on the lines of
+The same runs count, per committed instruction, the frames entered (which
+inlining saves more of than bytecodes) and, apart, the resumes of
+suspended generators: `sys.settrace` reports both as `call` events, and
+the commit, issue and dispatch stages are generators that a run makes
+once and resumes once per stepped cycle. They also count the committed
+loads per instruction, and the issue walk's visits per committed
+instruction, how many of them found the op's FU class used up for the
+cycle, and how many of those were re-visits, to an op that had found its
+class used up before in the same run. The visits come from line events on
+the lines of
 `_Sim._issue_phase` marked with the comments VISIT_MARK (the first line of
 every visit) and STARVED_MARK (where the op's seq is the local `seq`).
 
@@ -33,6 +36,7 @@ by the first run as when the bench loads it from a file). The file has no
 from __future__ import annotations
 
 import argparse
+import dis
 import inspect
 import sys
 from collections import Counter
@@ -48,6 +52,7 @@ PROBE_ADDRS = tuple(0x7100_0000 + i * 64 for i in range(8))
 PROBE_SITES = 8
 VISIT_MARK = "# an issue-walk visit"
 STARVED_MARK = "# an FU-starved visit"
+_RESUME = dis.opmap["RESUME"]
 # name -> (pattern, count, policies, probed, annotated, generator options)
 WORKLOADS = {
     "mixed-sweep": ("MIXED", 1_000, core.POLICIES, False, True, {}),
@@ -63,13 +68,22 @@ def _marked_lines(fn, mark: str) -> frozenset:
     return frozenset(first + i for i, line in enumerate(lines) if mark in line)
 
 
+def _resumes(frame) -> bool:
+    """Whether a `call` event resumes a suspended generator, not enters a
+    frame: a resume starts at a RESUME instruction whose argument is not 0."""
+    code, at = frame.f_code.co_code, frame.f_lasti
+    return code[at] == _RESUME and code[at + 1] != 0
+
+
 class OpCounter:
-    """Counts executed opcodes per function, Python calls, and the issue
-    walk's visits and FU-starved visits, while `call` runs."""
+    """Counts executed opcodes per function, frames entered, generator
+    resumes, and the issue walk's visits and FU-starved visits, while
+    `call` runs."""
 
     def __init__(self):
         self.counts: Counter = Counter()
-        self.calls = 0
+        self.frames = 0
+        self.resumes = 0
         self.walk: Counter = Counter()   # "visits", "starved", "revisits"
         self._starved_seqs: set = set()  # of the current call's run
         self._local = {}
@@ -80,7 +94,11 @@ class OpCounter:
             (line, "starved") for line in _marked_lines(issue, STARVED_MARK))
 
     def _tracer(self, frame, event, arg):
-        self.calls += 1  # the global tracer sees only `call` events
+        # the global tracer sees only `call` events
+        if _resumes(frame):
+            self.resumes += 1
+        else:
+            self.frames += 1
         code = frame.f_code
         local = self._local.get(code)
         if local is None:
@@ -123,8 +141,9 @@ class OpCounter:
 
 def count_workload(name: str) -> tuple[Counter, Counter, int]:
     """Opcode counts per function over one iteration's core runs, the issue
-    walk's visit counts and the calls and loads (under "calls" and "loads"
-    in the second), and the instructions they committed."""
+    walk's visit counts and the frames, resumes and loads (under "frames",
+    "resumes" and "loads" in the second), and the instructions they
+    committed."""
     pattern, count, policies, probed, annotated, spec = WORKLOADS[name]
     t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=count,
                                             seed=SEED, **spec))
@@ -157,7 +176,8 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
                                   annotations=table, config=cfg)
             committed += result.committed
             runs += 1
-    counter.walk["calls"] = counter.calls
+    counter.walk["frames"] = counter.frames
+    counter.walk["resumes"] = counter.resumes
     counter.walk["loads"] = loads * runs  # each run commits the whole trace
     return counter.counts, counter.walk, committed
 
@@ -172,7 +192,8 @@ def main(argv=None) -> int:
         total = sum(counts.values())
         print(f"{name}: {total / committed:.1f} bytecodes per instruction "
               f"({total} over {committed} committed)")
-        print(f"  {walk['calls'] / committed:.2f} Python calls and "
+        print(f"  {walk['frames'] / committed:.2f} frames entered, "
+              f"{walk['resumes'] / committed:.2f} generator resumes and "
               f"{walk['loads'] / committed:.3f} loads per instruction")
         print(f"  issue walk: {walk['visits'] / committed:.3f} visits per "
               f"instruction, {walk['starved'] / committed:.3f} of them "

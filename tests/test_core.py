@@ -434,6 +434,26 @@ def test_hist_checkpoints_the_committed_value(tamper):
             (clean.cycles, clean.memhier_digest, clean.counters), policy
 
 
+def test_commit_checkpoints_feed_hist():
+    # commit hands Hist the committed value of each checkpoint site, a
+    # path no golden run reaches; a change to Hist or to checkpoint timing
+    # moves these pinned values
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD", count=3000,
+                                            seed=1, recomputable_fraction=0.75))
+    table, _ = annotate(t)
+    pinned = {
+        "VRC": (4745, 4, 0, 45, "802cc280d9dec2108ea88da6fe544c75"
+                                "adac4af8f5b988f90845ea40777e3af8"),
+        "VRC2": (4755, 4, 0, 51, "08e8049d7131cddd78c28992608713f4"
+                                 "e4b0de7c8ab3b2ffcbe818549a2d524e"),
+    }
+    for policy, want in pinned.items():
+        r = core.run(t, annotations=table, config=_cfg(policy))
+        c = r.counters
+        assert (r.cycles, c["hist_inserts"], c["hist_overflows"],
+                c["recompute_done"], r.memhier_digest) == want, policy
+
+
 def test_runs_leave_no_reference_cycles():
     # a finished simulator is freed by reference counting alone, so its
     # entry ring and O(trace) lists do not wait for the cyclic collector
@@ -524,7 +544,46 @@ def test_smallest_legal_core_runs_to_completion(tb):
             assert r.committed_values == functional_replay(t).results, policy
 
 
-def test_ring_slots_recycle_across_kinds(monkeypatch):
+class _HookedSim(core._Sim):
+    """A simulator with a per-cycle test hook, which appends the cycle of
+    each of its runs to `hooked`. It also records the run's idle skips,
+    from which `assert_hooked_every_cycle` rebuilds the cycles the run
+    stepped: the cycle phases are generators that the run makes once and
+    resumes once per stepped cycle, so a hook that acts where a phase is
+    made, not where it is resumed, runs once per run."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hooked, self.skips = [], []
+
+    def _advance_time(self):
+        start = self.now
+        super()._advance_time()
+        self.skips.append((start, self.now))
+
+    def assert_hooked_every_cycle(self, cycles):
+        skipped = {c for start, end in self.skips for c in range(start + 1, end)}
+        assert self.hooked == [c for c in range(cycles) if c not in skipped]
+        assert len(self.hooked) > 1
+
+
+class _ResetSlotsSim(_HookedSim):
+    """Before each dispatch stage, fully resets every ring slot that the
+    stage may take."""
+
+    def _dispatch(self):
+        stage = super()._dispatch()
+        rob = self.config.rob_size
+        while True:
+            end = min(self.commit_head + rob, self.n)
+            for seq in range(self.next_dispatch, end):
+                self.ring[seq % rob].reset(
+                    seq, self.trace[seq], self.decode.kinds[seq], self.now)
+            self.hooked.append(self.now)
+            yield next(stage)
+
+
+def test_ring_slots_recycle_across_kinds():
     # a four-entry ROB passes every ring slot between kinds all the time;
     # the short dispatch paths of ALU ops and loads write only some fields,
     # and must leave each run as dispatching into fully reset slots does;
@@ -545,30 +604,22 @@ def test_ring_slots_recycle_across_kinds(monkeypatch):
         cases += [(t, annotate(t)[0], functional_replay(t), consistency)
                   for consistency in ("TSO", "RC")]
 
-    def fingerprints():
-        out = []
+    def runs(sim_class):
         for t, table, oracle, consistency in cases:
             for policy in core.POLICIES:
-                r = core.run(t, annotations=table, config=CoreConfig(
-                    policy=policy, consistency=consistency, **small))
+                sim = sim_class(t, table, CoreConfig(
+                    policy=policy, consistency=consistency, **small), None)
+                r = sim.run()
                 assert r.committed_values == oracle.results, policy
                 assert r.committed_regs == oracle.final_regs, policy
-                out.append((_fingerprint(r), r.shadow_stats))
-        return out
+                yield sim, r
 
-    recycled = fingerprints()
-    dispatch = core._Sim._dispatch
-
-    def dispatch_into_reset_slots(sim):
-        # every slot dispatch may take this cycle is free: reset it fully
-        end = min(sim.commit_head + sim.config.rob_size, sim.n)
-        for seq in range(sim.next_dispatch, end):
-            sim.ring[seq % sim.config.rob_size].reset(
-                seq, sim.trace[seq], sim.decode.kinds[seq], sim.now)
-        return dispatch(sim)
-
-    monkeypatch.setattr(core._Sim, "_dispatch", dispatch_into_reset_slots)
-    assert fingerprints() == recycled
+    recycled = [(_fingerprint(r), r.shadow_stats) for _, r in runs(core._Sim)]
+    reset = []
+    for sim, r in runs(_ResetSlotsSim):
+        sim.assert_hooked_every_cycle(r.cycles)
+        reset.append((_fingerprint(r), r.shadow_stats))
+    assert reset == recycled
 
 
 def test_ops_waiting_for_a_unit_keep_program_order(tb):
@@ -608,18 +659,19 @@ def test_replayed_address_producer_files_a_load_once(consistency):
         assert r.committed_regs == rep.final_regs, seed
 
 
-class _FiledOnceSim(core._Sim):
+class _FiledOnceSim(_HookedSim):
     """Checks after each issue stage that no seq waits twice: in the
     calendar, the issue pool and the FU classes' lists together."""
 
     def _issue_phase(self):
-        progress = super()._issue_phase()
-        waiting = [seq for bucket in self.calendar.values() for seq in bucket]
-        waiting += self.issue_pool
-        for ops in self.fu_wait:
-            waiting += ops
-        assert len(waiting) == len(set(waiting)), f"a seq waits twice at {self.now}"
-        return progress
+        for progress in super()._issue_phase():
+            waiting = [seq for bucket in self.calendar.values() for seq in bucket]
+            waiting += self.issue_pool
+            for ops in self.fu_wait:
+                waiting += ops
+            assert len(waiting) == len(set(waiting)), f"a seq waits twice at {self.now}"
+            self.hooked.append(self.now)
+            yield progress
 
 
 def test_no_seq_waits_twice():
@@ -632,8 +684,10 @@ def test_no_seq_waits_twice():
         oracle = functional_replay(t).results
         for policy in core.POLICIES:
             cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
-            r = _FiledOnceSim(t, table, cfg, None).run()
+            sim = _FiledOnceSim(t, table, cfg, None)
+            r = sim.run()
             assert r.committed_values == oracle, policy
+            sim.assert_hooked_every_cycle(r.cycles)
 
 
 class _SteppedSim(core._Sim):
