@@ -23,7 +23,6 @@ from . import core, metrics, slicer, trace as trace_mod, workloads
 from .memhier import CacheConfig
 from .replay import functional_replay
 from .vp import VpConfig
-from .vrc import VrcConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,8 +200,7 @@ def _config_for(args, policy: str) -> core.CoreConfig:
         if args.mem_latency is not None else CacheConfig()
     return core.CoreConfig(policy=policy,
                            consistency=args.consistency.upper(),
-                           cache=cache, vp=VpConfig(seed=args.seed),
-                           vrc=VrcConfig())
+                           cache=cache, vp=VpConfig(seed=args.seed))
 
 
 def _matches_oracle(label: str, result: core.RunResult, oracle) -> bool:

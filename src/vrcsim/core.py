@@ -72,23 +72,27 @@ CACM 1988): a dict from cycle to seqs, of which the issue stage pops exactly
 the current cycle's bucket and an idle cycle skips to the smallest key. An
 entry is filed at most once per execution, so the walk never meets a seq
 twice: a load once, as its access stands after a replay, and an op again
-only once a replay has reset it or taken it out of the calendar. A load
+only once a replay has reset it or taken it out of where it waits. A load
 waiting in the pool for store data in flight files an empty bucket at the
 data's arrival, where an idle stretch stops. Issue walks, in program order,
 the bucket, the loads waiting in the issue pool and the ops (ALU ops and
 branches) waiting for a unit, which each FU class keeps in a list sorted by
-seq; units and issue slots go in that order. A class's units can take only
-its oldest waiting ops, so the walk takes as many of them as the class has
-units and leaves the rest of its list, unvisited, for the next cycle. An ALU
-op or branch executes unchecked: its producers had values when it was filed,
-and a value-prediction replay takes each op that now reads a reset producer
-out of the calendar or its class's list, so that the producer's re-execution
-files it as it files any op. The recomputation engine steps only in a cycle
-it has work in, takes its units from the cycle's budget, and hands back each
-request it ended as a value or a fallback. A load "performs" when its value
-is bound by a real access, store forward, or recomputation; its memory-order
-shadow resolves then (at validation completion for predicted loads). Time
-skips ahead to the next scheduled event whenever a cycle makes no progress.
+seq; units and the walk's `width` issue slots go in that order, a slot to
+each load or op that issues. A class's units can take only its oldest
+waiting ops, so the walk takes as many of them as the class has units and
+leaves the rest of its list, unvisited, for the next cycle. The walk ends at
+the last slot and carries its unvisited rest in the next cycle's bucket, a
+cycle that is stepped, as this one made progress. An ALU op or branch
+executes unchecked: its producers had values when it was filed, and a
+value-prediction replay takes each op that now reads a reset producer out of
+the calendar bucket it is found in, or else its class's list, so that the
+producer's re-execution files it as it files any op. The recomputation
+engine steps only in a cycle it has work in, takes its units from the
+cycle's budget, and hands back each request it ended as a value or a
+fallback. A load "performs" when its value is bound by a real access, store
+forward, or recomputation; its memory-order shadow resolves then (at
+validation completion for predicted loads). Time skips ahead to the next
+scheduled event whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -100,7 +104,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .audit import MutationLog
 from .isa import ALU_FNS, FU_ALU, FU_MUL
@@ -192,8 +196,8 @@ STATE_NAMES = ("DISPATCHED", "DELAYED", "NONSPEC", "PREDICTED", "RECOMPUTING",
                "AWAIT_VALIDATION", "DONE")
 
 # a cycle's issue budget is a list: the FU classes' units (FU_ALU, FU_MUL),
-# then memory ports and issue slots
-_PORT, _SLOTS = 2, 3
+# then memory ports
+_PORT = 2
 _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
@@ -208,16 +212,15 @@ class _Entry:
     __slots__ = (
         "seq", "ins", "kind", "state", "value_ready", "complete",
         "addr_ready", "shadowed", "sb_e", "sb_k",
-        "predicted", "ready_floor", "filed_for", "iq_held", "unshadow_cycle",
+        "predicted", "ready_floor", "iq_held", "unshadow_cycle",
         "dispatch_cycle", "issue_at",
     )
 
     def __init__(self):
         # what the short paths do not write, for a slot's first occupant:
-        # every later one finds them so, as an entry clears `sb_e` before
-        # it commits and was filed, if at all, for a past cycle
+        # every later one finds it so, as an entry clears `sb_e` before it
+        # commits
         self.sb_e = None
-        self.filed_for = -1
 
     def reset(self, seq, ins, kind, now):
         """Every field, for a store, branch or NOP."""
@@ -232,7 +235,6 @@ class _Entry:
         self.sb_e = self.sb_k = None
         self.predicted = None
         self.ready_floor = now + 1
-        self.filed_for = -1
         self.iq_held = False
         self.unshadow_cycle = None
         self.dispatch_cycle = now
@@ -261,11 +263,8 @@ class _Sim:
         self.sb = ShadowState(config.sb_capacity, config.rq_capacity)
         self.vp = VpState(config.vp) if config.policy == "VP" else None
         self.annotations = annotations or AnnotationTable()
-        vrc_cfg = config.vrc
-        if config.policy == "VRC2" and vrc_cfg.clamp_cycles is None:
-            vrc_cfg = replace(vrc_cfg, clamp_cycles=2)
-        needs_engine = config.policy in ("VRC", "VRC2", "ORACLE_VRC")
-        self.vrc = VrcState(self.annotations, vrc_cfg) if needs_engine else None
+        self.vrc = VrcState(self.annotations, config.vrc, config.policy) \
+            if config.policy in ("VRC", "VRC2", "ORACLE_VRC") else None
 
         # the shadow a load casts at dispatch until it performs: memory order
         # under TSO. Under RC, VP and ORACLE_VP cast a VP shadow on every
@@ -382,7 +381,6 @@ class _Sim:
                 return
         if at <= self.now:
             at = self.now + 1
-        e.filed_for = at
         self.calendar.setdefault(at, []).append(e.seq)
 
     def _update_store(self, e: _Entry) -> None:
@@ -454,8 +452,8 @@ class _Sim:
                 need = casts[seq]
                 if kind == KIND_ALU:
                     # an ALU op's short path: the other fields keep what the
-                    # slot's last occupant left (`sb_e` and `filed_for` as
-                    # `_Entry.__init__` sets them); its floor is the next cycle
+                    # slot's last occupant left (`sb_e` as `_Entry.__init__`
+                    # sets it); its floor is the next cycle
                     if need > room or iq_used >= iq_size:
                         break
                     e = entries[seq] = ring[seq % rob]
@@ -479,7 +477,6 @@ class _Sim:
                             if at > ready:
                                 ready = at
                     else:
-                        e.filed_for = ready
                         calendar.setdefault(ready, []).append(seq)
                     seq += 1
                     continue
@@ -582,7 +579,7 @@ class _Sim:
         alu_wait, mul_wait = self.fu_wait
         alu_waits, mul_waits = alu_wait.append, mul_wait.append
         cfg = self.config
-        units = (cfg.alu_units, cfg.mul_units, cfg.mem_ports, cfg.width)
+        units = (cfg.alu_units, cfg.mul_units, cfg.mem_ports)
         fu_units, width = cfg.alu_units + cfg.mul_units, cfg.width
         while True:
             now = self.now
@@ -590,7 +587,8 @@ class _Sim:
             # the walk: the cycle's bucket, the loads in the pool and the ops
             # that wait for a unit, in program order
             budget = list(units)
-            alu, mul, _, slots = budget  # loads see `slots` through the budget
+            alu, mul, _ = budget
+            slots = width
             if pool or alu_wait or mul_wait:
                 if due is None:
                     due = []
@@ -614,21 +612,17 @@ class _Sim:
                     kind = kinds[seq]  # an issue-walk visit
                     if kind == KIND_LOAD:
                         e = entries[seq]
-                        budget[_SLOTS] = slots
-                        issued = self._issue_load(e, budget)
-                        slots = budget[_SLOTS]
-                        if not issued:
+                        if not self._issue_load(e, budget):
                             pool.add(seq)
                             continue
+                        slots -= 1
                         if not slots:
                             self._hold(due, seq)
                         if e.state != DONE_ST:
                             continue  # its value comes later, or it delays
                     else:
-                        # an ALU op or branch: its producers had values when
-                        # it was filed, and a replay that resets one takes the
-                        # op out of where it waits. It waits while its FU
-                        # class has no unit left
+                        # an ALU op or branch, which executes unchecked (see
+                        # the module docstring) once its FU class has a unit
                         if fus[seq] == FU_MUL:
                             if mul <= 0:
                                 mul_waits(seq)  # an FU-starved visit
@@ -699,7 +693,6 @@ class _Sim:
                                 # bucket
                                 if ready <= now:
                                     ready = now + 1
-                                c.filed_for = ready
                                 calendar.setdefault(ready, []).append(cseq)
             budget[FU_ALU], budget[FU_MUL] = alu, mul
             # every load or op that issued took a slot
@@ -717,28 +710,24 @@ class _Sim:
 
     def _hold(self, due: list, seq: int) -> None:
         """`seq` took the cycle's last issue slot: the walk ends after it,
-        as its list `due` does, and the rest of `due` waits unvisited, the
-        loads in the pool and the ops in their FU class's list."""
+        as its list `due` does, and the rest of `due` waits unvisited in the
+        next cycle's bucket. That cycle is stepped, as this one made
+        progress."""
         at = due.index(seq) + 1
-        kinds, fus, fu_wait = self.decode.kinds, self.decode.fus, self.fu_wait
-        pool = self.issue_pool
-        for rest in due[at:]:
-            if kinds[rest] == KIND_LOAD:
-                pool.add(rest)
-            else:
-                fu_wait[fus[rest]].append(rest)
+        self.calendar.setdefault(self.now + 1, []).extend(due[at:])
         del due[at:]
 
     # -- load paths ---------------------------------------------------------------
 
     def _issue_load(self, e: _Entry, budget) -> bool:
         """A load's visit to the issue stage, first issue and every retry;
-        True when it took an issue slot. A dispatched or NONSPEC load
-        forwards from the youngest older store with a known address over its
-        bytes, or waits for its data (for its commit on a partial overlap);
-        else a secure policy's shadowed dispatched load makes a hidden
-        access, and any other load the one real access, which retries on an
-        MSHR stall (a load still shadowed there runs under BASELINE)."""
+        True when it issued, which takes an issue slot. A dispatched or
+        NONSPEC load forwards from the youngest older store with a known
+        address over its bytes, or waits for its data (for its commit on a
+        partial overlap); else a secure policy's shadowed dispatched load
+        makes a hidden access, and any other load the one real access, which
+        retries on an MSHR stall (a load still shadowed there runs under
+        BASELINE)."""
         now, seq, ins, state, counters = self.now, e.seq, e.ins, e.state, self.counters
         if state != AWAIT_VAL:
             if state == NONSPEC:  # an unshadowed delayed or fallback load
@@ -767,7 +756,6 @@ class _Sim:
                         # arrival stops a skip there
                         self.calendar.setdefault(ready, [])
                         return False
-                    budget[_SLOTS] -= 1
                     counters["store_forwards"] += 1
                     self._finish_load(e, ins.mem_value, now + 1)
                     return True
@@ -778,7 +766,6 @@ class _Sim:
             if self.secure and e.shadowed:
                 # a hidden access, which only hits or rides a fill
                 budget[_PORT] -= 1
-                budget[_SLOTS] -= 1
                 kind, ready = self.mem.hidden_access(ins.mem_addr, now, seq)
                 if ready is not None:
                     if kind == MSHR_HIT:
@@ -826,7 +813,6 @@ class _Sim:
             counters["mshr_stalls"] += 1
             return False
         budget[_PORT] -= 1
-        budget[_SLOTS] -= 1
         if state == AWAIT_VAL:
             counters["validations"] += 1
             self._schedule(ready, self._validation_done, seq)
@@ -920,8 +906,7 @@ class _Sim:
                 if ce.kind == KIND_ALU and ce.state == DONE_ST:
                     ce.state = DISP
                     self.committed_values[cseq] = None
-                    ce.value_ready = None
-                    ce.complete = None
+                    ce.value_ready = ce.complete = None
                     ce.ready_floor = max(ce.ready_floor, floor)
                     self.counters["replayed_ops"] += 1
                     self._reschedule(ce)
@@ -930,27 +915,26 @@ class _Sim:
                     ce.complete = None
                     self._update_store(ce)
         # an op that has not executed and now reads a reset producer leaves
-        # where it waits, the calendar or its FU class's list (it is in
+        # where it waits, a calendar bucket or its FU class's list (it is in
         # neither if it already waited for a producer); the producer's
-        # re-execution wakes it. This runs in an event, before the issue
-        # stage pops this cycle's bucket, and idle cycles never skip a
-        # bucket, so the op is filed exactly when `filed_for` is not past
-        entries, data_writers = self.entries, self.data_writers
+        # re-execution wakes it
+        entries, data_writers, calendar = self.entries, self.data_writers, self.calendar
         for s in seen:
             e = entries[s]
             if e is None or e.state != DISP \
                     or (e.kind != KIND_ALU and e.kind != KIND_BRANCH) \
                     or self._ready_at(data_writers[s], 0) is not None:
                 continue
-            waiting = self.fu_wait[self.decode.fus[s]]
-            if e.filed_for >= self.now:
-                bucket = self.calendar[e.filed_for]
-                bucket.remove(s)
-                if not bucket:
-                    del self.calendar[e.filed_for]
-                e.filed_for = -1
-            elif s in waiting:
-                waiting.remove(s)
+            for at, bucket in calendar.items():
+                if s in bucket:
+                    bucket.remove(s)
+                    if not bucket:
+                        del calendar[at]
+                    break
+            else:
+                waiting = self.fu_wait[self.decode.fus[s]]
+                if s in waiting:
+                    waiting.remove(s)
 
     # ------------------------------------------------------------------ unshadow
 
@@ -1092,11 +1076,9 @@ class _Sim:
             return self._result(0)
         mem, sb, events, fills = self.mem, self.sb, self.events, self.mem.fills
         n, deadlock_cycles = self.n, self.config.deadlock_cycles
-        # commit, issue and dispatch are generators, made here once per run
-        # and resumed once per cycle. They stay locals, never attributes:
-        # each one's frame holds the simulator, so that would be a reference
-        # cycle. Any other phase with no work due is skipped; it would make
-        # no progress
+        # the generator phases stay locals, never attributes: each one's
+        # frame holds the simulator, so that would be a reference cycle. Any
+        # other phase with no work due is skipped; it would make no progress
         commit = self._commit().__next__
         issue = self._issue_phase().__next__
         dispatch = self._dispatch().__next__
@@ -1182,11 +1164,8 @@ class _Sim:
         # every instruction was dispatched exactly once
         for kind, count in self.decode.kind_counts:
             c[_DISPATCHED_KEYS[kind]] = count
-        c["l1_hits"] = self.mem.l1_hits
-        c["l1_misses"] = self.mem.l1_misses
-        c["mshr_hits"] = self.mem.mshr_hits
-        c["l2_hits"] = self.mem.l2_hits
-        c["mem_accesses"] = self.mem.mem_accesses
+        for name in ("l1_hits", "l1_misses", "mshr_hits", "l2_hits", "mem_accesses"):
+            c[name] = getattr(self.mem, name)
         if self.vp is not None:
             c["vp_lookups"] = self.vp.lookups
             c["vp_updates"] = self.vp.updates

@@ -39,11 +39,11 @@ class CacheConfig:
     mshrs: int = 16
 
     def __post_init__(self):
-        for name in ("l1_latency", "l2_latency", "mem_latency", "mshrs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for total, ways in ((self.l1_bytes, self.l1_ways), (self.l2_bytes, self.l2_ways)):
-            sets = total // (LINE_BYTES * ways)
+        for name, least in (("l1_ways", 1), ("l2_ways", 1), ("l1_latency", 0),
+                            ("l2_latency", 0), ("mem_latency", 0), ("mshrs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for sets in (self.l1_sets, self.l2_sets):
             if sets <= 0 or sets & (sets - 1):
                 raise ValueError("cache size must give a power-of-two set count")
 
@@ -139,7 +139,7 @@ class MemHierState:
         self.fills: list[tuple[int, int, int]] = []
         self._fill_order = 0
         self.deferred_touches: dict[object, list[int]] = {}  # key -> lines to touch
-        self.mshr_history: list[int] = []            # allocation order, both levels
+        self.mshr_history: list[int] = []            # lines of L1 MSHR allocations, in order
         # counters
         self.l1_hits = 0
         self.l1_misses = 0

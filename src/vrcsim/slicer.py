@@ -300,30 +300,31 @@ def build_slice(trace: Trace, load_seq: int, max_len: int = DEFAULT_MAX_SLICE_LE
     return s
 
 
+def read_operand(o: Operand, live, hist: dict, sfile: list):
+    """The value a slice operand reads: its constant, `live(reg)` for a live
+    register, the checkpoint `hist[key]`, or the scratch file's `sfile[pos]`.
+    The engine and `replay_slice` both read through it."""
+    kind = o.kind
+    if kind == "CONST":
+        return o.value
+    if kind == "LIVE_REG":
+        return live(o.reg)
+    if kind == "HIST":
+        return hist[o.key]
+    return sfile[o.pos]
+
+
 def replay_slice(s: Slice) -> int:
     """Evaluate the slice over its recorded bindings (scratch-file analogue)
-    and return the root value. Raises on unbound operands, which would be a
-    construction bug."""
+    and return the root value. Raises KeyError on unbound operands, which
+    would be a construction bug."""
     hist = {k: v for k, _, v in s.hist_requirements}
     live = {r: v for r, _, v in s.live_bindings}
     sfile: list[int | None] = [None] * len(s.instrs)
     for ins in s.instrs:
-        ops = []
-        for o in ins.operands:
-            if o.kind == "CONST":
-                ops.append(o.value)
-            elif o.kind == "LIVE_REG":
-                if o.reg not in live:
-                    raise KeyError(f"unbound live register {o.reg}")
-                ops.append(live[o.reg])
-            elif o.kind == "HIST":
-                if o.key not in hist:
-                    raise KeyError(f"unbound hist key {o.key}")
-                ops.append(hist[o.key])
-            else:
-                if sfile[o.pos] is None:
-                    raise KeyError(f"unbound temp {o.pos}")
-                ops.append(sfile[o.pos])
+        ops = [read_operand(o, live.__getitem__, hist, sfile) for o in ins.operands]
+        if None in ops:
+            raise KeyError(f"unbound temp read by slice instruction {ins.slice_pos}")
         sfile[ins.slice_pos] = alu_eval(ins.alu_op, ops)
     return sfile[-1]
 

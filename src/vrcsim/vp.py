@@ -33,6 +33,10 @@ class VpConfig:
     seed: int = 12345
 
     def __post_init__(self):
+        # fewer fail the first index, tag or history fold
+        for name, least in (("components", 2), ("entries", 2), ("tag_bits", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.entries & (self.entries - 1):
             raise ValueError("entries must be a power of two")
         lengths = self.history_lengths()

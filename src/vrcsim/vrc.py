@@ -11,8 +11,9 @@ register values through the reader the core passes to each `step`,
 checkpointed leaves from Hist, and intermediates from the SFile; the root
 value is then copied to the load's destination in one delivery cycle.
 Recomputation needs no validation: the load is complete at delivery. A
-clamped request (VRC2, or an oracle request that carries its value) skips
-the per-instruction timing and completes after the clamp.
+clamped request skips the per-instruction timing and completes after
+`CLAMP_CYCLES`: every request under the VRC2 policy, which `VrcState`
+takes from the core, and an oracle request, which carries its value.
 
 Hist holds committed values: when an instruction at a checkpoint site
 commits, the core checkpoints the value that instruction committed.
@@ -36,18 +37,18 @@ from collections import deque
 from dataclasses import dataclass
 
 from .isa import ALU_FU, LINE_BYTES, ArithmeticFault, alu_eval_strict
-from .slicer import AnnotationTable, Slice
+from .slicer import AnnotationTable, Slice, read_operand
 
 DEFAULT_HIST_CAPACITY = (22 * 1024) // 8   # 8-byte entries in a 22 KiB table
-ORACLE_CLAMP_CYCLES = 2                     # oracle recomputation latency
+CLAMP_CYCLES = 2                # modeled latency of a VRC2 or oracle request
 
 
 @dataclass(frozen=True)
 class VrcConfig:
+    """The engine's structures; the clamp comes from the policy."""
     hist_capacity: int = DEFAULT_HIST_CAPACITY
     queue_depth: int = 16
     lossy_tags: bool = False
-    clamp_cycles: int | None = None    # VRC-2cyc mode: cap modeled slice latency
     allow_mutable: bool = False        # conservative mode recomputes immutable only
 
 
@@ -67,8 +68,9 @@ class _Request:
 
 class VrcState:
     def __init__(self, table: AnnotationTable | None = None,
-                 config: VrcConfig | None = None):
+                 config: VrcConfig | None = None, policy: str = "VRC"):
         self.config = config or VrcConfig()
+        self.clamp = CLAMP_CYCLES if policy == "VRC2" else None
         self.table = table or AnnotationTable()
         self.ibuff: dict[int, Slice] = {}
         for sid, s in self.table.slices.items():
@@ -110,7 +112,7 @@ class VrcState:
         if len(self.queue) >= self.config.queue_depth:
             return False
         if oracle_value is not None:
-            self.queue.append(_Request(load_seq, None, (), (), ORACLE_CLAMP_CYCLES,
+            self.queue.append(_Request(load_seq, None, (), (), CLAMP_CYCLES,
                                        [oracle_value]))
             return True
         sid = self.table.rcmp_sites.get(pc)
@@ -119,7 +121,7 @@ class VrcState:
                 any(key not in self.hist for key, _, _ in s.hist_requirements):
             return False
         self.queue.append(_Request(load_seq, sid, s.instrs, s.live_bindings,
-                                   self.config.clamp_cycles, [None] * len(s.instrs)))
+                                   self.clamp, [None] * len(s.instrs)))
         return True
 
     def cancel_queued(self, load_seq: int) -> bool:
@@ -131,18 +133,6 @@ class VrcState:
         return False
 
     # -- execution -------------------------------------------------------------
-
-    def _slice_operand(self, act: _Request, op, read_live) -> int:
-        self.struct_accesses += 1
-        if op.kind == "CONST":
-            return op.value
-        if op.kind == "LIVE_REG":
-            value = read_live(op.reg, act.load_seq)
-            assert value is not None, "live operand must be ready before start"
-            return value
-        if op.kind == "HIST":
-            return self.hist[op.key]
-        return act.sfile[op.pos]
 
     def step(self, now: int, budget: list, read_live) -> bool:
         """Advance the engine by one cycle. Each slice instruction takes a
@@ -194,10 +184,18 @@ class VrcState:
     def _execute(self, act: _Request, instrs, read_live) -> bool:
         """Evaluate `instrs` into the SFile. A fault ends the request and
         returns False."""
+        load_seq, hist, sfile = act.load_seq, self.hist, act.sfile
+
+        def live(reg):
+            value = read_live(reg, load_seq)
+            assert value is not None, "live operand must be ready before start"
+            return value
+
         try:
             for ins in instrs:
-                ops = [self._slice_operand(act, o, read_live) for o in ins.operands]
-                act.sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
+                ops = [read_operand(o, live, hist, sfile) for o in ins.operands]
+                self.struct_accesses += len(ops)
+                sfile[ins.slice_pos] = alu_eval_strict(ins.alu_op, ops)
         except ArithmeticFault:
             self.faults += 1
             self._end(None)

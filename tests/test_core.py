@@ -724,9 +724,20 @@ def test_skipping_idle_cycles_equals_stepping_them():
               (hand_pool_refile_trace(1), REFILE_CORE, "TSO")]
     cases += [(random_loop_trace(seed), overrides, ("TSO", "RC")[seed % 2])
               for seed in range(20) for overrides in ({}, SMALL_CORE)]
-    for t, overrides, consistency in cases:
+    cases = [(t, overrides, consistency, core.POLICIES)
+             for t, overrides, consistency in cases]
+    # value-prediction replays that take a waiting op out of a calendar
+    # bucket or its FU class's list, or re-execute the address producer of
+    # a load in the pool, while walks carry their unvisited rest into the
+    # next cycle's bucket
+    replays = [(hand_fu_unfile_trace(seed), UNFILE_CORE) for seed in range(1, 9)]
+    replays += [(hand_pool_refile_trace(seed, resident), REFILE_CORE)
+                for seed in range(1, 9) for resident in (False, True)]
+    cases += [(t, overrides, consistency, ("VP",)) for t, overrides in replays
+              for consistency in ("TSO", "RC")]
+    for t, overrides, consistency, policies in cases:
         table, _ = annotate(t)
-        for policy in core.POLICIES:
+        for policy in policies:
             cfg = CoreConfig(policy=policy, consistency=consistency, **overrides)
             skipped = core._Sim(t, table, cfg, None).run()
             stepped = _SteppedSim(t, table, cfg, None).run()

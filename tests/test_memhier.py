@@ -75,6 +75,12 @@ def test_config_rejects_negative_latencies_and_mshrs():
     assert CacheConfig(mshrs=0).mshrs == 0  # legal: every miss stalls
 
 
+@pytest.mark.parametrize("name", ["l1_ways", "l2_ways"])
+def test_config_rejects_zero_ways(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+        CacheConfig(**{name: 0})
+
+
 def test_deferred_apply_and_squash():
     mem = MemHierState()
     mem.access(0x1000, 0, 0)

@@ -102,6 +102,16 @@ def test_config_validation():
         VpConfig(entries=100)  # not a power of two
 
 
+@pytest.mark.parametrize("name, value", [
+    ("entries", 0), ("entries", 1), ("components", 1), ("components", 0),
+    ("tag_bits", 0), ("tag_bits", -1)])
+def test_config_rejects_what_fails_later(name, value):
+    # each used to pass construction and fail in `VpState` or its first
+    # predict, train or branch, with an error that names no field
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        VpConfig(**{name: value})
+
+
 def _fold(ghist: int, length: int, bits: int) -> int:
     """The reference fold: the XOR of the `bits`-wide chunks of the
     youngest `length` history bits, recomputed from the whole history."""

@@ -146,7 +146,7 @@ def test_clamped_latency_two_cycles():
     instrs = [SliceInstr(0, "MUL", (const_op(3), const_op(4))),
               SliceInstr(1, "ADD", (temp_op(0), const_op(1)))]
     v = VrcState(_table(_slice(0, instrs), rcmp={0x40: 0}),
-                 VrcConfig(clamp_cycles=2))
+                 VrcConfig(), "VRC2")
     assert v.enqueue(0x40, 1)
     # the clamp claims no functional unit
     assert _step(v, 10, units=0) and not v.ended
