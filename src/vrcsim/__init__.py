@@ -14,7 +14,7 @@ from .slicer import (AnnotationTable, Slice, SliceFailure, SliceInstr,
                      annotate, build_slice, emit_annotations, load_annotations,
                      replay_slice)
 from .trace import (Trace, TraceInstruction, emit_trace, load_trace,
-                    parse_trace, save_trace, validate_trace, window_trace)
+                    parse_trace, save_trace, validate_trace)
 from .vp import VpConfig, VpState
 from .vrc import VrcConfig, VrcState
 from .workloads import SyntheticWorkloadSpec, gen_synthetic

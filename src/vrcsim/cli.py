@@ -100,8 +100,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--annotations", help="annotation file")
     parser.add_argument("--policy", action="append", default=None,
                         choices=core.POLICIES, help="repeatable")
-    parser.add_argument("--skip", type=int, default=0)
-    parser.add_argument("--limit", type=int, default=None)
     parser.add_argument("--mem-latency", type=int, default=None)
     parser.add_argument("--consistency", choices=("tso", "rc"), default="tso")
     parser.add_argument("--max-len", type=int, default=slicer.DEFAULT_MAX_SLICE_LEN)
@@ -176,8 +174,6 @@ def _prepare_inputs(args):
     if not path.exists():
         raise InputError(f"trace file not found: {path}")
     t = trace_mod.load_trace(path)
-    if args.skip or args.limit is not None:
-        t = trace_mod.window_trace(t, skip=args.skip, limit=args.limit)
     report = trace_mod.validate_trace(t)
     if not report.ok:
         raise InputError(f"trace invalid: {report.violations[:3]}")

@@ -25,7 +25,8 @@ probes. Commit, issue (with the engine) and dispatch are generators that
 `run` makes once per run, as its locals, and resumes once per stepped
 cycle. Each binds once, before its loop, what no code reassigns during a
 run: the decode's columns, the entry list and ring, `committed_values`,
-the calendar, issue pool and FU wait lists, the live stores, the
+the `ready` and `complete` lists and the two dicts an ALU op keeps beside
+them, the calendar, issue pool and FU wait lists, the live stores, the
 counters, the shadow, hierarchy, VP and engine states, the checkpoint
 sites and the config's scalars. Each resume reads from the simulator
 every scalar that changes: the cycle, the commit head, the next seq to
@@ -37,23 +38,27 @@ address and data producers, and its consumers, which a completing or
 replayed producer files. Entry states and kinds are integer codes, named
 only in deadlock reports.
 
-A run keeps `rob_size` entries in a ring and takes the one at
-`seq % rob_size` when it dispatches `seq`; the ROB bound guarantees its
-last occupant has committed, so the core's state is bounded by the ROB, not
-the trace. `entries[seq]` is the entry while `seq` is in flight and None
-before dispatch and after commit. A value is written to
-`committed_values[seq]` when it is bound (at execute, load completion,
-prediction, validation or replay), so an operand is read from there whether
-its producer is in flight or committed, and the final registers are their
-last writers' values. A producer is always older than its reader, so a
-reader that finds no entry for one treats it as committed and its value as
-ready.
+A run keeps `rob_size` entries in a ring for its loads, stores, branches
+and NOPs, and takes the one at `seq % rob_size` when it dispatches `seq`;
+the ROB bound guarantees its last occupant has committed. `entries[seq]`
+is the entry while `seq` is in flight, else None. Each seq's value is
+written to `committed_values[seq]` when it is bound (at execute, load
+completion, prediction, validation or replay), and its timing to `ready`
+(the cycle the value is ready) and `complete`; each stays after commit,
+so an operand and its ready cycle are read the same way whether the
+producer is in flight or committed, and the final registers are their
+last writers' values.
 
 ALU ops and loads take a short path through dispatch, issue and
-completion, on the state those two generators bind once: dispatch writes
-only the fields the kind reads, inline, a load registering and casting
-its own shadows in one `ShadowState.register_load` call; issue executes
-an ALU op inline and serves a load's first issue and every retry in
+completion, on the state those two generators bind once. An ALU op takes
+no entry: it is dispatched when `seq < next_dispatch`, executed when
+`ready[seq]` is set, and its static facts come from the decode. A
+faulting op's exception shadow waits in `alu_shadows` for its first
+execution, and `replay_floor` holds the raised floor of each op a replay
+reset, which gave its IQ entry back when it first executed. A load's
+dispatch writes only the fields a load reads, and registers and casts
+its shadows in one `ShadowState.register_load` call. Issue executes an
+ALU op inline and serves a load's first issue and every retry in
 `_issue_load`; either completion files the waiting consumers inline.
 `ShadowState` keeps the shadow buffer's ids, the release queue and the
 shadow statistics: each cast takes the next id, the head is the oldest
@@ -65,7 +70,8 @@ each.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
-values; a load is ready the cycle after its address. `_reschedule` applies
+values; a load is ready the cycle after its address. A producer counts at
+its ready cycle, committed or not (see `_ready_at`). `_reschedule` applies
 that rule (`_ready_at`) to every kind, and the short paths hold inlined
 copies. A ready entry is filed in a calendar (R. Brown's calendar queue,
 CACM 1988): a dict from cycle to seqs, of which the issue stage pops exactly
@@ -202,39 +208,33 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
 class _Entry:
-    """One in-flight instruction: a slot of the run's ring, reset at
-    dispatch (the short paths of ALU ops and loads write only the fields
-    their kind reads).
-    Its value lives in the run's `committed_values`. `sb_e` holds its
-    exception shadow and `sb_k` the one shadow its kind casts: a branch's
-    C, a store's D, a load's M or VP."""
+    """One in-flight load, store, branch or NOP: a slot of the run's ring,
+    reset at dispatch (a load's short path writes only the fields a load
+    reads). An ALU op takes no slot. Its value lives in the run's
+    `committed_values` and its timing in the run's `ready` and `complete`
+    lists. `sb_e` holds its exception shadow and `sb_k` the one shadow its
+    kind casts: a branch's C, a store's D, a load's M or VP."""
 
     __slots__ = (
-        "seq", "ins", "kind", "state", "value_ready", "complete",
-        "addr_ready", "shadowed", "sb_e", "sb_k",
-        "predicted", "ready_floor", "iq_held", "unshadow_cycle",
-        "dispatch_cycle", "issue_at",
+        "seq", "ins", "state", "addr_ready", "shadowed", "sb_e", "sb_k",
+        "predicted", "iq_held", "unshadow_cycle", "dispatch_cycle", "issue_at",
     )
 
     def __init__(self):
-        # what the short paths do not write, for a slot's first occupant:
-        # every later one finds it so, as an entry clears `sb_e` before it
-        # commits
+        # what a load's short path does not write, for a slot's first
+        # occupant: every later one finds it so, as an entry clears `sb_e`
+        # before it commits
         self.sb_e = None
 
-    def reset(self, seq, ins, kind, now):
+    def reset(self, seq, ins, now):
         """Every field, for a store, branch or NOP."""
         self.seq = seq
         self.ins = ins
-        self.kind = kind
         self.state = DISP
-        self.value_ready = None
-        self.complete = None
         self.addr_ready = None
         self.shadowed = False
         self.sb_e = self.sb_k = None
         self.predicted = None
-        self.ready_floor = now + 1
         self.iq_held = False
         self.unshadow_cycle = None
         self.dispatch_cycle = now
@@ -281,10 +281,15 @@ class _Sim:
         self.decode = trace.decode
         self.data_writers = self.decode.data_writers
         self.consumers = self.decode.consumers
-        # entries[seq] is the ring entry while seq is in flight, else None:
-        # not yet dispatched, or committed (its value is in committed_values)
+        # entries[seq] is the ring entry while a load, store, branch or NOP
+        # is in flight, else None; the ready and complete cycles per seq
+        # are None until set (a replay resets an ALU op's)
         self.ring = [_Entry() for _ in range(config.rob_size)]
         self.entries: list[_Entry | None] = [None] * self.n
+        self.ready: list[int | None] = [None] * self.n
+        self.complete: list[int | None] = [None] * self.n
+        self.alu_shadows: dict[int, int] = {}
+        self.replay_floor: dict[int, int] = {}
 
         self.now = 0
         self.next_dispatch = 0
@@ -320,68 +325,74 @@ class _Sim:
     def _live_reg_value(self, reg: int, load_seq: int):
         """Architectural value of `reg` at the load's program point, or None
         while its producer's value has not arrived (the engine stalls). A
-        load that makes a real access sets `value_ready` at issue to its
-        fill cycle, so a set `value_ready` alone is not enough."""
+        load that makes a real access sets its ready cycle at issue to its
+        fill cycle, so a set ready cycle alone is not enough."""
         wseq = self.decode.writer_before(reg, load_seq)
         if wseq is None:
             return 0
-        e = self.entries[wseq]
-        if e is not None and (e.value_ready is None or e.value_ready > self.now):
+        ready = self.ready[wseq]
+        if ready is None or ready > self.now:
             return None
         return self.committed_values[wseq]
 
     def _ready_at(self, writers, floor: int) -> int | None:
         """Cycle by which every producer's value is ready, at least `floor`;
-        None while a producer has no value. A producer with no entry has
-        committed, so its value was ready by this cycle."""
-        entries = self.entries
+        None while a producer has no value. A committed producer's ready
+        cycle is at most the current one, so it acts as if passed over:
+        every caller clamps the result to the next cycle at the earliest,
+        compares it with the current cycle, or asks when a producer wakes,
+        whose ready cycle is at least the current one."""
+        ready = self.ready
         for w in writers:
-            e = entries[w]
-            if e is not None:
-                ready = e.value_ready
-                if ready is None:
-                    return None
-                if ready > floor:
-                    floor = ready
+            at = ready[w]
+            if at is None:
+                return None
+            if at > floor:
+                floor = at
         return floor
 
     def _wake(self, producer_seq: int) -> None:
         """Files each waiting consumer of a producer that now has its value
-        as `_reschedule` does; an op waits only until it executes."""
-        entries = self.entries
+        as `_reschedule` does; an op (an ALU op or branch) waits only until
+        it executes."""
+        kinds, ready, dispatched = self.decode.kinds, self.ready, self.next_dispatch
         for cseq in self.consumers[producer_seq]:
-            e = entries[cseq]
-            if e is None:
+            if cseq >= dispatched:
                 break  # consumers are in program order
-            if e.state == DISP or e.kind == KIND_LOAD or e.kind == KIND_STORE:
-                self._reschedule(e)
+            kind = kinds[cseq]
+            if ready[cseq] is None or kind == KIND_LOAD or kind == KIND_STORE:
+                self._reschedule(cseq)
 
-    def _reschedule(self, e: _Entry) -> None:
-        """Files a waiting entry once its producers have values, in the
-        calendar under its ready cycle (see the module docstring), the next
-        cycle at the earliest. A load is filed once: its access stands after
-        a replay, so a re-executed address producer does not file it again.
-        Its callers pass an ALU op or branch only while it waits. The rule
+    def _reschedule(self, seq: int) -> None:
+        """Files a waiting load, store or op once its producers have values,
+        in the calendar under its ready cycle (see the module docstring),
+        the next cycle at the earliest. A load is filed once: its access
+        stands after a replay, so a re-executed address producer does not
+        file it again. Its callers pass an op only while it waits. The rule
         has three inlined copies, which a change to it must reach: ALU-op
         and load dispatch in `_dispatch`, and the consumer filing in
         `_issue_phase`."""
-        if e.kind == KIND_STORE:
-            self._update_store(e)
+        kind = self.decode.kinds[seq]
+        if kind == KIND_STORE:
+            self._update_store(self.entries[seq])
             return
-        if e.kind == KIND_LOAD:
+        if kind == KIND_LOAD:
+            e = self.entries[seq]
             if e.addr_ready is not None:
                 return
-            at = self._ready_at(self.decode.addr_writers[e.seq], e.dispatch_cycle)
+            at = self._ready_at(self.decode.addr_writers[seq], e.dispatch_cycle)
             if at is None:
                 return
             at = e.addr_ready = at + 1
         else:
-            at = self._ready_at(self.data_writers[e.seq], e.ready_floor)
+            # an op's floor is the cycle after its dispatch, which the clamp
+            # below covers, unless a replay raised it
+            at = self._ready_at(self.data_writers[seq], self.replay_floor.get(seq, 0))
             if at is None:
                 return
         if at <= self.now:
             at = self.now + 1
-        self.calendar.setdefault(at, []).append(e.seq)
+        self.calendar.setdefault(at, []).append(seq)
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -394,11 +405,11 @@ class _Sim:
             e.addr_ready = at + 1
             self._schedule(e.addr_ready, self.sb.resolve, e.sb_k)
             e.sb_k = None
-        e.complete = self._ready_at(
+        complete = self.complete[e.seq] = self._ready_at(
             decode.data_writers[e.seq], max(e.addr_ready, e.dispatch_cycle + 1))
-        if e.complete is not None:
+        if complete is not None:
             if e.ins.may_fault and e.sb_e is not None:
-                self._schedule(e.complete, self.sb.resolve, e.sb_e)
+                self._schedule(complete, self.sb.resolve, e.sb_e)
                 e.sb_e = None
             self._release_iq(e)
 
@@ -425,6 +436,7 @@ class _Sim:
         width, iq_size = cfg.width, cfg.iq_size
         lq_size, sq_size = cfg.lq_size, cfg.sq_size
         calendar, live_stores = self.calendar, self.live_stores
+        readies, alu_shadows = self.ready, self.alu_shadows
         probe = self.probe_spec
         while True:
             redirect_until = self.redirect_until
@@ -443,6 +455,7 @@ class _Sim:
                 yield False
                 continue
             now = self.now
+            floor = now + 1  # an op's floor, one int shared by the cycle's ops
             # nothing resolves during dispatch, so the room only shrinks by
             # the casts of the instructions dispatched here
             room = sb.room()
@@ -451,38 +464,28 @@ class _Sim:
                 kind = kinds[seq]
                 need = casts[seq]
                 if kind == KIND_ALU:
-                    # an ALU op's short path: the other fields keep what the
-                    # slot's last occupant left (`sb_e` as `_Entry.__init__`
-                    # sets it); its floor is the next cycle
+                    # an ALU op's short path: it takes no ring entry, and
+                    # files itself as `_reschedule` does
                     if need > room or iq_used >= iq_size:
                         break
-                    e = entries[seq] = ring[seq % rob]
-                    e.seq = seq
-                    e.ins = instructions[seq]
-                    e.kind = kind
-                    e.state = DISP
-                    e.value_ready = e.complete = None
-                    e.iq_held = True
                     iq_used += 1
                     if need:  # an ALU op casts one shadow: it may fault
                         room -= need
-                        e.sb_e = sb.cast(ShadowKind.E, seq)
-                    ready = e.ready_floor = now + 1
+                        alu_shadows[seq] = sb.cast(ShadowKind.E, seq)
+                    ready = floor
                     for w in data_writers[seq]:
-                        p = entries[w]
-                        if p is not None:  # else committed: ready
-                            at = p.value_ready
-                            if at is None:
-                                break
-                            if at > ready:
-                                ready = at
+                        at = readies[w]
+                        if at is None:
+                            break
+                        if at > ready:
+                            ready = at
                     else:
                         calendar.setdefault(ready, []).append(seq)
                     seq += 1
                     continue
                 if kind == KIND_LOAD:
-                    # a load's short path, as an ALU op's (`sb_e` is None): it
-                    # files its address readiness as `_reschedule` does
+                    # a load's short path (`sb_e` is None, see `_Entry`):
+                    # it files its address readiness as `_reschedule` does
                     need += order is not None  # its memory-order shadow
                     if need > room or iq_used >= iq_size or lq_used >= lq_size:
                         break
@@ -495,10 +498,8 @@ class _Sim:
                     e = entries[seq] = ring[seq % rob]
                     e.seq = seq
                     e.ins = ins
-                    e.kind = kind
                     e.state = DISP
-                    e.value_ready = e.complete = e.addr_ready = e.predicted = None
-                    e.issue_at = None
+                    e.addr_ready = e.predicted = e.issue_at = None
                     e.dispatch_cycle = now
                     e.iq_held = True
                     iq_used += 1
@@ -511,13 +512,11 @@ class _Sim:
                     e.sb_k = None if order is None else sb_id
                     at = now
                     for w in addr_writers[seq]:
-                        p = entries[w]
-                        if p is not None:  # else committed: ready
-                            ready = p.value_ready
-                            if ready is None:
-                                break
-                            if ready > at:
-                                at = ready
+                        ready = readies[w]
+                        if ready is None:
+                            break
+                        if ready > at:
+                            at = ready
                     else:
                         e.addr_ready = at + 1
                         calendar.setdefault(at + 1, []).append(seq)
@@ -530,7 +529,7 @@ class _Sim:
                 room -= need
                 ins = instructions[seq]
                 e = entries[seq] = ring[seq % rob]
-                e.reset(seq, ins, kind, now)
+                e.reset(seq, ins, now)
                 if ins.may_fault:
                     e.sb_e = sb.cast(ShadowKind.E, seq)
                 if kind == KIND_BRANCH:
@@ -546,15 +545,15 @@ class _Sim:
                     live_stores.append(seq)
 
                 if kind == KIND_NOP:
-                    e.complete = now + 1
+                    self.complete[seq] = floor
                     if e.sb_e is not None:
-                        self._schedule(e.complete, sb.resolve, e.sb_e)
+                        self._schedule(floor, sb.resolve, e.sb_e)
                         e.sb_e = None
                 else:
                     e.iq_held = True
                     # a store may release its IQ entry at once
                     self.iq_used = iq_used + 1
-                    self._reschedule(e)
+                    self._reschedule(seq)
                     iq_used = self.iq_used
                 seq += 1
                 if self.redirect_until is not None:
@@ -574,8 +573,12 @@ class _Sim:
         kinds, fus, latencies = decode.kinds, decode.fus, decode.latencies
         forms, src_writers = decode.forms, decode.src_writers
         data_writers, consumers = decode.data_writers, decode.consumers
+        casts, instructions = decode.casts, self.trace.instructions
         entries, values, counters = self.entries, self.committed_values, self.counters
+        readies, completes = self.ready, self.complete
+        alu_shadows, replay_floor = self.alu_shadows, self.replay_floor
         calendar, pool, vrc = self.calendar, self.issue_pool, self.vrc
+        resolve = self.sb.resolve
         alu_wait, mul_wait = self.fu_wait
         alu_waits, mul_waits = alu_wait.append, mul_wait.append
         cfg = self.config
@@ -608,6 +611,8 @@ class _Sim:
                     del mul_wait[:mul]
             if due:
                 due.sort()
+                dispatched = self.next_dispatch
+                end1 = now + 1  # a 1-cycle latency's end, shared as `floor` is
                 for seq in due:
                     kind = kinds[seq]  # an issue-walk visit
                     if kind == KIND_LOAD:
@@ -637,9 +642,11 @@ class _Sim:
                         if not slots:
                             self._hold(due, seq)
                         # it executes
-                        e = entries[seq]
+                        lat = latencies[seq]
+                        done = readies[seq] = completes[seq] = \
+                            end1 if lat == 1 else now + lat
                         if kind == KIND_ALU:
-                            ins = e.ins
+                            ins = instructions[seq]
                             form = forms[seq]
                             if form == FORM_RR:
                                 a, b = src_writers[seq]
@@ -653,46 +660,52 @@ class _Sim:
                                 if ins.imm is not None:
                                     args.append(ins.imm)
                                 values[seq] = ALU_FNS[ins.alu_op](*args)
+                            if seq not in replay_floor:
+                                # its first execution: it leaves the IQ, and
+                                # a faulting op's exception shadow resolves
+                                self.iq_used -= 1
+                                if casts[seq]:
+                                    self._schedule(done, resolve, alu_shadows.pop(seq))
                         else:
-                            self._schedule(now + 1, self._branch_resolved, seq)
-                        done = e.value_ready = e.complete = now + latencies[seq]
-                        e.state = DONE_ST
-                        if e.iq_held:  # `_release_iq`, inlined
-                            e.iq_held = False
-                            self.iq_used -= 1
-                        if e.sb_e is not None:
-                            self._schedule(done, self.sb.resolve, e.sb_e)
-                            e.sb_e = None
+                            e = entries[seq]
+                            self._schedule(end1, self._branch_resolved, seq)
+                            e.state = DONE_ST
+                            if e.iq_held:  # `_release_iq`, inlined
+                                e.iq_held = False
+                                self.iq_used -= 1
+                            if e.sb_e is not None:
+                                self._schedule(done, resolve, e.sb_e)
+                                e.sb_e = None
                     # the op or load has its value: its consumers that wait
                     # are filed as `_wake` files them, inline
                     for cseq in consumers[seq]:
-                        c = entries[cseq]
-                        if c is None:
+                        if cseq >= dispatched:
                             # not dispatched yet, as none after it is:
-                            # consumers are in program order, and none has
-                            # committed ahead of its producer
+                            # consumers are in program order
                             break
-                        if c.kind != KIND_ALU and c.kind != KIND_BRANCH:
-                            self._reschedule(c)
-                        elif c.state == DISP:
+                        kind = kinds[cseq]
+                        if kind != KIND_ALU and kind != KIND_BRANCH:
+                            self._reschedule(cseq)
+                        elif readies[cseq] is None:
                             # `_reschedule` for an op, inlined: an op waiting
                             # here has no value for this producer, so it is
                             # not filed yet
-                            ready = c.ready_floor
+                            ready = now
                             for w in data_writers[cseq]:
-                                p = entries[w]
-                                if p is not None:  # else committed: ready
-                                    at = p.value_ready
-                                    if at is None:
-                                        break
-                                    if at > ready:
-                                        ready = at
+                                at = readies[w]
+                                if at is None:
+                                    break
+                                if at > ready:
+                                    ready = at
                             else:
-                                # the next cycle at the earliest: an L1 hit
+                                # the next cycle at the earliest (an L1 hit
                                 # with no L1 latency is ready now, past this
-                                # bucket
-                                if ready <= now:
+                                # bucket), and no earlier than a floor that
+                                # a replay raised
+                                if ready == now:
                                     ready = now + 1
+                                if replay_floor and replay_floor.get(cseq, 0) > ready:
+                                    ready = replay_floor[cseq]
                                 calendar.setdefault(ready, []).append(cseq)
             budget[FU_ALU], budget[FU_MUL] = alu, mul
             # every load or op that issued took a slot
@@ -831,7 +844,7 @@ class _Sim:
         seq = e.seq
         e.state = DONE_ST
         self.committed_values[seq] = value
-        e.value_ready = e.complete = ready
+        self.ready[seq] = self.complete[seq] = ready
         if e.iq_held:
             e.iq_held = False
             self.iq_used -= 1
@@ -863,7 +876,7 @@ class _Sim:
         e = self.entries[seq]
         e.state = PREDICTED
         self.committed_values[seq] = e.predicted
-        e.value_ready = self.now
+        self.ready[seq] = self.now
         self._release_iq(e)
         self._wake(seq)
         if not e.shadowed:
@@ -878,10 +891,10 @@ class _Sim:
         if self.committed_values[seq] != actual:
             self.counters["vp_mispredicts"] += 1
             self.committed_values[seq] = actual
-            e.value_ready = self.now
+            self.ready[seq] = self.now
             self._replay_dependents(seq, self.now)
         e.state = DONE_ST
-        e.complete = self.now
+        self.complete[seq] = self.now
         for sb_id in (e.sb_k, e.sb_e):
             if sb_id is not None:
                 self._schedule(self.now, self.sb.resolve, sb_id)
@@ -892,6 +905,8 @@ class _Sim:
         """Selective replay: computation that consumed a mispredicted value
         re-executes after the redirect penalty; memory accesses stand."""
         floor = correct_cycle + self.config.redirect_penalty
+        kinds, entries = self.decode.kinds, self.entries
+        ready, complete, replay_floor = self.ready, self.complete, self.replay_floor
         stack = [seq]
         seen = set()
         while stack:
@@ -900,29 +915,28 @@ class _Sim:
                 if cseq in seen:
                     continue
                 seen.add(cseq)
-                ce = self.entries[cseq]
-                if ce is None:
-                    continue
-                if ce.kind == KIND_ALU and ce.state == DONE_ST:
-                    ce.state = DISP
-                    self.committed_values[cseq] = None
-                    ce.value_ready = ce.complete = None
-                    ce.ready_floor = max(ce.ready_floor, floor)
+                kind = kinds[cseq]
+                if kind == KIND_ALU and ready[cseq] is not None:
+                    # an executed op; its floor rises above the cycle after
+                    # its dispatch
+                    self.committed_values[cseq] = ready[cseq] = complete[cseq] = None
+                    replay_floor[cseq] = max(replay_floor.get(cseq, 0), floor)
                     self.counters["replayed_ops"] += 1
-                    self._reschedule(ce)
+                    self._reschedule(cseq)
                     stack.append(cseq)
-                elif ce.kind == KIND_STORE:
-                    ce.complete = None
-                    self._update_store(ce)
+                elif kind == KIND_STORE and entries[cseq] is not None:
+                    complete[cseq] = None
+                    self._update_store(entries[cseq])
         # an op that has not executed and now reads a reset producer leaves
         # where it waits, a calendar bucket or its FU class's list (it is in
         # neither if it already waited for a producer); the producer's
         # re-execution wakes it
-        entries, data_writers, calendar = self.entries, self.data_writers, self.calendar
+        data_writers, calendar = self.data_writers, self.calendar
+        dispatched = self.next_dispatch
         for s in seen:
-            e = entries[s]
-            if e is None or e.state != DISP \
-                    or (e.kind != KIND_ALU and e.kind != KIND_BRANCH) \
+            kind = kinds[s]
+            if (kind != KIND_ALU and kind != KIND_BRANCH) or s >= dispatched \
+                    or ready[s] is not None \
                     or self._ready_at(data_writers[s], 0) is not None:
                 continue
             for at, bucket in calendar.items():
@@ -995,8 +1009,9 @@ class _Sim:
     def _commit(self):
         """The commit stage, a generator that `run` makes once per run and
         resumes once per cycle: each resume commits, in order, up to `width`
-        completed entries and yields whether it committed any."""
+        completed instructions and yields whether it committed any."""
         entries, values, counters = self.entries, self.committed_values, self.counters
+        kinds, completes = self.decode.kinds, self.complete
         mem, live_stores, vp, vrc = self.mem, self.live_stores, self.vp, self.vrc
         width = self.config.width
         # checkpoint sites, which only the engine reads
@@ -1008,12 +1023,12 @@ class _Sim:
             if end > self.next_dispatch:
                 end = self.next_dispatch
             while seq < end:
-                e = entries[seq]
-                complete = e.complete
+                complete = completes[seq]
                 if complete is None or complete > now:
                     break
-                kind = e.kind
+                kind = kinds[seq]
                 if kind != KIND_ALU:  # an ALU op has nothing more to do
+                    e = entries[seq]
                     ins = e.ins
                     if kind == KIND_LOAD:
                         self.lq_used -= 1
@@ -1035,13 +1050,13 @@ class _Sim:
                                                     store_pc=ins.pc)
                     elif kind == KIND_BRANCH and vp is not None:
                         vp.notify_branch(ins.br.taken)
+                    entries[seq] = None
                 if seq in rec_sites:
                     # Hist takes the committed value; a store or branch has none
                     value = values[seq]
                     if value is not None:
                         for key, _ in rec_sites[seq]:
                             vrc.rec_checkpoint(key, value)
-                entries[seq] = None
                 seq += 1
             if seq > first:
                 self.commit_head = seq
@@ -1123,9 +1138,9 @@ class _Sim:
             candidates.append(min(self.calendar))
         if self.redirect_until is not None and self.redirect_until >= 0:
             candidates.append(self.redirect_until)
-        head = self.entries[self.commit_head] if self.commit_head < self.n else None
-        if head is not None and head.complete is not None:
-            candidates.append(head.complete)
+        head = self.complete[self.commit_head] if self.commit_head < self.n else None
+        if head is not None:
+            candidates.append(head)
         future = [c for c in candidates if c > self.now]
         if not future:
             # nothing scheduled and nothing runnable: creep and let the
@@ -1135,13 +1150,18 @@ class _Sim:
         self.now = min(future)
 
     def _deadlock_dump(self) -> str:
-        head = self.entries[self.commit_head]
+        seq = self.commit_head
+        if seq >= self.next_dispatch:
+            state = "undispatched"
+        elif self.decode.kinds[seq] == KIND_ALU:  # an ALU op has no entry
+            state = STATE_NAMES[DISP if self.ready[seq] is None else DONE_ST]
+        else:
+            state = STATE_NAMES[self.entries[seq].state]
         shadow = self.sb.oldest_unresolved()
         return "; ".join([
             f"no commit for {self.config.deadlock_cycles} cycles at cycle {self.now}",
-            f"policy={self.policy} committed={self.commit_head}/{self.n}",
-            f"head seq={self.commit_head} "
-            f"state={STATE_NAMES[head.state] if head else 'undispatched'}",
+            f"policy={self.policy} committed={seq}/{self.n}",
+            f"head seq={seq} state={state}",
             f"iq={self.iq_used} lq={self.lq_used} sq={len(self.live_stores)}",
             f"issue_pool={len(self.issue_pool) + sum(map(len, self.fu_wait))}",
             "oldest shadow=" + (f"{shadow[0].value} cast by seq={shadow[1]}"

@@ -1,5 +1,5 @@
-"""Dynamic instruction traces: record format, parsing, validation, decoding
-and windowing. Synthetic traces come from `workloads.py`.
+"""Dynamic instruction traces: record format, parsing, validation and
+decoding. Synthetic traces come from `workloads.py`.
 
 A trace is a dynamic instruction stream annotated with the data values and
 addresses observed when the program ran, plus per-branch outcome/prediction
@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .isa import (ALU_ARITY, ALU_FU, ALU_LATENCY, ALU_OPS, FU_ALU, LINE_BYTES,
@@ -564,14 +564,3 @@ def validate_trace(t: Trace) -> ValidationReport:
                             report.add(ins.seq, f"value inconsistency at seq={ins.seq}")
                             break
     return report
-
-
-def window_trace(t: Trace, skip: int = 0, limit: int | None = None) -> Trace:
-    """Region-of-interest selection: drop the first `skip` instructions, keep
-    at most `limit`, and renumber seqs densely from zero. A negative `skip`
-    or `limit` is a ValueError."""
-    if skip < 0 or (limit is not None and limit < 0):
-        raise ValueError(f"window skip and limit must be >= 0, got {skip} and {limit}")
-    body = t.instructions[skip: skip + limit if limit is not None else None]
-    renumbered = tuple(replace(ins, seq=i) for i, ins in enumerate(body))
-    return Trace(header=t.header, instructions=renumbered)

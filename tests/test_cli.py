@@ -97,23 +97,15 @@ def test_compare_deterministic_csv(tmp_path):
                        tmp_path / "r2" / "compare.csv", shallow=False)
 
 
-def test_compare_skip_limit_window(tmp_path):
-    tr = _gen(tmp_path, count=4000)
-    out = tmp_path / "w"
-    assert main(["compare", "--trace", str(tr), "--policy", "DOM",
-                 "--skip", "500", "--limit", "1000", "--out", str(out)]) == 0
-    csv = (out / "compare.csv").read_text()
-    committed = int(csv.strip().splitlines()[1].split(",")[2])
-    assert committed == 1000
-
-
 @pytest.mark.parametrize("command,flag", [("compare", "--skip"),
                                           ("audit", "--limit")])
-def test_negative_window_is_an_input_error(tmp_path, capsys, command, flag):
+def test_window_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # no command takes a window of a trace: one would start from zeroed
+    # registers, so its stores would disagree with their data
     tr = _gen(tmp_path, count=300)
-    assert main([command, "--trace", str(tr), "--policy", "DOM", flag, "-5",
-                 "--out", str(tmp_path / "w")]) == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    assert main([command, "--trace", str(tr), "--policy", "DOM", flag, "100",
+                 "--out", str(tmp_path / "w")]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_negative_mem_latency_is_an_input_error(tmp_path, capsys):

@@ -225,6 +225,24 @@ def test_vp_misprediction_replays_dependents(tb):
     assert r.committed_values == rep.results
 
 
+@pytest.mark.parametrize("consistency", ["TSO", "RC"])
+def test_replayed_faulting_op_gives_back_its_iq_entry_and_shadow_once(consistency):
+    # each MUL may fault, and a value-prediction replay makes some execute
+    # again: the exception shadow resolves (a second resolve raises
+    # ShadowError) and the IQ entry is given back at the first execution
+    # only, so a finished run holds no IQ entry and no shadow
+    t = hand_replay_trace(fault=True)
+    oracle = functional_replay(t).results
+    for overrides in ({}, TIGHT_CORE):
+        cfg = CoreConfig(policy="VP", consistency=consistency, **overrides)
+        sim = core._Sim(t, None, cfg, None)
+        r = sim.run()
+        assert r.counters["replayed_ops"] > 0
+        assert r.committed_values == oracle
+        assert sim.iq_used == 0
+        assert sim.sb.room() == cfg.sb_capacity
+
+
 def test_validation_serialization_program_order():
     spec = SyntheticWorkloadSpec(pattern="COMPUTE_STORE_LOAD", count=6000,
                                  seed=51, recomputable_fraction=1.0)
@@ -281,6 +299,20 @@ def test_deadlock_dump_names_head_state(tb):
     cfg = CoreConfig(policy="DOM", deadlock_cycles=500, cache=CacheConfig(mshrs=0))
     with pytest.raises(DeadlockError, match=r"head seq=1 state=NONSPEC;.*"
                                             r"; oldest shadow=M cast by seq=1$"):
+        core.run(tb.build(), config=cfg)
+
+
+def test_deadlock_dump_names_an_alu_head_state(tb):
+    # an ALU op keeps no entry in flight: the MUL at the head has executed
+    # and waits out its latency when a one-cycle bound trips, and the
+    # report must still name its state
+    tb.alu(0x0, 1, "MOV", imm=3)
+    for i in range(4):
+        tb.alu(0x4 + 4 * i, 1, "MUL", srcs=(1, 1))
+    for i in range(200):
+        tb.alu(0x20 + 4 * i, 2 + i % 8, "ADD", srcs=(10,), imm=i)
+    cfg = CoreConfig(policy="DOM", deadlock_cycles=1)
+    with pytest.raises(DeadlockError, match=r"head seq=1 state=DONE;"):
         core.run(tb.build(), config=cfg)
 
 
@@ -577,8 +609,7 @@ class _ResetSlotsSim(_HookedSim):
         while True:
             end = min(self.commit_head + rob, self.n)
             for seq in range(self.next_dispatch, end):
-                self.ring[seq % rob].reset(
-                    seq, self.trace[seq], self.decode.kinds[seq], self.now)
+                self.ring[seq % rob].reset(seq, self.trace[seq], self.now)
             self.hooked.append(self.now)
             yield next(stage)
 
@@ -590,7 +621,7 @@ def test_ring_slots_recycle_across_kinds():
     # `reset` must set every field. The load-dense STREAM traces (a fifth
     # of their instructions are loads) run under TSO and RC
     e = core._Entry()
-    e.reset(0, None, 0, 0)
+    e.reset(0, None, 0)
     assert all(hasattr(e, name) for name in core._Entry.__slots__)
     small = {"rob_size": 4, "iq_size": 4}
     traces = [gen_synthetic(SyntheticWorkloadSpec(pattern=p, count=600, seed=2))
@@ -727,12 +758,13 @@ def test_skipping_idle_cycles_equals_stepping_them():
     cases = [(t, overrides, consistency, core.POLICIES)
              for t, overrides, consistency in cases]
     # value-prediction replays that take a waiting op out of a calendar
-    # bucket or its FU class's list, or re-execute the address producer of
-    # a load in the pool, while walks carry their unvisited rest into the
-    # next cycle's bucket
+    # bucket or its FU class's list, re-execute the address producer of a
+    # load in the pool, or make a faulting op execute again, while walks
+    # carry their unvisited rest into the next cycle's bucket
     replays = [(hand_fu_unfile_trace(seed), UNFILE_CORE) for seed in range(1, 9)]
     replays += [(hand_pool_refile_trace(seed, resident), REFILE_CORE)
                 for seed in range(1, 9) for resident in (False, True)]
+    replays.append((hand_replay_trace(fault=True), {}))
     cases += [(t, overrides, consistency, ("VP",)) for t, overrides in replays
               for consistency in ("TSO", "RC")]
     for t, overrides, consistency, policies in cases:

@@ -49,8 +49,9 @@ TIGHT_CORE = {"rob_size": 96, "iq_size": 32, "lq_size": 16, "sq_size": 8,
 # policies cast a shadow for each load. The first three hand-built traces and
 # the store-queue one run under TSO and RC, and the first is probed under
 # both; the four patterns and those four traces also run on the tight core
-# under TSO and RC; HAND_FU_UNFILE and HAND_POOL_REFILE run on the small
-# cores they are built for.
+# under TSO and RC; HAND_REPLAY_FAULT runs on the default core under TSO
+# and RC; HAND_FU_UNFILE and HAND_POOL_REFILE run on the small cores they
+# are built for.
 DEFAULT_RUNS = (("", {}, "TSO", ()),)
 TIGHT_RUNS = ((" tight", TIGHT_CORE, "TSO", ()),
               (" tight RC", TIGHT_CORE, "RC", ()))
@@ -64,6 +65,7 @@ RUNS = {"MIXED": (("", {}, "TSO", ("VRC",)),
                        (" RC", {}, "RC", core.POLICIES)) + TIGHT_RUNS,
         "HAND_REPLAY": (("", {}, "TSO", ()),
                         (" RC", {}, "RC", ())) + TIGHT_RUNS,
+        "HAND_REPLAY_FAULT": (("", {}, "TSO", ()), (" RC", {}, "RC", ())),
         "HAND_FU_REPLAY": (("", {}, "TSO", ()),
                            (" RC", {}, "RC", ())) + TIGHT_RUNS,
         "HAND_SQ_FILL": (("", {}, "TSO", ()),
@@ -129,19 +131,21 @@ def hand_paths_trace():
     return tb.build()
 
 
-def hand_replay_trace():
+def hand_replay_trace(fault: bool = False):
     """About 1.1k instructions on which the default value predictor gains
     confidence and then mispredicts: one load pc returns a constant for 100
     iterations and then alternates. Its MUL dependents replay, a load whose
     address depends on the MUL is woken again by it, and an ADD of the MUL
     and a load riding the validation's fill finds the MUL reset when it
-    issues."""
+    issues. With `fault`, the MUL may fault: a replay makes a faulting op
+    execute again, and its exception shadow must resolve, and its IQ entry
+    be given back, at its first execution only."""
     tb = TraceBuilder()
     for i in range(160):
         tb.load(0x10, 1, 0x40_0000 + i * 4096, value=i)    # older miss: shadow
         tb.load(0x14, 2, 0x50_0000 + i * 4096,
                 value=7 if i < 100 or i % 2 else 9)
-        tb.alu(0x18, 3, "MUL", srcs=(2, 2))
+        tb.alu(0x18, 3, "MUL", srcs=(2, 2), fault=fault)
         tb.alu(0x1C, 4, "ADD", srcs=(3,), imm=1)
         tb.load(0x20, 5, 0x60_0000 + i * 64, srcs=(3,))
         tb.load(0x24, 6, 0x50_0008 + i * 4096, srcs=(1,))
@@ -387,6 +391,7 @@ def traces():
         working_set_bytes=4 << 20))
     yield "HAND_PATHS", hand_paths_trace()
     yield "HAND_REPLAY", hand_replay_trace()
+    yield "HAND_REPLAY_FAULT", hand_replay_trace(fault=True)
     yield "HAND_FU_REPLAY", hand_fu_replay_trace()
     yield "HAND_SQ_FILL", hand_sq_fill_trace()
     yield "HAND_FU_UNFILE", hand_fu_unfile_trace(2)  # seed 1 never unfiles from a list

@@ -13,7 +13,7 @@ from vrcsim.isa import ALU_LATENCY, FU_ALU, FU_MUL
 from vrcsim.trace import (
     FORM_ANY, FORM_RI, FORM_RR, KINDS, Trace, TraceFormatError, TraceHeader,
     TraceInstruction, BranchInfo, emit_trace, load_trace, parse_trace,
-    validate_trace, window_trace,
+    validate_trace,
 )
 from vrcsim.workloads import (PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
                               gen_synthetic)
@@ -263,32 +263,12 @@ def test_gen_bad_density():
                                             branch_density=1.5))
 
 
-def test_window_trace_renumbers():
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="STREAM", count=500, seed=3))
-    w = window_trace(t, skip=100, limit=200)
-    assert len(w) == 200
-    assert [i.seq for i in w.instructions] == list(range(200))
-    # windowing preserves store/load value agreement within the window
-    assert not any("inconsisten" in v.message
-                   for v in validate_trace(w).violations)
-
-
-def test_window_trace_rejects_negative_skip_and_limit():
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="STREAM", count=100, seed=3))
-    with pytest.raises(ValueError, match="skip and limit"):
-        window_trace(t, skip=-5)
-    with pytest.raises(ValueError, match="skip and limit"):
-        window_trace(t, limit=-1)
-    assert len(window_trace(t, skip=100, limit=0)) == 0
-
-
 def _frozen_record_sources():
     t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=600, seed=3))
-    return {"gen_synthetic": t, "parse_trace": parse_trace(emit_trace(t)),
-            "window_trace": window_trace(t, skip=150, limit=300)}
+    return {"gen_synthetic": t, "parse_trace": parse_trace(emit_trace(t))}
 
 
-@pytest.mark.parametrize("source", ("gen_synthetic", "parse_trace", "window_trace"))
+@pytest.mark.parametrize("source", ("gen_synthetic", "parse_trace"))
 def test_built_records_are_frozen_trace_instructions(source):
     t = _frozen_record_sources()[source]
     assert {ins.kind for ins in t.instructions} == set(KINDS) - {"NOP"}
@@ -587,9 +567,9 @@ def test_dataflow_matches_backward_scan(pattern):
     _check_dataflow_against_scan(t)
 
 
-def test_dataflow_of_window_matches_backward_scan():
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1500, seed=2))
-    _check_dataflow_against_scan(window_trace(t, skip=450, limit=600))
+def test_dataflow_of_seed_2_mixed_matches_backward_scan():
+    _check_dataflow_against_scan(
+        gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=600, seed=2)))
 
 
 def test_dataflow_unwritten_source_register(tb):
@@ -640,9 +620,9 @@ def test_core_decode_matches_rebuild(pattern):
         assert FU_MUL in t.decode.fus
 
 
-def test_core_decode_of_window_matches_rebuild():
-    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=1500, seed=2))
-    _check_core_decode(window_trace(t, skip=450, limit=600))
+def test_core_decode_of_seed_2_mixed_matches_rebuild():
+    _check_core_decode(
+        gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=600, seed=2)))
 
 
 def test_core_decode_unwritten_and_repeated_sources(tb):
