@@ -90,8 +90,9 @@ class _InstructionDraft:
     `__init__`, which pays one `object.__setattr__` call per field. The
     slots match TraceInstruction's, so the finished draft becomes one by
     class assignment: the caller gets a TraceInstruction, equal, hashed and
-    frozen like one built by keyword. Only the parser and the generator,
-    which build every instruction of a trace, use it."""
+    frozen like one built by keyword. Only the parser and
+    `workloads.TraceBuilder`, which build every instruction of a trace, use
+    it."""
 
     __slots__ = TraceInstruction.__slots__
 

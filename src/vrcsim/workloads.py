@@ -1,10 +1,13 @@
-"""Synthetic workload generation.
+"""Trace building and synthetic workload generation.
 
-`gen_synthetic` turns a `SyntheticWorkloadSpec` into a deterministic trace
-(see `trace.py` for the format) in one of four patterns: a pointer chase, a
-stream, compute/store/load slots whose loads read values an arithmetic chain
-produced, or segments of the three in turn (MIXED). Every generated trace
-passes `validate_trace`; the same spec always gives the same bytes.
+`TraceBuilder` builds a trace in code, one instruction at a time, over a
+model of the registers and memory; hand-written traces use it directly.
+`gen_synthetic`, on top of it, turns a `SyntheticWorkloadSpec` into a
+deterministic trace (see `trace.py` for the format) in one of four patterns:
+a pointer chase, a stream, compute/store/load slots whose loads read values
+an arithmetic chain produced, or segments of the three in turn (MIXED).
+Every generated trace passes `validate_trace`; the same spec always gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .isa import LINE_BYTES, MASK64, alu_eval
-from .trace import (TRACE_VERSION, BranchInfo, Trace, TraceHeader,
-                    TraceInstruction, _InstructionDraft)
+from .trace import (BranchInfo, Trace, TraceHeader, TraceInstruction,
+                    _InstructionDraft)
 
 PATTERNS = ("POINTER_CHASE", "STREAM", "COMPUTE_STORE_LOAD", "MIXED")
 
@@ -49,79 +52,97 @@ _CHASE_BASE = 0x3000_0000
 _UNTRACED_BASE = 0x4000_0000
 
 
-class _TraceBuilder:
-    """Emits instructions while tracking static-site identity, register values
-    and the memory image, so the output always passes validate_trace."""
+class TraceBuilder:
+    """Builds a trace one instruction at a time. It numbers the seqs and
+    models the registers and a byte memory, so each record carries the
+    values its program computes: a load without a `value` reads the bytes
+    earlier stores wrote (`read_mem`), and a store without one writes its
+    data register, the first of its `srcs` (0 with none). An explicit
+    `value` is taken as given: a load's that differs from the bytes stores
+    wrote fails `validate_trace`, and a store's that differs from its data
+    register passes it, though that register does not hold it."""
+
+    def __init__(self, regs: int = 64):
+        self.regs = [0] * regs
+        self.instrs: list[TraceInstruction] = []
+        self._mem: dict[int, int] = {}       # byte image of stored data
+
+    def _emit(self, pc, kind, dst, srcs, imm, alu_op, addr, size, value, br, fault):
+        self.instrs.append(_InstructionDraft(
+            len(self.instrs), pc, kind, dst, tuple(srcs), imm, alu_op, addr,
+            size, value, br, fault))
+
+    def alu(self, pc, dst, op, srcs=(), imm=None, fault=False) -> None:
+        ops = [self.regs[r] for r in srcs]
+        if imm is not None:
+            ops.append(imm)
+        self.regs[dst] = alu_eval(op, ops)
+        self._emit(pc, "ALU", dst, srcs, imm, op, None, None, None, None, fault)
+
+    def load(self, pc, dst, addr, value=None, size=8, srcs=(), fault=False) -> None:
+        if value is None:
+            value = self.read_mem(addr, size)
+        if dst is not None:
+            self.regs[dst] = value
+        self._emit(pc, "LOAD", dst, srcs, None, None, addr, size, value, None, fault)
+
+    def store(self, pc, addr, value=None, size=8, srcs=(), fault=False) -> None:
+        if value is None:
+            value = self.regs[srcs[0]] if srcs else 0
+        for off in range(size):
+            self._mem[addr + off] = (value >> (8 * off)) & 0xFF
+        self._emit(pc, "STORE", None, srcs, None, None, addr, size, value, None, fault)
+
+    def branch(self, pc, srcs=(), taken=True, predicted=True) -> None:
+        self._emit(pc, "BRANCH", None, srcs, None, None, None, None, None,
+                   BranchInfo(taken, predicted), False)
+
+    def nop(self, pc, srcs=(), fault=False) -> None:
+        self._emit(pc, "NOP", None, srcs, None, None, None, None, None, None, fault)
+
+    def read_mem(self, addr, size=8) -> int:
+        """The `size` bytes at `addr`, 0 where no store wrote."""
+        return sum(self._mem.get(addr + off, 0) << (8 * off) for off in range(size))
+
+    def build(self, notes: tuple[str, ...] = ()) -> Trace:
+        return Trace(header=TraceHeader(regs=len(self.regs), notes=notes),
+                     instructions=tuple(self.instrs))
+
+
+class _Generator(TraceBuilder):
+    """The generator's policy on top of the builder: its pc arguments are
+    static-site keys, each given one pc whose static fields never change;
+    memory no store wrote holds a word seeded by the address; and branch
+    outcomes are drawn from the spec's RNG."""
 
     def __init__(self, spec: SyntheticWorkloadSpec):
+        super().__init__()
         self.spec = spec
         self.rng = random.Random(spec.seed)
-        self.instrs: list[TraceInstruction] = []
-        self.regs = [0] * 64
-        self.mem: dict[int, int] = {}        # byte image of stored data
         self.sites: dict[object, tuple] = {} # site key -> (pc, static fields)
-        self.next_pc = 0x1000
         self.untraced: dict[int, int] = {}   # stable values for never-stored addrs
 
-    def emit(self, key, kind, *, dst=None, srcs=(), imm=None, alu_op=None,
-             mem_addr=None, mem_size=None, mem_value=None, br=None,
-             may_fault=False) -> bool:
-        seq = len(self.instrs)
-        if seq >= self.spec.count:
-            return False
-        srcs = tuple(srcs)
-        # one pc per static site, which must always carry the same fields
-        static = (kind, dst, srcs, imm, alu_op, may_fault)
+    def _emit(self, key, kind, dst, srcs, imm, alu_op, addr, size, value, br, fault):
+        static = (kind, dst, srcs, imm, alu_op, fault)
         site = self.sites.get(key)
         if site is None:
-            pc = self.next_pc
-            self.next_pc += 4
-            self.sites[key] = (pc, static)
-        else:
-            pc, prev = site
-            assert prev == static, f"static site {key} reused with different fields"
+            site = self.sites[key] = (0x1000 + 4 * len(self.sites), static)
+        assert site[1] == static, f"static site {key} reused with different fields"
+        # appended here, as a call to the base's `_emit` costs time per instruction
         self.instrs.append(_InstructionDraft(
-            seq, pc, kind, dst, srcs, imm, alu_op, mem_addr, mem_size,
-            mem_value, br, may_fault))
-        if kind == "ALU":
-            ops = [self.regs[r] for r in srcs]
-            if imm is not None:
-                ops.append(imm)
-            self.regs[dst] = alu_eval(alu_op, ops)
-        elif kind == "LOAD":
-            if dst is not None:
-                self.regs[dst] = mem_value
-        return True
+            len(self.instrs), site[0], kind, dst, tuple(srcs), imm, alu_op, addr,
+            size, value, br, fault))
 
-    def alu(self, key, dst, op, srcs=(), imm=None, may_fault=False) -> None:
-        self.emit(key, "ALU", dst=dst, srcs=srcs, imm=imm, alu_op=op,
-                  may_fault=may_fault)
-
-    def store(self, key, data_reg, addr) -> None:
-        value = self.regs[data_reg]
-        if self.emit(key, "STORE", srcs=(data_reg,), mem_addr=addr, mem_size=8,
-                     mem_value=value):
-            for off in range(8):
-                self.mem[addr + off] = (value >> (8 * off)) & 0xFF
-
-    def load(self, key, dst, addr, srcs=()) -> None:
-        value = self._read_mem(addr)
-        self.emit(key, "LOAD", dst=dst, srcs=srcs, mem_addr=addr, mem_size=8,
-                  mem_value=value)
-
-    def _read_mem(self, addr) -> int:
-        if addr in self.mem:
-            return sum(self.mem.get(addr + off, 0) << (8 * off) for off in range(8))
+    def read_mem(self, addr, size=8) -> int:
+        if addr in self._mem:
+            return super().read_mem(addr, size)
         if addr not in self.untraced:
-            # stable arbitrary content for memory the trace never stores to
             self.untraced[addr] = random.Random((self.spec.seed << 32) ^ addr).getrandbits(64)
         return self.untraced[addr]
 
-    def branch(self, key, src_reg) -> None:
+    def draw_branch(self, key, src) -> None:
         taken = self.rng.random() < 0.5
-        predicted = self.rng.random() >= self.spec.mispredict_rate
-        self.emit(key, "BRANCH", srcs=(src_reg,),
-                  br=BranchInfo(taken=taken, predicted_correctly=predicted))
+        self.branch(key, (src,), taken, self.rng.random() >= self.spec.mispredict_rate)
 
 
 @dataclass(frozen=True)
@@ -171,7 +192,7 @@ _SET_STRIDE = 4096
 _FORWARD_SAFE_DISTANCE = 224
 
 
-def _make_compute_templates(b: _TraceBuilder, n_templates: int, slot_len: int,
+def _make_compute_templates(b: _Generator, n_templates: int, slot_len: int,
                             tag: str) -> list[_ComputeTemplate]:
     spec = b.spec
     rng = b.rng
@@ -218,7 +239,7 @@ def _make_compute_templates(b: _TraceBuilder, n_templates: int, slot_len: int,
     return templates
 
 
-def _emit_prologue(b: _TraceBuilder) -> None:
+def _emit_prologue(b: _Generator) -> None:
     # r0..r3: immediates (slices expand their MOVs into constants);
     # r4..r7: loaded once from untraced memory and never rewritten, so
     # slices consuming them bind live register values. When every load must
@@ -244,7 +265,7 @@ class _ComputeEmitter:
     can never forward. Slots in the warmup prefix produce values but read
     nothing. Building one draws its templates from the trace's RNG."""
 
-    def __init__(self, b: _TraceBuilder, tag: str, n_templates: int):
+    def __init__(self, b: _Generator, tag: str, n_templates: int):
         spec = b.spec
         self.b, self.tag, self.slot = b, tag, 0
         self.slot_len = max(5, int(round(1.0 / spec.load_density))
@@ -270,7 +291,7 @@ class _ComputeEmitter:
         b, tag, slot, t = self.b, self.tag, self.slot, tpl.index
         temps = [_TEMP_REGS[(t * 4 + i) % len(_TEMP_REGS)] for i in range(4)]
         if tpl.has_branch:
-            b.branch((tag, "br", t), tpl.input_a)
+            b.draw_branch((tag, "br", t), tpl.input_a)
         if tpl.uses_hist:
             # reloaded every slot from a fixed untraced address: the register
             # is dead by the time the paired load runs, forcing a Hist checkpoint
@@ -283,8 +304,8 @@ class _ComputeEmitter:
             else:
                 b.alu((tag, "chain", t, step), dst, op, srcs=(cur, tpl.input_b))
             cur = dst
-        b.store((tag, "st", t), cur,
-                self.ring_base + (slot % self.ring_slots) * _SET_STRIDE)
+        b.store((tag, "st", t), self.ring_base + (slot % self.ring_slots) * _SET_STRIDE,
+                srcs=(cur,))
         dst = _SCRATCH_REGS[t % len(_SCRATCH_REGS)]
         if slot < self.lag:
             pass  # warmup prefix: fill the ring, read nothing
@@ -298,10 +319,10 @@ class _ComputeEmitter:
         for i in range(tpl.filler):
             dst = _SCRATCH_REGS[(t + i) % len(_SCRATCH_REGS)]
             b.alu((tag, "fill", t, i), dst, "ADD", srcs=(dst,), imm=1,
-                  may_fault=tpl.fault_site and i == 0)
+                  fault=tpl.fault_site and i == 0)
 
 
-def _emit_pointer_chase(b: _TraceBuilder, tag: str, bound: int) -> None:
+def _emit_pointer_chase(b: _Generator, tag: str, bound: int) -> None:
     spec = b.spec
     ws_lines = max(8, spec.working_set_bytes // LINE_BYTES)
     slot_len = max(2, int(round(1.0 / spec.load_density)) if spec.load_density else 16)
@@ -312,13 +333,13 @@ def _emit_pointer_chase(b: _TraceBuilder, tag: str, bound: int) -> None:
         # next hop derived from the (stable) loaded value
         cursor = b.regs[_PTR_REG] % ws_lines
         if b.rng.random() < spec.branch_density * slot_len:
-            b.branch((tag, "br"), _PTR_REG)
+            b.draw_branch((tag, "br"), _PTR_REG)
         for i in range(slot_len - 1):
             dst = _SCRATCH_REGS[i % len(_SCRATCH_REGS)]
             b.alu((tag, "fill", i), dst, "ADD", srcs=(dst,), imm=1)
 
 
-def _emit_stream(b: _TraceBuilder, tag: str, bound: int) -> None:
+def _emit_stream(b: _Generator, tag: str, bound: int) -> None:
     spec = b.spec
     ws_lines = max(8, spec.working_set_bytes // LINE_BYTES)
     gap = max(1, int(round(1.0 / spec.load_density)) - 2 if spec.load_density else 8)
@@ -330,15 +351,15 @@ def _emit_stream(b: _TraceBuilder, tag: str, bound: int) -> None:
         if spec.store_density > 0 and pos % max(1, int(1 / max(spec.store_density, 1e-9))) == 0:
             b.alu((tag, "val"), _TEMP_REGS[0], "ADD", srcs=(_INPUT_REGS[0],), imm=7)
             waddr = _STREAM_BASE + 0x80_0000 + (pos % ws_lines) * LINE_BYTES
-            b.store((tag, "st"), _TEMP_REGS[0], waddr)
+            b.store((tag, "st"), waddr, srcs=(_TEMP_REGS[0],))
         if b.rng.random() < spec.branch_density * gap:
-            b.branch((tag, "br"), _SCRATCH_REGS[0])
+            b.draw_branch((tag, "br"), _SCRATCH_REGS[0])
         for i in range(gap):
             dst = _SCRATCH_REGS[(1 + i) % len(_SCRATCH_REGS)]
             b.alu((tag, "fill", i), dst, "XOR", srcs=(dst, _INPUT_REGS[1]))
 
 
-def _emit_mixed(b: _TraceBuilder) -> None:
+def _emit_mixed(b: _Generator) -> None:
     count = b.spec.count
     seg = max(200, count // 12)
     compute = _ComputeEmitter(b, "mc", n_templates=20)
@@ -362,7 +383,7 @@ def gen_synthetic(spec: SyntheticWorkloadSpec) -> Trace:
     produced by arithmetic-only chains.
     """
     _check_spec(spec)
-    b = _TraceBuilder(spec)
+    b = _Generator(spec)
     _emit_prologue(b)
     if spec.pattern == "COMPUTE_STORE_LOAD":
         _ComputeEmitter(b, "c", n_templates=40).run(spec.count)
@@ -372,8 +393,5 @@ def gen_synthetic(spec: SyntheticWorkloadSpec) -> Trace:
         _emit_stream(b, "s", spec.count)
     else:
         _emit_mixed(b)
-    header = TraceHeader(
-        version=TRACE_VERSION, regs=64,
-        notes=(f"pattern={spec.pattern} count={spec.count} seed={spec.seed}",),
-    )
-    return Trace(header=header, instructions=tuple(b.instrs))
+    del b.instrs[spec.count:]   # the last slot or segment may run past count
+    return b.build(notes=(f"pattern={spec.pattern} count={spec.count} seed={spec.seed}",))

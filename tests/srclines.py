@@ -1,10 +1,13 @@
-"""Source lines of `src/vrcsim`, per module: total, code, docstring,
-comment and blank.
+"""Source lines of `src/vrcsim`, or of other directories, per module:
+total, code, docstring, comment and blank.
 
-    python3 tests/srclines.py [ROOT]
+    python3 tests/srclines.py [ROOT ...]
 
-ROOT defaults to the `src/vrcsim` beside this file's directory. Each
-physical line is counted once, in the first class it belongs to:
+ROOT defaults to the `src/vrcsim` beside this file's directory. The `*.py`
+files directly in each ROOT are counted, then the ROOT's total; with more
+than one ROOT, a last `all` row sums them, so `python3 tests/srclines.py
+src/vrcsim tests` gives the src lines, the test lines and both together.
+Each physical line is counted once, in the first class it belongs to:
 
   docstring  part of a string statement alone on its logical line (a
              module, class or function docstring, or any other bare
@@ -56,19 +59,29 @@ def count(path: Path) -> dict[str, int]:
     return counts
 
 
+def _row(name: str, counts: dict[str, int]) -> None:
+    print(f"{name:<24}" + "".join(f"{counts[c]:>10}" for c in CLASSES))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("root", nargs="?",
-                    default=Path(__file__).resolve().parent.parent / "src" / "vrcsim")
-    root = Path(ap.parse_args().root)
-    totals = dict.fromkeys(CLASSES, 0)
-    print(f"{'module':<16}" + "".join(f"{c:>10}" for c in CLASSES))
-    for path in sorted(root.glob("*.py")):
-        counts = count(path)
+    ap.add_argument("roots", nargs="*", type=Path, metavar="ROOT",
+                    default=[Path(__file__).resolve().parent.parent / "src" / "vrcsim"])
+    roots = ap.parse_args().roots
+    grand = dict.fromkeys(CLASSES, 0)
+    _row("module", dict(zip(CLASSES, CLASSES)))
+    for root in roots:
+        totals = dict.fromkeys(CLASSES, 0)
+        for path in sorted(root.glob("*.py")):
+            counts = count(path)
+            for c in CLASSES:
+                totals[c] += counts[c]
+            _row(path.name, counts)
+        _row(f"{root.name}/ total", totals)
         for c in CLASSES:
-            totals[c] += counts[c]
-        print(f"{path.name:<16}" + "".join(f"{counts[c]:>10}" for c in CLASSES))
-    print(f"{'all':<16}" + "".join(f"{totals[c]:>10}" for c in CLASSES))
+            grand[c] += totals[c]
+    if len(roots) > 1:
+        _row("all", grand)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,8 @@ from vrcsim.shadows import ShadowKind, ShadowState
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, annotate,
                            const_op, temp_op)
 from vrcsim.vrc import VrcState, VrcConfig
-from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import SyntheticWorkloadSpec, TraceBuilder, gen_synthetic
 
-from conftest import TraceBuilder
 from test_shadows import _poll
 
 SEEDS = range(1, 51)

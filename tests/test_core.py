@@ -4,16 +4,16 @@ from dataclasses import replace
 import pytest
 
 from vrcsim import core
-from vrcsim.audit import assert_invisibility
+from vrcsim.audit import assert_invisibility, differential_check
 from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
 from vrcsim.slicer import AnnotationTable, Slice, SliceInstr, annotate, const_op
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
-from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, TraceBuilder, gen_synthetic
 
-from conftest import TraceBuilder, random_loop_trace
+from conftest import random_loop_trace
 from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, TIGHT_CORE,
                                UNFILE_CORE, _fingerprint, hand_fu_replay_trace,
                                hand_fu_unfile_trace, hand_paths_trace,
@@ -808,3 +808,74 @@ def test_foreign_store_invalidates_a_slice_for_good():
         assert r.counters["slice_invalidations"] == 1, policy
         assert r.counters["rcmp_delay"] == 1, policy
         assert r.counters.get("unsound_recomputes", 0) == 0, policy
+
+
+# random looped programs (`conftest.random_loop_trace`); a probe reads
+# four lines no program touches and the first line of each of the six
+# lines the programs use
+RANDOM_PROGRAMS = range(30)
+RANDOM_PROBE_LINES = tuple(0x7000_0000 + i * 64 for i in range(4)) + tuple(
+    0x40_0000 + i * 0x1040 for i in range(6))
+
+
+@pytest.mark.parametrize("consistency", ("TSO", "RC"))
+def test_random_programs_keep_the_run_invariants(consistency):
+    # every policy commits the oracle's values and registers and completes
+    # its validations in program order; every secure run, clean or probed,
+    # is invisible, and a probe at a mispredicted branch leaves the
+    # differential audit equal. BASELINE probes must leak somewhere, and
+    # some run must validate, or these checks would pass vacuously
+    leaks = validated = 0
+    for seed in RANDOM_PROGRAMS:
+        t = random_loop_trace(seed)
+        table, _ = annotate(t)
+        rep = functional_replay(t)
+        branch = next((ins.seq for ins in t.instructions if ins.kind == "BRANCH"
+                       and not ins.br.predicted_correctly), None)
+        for policy in core.POLICIES:
+            cfg = CoreConfig(policy=policy, consistency=consistency)
+            r = core.run(t, annotations=table, config=cfg)
+            assert r.committed_values == rep.results, (seed, policy)
+            assert r.committed_regs == rep.final_regs, (seed, policy)
+            comps = r.validation_completions
+            validated += len(comps)
+            assert all(s1 < s2 and c1 < c2 for (s1, c1), (s2, c2)
+                       in zip(comps, comps[1:])), (seed, policy)
+            secure = policy in core.SECURE_POLICIES
+            assert not secure or assert_invisibility(r.mutation_log), (seed, policy)
+            if branch is None:
+                continue
+            probed = core.inject_transient_probe(
+                t, ProbeSpec(branch_seq=branch, load_addrs=RANDOM_PROBE_LINES),
+                annotations=table, config=cfg)
+            assert probed.committed_values == rep.results, (seed, policy)
+            equal = differential_check(r, probed).equal
+            if secure:
+                assert equal, (seed, policy)
+                assert assert_invisibility(probed.mutation_log), (seed, policy)
+            else:
+                leaks += not equal
+    assert leaks > 0 and validated > 0
+
+
+@pytest.mark.parametrize("consistency", ("TSO", "RC"))
+def test_random_programs_vrc_without_slices_is_dom(consistency):
+    for seed in RANDOM_PROGRAMS:
+        t = random_loop_trace(seed)
+        dom = core.run(t, config=CoreConfig(policy="DOM", consistency=consistency))
+        vrc = core.run(t, annotations=AnnotationTable(),
+                       config=CoreConfig(policy="VRC", consistency=consistency))
+        assert (vrc.cycles, vrc.memhier_digest) == (dom.cycles, dom.memhier_digest), seed
+
+
+@pytest.mark.parametrize("consistency", ("TSO", pytest.param("RC", marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: under RC a VP that never gains "
+                        "confidence still differs from DOM"))))
+def test_random_programs_never_confident_vp_is_dom(consistency):
+    never = VpConfig(conf_increment_prob=0.0)
+    for seed in RANDOM_PROGRAMS:
+        t = random_loop_trace(seed)
+        dom = core.run(t, config=CoreConfig(policy="DOM", consistency=consistency))
+        vp = core.run(t, config=CoreConfig(policy="VP", consistency=consistency,
+                                           vp=never))
+        assert (vp.cycles, vp.memhier_digest) == (dom.cycles, dom.memhier_digest), seed

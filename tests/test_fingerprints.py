@@ -22,9 +22,9 @@ from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.slicer import annotate, emit_annotations
 from vrcsim.vp import VpConfig
-from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import (PATTERNS, SyntheticWorkloadSpec, TraceBuilder,
+                              gen_synthetic)
 
-from conftest import TraceBuilder
 
 GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 COUNT = 800

@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TraceBuilder
 from vrcsim import core
 from vrcsim.slicer import (
     AnnotationFormatError, AnnotationTable, FailureReason, Slice, SliceFailure,
     SliceInstr, annotate, build_slice, const_op, emit_annotations, hist_op,
     live_op, load_annotations, replay_slice,
 )
-from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, TraceBuilder, gen_synthetic
 from test_fingerprints import hand_slices_trace
 
 UNTRACED = 0x9000_0000

@@ -3,6 +3,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,12 @@ from vrcsim.trace import (
 )
 from vrcsim.workloads import (PATTERNS, SyntheticSpecError, SyntheticWorkloadSpec,
                               gen_synthetic)
+
+from conftest import random_loop_trace
+from test_fingerprints import (hand_fu_replay_trace, hand_fu_unfile_trace,
+                               hand_paths_trace, hand_pool_refile_trace,
+                               hand_replay_trace, hand_slices_trace,
+                               hand_sq_fill_trace)
 
 HEADER = "H version=1 regs=64\n"
 
@@ -288,8 +295,9 @@ def test_built_records_are_frozen_trace_instructions(source):
 # sha256 of emit_trace(gen_synthetic(...)) at count=1500, seed=11 for each
 # pattern, and for edge specs: a count inside the 9-instruction prologue, a
 # MIXED count that ends inside a compute segment, every load recomputable,
-# no loads and no stores. The generator and the emitter may change only with
-# a deliberate format change
+# no loads and no stores; then of every hand and random trace built with
+# `workloads.TraceBuilder` that the tests run. The generator, the builder
+# and the emitter may change only with a deliberate format change
 EMITTED_SHA256 = {
     "POINTER_CHASE": "203ab4a5f7e73efbbe58783476a9f45dde15f13da20ab742fabac2e71fe5611d",
     "STREAM": "72e547a3bfb9f135391245720bba105745e119882ba81ee6410b6a6113a2b6a1",
@@ -302,6 +310,24 @@ EMITTED_SHA256 = {
     "STREAM loads=0": "d29b2558cd3e0ab17186e7254ff24be68b19fbde38e57f392cc7dd29e22980e5",
     "POINTER_CHASE loads=0": "7b9ff74f478cfd964a624a42a754299cb4e6edb4bc7396b9ae1d9ee3d010d4d0",
     "STREAM stores=0": "cd9ca1b9bbf1d8cef67286ddbe3a94606b2d5fc46adcb6fb681a59fa3f07bd0d",
+    "random_loop_trace(0)": "bdaa70754df0d12a5c5dd50d8f7da01ca4c12c2a127a381a51850508728f589a",
+    "random_loop_trace(1)": "4dc582bc24356f0506a3a286eb80dc09e238ae612d204c2632ec396095b83d46",
+    "random_loop_trace(2)": "39f5f66589308549ef3644c6ee6bce5ae804f81b4b023c2d48e1063169b3d600",
+    "random_loop_trace(3)": "031af3306a1345de2244833d004452192a7b33d4ff6fd8e572354cdeeb222797",
+    "random_loop_trace(4)": "867bcedbfbe8891c4e3bfe1c32f31019ce6724a1b8bc6e064648b0455e12e920",
+    "random_loop_trace(5)": "36220ca7504c452521fd9153e81c0ca23df7de1ff47fe01b79153fbdbd9ff6db",
+    "hand_paths_trace()": "c3a9c21e022cc78afe7daf17074ec41d90bce19e938aeb13406a8492b76ddebb",
+    "hand_replay_trace()": "d388c88445ecbdbf3ffae303fe2a256c949e4e1dd75d65fda81029ece711b470",
+    "hand_replay_trace(fault=True)":
+        "40e5685fc086f17a3429ecdc6e71f747bff041e8aa74ec06a722bfddf8892cfe",
+    "hand_fu_replay_trace()": "549f4c36c849ac5fce89713f4acfa0260494deae07897707a22930e281836f25",
+    "hand_fu_unfile_trace(2)": "5f066f303c2beac0532a6080ab5ae5746fc2d5ab9503bfee4f41be068beacb88",
+    "hand_pool_refile_trace(1)":
+        "bfb0c37cb695599777d3823ac309d3b4d28d3a3e0149bff5dbf29f6648ceca52",
+    "hand_pool_refile_trace(1, resident=True)":
+        "04d329034567c739f9ba3fd86c833ffeaa8e2cab4eac2475c1e44adcf6bb8aac",
+    "hand_sq_fill_trace()": "bf27718ebc207580e217e5d4b503adb0beb59669ab83fbb3c38317e4e70ee650",
+    "hand_slices_trace()": "e56d0cf6a4ae3c90cd12f2d864433bb9617cc4e366c56a690d824fe7c9d9855b",
 }
 EDGE_SPECS = {
     "MIXED count=5": {"pattern": "MIXED", "count": 5},
@@ -313,12 +339,45 @@ EDGE_SPECS = {
     "STREAM stores=0": {"pattern": "STREAM", "store_density": 0.0},
 }
 
+BUILT_TRACES = {f"random_loop_trace({seed})": partial(random_loop_trace, seed)
+                for seed in range(6)} | {
+    "hand_paths_trace()": hand_paths_trace,
+    "hand_replay_trace()": hand_replay_trace,
+    "hand_replay_trace(fault=True)": partial(hand_replay_trace, fault=True),
+    "hand_fu_replay_trace()": hand_fu_replay_trace,
+    "hand_fu_unfile_trace(2)": partial(hand_fu_unfile_trace, 2),
+    "hand_pool_refile_trace(1)": partial(hand_pool_refile_trace, 1),
+    "hand_pool_refile_trace(1, resident=True)":
+        partial(hand_pool_refile_trace, 1, resident=True),
+    "hand_sq_fill_trace()": hand_sq_fill_trace,
+    "hand_slices_trace()": hand_slices_trace,
+}
+
+
+def _pinned_trace(name) -> Trace:
+    if name in BUILT_TRACES:
+        return BUILT_TRACES[name]()
+    spec = {"pattern": name, "count": 1500, "seed": 11} | EDGE_SPECS.get(name, {})
+    return gen_synthetic(SyntheticWorkloadSpec(**spec))
+
+
+@pytest.mark.parametrize("name", PATTERNS + tuple(EDGE_SPECS) + tuple(BUILT_TRACES))
+def test_emitted_trace_bytes_are_pinned(name):
+    t = _pinned_trace(name)
+    text = emit_trace(t)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[name]
+    back = parse_trace(text)
+    assert back.header == t.header and back.instructions == t.instructions
+
 
 @pytest.mark.parametrize("name", PATTERNS + tuple(EDGE_SPECS))
-def test_emitted_trace_bytes_are_pinned(name):
-    spec = {"pattern": name, "count": 1500, "seed": 11} | EDGE_SPECS.get(name, {})
-    text = emit_trace(gen_synthetic(SyntheticWorkloadSpec(**spec)))
-    assert hashlib.sha256(text.encode()).hexdigest() == EMITTED_SHA256[name]
+def test_generated_pcs_are_static_sites(name):
+    # the slicer annotates per static pc, so every instance of a generated
+    # pc must carry the same static fields
+    sites = {}
+    for ins in _pinned_trace(name).instructions:
+        static = (ins.kind, ins.dst, ins.srcs, ins.imm, ins.alu_op, ins.may_fault)
+        assert sites.setdefault(ins.pc, static) == static, ins
 
 
 def test_header_notes_roundtrip():
