@@ -20,7 +20,9 @@ shadow. The header carries exactly `version` and `regs`; `taken`, `pred` and
 addresses and data values are emitted in hex. `parse_trace` reads a record
 spelled exactly as `emit_trace` writes it with one compiled match, and
 accepts every other valid spelling (any field order, a decimal address,
-`0X` hex, `fault=0`, ...) through the field-by-field parser.
+`0X` hex, `fault=0`, ...) through the field-by-field parser. In one call,
+a non-memory record repeating an earlier one's text after ` pc=`, with an
+`emit_trace` seq, copies that one's fields, `srcs` and `BranchInfo` too.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class _InstructionDraft:
     `__init__`, which pays one `object.__setattr__` call per field. The
     slots match TraceInstruction's, so the finished draft becomes one by
     class assignment: the caller gets a TraceInstruction, equal, hashed and
-    frozen like one built by keyword. Only the parser and
-    `workloads.TraceBuilder`, which build every instruction of a trace, use
-    it."""
+    frozen like one built by keyword. Only `workloads.TraceBuilder` and the
+    parser (a repeated record from its seq and its first instance's other
+    eleven fields) use it, as they build every instruction of a trace."""
 
     __slots__ = TraceInstruction.__slots__
 
@@ -261,14 +263,13 @@ _HEADER_FIELDS = frozenset(("version", "regs"))
 _MEM_FIELDS = ("mem_addr", "mem_size", "mem_value")
 
 
-def _format_instruction(ins: TraceInstruction) -> str:
-    line = f"I seq={ins.seq} pc={ins.pc:#x} kind={ins.kind}"
-    if ins.dst is not None:
-        line += f" dst={ins.dst}"
-    if ins.srcs:
-        line += " srcs=" + ",".join(map(str, ins.srcs))
-    if ins.imm is not None:
-        line += f" imm={ins.imm}"
+def _format_instruction(ins: TraceInstruction, srcs_text: dict) -> str:
+    srcs = srcs_text.get(ins.srcs)  # a srcs tuple's " srcs=..." text
+    if srcs is None:
+        srcs = srcs_text[ins.srcs] = " srcs=" + ",".join(map(str, ins.srcs))
+    line = (f"I seq={ins.seq} pc={ins.pc:#x} kind={ins.kind}"
+            f"{'' if ins.dst is None else f' dst={ins.dst}'}{srcs}"
+            f"{'' if ins.imm is None else f' imm={ins.imm}'}")
     if ins.alu_op is not None:
         line += f" alu_op={ins.alu_op}"
     if ins.mem_addr is not None:
@@ -287,7 +288,8 @@ def _format_instruction(ins: TraceInstruction) -> str:
 def emit_trace(t: Trace) -> str:
     lines = [f"# note: {n}" for n in t.header.notes]
     lines.append(f"H version={t.header.version} regs={t.header.regs}")
-    lines.extend(_format_instruction(ins) for ins in t.instructions)
+    srcs_text = {(): ""}
+    lines.extend([_format_instruction(ins, srcs_text) for ins in t.instructions])
     lines.append("")
     return "\n".join(lines)
 
@@ -423,6 +425,7 @@ _CANONICAL_INSTRUCTION = re.compile(
     rf"(?: srcs=((?:{_REG})(?:,(?:{_REG})){{0,2}}))?(?: imm=(0|-?[1-9][0-9]{{0,19}}))?"
     rf"(?: alu_op=({'|'.join(ALU_OPS)}))?(?: mem_addr={_HEX} mem_size=([1248]) "
     rf"mem_value={_HEX})?(?: taken=([01]) pred=([01]))?( fault=1)?")
+_SEQ_HEAD = re.compile(f"I seq=(?:{_DEC})").fullmatch
 _BRANCH_INFO = {(t, p): BranchInfo(t == "1", p == "1") for t in "01" for p in "01"}
 
 
@@ -484,10 +487,20 @@ def parse_trace(data) -> Trace:
     header: TraceHeader | None = None
     notes: list[str] = []
     instructions: list[TraceInstruction] = []
+    seen = {}  # a canonical non-memory record by its text after " pc="
     for lineno, raw in enumerate(data.split("\n"), start=1):
         if header is not None:
+            head, _, rest = raw.partition(" pc=")
+            same = seen.get(rest)
+            if same is not None and _SEQ_HEAD(head):
+                instructions.append(_InstructionDraft(
+                    int(head[6:]), same.pc, same.kind, same.dst, same.srcs, same.imm,
+                    same.alu_op, None, None, None, same.br, same.may_fault))
+                continue
             ins = _parse_canonical(raw, regs)
             if ins is not None:
+                if ins.mem_addr is None:
+                    seen[rest] = ins
                 instructions.append(ins)
                 continue
         tokens = raw.split()

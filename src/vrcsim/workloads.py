@@ -121,6 +121,7 @@ class _Generator(TraceBuilder):
         self.rng = random.Random(spec.seed)
         self.sites: dict[object, tuple] = {} # site key -> (pc, static fields)
         self.untraced: dict[int, int] = {}   # stable values for never-stored addrs
+        self.untraced_rng = random.Random()  # reseeded by each such address
 
     def _emit(self, key, kind, dst, srcs, imm, alu_op, addr, size, value, br, fault):
         static = (kind, dst, srcs, imm, alu_op, fault)
@@ -137,7 +138,8 @@ class _Generator(TraceBuilder):
         if addr in self._mem:
             return super().read_mem(addr, size)
         if addr not in self.untraced:
-            self.untraced[addr] = random.Random((self.spec.seed << 32) ^ addr).getrandbits(64)
+            self.untraced_rng.seed((self.spec.seed << 32) ^ addr)
+            self.untraced[addr] = self.untraced_rng.getrandbits(64)
         return self.untraced[addr]
 
     def draw_branch(self, key, src) -> None:

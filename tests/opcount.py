@@ -1,7 +1,7 @@
 """Executed bytecodes per simulated instruction on the three bench-shaped
 traces, in total and per function, and the issue walk's visits.
 
-    PYTHONPATH=src python3 tests/opcount.py [--top N]
+    PYTHONPATH=src python3 tests/opcount.py [--top N] [--front]
 
 It counts bytecodes, not time: every Python opcode executed inside the
 `core.run` and `core.inject_transient_probe` calls of one iteration is
@@ -31,6 +31,12 @@ clean and probed, the probe site chosen as the bench does) and
 stream-ingest (a 2k STREAM trace under BASELINE and DOM, its decode built
 by the first run as when the bench loads it from a file). The file has no
 `test_` prefix, so the test suite does not collect it.
+
+With `--front` it counts the trace front end instead: the bytecodes and
+frames per trace instruction of `gen_synthetic`, `emit_trace`, the parse
+and `validate_trace` of the parsed trace, on each workload's trace.
+Stream-ingest's trace is written with `save_trace` and read back with
+`load_trace`, as the bench does; the other two parse the emitted string.
 """
 
 from __future__ import annotations
@@ -39,12 +45,16 @@ import argparse
 import dis
 import inspect
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 from vrcsim import core
 from vrcsim.audit import differential_check
 from vrcsim.core import CoreConfig, ProbeSpec
 from vrcsim.slicer import annotate
+from vrcsim.trace import (emit_trace, load_trace, parse_trace, save_trace,
+                          validate_trace)
 from vrcsim.workloads import SyntheticWorkloadSpec, gen_synthetic
 
 SEED = 1
@@ -182,11 +192,45 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
     return counter.counts, counter.walk, committed
 
 
+def count_front(name: str) -> tuple[list[tuple[str, int, int]], int]:
+    """(stage, bytecodes, frames) for each front-end stage on the
+    workload's trace, and the trace's instruction count."""
+    pattern, count, _, _, _, spec = WORKLOADS[name]
+    spec = SyntheticWorkloadSpec(pattern=pattern, count=count, seed=SEED, **spec)
+    stages = []
+
+    def stage(label, fn, *args):
+        counter = OpCounter()
+        result = counter.call(fn, *args)
+        stages.append((label, sum(counter.counts.values()), counter.frames))
+        return result
+
+    t = stage("gen_synthetic", gen_synthetic, spec)
+    if name == "stream-ingest":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.txt"
+            stage("save_trace", save_trace, t, path)
+            parsed = stage("load_trace", load_trace, path)
+    else:
+        parsed = stage("parse_trace", parse_trace, stage("emit_trace", emit_trace, t))
+    stage("validate_trace", validate_trace, parsed)
+    return stages, len(t)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--top", type=int, default=12,
                     help="functions listed per workload (default 12)")
+    ap.add_argument("--front", action="store_true",
+                    help="count the trace front end, not the core runs")
     args = ap.parse_args(argv)
+    if args.front:
+        for name in WORKLOADS:
+            stages, n = count_front(name)
+            print(f"{name}: front end per trace instruction ({n} instructions)")
+            for label, ops, frames in stages:
+                print(f"  {label:15} {ops / n:8.1f} bytecodes {frames / n:6.2f} frames")
+        return 0
     for name in WORKLOADS:
         counts, walk, committed = count_workload(name)
         total = sum(counts.values())

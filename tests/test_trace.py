@@ -292,6 +292,38 @@ def test_built_records_are_frozen_trace_instructions(source):
                 setattr(ins, name, None)
 
 
+# emit_trace's lines for records the generator and the builder never make:
+# no optional field, every optional field at once (which the parser
+# rejects), memory fields in part, and each kind with fault=1
+EMITTED_LINES = {
+    TraceInstruction(seq=0, pc=0, kind="NOP"): "I seq=0 pc=0x0 kind=NOP",
+    TraceInstruction(seq=7, pc=0x1004, kind="ALU", dst=63, srcs=(0, 1, 62), imm=-5,
+                     alu_op="CMOV", mem_addr=0x7fc0, mem_size=8,
+                     mem_value=0xffffffffffffffff, br=BranchInfo(True, False),
+                     may_fault=True):
+        "I seq=7 pc=0x1004 kind=ALU dst=63 srcs=0,1,62 imm=-5 alu_op=CMOV "
+        "mem_addr=0x7fc0 mem_size=8 mem_value=0xffffffffffffffff taken=1 pred=0 "
+        "fault=1",
+    TraceInstruction(seq=8, pc=0x1008, kind="STORE", mem_addr=0x40, mem_value=0):
+        "I seq=8 pc=0x1008 kind=STORE mem_addr=0x40 mem_value=0x0",
+    TraceInstruction(seq=9, pc=0x2000, kind="ALU", may_fault=True):
+        "I seq=9 pc=0x2000 kind=ALU fault=1",
+    TraceInstruction(seq=10, pc=0x2004, kind="LOAD", may_fault=True):
+        "I seq=10 pc=0x2004 kind=LOAD fault=1",
+    TraceInstruction(seq=11, pc=0x2008, kind="STORE", may_fault=True):
+        "I seq=11 pc=0x2008 kind=STORE fault=1",
+    TraceInstruction(seq=12, pc=0x200c, kind="BRANCH", may_fault=True):
+        "I seq=12 pc=0x200c kind=BRANCH fault=1",
+    TraceInstruction(seq=13, pc=0x2010, kind="NOP", may_fault=True):
+        "I seq=13 pc=0x2010 kind=NOP fault=1",
+}
+
+
+def test_emitted_lines_are_pinned_for_every_field_combination():
+    t = Trace(header=TraceHeader(), instructions=tuple(EMITTED_LINES))
+    assert emit_trace(t) == HEADER + "\n".join(EMITTED_LINES.values()) + "\n"
+
+
 # sha256 of emit_trace(gen_synthetic(...)) at count=1500, seed=11 for each
 # pattern, and for edge specs: a count inside the 9-instruction prologue, a
 # MIXED count that ends inside a compute segment, every load recomputable,
@@ -509,6 +541,44 @@ def test_fast_path_agrees_with_checked_parser_on_fuzzed_lines(edits):
     for line, before in zip(_fuzzed_lines(edits), canonical):
         if line != before:
             _check_fast_path(line)
+
+
+def _repeated_record_line() -> int:
+    """The index, among FUZZ_TEXT's lines, of the first record with sources
+    and no memory fields whose text after its seq repeats an earlier
+    record's."""
+    seen = set()
+    for i, line in enumerate(FUZZ_TEXT.splitlines()):
+        rest = line.split(" ", 2)[-1]
+        if line.startswith("I ") and " srcs=" in rest and " mem_addr=" not in rest:
+            if rest in seen:
+                return i
+            seen.add(rest)
+    raise AssertionError("FUZZ_TEXT repeats no record")
+
+
+@pytest.mark.parametrize("seq", ("007", "00", "0", "9" * 20, "1" + "0" * 20,
+                                 "\u0663", "+5", "1_0", "-1", ""))
+def test_parse_cache_reads_a_repeated_record_like_the_record_alone(seq):
+    # a repeated record, whatever its seq spelling, parses as it does alone
+    # after the header, where no earlier record can be cached
+    lines = FUZZ_TEXT.splitlines()
+    at = _repeated_record_line()
+    lines[at] = line = f"I seq={seq} {lines[at].split(' ', 2)[2]}"
+    try:
+        alone = parse_trace(HEADER + line).instructions[0]
+    except TraceFormatError as error:
+        with pytest.raises(TraceFormatError) as whole:
+            parse_trace("\n".join(lines))
+        assert str(whole.value) == str(error).replace("line 2:", f"line {at + 1}:", 1)
+        return
+    records = parse_trace("\n".join(lines)).instructions
+    parsed = records[sum(text.startswith("I ") for text in lines[:at])]
+    assert parsed == alone and repr(parsed) == repr(alone)
+    if seq in ("0", "9" * 20):
+        # the spellings emit_trace writes reuse the first instance's fields
+        first = next(r for r in records if r.pc == parsed.pc)
+        assert first is not parsed and first.srcs is parsed.srcs
 
 
 def test_fast_path_agrees_with_checked_parser_on_emitted_lines():
