@@ -24,19 +24,15 @@ handler), commit, unshadow, issue, recomputation engine, dispatch,
 probes. Commit, issue (with the engine) and dispatch are generators that
 `run` makes once per run, as its locals, and resumes once per stepped
 cycle. Each binds once, before its loop, what no code reassigns during a
-run: the decode's columns, the entry list and ring, `committed_values`,
-the `ready` and `complete` lists and the two dicts an ALU op keeps beside
-them, the calendar, issue pool and FU wait lists, the live stores, the
-counters, the shadow, hierarchy, VP and engine states, the checkpoint
-sites and the config's scalars. Each resume reads from the simulator
-every scalar that changes: the cycle, the commit head, the next seq to
-dispatch, IQ and LQ occupancy, the redirect and the probes. The trace's
-one decode (`Trace.decode`), built once per trace and shared by the
-slicer and every run on it, owns each instruction's kind code, FU class
-(`isa.ALU_FU`), shadow casts and the dataflow graph both ways: its
-address and data producers, and its consumers, which a completing or
-replayed producer files. Entry states and kinds are integer codes, named
-only in deadlock reports.
+run (the decode's columns, the per-seq lists and dicts, the queues, the
+counters, the unit states and the config's scalars), and each resume
+reads from the simulator every scalar that changes: the cycle, the commit
+head, the next seq to dispatch, IQ and LQ occupancy, the redirect and the
+probes. The issue walk gives back the IQ entries of the ops it executes
+in one write, from a walk-local count. The trace's one decode
+(`Trace.decode`), shared by the slicer and every run on it, holds each
+instruction's static facts and the dataflow graph both ways. Entry
+states and kinds are integer codes, named only in deadlock reports.
 
 A run keeps `rob_size` entries in a ring for its loads, stores, branches
 and NOPs, and takes the one at `seq % rob_size` when it dispatches `seq`;
@@ -44,7 +40,8 @@ the ROB bound guarantees its last occupant has committed. `entries[seq]`
 is the entry while `seq` is in flight, else None. Each seq's value is
 written to `committed_values[seq]` when it is bound (at execute, load
 completion, prediction, validation or replay), and its timing to `ready`
-(the cycle the value is ready) and `complete`; each stays after commit,
+(the cycle the value is ready) and `complete`, which is `_NEVER`, a
+cycle no run reaches, until the seq completes; each stays after commit,
 so an operand and its ready cycle are read the same way whether the
 producer is in flight or committed, and the final registers are their
 last writers' values.
@@ -60,13 +57,7 @@ dispatch writes only the fields a load reads, and registers and casts
 its shadows in one `ShadowState.register_load` call. Issue executes an
 ALU op inline and serves a load's first issue and every retry in
 `_issue_load`; either completion files the waiting consumers inline.
-`ShadowState` keeps the shadow buffer's ids, the release queue and the
-shadow statistics: each cast takes the next id, the head is the oldest
-unresolved one, and a resolve that moves the head releases each load
-whose newest id at dispatch it passed, which the run loop takes only
-when there are some. `MemHierState` keeps the caches, MSHRs, fills and
-deferred touches, and serves a real access and a hidden one in one call
-each.
+The run loop unshadows only in a cycle whose resolves released loads.
 
 An ALU op or branch waiting for its data producers is ready at its floor
 (the cycle after dispatch, raised by a replay) and no earlier than their
@@ -95,10 +86,13 @@ the calendar bucket it is found in, or else its class's list, so that the
 producer's re-execution files it as it files any op. The recomputation
 engine steps only in a cycle it has work in, takes its units from the
 cycle's budget, and hands back each request it ended as a value or a
-fallback. A load "performs" when its value is bound by a real access, store
-forward, or recomputation; its memory-order shadow resolves then (at
-validation completion for predicted loads). Time skips ahead to the next
-scheduled event whenever a cycle makes no progress.
+fallback. `fu_ops` is counted once per run, in `_result`: an ALU op or
+branch takes one unit per execution, its first and one per replay, and
+the engine counts the units it takes. A load "performs" when its value
+is bound by a real access, store forward, or recomputation; its
+memory-order shadow resolves then (at validation completion for
+predicted loads). Time skips ahead to the next cycle at which something
+is due whenever a cycle makes no progress.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -204,6 +198,7 @@ STATE_NAMES = ("DISPATCHED", "DELAYED", "NONSPEC", "PREDICTED", "RECOMPUTING",
 # a cycle's issue budget is a list: the FU classes' units (FU_ALU, FU_MUL),
 # then memory ports
 _PORT = 2
+_NEVER = 1 << 62  # the complete cycle of a seq not complete: no run reaches it
 _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 
@@ -279,15 +274,11 @@ class _Sim:
             self.order_shadow = None
 
         self.decode = trace.decode
-        self.data_writers = self.decode.data_writers
-        self.consumers = self.decode.consumers
-        # entries[seq] is the ring entry while a load, store, branch or NOP
-        # is in flight, else None; the ready and complete cycles per seq
-        # are None until set (a replay resets an ALU op's)
+        # per seq: its ring entry, ready and complete cycles (module docstring)
         self.ring = [_Entry() for _ in range(config.rob_size)]
         self.entries: list[_Entry | None] = [None] * self.n
         self.ready: list[int | None] = [None] * self.n
-        self.complete: list[int | None] = [None] * self.n
+        self.complete: list[int] = [_NEVER] * self.n
         self.alu_shadows: dict[int, int] = {}
         self.replay_floor: dict[int, int] = {}
 
@@ -356,7 +347,7 @@ class _Sim:
         as `_reschedule` does; an op (an ALU op or branch) waits only until
         it executes."""
         kinds, ready, dispatched = self.decode.kinds, self.ready, self.next_dispatch
-        for cseq in self.consumers[producer_seq]:
+        for cseq in self.decode.consumers[producer_seq]:
             if cseq >= dispatched:
                 break  # consumers are in program order
             kind = kinds[cseq]
@@ -372,7 +363,8 @@ class _Sim:
         has three inlined copies, which a change to it must reach: ALU-op
         and load dispatch in `_dispatch`, and the consumer filing in
         `_issue_phase`."""
-        kind = self.decode.kinds[seq]
+        decode = self.decode
+        kind = decode.kinds[seq]
         if kind == KIND_STORE:
             self._update_store(self.entries[seq])
             return
@@ -380,14 +372,14 @@ class _Sim:
             e = self.entries[seq]
             if e.addr_ready is not None:
                 return
-            at = self._ready_at(self.decode.addr_writers[seq], e.dispatch_cycle)
+            at = self._ready_at(decode.addr_writers[seq], e.dispatch_cycle)
             if at is None:
                 return
             at = e.addr_ready = at + 1
         else:
             # an op's floor is the cycle after its dispatch, which the clamp
             # below covers, unless a replay raised it
-            at = self._ready_at(self.data_writers[seq], self.replay_floor.get(seq, 0))
+            at = self._ready_at(decode.data_writers[seq], self.replay_floor.get(seq, 0))
             if at is None:
                 return
         if at <= self.now:
@@ -405,9 +397,10 @@ class _Sim:
             e.addr_ready = at + 1
             self._schedule(e.addr_ready, self.sb.resolve, e.sb_k)
             e.sb_k = None
-        complete = self.complete[e.seq] = self._ready_at(
+        complete = self._ready_at(
             decode.data_writers[e.seq], max(e.addr_ready, e.dispatch_cycle + 1))
-        if complete is not None:
+        if complete is not None:  # else it is `_NEVER`, as a replay left it
+            self.complete[e.seq] = complete
             if e.ins.may_fault and e.sb_e is not None:
                 self._schedule(complete, self.sb.resolve, e.sb_e)
                 e.sb_e = None
@@ -466,12 +459,14 @@ class _Sim:
                 if kind == KIND_ALU:
                     # an ALU op's short path: it takes no ring entry, and
                     # files itself as `_reschedule` does
-                    if need > room or iq_used >= iq_size:
+                    if iq_used >= iq_size:
                         break
-                    iq_used += 1
                     if need:  # an ALU op casts one shadow: it may fault
+                        if need > room:
+                            break
                         room -= need
                         alu_shadows[seq] = sb.cast(ShadowKind.E, seq)
+                    iq_used += 1
                     ready = floor
                     for w in data_writers[seq]:
                         at = readies[w]
@@ -574,7 +569,7 @@ class _Sim:
         forms, src_writers = decode.forms, decode.src_writers
         data_writers, consumers = decode.data_writers, decode.consumers
         casts, instructions = decode.casts, self.trace.instructions
-        entries, values, counters = self.entries, self.committed_values, self.counters
+        entries, values = self.entries, self.committed_values
         readies, completes = self.ready, self.complete
         alu_shadows, replay_floor = self.alu_shadows, self.replay_floor
         calendar, pool, vrc = self.calendar, self.issue_pool, self.vrc
@@ -582,8 +577,7 @@ class _Sim:
         alu_wait, mul_wait = self.fu_wait
         alu_waits, mul_waits = alu_wait.append, mul_wait.append
         cfg = self.config
-        units = (cfg.alu_units, cfg.mul_units, cfg.mem_ports)
-        fu_units, width = cfg.alu_units + cfg.mul_units, cfg.width
+        units, width = (cfg.alu_units, cfg.mul_units, cfg.mem_ports), cfg.width
         while True:
             now = self.now
             due = calendar.pop(now, None)
@@ -613,6 +607,7 @@ class _Sim:
                 due.sort()
                 dispatched = self.next_dispatch
                 end1 = now + 1  # a 1-cycle latency's end, shared as `floor` is
+                freed = 0  # IQ entries that ops gave back
                 for seq in due:
                     kind = kinds[seq]  # an issue-walk visit
                     if kind == KIND_LOAD:
@@ -663,7 +658,7 @@ class _Sim:
                             if seq not in replay_floor:
                                 # its first execution: it leaves the IQ, and
                                 # a faulting op's exception shadow resolves
-                                self.iq_used -= 1
+                                freed += 1
                                 if casts[seq]:
                                     self._schedule(done, resolve, alu_shadows.pop(seq))
                         else:
@@ -672,7 +667,7 @@ class _Sim:
                             e.state = DONE_ST
                             if e.iq_held:  # `_release_iq`, inlined
                                 e.iq_held = False
-                                self.iq_used -= 1
+                                freed += 1
                             if e.sb_e is not None:
                                 self._schedule(done, resolve, e.sb_e)
                                 e.sb_e = None
@@ -707,18 +702,15 @@ class _Sim:
                                 if replay_floor and replay_floor.get(cseq, 0) > ready:
                                     ready = replay_floor[cseq]
                                 calendar.setdefault(ready, []).append(cseq)
-            budget[FU_ALU], budget[FU_MUL] = alu, mul
+                self.iq_used -= freed
             # every load or op that issued took a slot
             any_issued = slots < width
             # the engine steps only with work: a slice, a request or an
-            # ended one
+            # ended one, on the units the walk left
             if vrc is not None and (vrc.active is not None or vrc.queue
                                     or vrc.ended):
+                budget[FU_ALU], budget[FU_MUL] = alu, mul
                 any_issued = self._engine_tick(budget) or any_issued
-            # every FU op of the cycle, the engine's too, took one unit
-            fu_ops = fu_units - budget[FU_ALU] - budget[FU_MUL]
-            if fu_ops:
-                counters["fu_ops"] += fu_ops
             yield any_issued
 
     def _hold(self, due: list, seq: int) -> None:
@@ -759,7 +751,7 @@ class _Sim:
                         continue
                     if si.mem_addr != addr or si.mem_size != size:
                         return False  # a partial overlap: wait for the commit
-                    ready = self._ready_at(self.data_writers[sseq], 0)
+                    ready = self._ready_at(self.decode.data_writers[sseq], 0)
                     if ready is None:
                         return False  # the data's producer has not executed
                     if ready > now:
@@ -911,7 +903,7 @@ class _Sim:
         seen = set()
         while stack:
             p = stack.pop()
-            for cseq in self.consumers[p]:
+            for cseq in self.decode.consumers[p]:
                 if cseq in seen:
                     continue
                 seen.add(cseq)
@@ -919,19 +911,19 @@ class _Sim:
                 if kind == KIND_ALU and ready[cseq] is not None:
                     # an executed op; its floor rises above the cycle after
                     # its dispatch
-                    self.committed_values[cseq] = ready[cseq] = complete[cseq] = None
+                    self.committed_values[cseq], ready[cseq], complete[cseq] = None, None, _NEVER
                     replay_floor[cseq] = max(replay_floor.get(cseq, 0), floor)
                     self.counters["replayed_ops"] += 1
                     self._reschedule(cseq)
                     stack.append(cseq)
                 elif kind == KIND_STORE and entries[cseq] is not None:
-                    complete[cseq] = None
+                    complete[cseq] = _NEVER
                     self._update_store(entries[cseq])
         # an op that has not executed and now reads a reset producer leaves
         # where it waits, a calendar bucket or its FU class's list (it is in
         # neither if it already waited for a producer); the producer's
         # re-execution wakes it
-        data_writers, calendar = self.data_writers, self.calendar
+        data_writers, calendar = self.decode.data_writers, self.calendar
         dispatched = self.next_dispatch
         for s in seen:
             kind = kinds[s]
@@ -1023,11 +1015,10 @@ class _Sim:
             if end > self.next_dispatch:
                 end = self.next_dispatch
             while seq < end:
-                complete = completes[seq]
-                if complete is None or complete > now:
+                if completes[seq] > now:
                     break
                 kind = kinds[seq]
-                if kind != KIND_ALU:  # an ALU op has nothing more to do
+                if kind:  # not KIND_ALU (0): an ALU op has nothing more to do
                     e = entries[seq]
                     ins = e.ins
                     if kind == KIND_LOAD:
@@ -1129,25 +1120,22 @@ class _Sim:
         """After a cycle without progress, skip to the next cycle at which
         something is due: an event, a fill, a calendar bucket (its smallest
         key), the end of a redirect or the head's completion."""
-        candidates = []
-        if self.events:
-            candidates.append(self.events[0][0])
-        if self.mem.fills:
-            candidates.append(self.mem.fills[0][0])
+        now, events, fills = self.now, self.events, self.mem.fills
+        at = self.complete[self.commit_head]  # `run` stops once all commit
+        if at <= now:
+            at = _NEVER
+        if events and now < events[0][0] < at:
+            at = events[0][0]
+        if fills and now < fills[0][0] < at:
+            at = fills[0][0]
         if self.calendar:
-            candidates.append(min(self.calendar))
-        if self.redirect_until is not None and self.redirect_until >= 0:
-            candidates.append(self.redirect_until)
-        head = self.complete[self.commit_head] if self.commit_head < self.n else None
-        if head is not None:
-            candidates.append(head)
-        future = [c for c in candidates if c > self.now]
-        if not future:
-            # nothing scheduled and nothing runnable: creep and let the
-            # deadlock detector trip if this persists
-            self.now += 1
-            return
-        self.now = min(future)
+            first = min(self.calendar)
+            if now < first < at:
+                at = first
+        if self.redirect_until is not None and now < self.redirect_until < at:
+            at = self.redirect_until  # a redirect until a resolve is -1
+        # with nothing due, creep: the deadlock detector trips if it lasts
+        self.now = now + 1 if at == _NEVER else at
 
     def _deadlock_dump(self) -> str:
         seq = self.commit_head
@@ -1184,6 +1172,11 @@ class _Sim:
         # every instruction was dispatched exactly once
         for kind, count in self.decode.kind_counts:
             c[_DISPATCHED_KEYS[kind]] = count
+        # one unit per FU op (see the module docstring)
+        fu_ops = c.get("dispatched_alu", 0) + c.get("dispatched_branch", 0) \
+            + c.get("replayed_ops", 0) + (self.vrc.fu_ops if self.vrc else 0)
+        if fu_ops:
+            c["fu_ops"] = fu_ops
         for name in ("l1_hits", "l1_misses", "mshr_hits", "l2_hits", "mem_accesses"):
             c[name] = getattr(self.mem, name)
         if self.vp is not None:

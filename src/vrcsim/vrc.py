@@ -72,20 +72,26 @@ class VrcState:
         self.config = config or VrcConfig()
         self.clamp = CLAMP_CYCLES if policy == "VRC2" else None
         self.table = table or AnnotationTable()
-        self.ibuff: dict[int, Slice] = {}
-        for sid, s in self.table.slices.items():
-            if s.immutable or self.config.allow_mutable:
-                self.ibuff[sid] = s
+        self.ibuff: dict[int, Slice] = {
+            sid: s for sid, s in self.table.slices.items()
+            if s.immutable or self.config.allow_mutable}
         self.hist: dict = {}
         # slices that may not run: invalidated for good in exact mode; in
         # lossy mode disarmed, all of them at the start and after a bulk
         # reset, until their producer stores commit again
         self.unusable: set[int] = set(self.ibuff) if self.config.lossy_tags else set()
         self.signature: set[int] = set()
-        # producer store pc -> the IBuff slices whose value it stores
+        # producer store pc -> the IBuff slices whose value it stores; line
+        # -> (slice, addr, size) of each IBuff slice's tag that touches the
+        # line (a tag of size 0 or less matches only a store over its addr)
         self._produced_by: dict[int, set[int]] = {}
+        self._tags_by_line: dict[int, list[tuple[int, int, int]]] = {}
         for sid, s in self.ibuff.items():
             self._produced_by.setdefault(s.producer_store_pc, set()).add(sid)
+            for taddr, tsize in self.table.slice_tags.get(sid, ()):
+                for line in range(taddr // LINE_BYTES,
+                                  (taddr + max(tsize, 1) - 1) // LINE_BYTES + 1):
+                    self._tags_by_line.setdefault(line, []).append((sid, taddr, tsize))
         self.queue: deque[_Request] = deque()
         self.active: _Request | None = None
         # requests ended since the core last read them: (load seq, value),
@@ -100,6 +106,7 @@ class VrcState:
         self.hist_overflows = 0
         self.struct_accesses = 0
         self.invalidations = 0
+        self.fu_ops = 0                 # units taken from the core's budget
 
     # -- requests -------------------------------------------------------------
 
@@ -169,6 +176,7 @@ class VrcState:
             if budget[fu] <= 0:
                 return True  # contended out this cycle
             budget[fu] -= 1
+            self.fu_ops += 1
             act.cycles_into_instr += 1
             if act.cycles_into_instr >= ins.latency:
                 act.cursor += 1
@@ -228,8 +236,9 @@ class VrcState:
 
     def invalidate_on_store(self, addr: int, size: int = 8,
                             store_pc: int | None = None) -> None:
-        """Match a committed store against producer tags. A store defines
-        the value of every slice whose producer pc it is, so it never
+        """Match a committed store against producer tags: in exact mode,
+        only those indexed under the lines it touches. A store defines the
+        value of every slice whose producer pc it is, so it never
         invalidates one of them, and in lossy mode it re-arms them all."""
         own = self._produced_by.get(store_pc, ())
         lossy = self.config.lossy_tags
@@ -241,14 +250,12 @@ class VrcState:
                 self.unusable = set(self.ibuff)
                 self.invalidations += 1
         else:
-            for sid, ranges in self.table.slice_tags.items():
-                if sid not in self.ibuff or sid in self.unusable or sid in own:
-                    continue
-                for taddr, tsize in ranges:
-                    if addr < taddr + tsize and taddr < addr + size:
+            for line in range(addr // LINE_BYTES, (addr + size - 1) // LINE_BYTES + 1):
+                for sid, taddr, tsize in self._tags_by_line.get(line, ()):
+                    if addr < taddr + tsize and taddr < addr + size \
+                            and sid not in self.unusable and sid not in own:
                         self.unusable.add(sid)
                         self.invalidations += 1
-                        break
         # a running slice made unusable falls back, also one this store re-arms
         if self.active is not None and self.active.slice_id in self.unusable:
             self._end(None)

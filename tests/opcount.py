@@ -1,7 +1,7 @@
 """Executed bytecodes per simulated instruction on the three bench-shaped
 traces, in total and per function, and the issue walk's visits.
 
-    PYTHONPATH=src python3 tests/opcount.py [--top N] [--front]
+    PYTHONPATH=src python3 tests/opcount.py [--top N] [--front] [--lines FUNC]
 
 It counts bytecodes, not time: every Python opcode executed inside the
 `core.run` and `core.inject_transient_probe` calls of one iteration is
@@ -32,6 +32,15 @@ stream-ingest (a 2k STREAM trace under BASELINE and DOM, its decode built
 by the first run as when the bench loads it from a file). The file has no
 `test_` prefix, so the test suite does not collect it.
 
+With `--lines FUNC` it prints, on each workload, the bytecodes per
+committed instruction that each source line of the function FUNC
+executed, in line order, instead of the per-function list. FUNC is a
+qualified name as the list prints it (`_Sim._issue_phase`) or its last
+part (`_issue_phase`); a name that several functions share counts them
+all; opcodes that carry no source line are listed under line 0. This is
+the view that finds the bookkeeping a hot loop repeats per cycle or per
+instruction.
+
 With `--front` it counts the trace front end instead: the bytecodes and
 frames per trace instruction of `gen_synthetic`, `emit_trace`, the parse
 and `validate_trace` of the parsed trace, on each workload's trace.
@@ -44,6 +53,7 @@ from __future__ import annotations
 import argparse
 import dis
 import inspect
+import linecache
 import sys
 import tempfile
 from collections import Counter
@@ -88,10 +98,13 @@ def _resumes(frame) -> bool:
 class OpCounter:
     """Counts executed opcodes per function, frames entered, generator
     resumes, and the issue walk's visits and FU-starved visits, while
-    `call` runs."""
+    `call` runs; with `lines`, a function name, also the opcodes per
+    source line of that function, keyed by (file name, line number)."""
 
-    def __init__(self):
+    def __init__(self, lines: str | None = None):
         self.counts: Counter = Counter()
+        self.lines = lines
+        self.line_counts: Counter = Counter()
         self.frames = 0
         self.resumes = 0
         self.walk: Counter = Counter()   # "visits", "starved", "revisits"
@@ -115,12 +128,16 @@ class OpCounter:
             key = f"{code.co_qualname} ({code.co_filename.rsplit('/', 1)[-1]}" \
                   f":{code.co_firstlineno})"
             counts = self.counts
+            by_line = self.lines in (code.co_qualname, code.co_name)
+            line_counts, filename = self.line_counts, code.co_filename
             if code is self._issue_code:
                 walk, marks = self.walk, self._marks
 
                 def local(frame, event, arg):
                     if event == "opcode":
                         counts[key] += 1
+                        if by_line:
+                            line_counts[filename, frame.f_lineno or 0] += 1
                     elif event == "line" and frame.f_lineno in marks:
                         mark = marks[frame.f_lineno]
                         walk[mark] += 1
@@ -129,6 +146,12 @@ class OpCounter:
                             if seq in self._starved_seqs:
                                 walk["revisits"] += 1
                             self._starved_seqs.add(seq)
+                    return local
+            elif by_line:
+                def local(frame, event, arg):
+                    if event == "opcode":
+                        counts[key] += 1
+                        line_counts[filename, frame.f_lineno or 0] += 1
                     return local
             else:
                 def local(frame, event, arg):
@@ -149,18 +172,19 @@ class OpCounter:
             sys.settrace(None)
 
 
-def count_workload(name: str) -> tuple[Counter, Counter, int]:
+def count_workload(name: str, lines: str | None = None
+                   ) -> tuple[Counter, Counter, int, Counter]:
     """Opcode counts per function over one iteration's core runs, the issue
     walk's visit counts and the frames, resumes and loads (under "frames",
-    "resumes" and "loads" in the second), and the instructions they
-    committed."""
+    "resumes" and "loads" in the second), the instructions they committed,
+    and the opcode counts per source line of the function `lines`."""
     pattern, count, policies, probed, annotated, spec = WORKLOADS[name]
     t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=count,
                                             seed=SEED, **spec))
     table = annotate(t)[0] if annotated else None
     sites = [i.seq for i in t.instructions if i.kind == "BRANCH"
              and not i.br.predicted_correctly][:PROBE_SITES] if probed else []
-    counter = OpCounter()
+    counter = OpCounter(lines)
     committed = 0
     probe = None
     loads = sum(i.kind == "LOAD" for i in t.instructions)
@@ -189,7 +213,7 @@ def count_workload(name: str) -> tuple[Counter, Counter, int]:
     counter.walk["frames"] = counter.frames
     counter.walk["resumes"] = counter.resumes
     counter.walk["loads"] = loads * runs  # each run commits the whole trace
-    return counter.counts, counter.walk, committed
+    return counter.counts, counter.walk, committed, counter.line_counts
 
 
 def count_front(name: str) -> tuple[list[tuple[str, int, int]], int]:
@@ -223,6 +247,8 @@ def main(argv=None) -> int:
                     help="functions listed per workload (default 12)")
     ap.add_argument("--front", action="store_true",
                     help="count the trace front end, not the core runs")
+    ap.add_argument("--lines", metavar="FUNC",
+                    help="bytecodes per instruction of each source line of FUNC")
     args = ap.parse_args(argv)
     if args.front:
         for name in WORKLOADS:
@@ -232,8 +258,18 @@ def main(argv=None) -> int:
                 print(f"  {label:15} {ops / n:8.1f} bytecodes {frames / n:6.2f} frames")
         return 0
     for name in WORKLOADS:
-        counts, walk, committed = count_workload(name)
+        counts, walk, committed, line_counts = count_workload(name, args.lines)
         total = sum(counts.values())
+        if args.lines:
+            print(f"{name}: {args.lines} per instruction, by source line "
+                  f"({total / committed:.1f} bytecodes per instruction in all)")
+            if not line_counts:
+                print(f"  {args.lines} did not run")
+            for (filename, lineno), n in sorted(line_counts.items()):
+                source = linecache.getline(filename, lineno).rstrip() \
+                    if lineno else "(an opcode with no source line)"
+                print(f"  {n / committed:8.2f}  {lineno:5}  {source}")
+            continue
         print(f"{name}: {total / committed:.1f} bytecodes per instruction "
               f"({total} over {committed} committed)")
         print(f"  {walk['frames'] / committed:.2f} frames entered, "

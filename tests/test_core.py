@@ -8,7 +8,8 @@ from vrcsim.audit import assert_invisibility, differential_check
 from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
 from vrcsim.memhier import CacheConfig
 from vrcsim.replay import functional_replay
-from vrcsim.slicer import AnnotationTable, Slice, SliceInstr, annotate, const_op
+from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, annotate, const_op,
+                           temp_op)
 from vrcsim.vp import VpConfig
 from vrcsim.vrc import VrcConfig
 from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, TraceBuilder, gen_synthetic
@@ -223,6 +224,42 @@ def test_vp_misprediction_replays_dependents(tb):
     assert r.counters.get("vp_mispredicts", 0) >= 1
     assert r.counters.get("replayed_ops", 0) >= 1
     assert r.committed_values == rep.results
+
+
+def _fu_ops_without_engine(r):
+    c = r.counters
+    return sum(c.get(k, 0) for k in ("dispatched_alu", "dispatched_branch",
+                                     "replayed_ops"))
+
+
+def test_fu_ops_counts_each_execution_and_engine_unit(tb):
+    # every ALU op and branch takes one unit when it executes, and again per
+    # replay; an unclamped slice op takes one per engine cycle it runs (ADD
+    # one, MUL three); a VRC2 or oracle request takes none
+    tb.load(0x10, 1, COLD_A, value=1)                   # a shadow caster
+    tb.load(0x14, 2, COLD_B, value=77)                  # recomputed
+    for i in range(6):
+        tb.alu(0x18 + 8 * i, 3, "MUL" if i % 3 else "ADD", srcs=(2, 3))
+        tb.branch(0x1C + 8 * i, srcs=(3,), taken=bool(i % 2), predicted=True)
+    t = tb.build()
+    table = AnnotationTable()
+    table.slices[0] = Slice(
+        slice_id=0, instrs=(SliceInstr(0, "ADD", (const_op(3), const_op(4))),
+                            SliceInstr(1, "MUL", (temp_op(0), const_op(11)))),
+        producer_store_addr=0x999000, producer_store_size=8,
+        producer_store_seq=0, producer_store_pc=0x1, root_value=77,
+        hist_requirements=(), live_bindings=(), immutable=True)
+    table.rcmp_sites[0x14] = 0
+    table.slice_tags[0] = ((0x999000, 8),)
+    for policy, engine_units in (("BASELINE", 0), ("DOM", 0), ("VRC", 1 + 3),
+                                 ("VRC2", 0), ("ORACLE_VRC", 0)):
+        r = core.run(t, annotations=table, config=_cfg(policy))
+        assert r.counters["fu_ops"] == _fu_ops_without_engine(r) + engine_units
+        if "VRC" in policy:
+            assert r.counters["recompute_done"] == 1, policy
+    r = core.run(hand_replay_trace(), config=_cfg("VP"))
+    assert r.counters["replayed_ops"] > 0
+    assert r.counters["fu_ops"] == _fu_ops_without_engine(r)
 
 
 @pytest.mark.parametrize("consistency", ["TSO", "RC"])

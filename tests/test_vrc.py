@@ -1,5 +1,10 @@
+import random
+
+import pytest
+
+from vrcsim.isa import LINE_BYTES
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, const_op,
-                           hist_op, live_op, temp_op)
+                           hist_op, live_op, load_annotations, temp_op)
 from vrcsim.vrc import VrcConfig, VrcState
 
 
@@ -78,6 +83,62 @@ def test_store_elsewhere_no_effect():
     v = VrcState(table, VrcConfig())
     v.invalidate_on_store(0x4000, 8, store_pc=0x555)
     assert not v.unusable
+
+
+# a slice whose one tag, [0x1038, 0x1048), spans the lines at 0x1000 and
+# 0x1040
+TWO_LINE_TAG = """A version=1
+S slice_id=0 tag=0x1038 size=16 seq=0 ppc=0x900 root=0x5 immutable=1 len=1
+  P pos=0 op=MOV a=C:0x5
+  T addr=0x1038 size=16
+R pc=0x40 slice=0
+"""
+
+
+def test_tag_is_found_on_every_line_it_touches():
+    v = VrcState(load_annotations(TWO_LINE_TAG), VrcConfig())
+    v.invalidate_on_store(0x1048, 8, store_pc=0x555)   # just past the tag
+    assert not v.unusable
+    v.invalidate_on_store(0x1040, 8, store_pc=0x555)   # its second line
+    assert v.unusable == {0} and v.invalidations == 1
+    assert v.enqueue(0x40, 1) is False
+
+
+def _scan_invalidate(v, unusable, addr, size, store_pc):
+    """Exact-mode invalidation as a scan of every slice's tags: the
+    reference for the per-line index. Returns the slices it invalidates."""
+    hits = 0
+    for sid, ranges in v.table.slice_tags.items():
+        if sid in v.ibuff and sid not in unusable \
+                and v.ibuff[sid].producer_store_pc != store_pc \
+                and any(addr < t + n and t < addr + size for t, n in ranges):
+            unusable.add(sid)
+            hits += 1
+    return hits
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_indexed_invalidation_equals_a_scan_of_every_tag(seed):
+    # a few lines, tags and stores of 1-8 bytes at any offset (a tag may
+    # span two lines), some slices mutable and so not in IBuff, and store
+    # pcs that are sometimes a slice's own producer pc
+    rng = random.Random(seed)
+    base, pcs = 0x4000, (0x900, 0x904, 0x908, 0x555)
+    slices, tags = [], {}
+    for sid in range(12):
+        slices.append(add_slice(sid, pc=rng.choice(pcs[:3]),
+                                immutable=rng.random() < 0.8))
+        tags[sid] = tuple((base + rng.randrange(4 * LINE_BYTES), rng.randint(1, 8))
+                          for _ in range(rng.randint(1, 3)))
+    v = VrcState(_table(*slices, tags=tags), VrcConfig())
+    unusable, invalidations = set(), 0
+    for _ in range(40):
+        addr, size = base + rng.randrange(-8, 4 * LINE_BYTES), rng.randint(1, 8)
+        pc = rng.choice(pcs)
+        v.invalidate_on_store(addr, size, store_pc=pc)
+        invalidations += _scan_invalidate(v, unusable, addr, size, pc)
+        assert v.unusable == unusable and v.invalidations == invalidations
+    assert invalidations > 0
 
 
 def test_mutable_slice_not_loaded_by_default():
