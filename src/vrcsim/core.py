@@ -19,80 +19,63 @@ and commits in order. Loads run through the policy automaton:
   ORACLE_VRC  every shadowed miss recomputed in two cycles, no hierarchy use.
 
 Cycle phase order: fills, scheduled events (shadow resolves, branch
-resolves, prediction and validation completions; each event carries its
-handler), commit, unshadow, issue, recomputation engine, dispatch,
-probes. Commit, issue (with the engine) and dispatch are generators that
-`run` makes once per run, as its locals, and resumes once per stepped
-cycle. Each binds once, before its loop, what no code reassigns during a
-run (the decode's columns, the per-seq lists and dicts, the queues, the
-counters, the unit states and the config's scalars), and each resume
-reads from the simulator every scalar that changes: the cycle, the commit
-head, the next seq to dispatch, IQ and LQ occupancy, the redirect and the
-probes. The issue walk gives back the IQ entries of the ops it executes
-in one write, from a walk-local count. The trace's one decode
-(`Trace.decode`), shared by the slicer and every run on it, holds each
-instruction's static facts and the dataflow graph both ways. Entry
-states and kinds are integer codes, named only in deadlock reports.
+resolves, prediction and validation completions; each carries its
+handler), commit, unshadow (only when resolves released loads), issue,
+recomputation engine, dispatch, probes. Commit, issue (with the engine)
+and dispatch are generators that `run` makes once per run and resumes
+once per stepped cycle; each binds once what no code reassigns during a
+run and reads from the simulator every scalar that changes. `run` tests
+for the end only after a cycle that commits, and for a deadlock only
+after one that does not. The trace's one decode (`Trace.decode`), shared
+by the slicer and every run on it, holds each instruction's static facts
+and the dataflow graph both ways. Entry states and kinds are integer
+codes, named only in deadlock reports.
 
-A run keeps `rob_size` entries in a ring for its loads, stores, branches
-and NOPs, and takes the one at `seq % rob_size` when it dispatches `seq`;
-the ROB bound guarantees its last occupant has committed. `entries[seq]`
-is the entry while `seq` is in flight, else None. Each seq's value is
+A run keeps `rob_size` entries in a ring, built without an initializer,
+for its loads, stores, branches and NOPs: `seq` takes the slot at `seq %
+rob_size` when it dispatches, and writes every field (the ROB bound
+guarantees the slot's last occupant has committed). `entries[seq]` is
+the entry while `seq` is in flight, else None. Each seq's value is
 written to `committed_values[seq]` when it is bound (at execute, load
 completion, prediction, validation or replay), and its timing to `ready`
-(the cycle the value is ready) and `complete`, which is `_NEVER`, a
-cycle no run reaches, until the seq completes; each stays after commit,
-so an operand and its ready cycle are read the same way whether the
-producer is in flight or committed, and the final registers are their
-last writers' values.
+(the cycle the value is ready) and `complete`, which is `_NEVER`, a cycle
+no run reaches, until the seq completes; both stay after commit, so an
+operand is read the same way whether its producer is in flight or
+committed.
 
 ALU ops and loads take a short path through dispatch, issue and
-completion, on the state those two generators bind once. An ALU op takes
-no entry: it is dispatched when `seq < next_dispatch`, executed when
-`ready[seq]` is set, and its static facts come from the decode. A
-faulting op's exception shadow waits in `alu_shadows` for its first
-execution, and `replay_floor` holds the raised floor of each op a replay
-reset, which gave its IQ entry back when it first executed. A load's
-dispatch writes only the fields a load reads, and registers and casts
-its shadows in one `ShadowState.register_load` call. Issue executes an
-ALU op inline and serves a load's first issue and every retry in
-`_issue_load`; either completion files the waiting consumers inline.
-The run loop unshadows only in a cycle whose resolves released loads.
+completion. An ALU op takes no entry: it is dispatched when `seq <
+next_dispatch` and executed when `ready[seq]` is set. A faulting op's
+exception shadow waits in `alu_shadows` for its first execution, and
+`replay_floor` holds the raised floor of each op a replay reset. A load
+registers and casts its shadows in one `ShadowState.register_load` call,
+and `_issue_load` serves its first issue and every retry.
 
-An ALU op or branch waiting for its data producers is ready at its floor
-(the cycle after dispatch, raised by a replay) and no earlier than their
-values; a load is ready the cycle after its address. A producer counts at
-its ready cycle, committed or not (see `_ready_at`). `_reschedule` applies
-that rule (`_ready_at`) to every kind, and the short paths hold inlined
-copies. A ready entry is filed in a calendar (R. Brown's calendar queue,
-CACM 1988): a dict from cycle to seqs, of which the issue stage pops exactly
-the current cycle's bucket and an idle cycle skips to the smallest key. An
-entry is filed at most once per execution, so the walk never meets a seq
-twice: a load once, as its access stands after a replay, and an op again
-only once a replay has reset it or taken it out of where it waits. A load
-waiting in the pool for store data in flight files an empty bucket at the
-data's arrival, where an idle stretch stops. Issue walks, in program order,
-the bucket, the loads waiting in the issue pool and the ops (ALU ops and
-branches) waiting for a unit, which each FU class keeps in a list sorted by
-seq; units and the walk's `width` issue slots go in that order, a slot to
-each load or op that issues. A class's units can take only its oldest
-waiting ops, so the walk takes as many of them as the class has units and
-leaves the rest of its list, unvisited, for the next cycle. The walk ends at
-the last slot and carries its unvisited rest in the next cycle's bucket, a
-cycle that is stepped, as this one made progress. An ALU op or branch
+An ALU op or branch is ready at its floor (the cycle after dispatch,
+raised by a replay) and no earlier than its producers' values; a load is
+ready the cycle after its address (`_reschedule`, with inlined copies in
+the short paths). A ready seq is filed in a calendar (R. Brown's calendar
+queue, CACM 1988), a `defaultdict(list)` from cycle to seqs, so filing
+builds no throwaway list. Issue pops exactly the current cycle's bucket
+and an idle cycle skips to the smallest key, so a bucket is read only
+with `pop` or `get`: a plain read would leave an empty bucket, where an
+idle skip stops (a load waiting for store data in flight files one on
+purpose). A seq is filed at most once per execution. Issue walks, in
+program order, the bucket, the loads waiting in the issue pool and the
+oldest ops (ALU ops and branches) in each FU class's wait list that the
+class has units for; each load or op that issues takes one of `width`
+slots, and the walk's unvisited rest after the last slot waits in the
+next cycle's bucket (`_hold`). The cycle's budget list (units, then
+ports) is built only for a load's issue or an engine step. An op
 executes unchecked: its producers had values when it was filed, and a
-value-prediction replay takes each op that now reads a reset producer out of
-the calendar bucket it is found in, or else its class's list, so that the
-producer's re-execution files it as it files any op. The recomputation
-engine steps only in a cycle it has work in, takes its units from the
-cycle's budget, and hands back each request it ended as a value or a
-fallback. `fu_ops` is counted once per run, in `_result`: an ALU op or
-branch takes one unit per execution, its first and one per replay, and
-the engine counts the units it takes. A load "performs" when its value
-is bound by a real access, store forward, or recomputation; its
-memory-order shadow resolves then (at validation completion for
-predicted loads). Time skips ahead to the next cycle at which something
-is due whenever a cycle makes no progress.
+value-prediction replay takes each op that now reads a reset producer out
+of where it waits. `fu_ops` is counted once per run, in `_result`. A
+load "performs" when its value is bound by a real access, store forward,
+or recomputation; its memory-order shadow resolves then (at validation
+completion for predicted loads). Time skips ahead to the next due cycle
+whenever a cycle makes no progress. A result keeps the final hierarchy
+as a `MemHierState.snapshot` of flat tuples, hashed on the first read of
+its `memhier_digest`.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -104,11 +87,13 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .audit import MutationLog
-from .isa import ALU_FNS, FU_ALU, FU_MUL
-from .memhier import CacheConfig, L1_MISS, MSHR_HIT, MemHierState
+from .isa import ALU_FNS, FU_MUL
+from .memhier import (CacheConfig, L1_MISS, MSHR_HIT, MemHierState,
+                      hierarchy_digest)
 from .shadows import ShadowKind, ShadowState
 from .slicer import AnnotationTable
 from .trace import (FORM_RI, FORM_RR, KIND_ALU, KIND_BRANCH, KIND_LOAD,
@@ -140,9 +125,10 @@ class CoreConfig:
     sb_capacity: int = 64
     rq_capacity: int = 64
     deadlock_cycles: int = 100_000
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    vp: VpConfig = field(default_factory=VpConfig)
-    vrc: VrcConfig = field(default_factory=VrcConfig)
+    # the frozen default sub-configs are shared by every config
+    cache: CacheConfig = CacheConfig()
+    vp: VpConfig = VpConfig()
+    vrc: VrcConfig = VrcConfig()
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -179,7 +165,7 @@ class RunResult:
     cycles: int
     committed: int
     counters: dict
-    memhier_digest: str
+    memhier_snapshot: tuple             # `MemHierState.snapshot` at the end
     mutation_log: MutationLog
     committed_values: list
     committed_regs: list
@@ -187,6 +173,12 @@ class RunResult:
     mean_slice_cycles: float | None
     load_timing: dict                   # seq -> (unshadow, issue, value_ready)
     shadow_stats: tuple                 # (shadowed fraction, mean shadows/load)
+
+    @cached_property
+    def memhier_digest(self) -> str:
+        """Hashed on the first read: a run that nothing audits or
+        fingerprints never hashes its hierarchy."""
+        return hierarchy_digest(self.memhier_snapshot)
 
 
 # entry states; NONSPEC is an unshadowed delayed or fallback load awaiting
@@ -204,36 +196,22 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 class _Entry:
     """One in-flight load, store, branch or NOP: a slot of the run's ring,
-    reset at dispatch (a load's short path writes only the fields a load
-    reads). An ALU op takes no slot. Its value lives in the run's
-    `committed_values` and its timing in the run's `ready` and `complete`
-    lists. `sb_e` holds its exception shadow and `sb_k` the one shadow its
-    kind casts: a branch's C, a store's D, a load's M or VP."""
+    with no field until an occupant's dispatch writes them all (`reset`, or
+    a load's short path). An ALU op takes no slot. `sb_e` holds the
+    exception shadow and `sb_k` the one shadow its kind casts: a branch's
+    C, a store's D, a load's M or VP."""
 
     __slots__ = (
         "seq", "ins", "state", "addr_ready", "shadowed", "sb_e", "sb_k",
         "predicted", "iq_held", "unshadow_cycle", "dispatch_cycle", "issue_at",
     )
 
-    def __init__(self):
-        # what a load's short path does not write, for a slot's first
-        # occupant: every later one finds it so, as an entry clears `sb_e`
-        # before it commits
-        self.sb_e = None
-
     def reset(self, seq, ins, now):
         """Every field, for a store, branch or NOP."""
-        self.seq = seq
-        self.ins = ins
-        self.state = DISP
-        self.addr_ready = None
-        self.shadowed = False
-        self.sb_e = self.sb_k = None
-        self.predicted = None
-        self.iq_held = False
-        self.unshadow_cycle = None
-        self.dispatch_cycle = now
-        self.issue_at = None
+        self.seq, self.ins, self.state, self.dispatch_cycle = seq, ins, DISP, now
+        self.addr_ready = self.sb_e = self.sb_k = self.predicted = None
+        self.unshadow_cycle = self.issue_at = None
+        self.shadowed = self.iq_held = False
 
 
 class _Sim:
@@ -292,7 +270,7 @@ class _Sim:
 
         self.events: list = []                  # (cycle, order, handler, payload)
         self._event_order = 0
-        self.calendar: dict[int, list[int]] = {}  # ready cycle -> seqs
+        self.calendar: dict[int, list[int]] = defaultdict(list)  # cycle -> seqs
         self.issue_pool: set[int] = set()       # loads that wait to issue
         # per FU class, the ops (ALU ops and branches) that wait for a unit
         self.fu_wait: tuple[list[int], list[int]] = ([], [])
@@ -384,7 +362,7 @@ class _Sim:
                 return
         if at <= self.now:
             at = self.now + 1
-        self.calendar.setdefault(at, []).append(seq)
+        self.calendar[at].append(seq)
 
     def _update_store(self, e: _Entry) -> None:
         """Recompute a store's address/data readiness; resolves the
@@ -475,12 +453,12 @@ class _Sim:
                         if at > ready:
                             ready = at
                     else:
-                        calendar.setdefault(ready, []).append(seq)
+                        calendar[ready].append(seq)
                     seq += 1
                     continue
                 if kind == KIND_LOAD:
-                    # a load's short path (`sb_e` is None, see `_Entry`):
-                    # it files its address readiness as `_reschedule` does
+                    # a load's short path: it files its address readiness
+                    # as `_reschedule` does
                     need += order is not None  # its memory-order shadow
                     if need > room or iq_used >= iq_size or lq_used >= lq_size:
                         break
@@ -504,6 +482,8 @@ class _Sim:
                     if ins.may_fault:
                         e.sb_e = sb_id
                         sb_id += 1
+                    else:
+                        e.sb_e = None
                     e.sb_k = None if order is None else sb_id
                     at = now
                     for w in addr_writers[seq]:
@@ -514,7 +494,7 @@ class _Sim:
                             at = ready
                     else:
                         e.addr_ready = at + 1
-                        calendar.setdefault(at + 1, []).append(seq)
+                        calendar[at + 1].append(seq)
                     seq += 1
                     continue
                 if need > room \
@@ -577,14 +557,14 @@ class _Sim:
         alu_wait, mul_wait = self.fu_wait
         alu_waits, mul_waits = alu_wait.append, mul_wait.append
         cfg = self.config
-        units, width = (cfg.alu_units, cfg.mul_units, cfg.mem_ports), cfg.width
+        width = cfg.width
+        alu_units, mul_units, _ = units = (cfg.alu_units, cfg.mul_units, cfg.mem_ports)
         while True:
             now = self.now
             due = calendar.pop(now, None)
-            # the walk: the cycle's bucket, the loads in the pool and the ops
-            # that wait for a unit, in program order
-            budget = list(units)
-            alu, mul, _ = budget
+            # the walk, in program order: the bucket, the pooled loads and
+            # the ops that wait for a unit
+            alu, mul, budget = alu_units, mul_units, None
             slots = width
             if pool or alu_wait or mul_wait:
                 if due is None:
@@ -612,6 +592,7 @@ class _Sim:
                     kind = kinds[seq]  # an issue-walk visit
                     if kind == KIND_LOAD:
                         e = entries[seq]
+                        budget = budget or list(units)
                         if not self._issue_load(e, budget):
                             pool.add(seq)
                             continue
@@ -701,7 +682,7 @@ class _Sim:
                                     ready = now + 1
                                 if replay_floor and replay_floor.get(cseq, 0) > ready:
                                     ready = replay_floor[cseq]
-                                calendar.setdefault(ready, []).append(cseq)
+                                calendar[ready].append(cseq)
                 self.iq_used -= freed
             # every load or op that issued took a slot
             any_issued = slots < width
@@ -709,7 +690,7 @@ class _Sim:
             # ended one, on the units the walk left
             if vrc is not None and (vrc.active is not None or vrc.queue
                                     or vrc.ended):
-                budget[FU_ALU], budget[FU_MUL] = alu, mul
+                budget = [alu, mul, budget[_PORT] if budget else cfg.mem_ports]
                 any_issued = self._engine_tick(budget) or any_issued
             yield any_issued
 
@@ -719,7 +700,7 @@ class _Sim:
         next cycle's bucket. That cycle is stepped, as this one made
         progress."""
         at = due.index(seq) + 1
-        self.calendar.setdefault(self.now + 1, []).extend(due[at:])
+        self.calendar[self.now + 1].extend(due[at:])
         del due[at:]
 
     # -- load paths ---------------------------------------------------------------
@@ -1042,7 +1023,7 @@ class _Sim:
                     elif kind == KIND_BRANCH and vp is not None:
                         vp.notify_branch(ins.br.taken)
                     entries[seq] = None
-                if seq in rec_sites:
+                if rec_sites and seq in rec_sites:
                     # Hist takes the committed value; a store or branch has none
                     value = values[seq]
                     if value is not None:
@@ -1098,7 +1079,7 @@ class _Sim:
                 while events and events[0][0] <= now:
                     _, _, handler, payload = heapq.heappop(events)
                     handler(payload)
-            progress |= commit()
+            committed = commit()
             if sb.released:  # loads that this cycle's resolves released
                 self._unshadow()
                 progress = True
@@ -1106,11 +1087,13 @@ class _Sim:
             progress |= dispatch()
             if self.probes:
                 progress |= self._probe_tick()
-            if self.commit_head >= n:
-                break
-            if self.now - self.last_commit_cycle > deadlock_cycles:
+            if committed:
+                if self.commit_head >= n:
+                    break
+                self.now += 1
+            elif now - self.last_commit_cycle > deadlock_cycles:
                 raise DeadlockError(self._deadlock_dump())
-            if progress:
+            elif progress:
                 self.now += 1
             else:
                 self._advance_time()
@@ -1168,40 +1151,38 @@ class _Sim:
         return regs
 
     def _result(self, cycles: int) -> RunResult:
-        c = self.counters
+        c, mem, vp, vrc = self.counters, self.mem, self.vp, self.vrc
         # every instruction was dispatched exactly once
         for kind, count in self.decode.kind_counts:
             c[_DISPATCHED_KEYS[kind]] = count
-        # one unit per FU op (see the module docstring)
+        # a unit per execution of an ALU op or branch, replays too, and per
+        # unit the engine took
         fu_ops = c.get("dispatched_alu", 0) + c.get("dispatched_branch", 0) \
-            + c.get("replayed_ops", 0) + (self.vrc.fu_ops if self.vrc else 0)
+            + c.get("replayed_ops", 0) + (vrc.fu_ops if vrc else 0)
         if fu_ops:
             c["fu_ops"] = fu_ops
-        for name in ("l1_hits", "l1_misses", "mshr_hits", "l2_hits", "mem_accesses"):
-            c[name] = getattr(self.mem, name)
-        if self.vp is not None:
-            c["vp_lookups"] = self.vp.lookups
-            c["vp_updates"] = self.vp.updates
-        if self.vrc is not None:
-            c["slice_cycles"] = self.vrc.busy_cycles
-            c["vrc_struct_accesses"] = self.vrc.struct_accesses
-            c["hist_inserts"] = self.vrc.hist_inserts
-            c["hist_overflows"] = self.vrc.hist_overflows
-            c["slice_invalidations"] = self.vrc.invalidations
-            if self.vrc.faults:
-                c["exc_fallbacks"] = self.vrc.faults
+        c.update(l1_hits=mem.l1_hits, l1_misses=mem.l1_misses, mshr_hits=mem.mshr_hits,
+                 l2_hits=mem.l2_hits, mem_accesses=mem.mem_accesses)
+        if vp is not None:
+            c.update(vp_lookups=vp.lookups, vp_updates=vp.updates)
+        if vrc is not None:
+            c.update(slice_cycles=vrc.busy_cycles, vrc_struct_accesses=vrc.struct_accesses,
+                     hist_inserts=vrc.hist_inserts, hist_overflows=vrc.hist_overflows,
+                     slice_invalidations=vrc.invalidations)
+            if vrc.faults:
+                c["exc_fallbacks"] = vrc.faults
         return RunResult(
             policy=self.policy,
             consistency=self.config.consistency,
             cycles=cycles,
             committed=self.commit_head,
             counters=dict(c),
-            memhier_digest=self.mem.snapshot_digest(),
+            memhier_snapshot=mem.snapshot(),
             mutation_log=self.log,
             committed_values=self.committed_values,
             committed_regs=self._final_regs(),
             validation_completions=self.validation_completions,
-            mean_slice_cycles=self.vrc.mean_slice_cycles() if self.vrc else None,
+            mean_slice_cycles=vrc.mean_slice_cycles() if vrc else None,
             load_timing=self.load_timing,
             shadow_stats=(self.sb.shadowed_load_fraction(),
                           self.sb.mean_shadows_per_load()),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 from .audit import MutationLog, MutationRecord
 from .isa import LINE_BYTES
@@ -257,31 +258,43 @@ class MemHierState:
 
     # -- digests --------------------------------------------------------------------
 
-    def snapshot_digest(self) -> str:
-        """SHA-256 over each set's (line, dirty) list, MRU first, a "|" after
-        each level, then the MSHR allocation history. Only the sets a run
-        has filled are walked; every other set is written as the empty
-        list it holds."""
-        parts = []
+    def snapshot(self) -> tuple:
+        """What the digest covers, in flat tuples: per level, its set count,
+        the filled sets' indices in order, their sizes, their lines MRU
+        first and the lines' dirty flags; then the MSHR allocation history."""
+        levels = []
         for level in (self.l1, self.l2):
-            dirty, data = level.dirty, level.data
-            last = -1
-            for index in sorted(level.filled):
-                parts.append("[]" * (index - last - 1))
-                parts.append(repr([(line, line in dirty) for line in data[index]]))
-                last = index
-            parts.append("[]" * (level.sets - last - 1))
-            parts.append("|")
-        parts.append(repr(self.mshr_history))
-        return hashlib.sha256("".join(parts).encode()).hexdigest()
+            filled = tuple(sorted(level.filled))
+            sets = [level.data[index] for index in filled]
+            lines = tuple(chain.from_iterable(sets))
+            levels.append((level.sets, filled, tuple(map(len, sets)), lines,
+                           tuple(map(level.dirty.__contains__, lines))))
+        return tuple(levels), tuple(self.mshr_history)
+
+    def snapshot_digest(self) -> str:
+        return hierarchy_digest(self.snapshot())
+
+
+def hierarchy_digest(snapshot: tuple) -> str:
+    """SHA-256 of the one text of a `MemHierState.snapshot`, taken live or
+    kept by a run's result: each set's (line, dirty) list, MRU first ("[]"
+    for a set never filled), a "|" after each level, then the MSHR
+    allocation history as a list."""
+    levels, history = snapshot
+    parts = []
+    for sets, filled, sizes, lines, dirty in levels:
+        pairs, last, start = [*zip(lines, dirty)], 0, 0
+        for index, size in zip(filled, sizes):
+            parts += "[]" * (index - last), repr(pairs[start:start + size])
+            last, start = index + 1, start + size
+        parts += "[]" * (sets - last), "|"
+    parts.append(repr([*history]))
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def replay_log(log: MutationLog, config: CacheConfig | None = None) -> str:
-    """Re-apply a mutation log onto a fresh hierarchy and return its digest.
-
-    Used to check log completeness: the replayed digest must equal the live
-    state's snapshot_digest.
-    """
+    """Re-apply a mutation log onto a fresh hierarchy and return its digest,
+    which equals the live state's `snapshot_digest` when the log is complete."""
     state = MemHierState(config or CacheConfig(), log=MutationLog())
     for _, level_no, op, line, _, _, _, _ in log:
         level = state.l1 if level_no == 1 else state.l2

@@ -487,6 +487,12 @@ _RECORD_FIELDS = {
 }
 
 
+def _store_size(text: str) -> int:
+    if (size := int(text)) not in (1, 2, 4, 8):  # the sizes a store can have
+        raise AnnotationFormatError(f"store size {size} is not 1, 2, 4 or 8")
+    return size
+
+
 def load_annotations(data) -> AnnotationTable:
     try:
         data = _read_text(data)
@@ -553,7 +559,7 @@ def load_annotations(data) -> AnnotationTable:
                 current = {
                     "sid": int(fields["slice_id"]),
                     "tag": int(fields["tag"], 0),
-                    "size": int(fields["size"]),
+                    "size": _store_size(fields["size"]),
                     "seq": int(fields["seq"]),
                     "ppc": int(fields["ppc"], 0),
                     "root": int(fields["root"], 0),
@@ -594,7 +600,7 @@ def load_annotations(data) -> AnnotationTable:
                 current["live"].append(
                     (int(fields["reg"]), int(fields["seq"]), int(fields["val"], 0)))
             elif tag == "T":
-                current["tags"].append((int(fields["addr"], 0), int(fields["size"])))
+                current["tags"].append((int(fields["addr"], 0), _store_size(fields["size"])))
             elif tag == "R":
                 pc = int(fields["pc"], 0)
                 if pc in table.rcmp_sites:

@@ -1,7 +1,7 @@
-"""Memory use of the core, as two numbers in MB, each read in a fresh
+"""Memory use of the core, as three numbers, each read in a fresh
 interpreter.
 
-    PYTHONPATH=src python3 tests/rss.py [--count N] [--iterations K]
+    PYTHONPATH=src python3 tests/rss.py [--count N] [--iterations K] [--heap-passes P]
 
 growth   The resident-set growth of one MIXED run of `--count` instructions
          (default 100k) under VRC. The trace, its annotations and its decode
@@ -17,6 +17,14 @@ loop     The peak RSS (`ru_maxrss`) of `--iterations` (default 30) passes
          probed at the first mispredicted branch and audited; and a 2k
          STREAM trace (load density 0.2, 4 MB working set) saved, loaded,
          validated, replayed and run under BASELINE and DOM.
+heap     The peak of the Python heap, in KiB, as `tracemalloc` counts it,
+         over `--heap-passes` (default 2) passes of the loop above. Tracing
+         starts before one warm-up pass (the package's import included);
+         the peak is reset after it and a `gc.collect()`, so it is what the
+         warm-up left alive plus the most that the passes then held at
+         once, results included. It counts objects, not the allocator's
+         pages, so unlike `ru_maxrss`, which moves in 128-512 KB steps with
+         code layout, it moves only with what a run allocates.
 
 The bench's own `peak_rss_mb` grows with the number of iterations a timed
 run fits in, so a faster tree reads as using more memory; here the count is
@@ -35,6 +43,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 MB = 1 << 20
@@ -62,7 +71,7 @@ def _growth(count: int) -> float:
     return grown / MB
 
 
-def _loop(iterations: int) -> float:
+def _passes(iterations: int) -> None:
     import vrcsim as vs
 
     shapes = (
@@ -103,7 +112,20 @@ def _loop(iterations: int) -> float:
                                                       config=cfg)
                         vs.differential_check(r, p)
                 vs.summarize(runs)
+
+
+def _loop(iterations: int) -> float:
+    _passes(iterations)
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _heap(passes: int) -> float:
+    tracemalloc.start()
+    _passes(1)
+    gc.collect()
+    tracemalloc.reset_peak()
+    _passes(passes)
+    return tracemalloc.get_traced_memory()[1] / 1024
 
 
 def _child(what: str, n: int) -> float:
@@ -116,16 +138,19 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=100_000)
     ap.add_argument("--iterations", type=int, default=30)
-    ap.add_argument("--child", choices=("growth", "loop"), help=argparse.SUPPRESS)
+    ap.add_argument("--heap-passes", type=int, default=2)
+    ap.add_argument("--child", choices=("growth", "loop", "heap"), help=argparse.SUPPRESS)
     ap.add_argument("--n", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        print((_growth if args.child == "growth" else _loop)(args.n))
+        print({"growth": _growth, "loop": _loop, "heap": _heap}[args.child](args.n))
         return
     print(f"growth of one {args.count} MIXED/VRC run: "
           f"{_child('growth', args.count):.2f} MB")
     print(f"peak of {args.iterations} bench-shaped iterations: "
           f"{_child('loop', args.iterations):.2f} MB")
+    print(f"Python-heap peak of {args.heap_passes} passes after a warm-up: "
+          f"{_child('heap', args.heap_passes):,.0f} KiB")
 
 
 if __name__ == "__main__":

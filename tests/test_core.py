@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from vrcsim import core
-from vrcsim.audit import assert_invisibility, differential_check
+from vrcsim import core, memhier
+from vrcsim.audit import MutationLog, assert_invisibility, differential_check
 from vrcsim.core import CoreConfig, DeadlockError, ProbeSpec
-from vrcsim.memhier import CacheConfig
+from vrcsim.memhier import CacheConfig, hierarchy_digest, replay_log
 from vrcsim.replay import functional_replay
 from vrcsim.slicer import (AnnotationTable, Slice, SliceInstr, annotate, const_op,
                            temp_op)
@@ -20,6 +20,7 @@ from test_fingerprints import (DEFAULT_RUNS, REFILE_CORE, RUNS, TIGHT_CORE,
                                hand_fu_unfile_trace, hand_paths_trace,
                                hand_pool_refile_trace, hand_replay_trace,
                                hand_sq_fill_trace, traces)
+from test_memhier import _per_set_digest
 
 COLD_A = 0x10_0000
 COLD_B = 0x20_0000
@@ -916,3 +917,90 @@ def test_random_programs_never_confident_vp_is_dom(consistency):
         vp = core.run(t, config=CoreConfig(policy="VP", consistency=consistency,
                                            vp=never))
         assert (vp.cycles, vp.memhier_digest) == (dom.cycles, dom.memhier_digest), seed
+
+
+# ---------------------------------------------------------------------------
+# the final hierarchy is hashed on the first read of its digest
+
+class _EagerDigestSim(core._Sim):
+    """Takes the hierarchy's digest two ways at the end of the run, as the
+    live state's `snapshot_digest` and hashed one set at a time from the
+    live sets, and then changes the live hierarchy: a result must not see a
+    change made after its run."""
+
+    def _result(self, cycles):
+        self.eager = self.mem.snapshot_digest()
+        self.per_set = _per_set_digest(self.mem)
+        result = super()._result(cycles)
+        self.mem.log = MutationLog()  # the result keeps the run's log
+        for line in (0x7e00_0000, 0x7e00_0040):
+            self.mem.access(line, self.now, 0, store=True)
+        self.mem.advance(self.now + 10_000)
+        assert self.mem.snapshot_digest() != self.eager
+        return result
+
+
+def test_digest_is_hashed_on_first_read_only(monkeypatch):
+    calls = []
+
+    def counted(snapshot):
+        calls.append(1)
+        return hierarchy_digest(snapshot)
+
+    monkeypatch.setattr(core, "hierarchy_digest", counted)
+    monkeypatch.setattr(memhier, "hierarchy_digest", counted)
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=300, seed=1))
+    table, _ = annotate(t)
+    results = [core.run(t, annotations=table, config=CoreConfig(policy=p))
+               for p in core.POLICIES]
+    assert not calls
+    digests = [r.memhier_digest for r in results]
+    assert len(calls) == len(results)
+    assert [r.memhier_digest for r in results] == digests
+    assert len(calls) == len(results)
+
+
+def test_lazy_digest_equals_replay_and_the_eager_digest():
+    for pattern in PATTERNS:
+        t = gen_synthetic(SyntheticWorkloadSpec(pattern=pattern, count=300, seed=5,
+                                                mispredict_rate=0.3))
+        table, _ = annotate(t)
+        branch = next(i.seq for i in t.instructions
+                      if i.kind == "BRANCH" and not i.br.predicted_correctly)
+        probe = ProbeSpec(branch_seq=branch, load_addrs=(0x7100_0000, 0x7100_0040))
+        for policy in core.POLICIES:
+            for spec in (None, probe):
+                sim = _EagerDigestSim(t, table, CoreConfig(policy=policy), spec)
+                r = sim.run()
+                want = (sim.eager, sim.eager, sim.eager)
+                assert (r.memhier_digest, sim.per_set, replay_log(r.mutation_log)) \
+                    == want, (pattern, policy, spec)
+
+
+def test_digests_do_not_depend_on_the_order_they_are_read():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=300, seed=2))
+
+    def runs():
+        return [core.run(t, config=CoreConfig(policy=p)) for p in ("BASELINE", "DOM")]
+
+    in_order = [r.memhier_digest for r in runs()]
+    base, dom = runs()
+    reversed_order = [dom.memhier_digest, base.memhier_digest][::-1]
+    assert reversed_order == in_order and in_order[0] != in_order[1]
+
+
+def test_result_equality_covers_the_hierarchy_snapshot():
+    t = gen_synthetic(SyntheticWorkloadSpec(pattern="MIXED", count=300, seed=2))
+    a, b, dom = (core.run(t, config=CoreConfig(policy=p))
+                 for p in ("BASELINE", "BASELINE", "DOM"))
+    a.memhier_digest  # a cached digest takes no part in equality
+    assert a == b
+    assert replace(a, memhier_snapshot=dom.memhier_snapshot) != b
+
+
+def test_configs_share_their_frozen_default_sub_configs():
+    first, second = CoreConfig(), CoreConfig(policy="VRC")
+    assert first.cache is second.cache
+    assert first.vp is second.vp and first.vrc is second.vrc
+    small = replace(CoreConfig(), cache=CacheConfig(mshrs=4))
+    assert small.cache.mshrs == 4 and CoreConfig().cache.mshrs == 16

@@ -352,6 +352,20 @@ def test_bad_annotations_rejected_at_load(old, new, match):
         load_annotations(GOOD_ANNOTATIONS.replace(old, new))
 
 
+@pytest.mark.parametrize("size", ("0", "-8", "3"))
+@pytest.mark.parametrize("record, lineno", (("S slice_id=0 tag=0x100 size=", 2),
+                                            ("  T addr=0x100 size=", 7)))
+def test_store_sizes_other_than_1_2_4_8_are_rejected(record, lineno, size):
+    # a tag names the bytes a store wrote, and a store writes 1, 2, 4 or 8
+    text = GOOD_ANNOTATIONS.replace(record + "8", record + size)
+    assert text != GOOD_ANNOTATIONS
+    with pytest.raises(AnnotationFormatError,
+                       match=f"^line {lineno}: store size {size} is not 1, 2, 4 or 8$"):
+        load_annotations(text)
+    for good in ("1", "2", "4"):
+        load_annotations(GOOD_ANNOTATIONS.replace(record + "8", record + good))
+
+
 _S = "S slice_id=0 tag=0x100 size=8 seq=0 ppc=0x900 root=0x3 immutable=1 "
 
 

@@ -85,19 +85,19 @@ def test_store_elsewhere_no_effect():
     assert not v.unusable
 
 
-# a slice whose one tag, [0x1038, 0x1048), spans the lines at 0x1000 and
+# a slice whose one tag, [0x103c, 0x1044), spans the lines at 0x1000 and
 # 0x1040
 TWO_LINE_TAG = """A version=1
-S slice_id=0 tag=0x1038 size=16 seq=0 ppc=0x900 root=0x5 immutable=1 len=1
+S slice_id=0 tag=0x103c size=8 seq=0 ppc=0x900 root=0x5 immutable=1 len=1
   P pos=0 op=MOV a=C:0x5
-  T addr=0x1038 size=16
+  T addr=0x103c size=8
 R pc=0x40 slice=0
 """
 
 
 def test_tag_is_found_on_every_line_it_touches():
     v = VrcState(load_annotations(TWO_LINE_TAG), VrcConfig())
-    v.invalidate_on_store(0x1048, 8, store_pc=0x555)   # just past the tag
+    v.invalidate_on_store(0x1044, 8, store_pc=0x555)   # just past the tag
     assert not v.unusable
     v.invalidate_on_store(0x1040, 8, store_pc=0x555)   # its second line
     assert v.unusable == {0} and v.invalidations == 1
