@@ -19,63 +19,88 @@ and commits in order. Loads run through the policy automaton:
   ORACLE_VRC  every shadowed miss recomputed in two cycles, no hierarchy use.
 
 Cycle phase order: fills, scheduled events (shadow resolves, branch
-resolves, prediction and validation completions; each carries its
-handler), commit, unshadow (only when resolves released loads), issue,
-recomputation engine, dispatch, probes. Commit, issue (with the engine)
-and dispatch are generators that `run` makes once per run and resumes
-once per stepped cycle; each binds once what no code reassigns during a
-run and reads from the simulator every scalar that changes. `run` tests
-for the end only after a cycle that commits, and for a deadlock only
-after one that does not. The trace's one decode (`Trace.decode`), shared
-by the slicer and every run on it, holds each instruction's static facts
-and the dataflow graph both ways. Entry states and kinds are integer
-codes, named only in deadlock reports.
+resolves, prediction and validation completions; each event carries its
+handler), commit, unshadow, issue, recomputation engine, dispatch,
+probes. Commit, issue (with the engine) and dispatch are generators that
+`run` makes once per run, as its locals, and resumes once per stepped
+cycle. Each binds once, before its loop, what no code reassigns during a
+run (the decode's columns, the per-seq lists and dicts, the queues, the
+counters, the unit states and the config's scalars), and each resume
+reads from the simulator every scalar that changes: the cycle, the commit
+head, the next seq to dispatch, IQ and LQ occupancy, the redirect and the
+probes. The issue walk gives back the IQ entries of the ops it executes
+in one write, from a walk-local count. `run` tests for the end only
+after a cycle that commits, and for a deadlock only after one that does
+not. The trace's one decode (`Trace.decode`), shared by the slicer and
+every run on it, holds each instruction's static facts and the dataflow
+graph both ways. Entry states and kinds are integer codes, named only in
+deadlock reports.
 
-A run keeps `rob_size` entries in a ring, built without an initializer,
-for its loads, stores, branches and NOPs: `seq` takes the slot at `seq %
-rob_size` when it dispatches, and writes every field (the ROB bound
-guarantees the slot's last occupant has committed). `entries[seq]` is
-the entry while `seq` is in flight, else None. Each seq's value is
-written to `committed_values[seq]` when it is bound (at execute, load
+A run keeps `rob_size` entries in a ring for its loads, stores, branches
+and NOPs, built without an initializer: dispatching `seq` takes the one
+at `seq % rob_size` and writes every field its kind reads; the ROB bound
+guarantees its last occupant has committed. `entries[seq]` is the
+entry while `seq` is in flight, else None. Each seq's value is written
+to `committed_values[seq]` when it is bound (at execute, load
 completion, prediction, validation or replay), and its timing to `ready`
-(the cycle the value is ready) and `complete`, which is `_NEVER`, a cycle
-no run reaches, until the seq completes; both stay after commit, so an
-operand is read the same way whether its producer is in flight or
-committed.
+(the cycle the value is ready) and `complete`, which is `_NEVER`, a
+cycle no run reaches, until the seq completes; each stays after commit,
+so an operand and its ready cycle are read the same way whether the
+producer is in flight or committed, and the final registers are their
+last writers' values.
 
 ALU ops and loads take a short path through dispatch, issue and
-completion. An ALU op takes no entry: it is dispatched when `seq <
-next_dispatch` and executed when `ready[seq]` is set. A faulting op's
-exception shadow waits in `alu_shadows` for its first execution, and
-`replay_floor` holds the raised floor of each op a replay reset. A load
-registers and casts its shadows in one `ShadowState.register_load` call,
-and `_issue_load` serves its first issue and every retry.
+completion, on the state those two generators bind once. An ALU op takes
+no entry: it is dispatched when `seq < next_dispatch`, executed when
+`ready[seq]` is set, and its static facts come from the decode. A
+faulting op's exception shadow waits in `alu_shadows` for its first
+execution, and `replay_floor` holds the raised floor of each op a replay
+reset, which gave its IQ entry back when it first executed. A load's
+dispatch writes only the fields a load reads, and registers and casts
+its shadows in one `ShadowState.register_load` call. Issue executes an
+ALU op inline and serves a load's first issue and every retry in
+`_issue_load`; either completion files the waiting consumers inline.
+The run loop unshadows only in a cycle whose resolves released loads.
 
-An ALU op or branch is ready at its floor (the cycle after dispatch,
-raised by a replay) and no earlier than its producers' values; a load is
-ready the cycle after its address (`_reschedule`, with inlined copies in
-the short paths). A ready seq is filed in a calendar (R. Brown's calendar
-queue, CACM 1988), a `defaultdict(list)` from cycle to seqs, so filing
-builds no throwaway list. Issue pops exactly the current cycle's bucket
-and an idle cycle skips to the smallest key, so a bucket is read only
-with `pop` or `get`: a plain read would leave an empty bucket, where an
-idle skip stops (a load waiting for store data in flight files one on
-purpose). A seq is filed at most once per execution. Issue walks, in
-program order, the bucket, the loads waiting in the issue pool and the
-oldest ops (ALU ops and branches) in each FU class's wait list that the
-class has units for; each load or op that issues takes one of `width`
-slots, and the walk's unvisited rest after the last slot waits in the
-next cycle's bucket (`_hold`). The cycle's budget list (units, then
-ports) is built only for a load's issue or an engine step. An op
-executes unchecked: its producers had values when it was filed, and a
-value-prediction replay takes each op that now reads a reset producer out
-of where it waits. `fu_ops` is counted once per run, in `_result`. A
-load "performs" when its value is bound by a real access, store forward,
-or recomputation; its memory-order shadow resolves then (at validation
-completion for predicted loads). Time skips ahead to the next due cycle
-whenever a cycle makes no progress. A result keeps the final hierarchy
-as a `MemHierState.snapshot` of flat tuples, hashed on the first read of
-its `memhier_digest`.
+An ALU op or branch waiting for its data producers is ready at its floor
+(the cycle after dispatch, raised by a replay) and no earlier than their
+values; a load is ready the cycle after its address. A producer counts at
+its ready cycle, committed or not (see `_ready_at`). `_reschedule` applies
+that rule (`_ready_at`) to every kind, and the short paths hold inlined
+copies. A ready entry is filed in a calendar (R. Brown's calendar queue,
+CACM 1988): a `defaultdict(list)` from cycle to seqs, so filing builds no
+throwaway list, of which the issue stage pops exactly the current cycle's
+bucket and an idle cycle skips to the smallest key. A bucket is read only
+with `pop` or `get`, as a plain read would leave an empty bucket. An
+entry is filed at most once per execution, so the walk never meets a seq
+twice: a load once, as its access stands after a replay, and an op again
+only once a replay has reset it or taken it out of where it waits. A load
+waiting in the pool for store data in flight files an empty bucket at the
+data's arrival, where an idle stretch stops. Issue walks, in program order,
+the bucket, the loads waiting in the issue pool and the ops (ALU ops and
+branches) waiting for a unit, which each FU class keeps in a list sorted by
+seq; units and the walk's `width` issue slots go in that order, a slot to
+each load or op that issues. A class's units can take only its oldest
+waiting ops, so the walk takes as many of them as the class has units and
+leaves the rest of its list, unvisited, for the next cycle. The walk ends at
+the last slot and carries its unvisited rest in the next cycle's bucket, a
+cycle that is stepped, as this one made progress. The cycle's budget list
+(units, then ports) is built only for a load's issue or an engine step.
+An ALU op or branch executes unchecked: its producers had values when it
+was filed, and a value-prediction replay takes each op that now reads a
+reset producer out of the calendar bucket it is found in, or else its
+class's list, so that the producer's re-execution files it as it files
+any op. The recomputation engine steps only in a cycle it has work in,
+takes its units from the cycle's budget, and hands back each request it
+ended as a value or a fallback. `fu_ops` is counted once per run, in
+`_result`: an ALU op or branch takes one unit per execution, its first
+and one per replay, and the engine counts the units it takes. A load
+"performs" when its value is bound by a real access, store forward, or
+recomputation; its memory-order shadow resolves then (at validation
+completion for predicted loads). Time skips ahead to the next cycle at
+which something is due whenever a cycle makes no progress. A result
+keeps the final hierarchy as a `MemHierState.snapshot` of flat tuples,
+hashed on the first read of its `memhier_digest`.
 
 Injected transient probes model guaranteed-squashed wrong-path loads after a
 mispredicted branch. They probe the hierarchy but hold no core resources, so
@@ -196,10 +221,12 @@ _DISPATCHED_KEYS = tuple(f"dispatched_{k.lower()}" for k in KINDS)
 
 class _Entry:
     """One in-flight load, store, branch or NOP: a slot of the run's ring,
-    with no field until an occupant's dispatch writes them all (`reset`, or
-    a load's short path). An ALU op takes no slot. `sb_e` holds the
-    exception shadow and `sb_k` the one shadow its kind casts: a branch's
-    C, a store's D, a load's M or VP."""
+    with no field until its occupant's dispatch writes them all (`reset`,
+    or a load's short path, which writes only the fields a load reads). An
+    ALU op takes no slot. Its value lives in the run's `committed_values`
+    and its timing in the run's `ready` and `complete` lists. `sb_e` holds
+    its exception shadow and `sb_k` the one shadow its kind casts: a
+    branch's C, a store's D, a load's M or VP."""
 
     __slots__ = (
         "seq", "ins", "state", "addr_ready", "shadowed", "sb_e", "sb_k",
@@ -208,10 +235,17 @@ class _Entry:
 
     def reset(self, seq, ins, now):
         """Every field, for a store, branch or NOP."""
-        self.seq, self.ins, self.state, self.dispatch_cycle = seq, ins, DISP, now
-        self.addr_ready = self.sb_e = self.sb_k = self.predicted = None
-        self.unshadow_cycle = self.issue_at = None
-        self.shadowed = self.iq_held = False
+        self.seq = seq
+        self.ins = ins
+        self.state = DISP
+        self.addr_ready = None
+        self.shadowed = False
+        self.sb_e = self.sb_k = None
+        self.predicted = None
+        self.iq_held = False
+        self.unshadow_cycle = None
+        self.dispatch_cycle = now
+        self.issue_at = None
 
 
 class _Sim:
@@ -1151,38 +1185,40 @@ class _Sim:
         return regs
 
     def _result(self, cycles: int) -> RunResult:
-        c, mem, vp, vrc = self.counters, self.mem, self.vp, self.vrc
+        c = self.counters
         # every instruction was dispatched exactly once
         for kind, count in self.decode.kind_counts:
             c[_DISPATCHED_KEYS[kind]] = count
-        # a unit per execution of an ALU op or branch, replays too, and per
-        # unit the engine took
+        # one unit per FU op (see the module docstring)
         fu_ops = c.get("dispatched_alu", 0) + c.get("dispatched_branch", 0) \
-            + c.get("replayed_ops", 0) + (vrc.fu_ops if vrc else 0)
+            + c.get("replayed_ops", 0) + (self.vrc.fu_ops if self.vrc else 0)
         if fu_ops:
             c["fu_ops"] = fu_ops
-        c.update(l1_hits=mem.l1_hits, l1_misses=mem.l1_misses, mshr_hits=mem.mshr_hits,
-                 l2_hits=mem.l2_hits, mem_accesses=mem.mem_accesses)
-        if vp is not None:
-            c.update(vp_lookups=vp.lookups, vp_updates=vp.updates)
-        if vrc is not None:
-            c.update(slice_cycles=vrc.busy_cycles, vrc_struct_accesses=vrc.struct_accesses,
-                     hist_inserts=vrc.hist_inserts, hist_overflows=vrc.hist_overflows,
-                     slice_invalidations=vrc.invalidations)
-            if vrc.faults:
-                c["exc_fallbacks"] = vrc.faults
+        for name in ("l1_hits", "l1_misses", "mshr_hits", "l2_hits", "mem_accesses"):
+            c[name] = getattr(self.mem, name)
+        if self.vp is not None:
+            c["vp_lookups"] = self.vp.lookups
+            c["vp_updates"] = self.vp.updates
+        if self.vrc is not None:
+            c["slice_cycles"] = self.vrc.busy_cycles
+            c["vrc_struct_accesses"] = self.vrc.struct_accesses
+            c["hist_inserts"] = self.vrc.hist_inserts
+            c["hist_overflows"] = self.vrc.hist_overflows
+            c["slice_invalidations"] = self.vrc.invalidations
+            if self.vrc.faults:
+                c["exc_fallbacks"] = self.vrc.faults
         return RunResult(
             policy=self.policy,
             consistency=self.config.consistency,
             cycles=cycles,
             committed=self.commit_head,
             counters=dict(c),
-            memhier_snapshot=mem.snapshot(),
+            memhier_snapshot=self.mem.snapshot(),
             mutation_log=self.log,
             committed_values=self.committed_values,
             committed_regs=self._final_regs(),
             validation_completions=self.validation_completions,
-            mean_slice_cycles=vrc.mean_slice_cycles() if vrc else None,
+            mean_slice_cycles=self.vrc.mean_slice_cycles() if self.vrc else None,
             load_timing=self.load_timing,
             shadow_stats=(self.sb.shadowed_load_fraction(),
                           self.sb.mean_shadows_per_load()),

@@ -1,7 +1,7 @@
 """Memory use of the core, as three numbers, each read in a fresh
 interpreter.
 
-    PYTHONPATH=src python3 tests/rss.py [--count N] [--iterations K] [--heap-passes P]
+    PYTHONPATH=src python3 tests/rss.py [--count N] [--iterations K]
 
 growth   The resident-set growth of one MIXED run of `--count` instructions
          (default 100k) under VRC. The trace, its annotations and its decode
@@ -18,13 +18,13 @@ loop     The peak RSS (`ru_maxrss`) of `--iterations` (default 30) passes
          STREAM trace (load density 0.2, 4 MB working set) saved, loaded,
          validated, replayed and run under BASELINE and DOM.
 heap     The peak of the Python heap, in KiB, as `tracemalloc` counts it,
-         over `--heap-passes` (default 2) passes of the loop above. Tracing
-         starts before one warm-up pass (the package's import included);
-         the peak is reset after it and a `gc.collect()`, so it is what the
-         warm-up left alive plus the most that the passes then held at
-         once, results included. It counts objects, not the allocator's
-         pages, so unlike `ru_maxrss`, which moves in 128-512 KB steps with
-         code layout, it moves only with what a run allocates.
+         over `HEAP_PASSES` (2) passes of the loop above. Tracing starts
+         before one warm-up pass (the package's import included); the peak
+         is reset after it and a `gc.collect()`, so it is what the warm-up
+         left alive plus the most that the passes then held at once,
+         results included. It counts objects, not the allocator's pages,
+         so unlike `ru_maxrss`, which moves in 128-512 KB steps with code
+         layout, it moves only with what a run allocates.
 
 The bench's own `peak_rss_mb` grows with the number of iterations a timed
 run fits in, so a faster tree reads as using more memory; here the count is
@@ -47,6 +47,7 @@ import tracemalloc
 from pathlib import Path
 
 MB = 1 << 20
+HEAP_PASSES = 2
 
 
 def _current_rss() -> int:
@@ -138,7 +139,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=100_000)
     ap.add_argument("--iterations", type=int, default=30)
-    ap.add_argument("--heap-passes", type=int, default=2)
     ap.add_argument("--child", choices=("growth", "loop", "heap"), help=argparse.SUPPRESS)
     ap.add_argument("--n", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -149,8 +149,8 @@ def main() -> None:
           f"{_child('growth', args.count):.2f} MB")
     print(f"peak of {args.iterations} bench-shaped iterations: "
           f"{_child('loop', args.iterations):.2f} MB")
-    print(f"Python-heap peak of {args.heap_passes} passes after a warm-up: "
-          f"{_child('heap', args.heap_passes):,.0f} KiB")
+    print(f"Python-heap peak of {HEAP_PASSES} passes after a warm-up: "
+          f"{_child('heap', HEAP_PASSES):,.0f} KiB")
 
 
 if __name__ == "__main__":
