@@ -19,10 +19,13 @@ shadow. The header carries exactly `version` and `regs`; `taken`, `pred` and
 `fault` are 0 or 1. Integers may be written in hex with a `0x` prefix;
 addresses and data values are emitted in hex. `parse_trace` reads a record
 spelled exactly as `emit_trace` writes it with one compiled match, and
-accepts every other valid spelling (any field order, a decimal address,
-`0X` hex, `fault=0`, ...) through the field-by-field parser. In one call,
-a non-memory record repeating an earlier one's text after ` pc=`, with an
-`emit_trace` seq, copies that one's fields, `srcs` and `BranchInfo` too.
+every other spelling (any field order, a decimal address, `0X` hex,
+`fault=0`, ...) with the field-by-field parser. Both check only spelling;
+one function, `_checked_record`, holds the record rules, and both pass
+their values through it, so a record that breaks a rule gets one message
+however it is spelled. In one call, a non-memory record repeating an
+earlier one's text after ` pc=`, with an `emit_trace` seq, copies that
+one's fields, `srcs` and `BranchInfo` too.
 """
 
 from __future__ import annotations
@@ -261,6 +264,7 @@ _INSTRUCTION_FIELDS = frozenset((
 ))
 _HEADER_FIELDS = frozenset(("version", "regs"))
 _MEM_FIELDS = ("mem_addr", "mem_size", "mem_value")
+_BRANCH_INFO = {(t, p): BranchInfo(t, p) for t in (False, True) for p in (False, True)}
 
 
 def _format_instruction(ins: TraceInstruction, srcs_text: dict) -> str:
@@ -325,69 +329,34 @@ def _parse_kv(lineno: int, tokens: list[str]) -> dict[str, str]:
     return fields
 
 
-def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstruction:
-    fields = _parse_kv(lineno, tokens)
-    if not _INSTRUCTION_FIELDS.issuperset(fields):
-        unknown = fields.keys() - _INSTRUCTION_FIELDS
-        raise TraceFormatError(lineno, f"unknown fields {sorted(unknown)}")
-    try:
-        seq, pc, kind = fields["seq"], fields["pc"], fields["kind"]
-    except KeyError as missing:
-        raise TraceFormatError(
-            lineno, f"missing required field {missing.args[0]!r}") from None
-    if kind not in KINDS:
-        raise TraceFormatError(lineno, f"field kind: out of range: {kind!r}")
-    seq = _parse_int(lineno, "seq", seq)
-    pc = _parse_int(lineno, "pc", pc)
-    if seq < 0 or pc < 0:
-        raise TraceFormatError(lineno, "field out of range: seq/pc must be non-negative")
-
-    get = fields.get
-    dst = get("dst")
-    if dst is not None:
-        dst = _parse_int(lineno, "dst", dst)
-    srcs = get("srcs")
-    if srcs:
-        srcs = tuple([_parse_int(lineno, "srcs", s) for s in srcs.split(",")])
-    else:
-        srcs = ()
-    imm = get("imm")
-    if imm is not None:
-        imm = _parse_int(lineno, "imm", imm)
-    if len(srcs) > 3:
-        raise TraceFormatError(lineno, "field out of range: more than 3 srcs")
+def _checked_record(lineno: int, regs: int, seq, pc, kind, dst, srcs, imm, alu_op,
+                    mem_addr, mem_size, mem_value, taken, pred, may_fault) -> TraceInstruction:
+    """The record with these fields, however its line spelled them, or
+    TraceFormatError at `lineno` naming the first record rule it breaks:
+    registers below `regs`, the fields each kind allows or requires, no
+    `srcs` on a NOP, and an ALU op's operand count. An absent field is None
+    (`srcs` is then ()); `taken` and `pred` are bools."""
     for r in srcs:
         if not 0 <= r < regs:
             raise TraceFormatError(lineno, f"field out of range: register {r} (regs={regs})")
     if dst is not None and not 0 <= dst < regs:
         raise TraceFormatError(lineno, f"field out of range: register {dst} (regs={regs})")
 
-    mem = (get("mem_addr"), get("mem_size"), get("mem_value"))
-    mem_addr, mem_size, mem_value = mem
     if kind == "LOAD" or kind == "STORE":
-        if None in mem:
-            missing = _MEM_FIELDS[mem.index(None)]
+        if mem_addr is None or mem_size is None or mem_value is None:
+            missing = _MEM_FIELDS[(mem_addr, mem_size, mem_value).index(None)]
             raise TraceFormatError(lineno, f"{kind} record missing {missing!r}")
-        mem_addr = _parse_int(lineno, "mem_addr", mem_addr)
-        mem_size = _parse_int(lineno, "mem_size", mem_size)
-        mem_value = _parse_int(lineno, "mem_value", mem_value)
-        if mem_size not in (1, 2, 4, 8):
-            raise TraceFormatError(lineno, f"field out of range: mem_size {mem_size}")
-        if mem_addr < 0 or not 0 <= mem_value <= MASK64:
-            raise TraceFormatError(lineno, "field out of range: mem_addr/mem_value")
-    elif mem != (None, None, None):
+    elif mem_addr is not None or mem_size is not None or mem_value is not None:
         raise TraceFormatError(lineno, f"memory fields not allowed on kind {kind}")
 
-    taken, pred, br = get("taken"), get("pred"), None
+    br = None
     if kind == "BRANCH":
         if taken is None or pred is None:
             raise TraceFormatError(lineno, "BRANCH record missing taken/pred")
-        br = BranchInfo(_parse_flag(lineno, "taken", taken),
-                        _parse_flag(lineno, "pred", pred))
+        br = _BRANCH_INFO[taken, pred]
     elif taken is not None or pred is not None:
         raise TraceFormatError(lineno, f"branch fields not allowed on kind {kind}")
 
-    alu_op = get("alu_op")
     if kind == "ALU":
         if alu_op is None:
             raise TraceFormatError(lineno, "ALU record missing alu_op")
@@ -408,11 +377,51 @@ def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstru
         raise TraceFormatError(lineno, f"dst not allowed on kind {kind}")
     if srcs and kind == "NOP":
         raise TraceFormatError(lineno, "srcs not allowed on kind NOP")
-
-    fault = get("fault")
-    may_fault = fault is not None and _parse_flag(lineno, "fault", fault)
     return _InstructionDraft(seq, pc, kind, dst, srcs, imm, alu_op, mem_addr,
                              mem_size, mem_value, br, may_fault)
+
+
+def _parse_instruction(lineno: int, tokens: list[str], regs: int) -> TraceInstruction:
+    """The `I` record whose fields are `tokens`, in any valid spelling. It
+    checks what the canonical pattern checks by spelling (known fields, each
+    once, the required ones, integers, `kind`, seq/pc signs, at most 3 srcs,
+    `mem_size`, the memory ranges, 0/1 flags), then `_checked_record`."""
+    fields = _parse_kv(lineno, tokens)
+    if not _INSTRUCTION_FIELDS.issuperset(fields):
+        unknown = fields.keys() - _INSTRUCTION_FIELDS
+        raise TraceFormatError(lineno, f"unknown fields {sorted(unknown)}")
+    try:
+        seq, pc, kind = fields["seq"], fields["pc"], fields["kind"]
+    except KeyError as missing:
+        raise TraceFormatError(
+            lineno, f"missing required field {missing.args[0]!r}") from None
+    if kind not in KINDS:
+        raise TraceFormatError(lineno, f"field kind: out of range: {kind!r}")
+    seq = _parse_int(lineno, "seq", seq)
+    pc = _parse_int(lineno, "pc", pc)
+    if seq < 0 or pc < 0:
+        raise TraceFormatError(lineno, "field out of range: seq/pc must be non-negative")
+
+    srcs = fields.get("srcs")
+    if srcs:
+        srcs = tuple([_parse_int(lineno, "srcs", s) for s in srcs.split(",")])
+    else:
+        srcs = ()
+    if len(srcs) > 3:
+        raise TraceFormatError(lineno, "field out of range: more than 3 srcs")
+    dst, imm, mem_addr, mem_size, mem_value = [
+        _parse_int(lineno, key, fields[key]) if key in fields else None
+        for key in ("dst", "imm", *_MEM_FIELDS)]
+    if mem_size not in (None, 1, 2, 4, 8):
+        raise TraceFormatError(lineno, f"field out of range: mem_size {mem_size}")
+    if mem_addr is not None and mem_addr < 0 \
+            or mem_value is not None and not 0 <= mem_value <= MASK64:
+        raise TraceFormatError(lineno, "field out of range: mem_addr/mem_value")
+    taken, pred, fault = [
+        _parse_flag(lineno, key, fields[key]) if key in fields else None
+        for key in ("taken", "pred", "fault")]
+    return _checked_record(lineno, regs, seq, pc, kind, dst, srcs, imm, fields.get("alu_op"),
+                           mem_addr, mem_size, mem_value, taken, pred, bool(fault))
 
 
 # an `I` record exactly as `_format_instruction` writes it: ASCII decimal
@@ -426,39 +435,27 @@ _CANONICAL_INSTRUCTION = re.compile(
     rf"(?: alu_op=({'|'.join(ALU_OPS)}))?(?: mem_addr={_HEX} mem_size=([1248]) "
     rf"mem_value={_HEX})?(?: taken=([01]) pred=([01]))?( fault=1)?")
 _SEQ_HEAD = re.compile(f"I seq=(?:{_DEC})").fullmatch
-_BRANCH_INFO = {(t, p): BranchInfo(t == "1", p == "1") for t in "01" for p in "01"}
 
 
-def _parse_canonical(line: str, regs: int) -> TraceInstruction | None:
+def _parse_canonical(lineno: int, line: str, regs: int) -> TraceInstruction | None:
     """The record on `line` when it is an `I` record spelled exactly as
-    `emit_trace` writes it and valid under `regs`; None for any other line,
-    which `_parse_instruction` then reads or rejects. The pattern fixes the
-    spelling; this checks what it cannot: which fields each kind allows or
-    requires, registers below `regs`, and ALU arity."""
+    `emit_trace` writes it; None for any other spelling, which
+    `_parse_instruction` reads. The pattern checks only the spelling;
+    `_checked_record` applies the rules and raises for a broken one."""
     m = _CANONICAL_INSTRUCTION.fullmatch(line)
     if m is None:
         return None
     seq, pc, kind, dst, srcs, imm, alu_op, addr, size, value, taken, pred, \
         fault = m.groups()
-    dst = None if dst is None else int(dst)
-    srcs = () if srcs is None else tuple(map(int, srcs.split(",")))
-    if dst is not None and dst >= regs or srcs and max(srcs) >= regs:
-        return None
-    if kind == "ALU":
-        imm = None if imm is None else int(imm)
-        if dst is None or alu_op is None or addr is not None or taken is not None \
-                or len(srcs) + (imm is not None) != ALU_ARITY[alu_op]:
-            return None
-    elif alu_op is not None or imm is not None or dst is not None and kind != "LOAD" \
-            or (addr is not None) != (kind == "LOAD" or kind == "STORE") \
-            or (taken is not None) != (kind == "BRANCH") or srcs and kind == "NOP":
-        return None
     if addr is not None:
         addr, size, value = int(addr, 16), int(size), int(value, 16)
-    return _InstructionDraft(int(seq), int(pc, 16), kind, dst, srcs, imm, alu_op,
-                             addr, size, value,
-                             None if taken is None else _BRANCH_INFO[taken, pred],
-                             fault is not None)
+    if taken is not None:
+        taken, pred = taken == "1", pred == "1"
+    return _checked_record(lineno, regs, int(seq), int(pc, 16), kind,
+                           None if dst is None else int(dst),
+                           () if srcs is None else tuple(map(int, srcs.split(","))),
+                           None if imm is None else int(imm), alu_op, addr, size,
+                           value, taken, pred, fault is not None)
 
 
 def _read_text(data) -> str:
@@ -497,7 +494,7 @@ def parse_trace(data) -> Trace:
                     int(head[6:]), same.pc, same.kind, same.dst, same.srcs, same.imm,
                     same.alu_op, None, None, None, same.br, same.may_fault))
                 continue
-            ins = _parse_canonical(raw, regs)
+            ins = _parse_canonical(lineno, raw, regs)
             if ins is not None:
                 if ins.mem_addr is None:
                     seen[rest] = ins

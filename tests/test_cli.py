@@ -3,12 +3,14 @@ import time
 
 import pytest
 
+from vrcsim import core
 from vrcsim.cli import _config_for, build_parser, main
 from vrcsim.slicer import emit_annotations, load_annotations, AnnotationTable, \
     Slice, SliceInstr, const_op, annotate
-from vrcsim.trace import emit_trace, load_trace
+from vrcsim.trace import emit_trace, load_trace, save_trace
 from vrcsim.vp import VpConfig
-from vrcsim.workloads import PATTERNS, SyntheticWorkloadSpec, gen_synthetic
+from vrcsim.workloads import (PATTERNS, SyntheticWorkloadSpec, TraceBuilder,
+                              gen_synthetic)
 
 
 def _gen(tmp_path, name="tr.txt", count=6000, seed=5, recomputable=1.0,
@@ -52,6 +54,46 @@ def test_gen_infeasible_spec_input_error(tmp_path):
 
 def test_slice_missing_trace_input_error(tmp_path):
     assert main(["slice", "--trace", str(tmp_path / "absent.txt")]) == 2
+
+
+def _input_error_files(tmp_path) -> dict:
+    """The files the input-error cases name: `tr`, a valid trace with a
+    mispredicted branch; `calm`, a valid one without; `bad`, one that parses
+    but fails validation; and `absent`, a path to no file."""
+    files = {"absent": tmp_path / "absent.txt", "bad": tmp_path / "bad.txt"}
+    files["bad"].write_text("H version=1 regs=64\nI seq=1 pc=0x0 kind=NOP\n")
+    for name, predicted in (("tr", False), ("calm", True)):
+        tb = TraceBuilder()
+        tb.load(0x0, 1, 0x1000)
+        tb.branch(0x4, srcs=(1,), predicted=predicted)
+        tb.alu(0x8, 2, "ADD", srcs=(1,), imm=1)
+        files[name] = tmp_path / f"{name}.txt"
+        save_trace(tb.build(), files[name])
+    return files
+
+
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["compare", "--trace", "{absent}"],
+                 "trace file not found: {absent}", id="missing-trace"),
+    pytest.param(["compare", "--trace", "{bad}"],
+                 "trace invalid: [Violation(seq=1, message="
+                 "'non-dense seq: expected 0, got 1')]", id="invalid-trace"),
+    pytest.param(["compare", "--trace", "{tr}", "--annotations", "{absent}",
+                  "--policy", "VRC"],
+                 "annotation file not found: {absent}", id="missing-annotations"),
+    pytest.param(["audit", "--trace", "{tr}", "--probe", "branch=1,bogus=2"],
+                 "bad probe spec field 'bogus=2'", id="probe-unknown-field"),
+    pytest.param(["audit", "--trace", "{tr}", "--probe", "branch=1"],
+                 "probe spec needs branch=<seq>,loads=<hex,...>", id="probe-no-loads"),
+    pytest.param(["audit", "--trace", "{calm}"],
+                 "trace has no mispredicted branch to attach a probe to",
+                 id="no-mispredicted-branch"),
+])
+def test_input_errors_exit_2_and_say_why(tmp_path, capsys, args, message):
+    files = _input_error_files(tmp_path)
+    argv = [arg.format(**files) for arg in args]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
 
 
 def test_slice_default_max_len_and_output(tmp_path, capsys):
@@ -222,6 +264,29 @@ def test_audit_baseline_reported_but_exit_zero(tmp_path, capsys):
     assert main(["audit", "--trace", str(tr), "--policy", "BASELINE"]) == 0
     out = capsys.readouterr().out
     assert "DIVERGENT" in out and "expected: leaky" in out
+
+
+def test_audit_reports_a_leak_with_its_divergence_and_violators(tmp_path, capsys,
+                                                                monkeypatch):
+    # BASELINE leaks: audited as if it were secure, its leak is reported.
+    # A probe that loads the line the correct path loads next leaves the
+    # final hierarchy as it was, so the audit names the first committed
+    # record that the probe changed
+    monkeypatch.setattr(core, "SECURE_POLICIES", core.POLICIES)
+    tr = tmp_path / "stream.txt"
+    assert main(["gen", "--pattern", "stream", "--count", "600", "--seed", "3",
+                 "--mispredict-rate", "0.3", "--out", str(tr)]) == 0
+    t = load_trace(tr)
+    br = next(i.seq for i in t.instructions
+              if i.kind == "BRANCH" and not i.br.predicted_correctly)
+    addr = next(i.mem_addr for i in t.instructions[br:] if i.kind == "LOAD")
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(tr), "--policy", "BASELINE",
+                 "--probe", f"branch={br},loads={addr:#x}"]) == 3
+    out = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert out[0] == "BASELINE: differential=DIVERGENT invisibility=FAIL"
+    assert out[1].startswith("first divergence: M cycle=")
+    assert out[2:] and all(line.startswith("violator: M cycle=") for line in out[2:])
 
 
 def _evil_annotations(tmp_path, tr):

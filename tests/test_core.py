@@ -592,6 +592,18 @@ def test_config_that_cannot_progress_is_rejected(overrides):
         CoreConfig(**overrides)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"policy": "TURBO"}, "unknown policy 'TURBO'"),
+    ({"consistency": "SC"}, "unknown consistency model 'SC'"),
+    ({"width": 0}, "width >= 1 and ROB >= IQ required"),
+    ({"rob_size": 32, "iq_size": 64}, "width >= 1 and ROB >= IQ required"),
+], ids=("policy", "consistency", "width", "rob<iq"))
+def test_config_names_what_it_rejects(overrides, message):
+    with pytest.raises(ValueError) as exc:
+        CoreConfig(**overrides)
+    assert str(exc.value) == message
+
+
 def test_smallest_legal_core_runs_to_completion(tb):
     # one of everything, and a shadow buffer of two: a faulting load under
     # TSO casts its exception and memory-order shadows at once
@@ -612,6 +624,23 @@ def test_smallest_legal_core_runs_to_completion(tb):
             r = core.run(t, annotations=table,
                          config=CoreConfig(policy=policy, **smallest))
             assert r.committed_values == functional_replay(t).results, policy
+
+
+@pytest.mark.parametrize("consistency", ("TSO", "RC"))
+def test_faulting_alu_ops_wait_for_room_in_a_full_shadow_buffer(tb, consistency):
+    # the branch on a missing load's value keeps its control shadow until
+    # the miss returns, so the faulting MOVs behind it find the two-entry
+    # shadow buffer full at dispatch and must wait there for room
+    tb.load(0x0, 1, COLD_A)
+    tb.branch(0x4, srcs=(1,))
+    for i in range(6):
+        tb.alu(0x8 + 4 * i, 2 + i, "MOV", imm=i, fault=True)
+    t = tb.build()
+    oracle = functional_replay(t).results
+    for policy in ("BASELINE", "DOM"):
+        r = core.run(t, config=CoreConfig(policy=policy, consistency=consistency,
+                                          sb_capacity=2))
+        assert r.committed_values == oracle, policy
 
 
 class _HookedSim(core._Sim):

@@ -516,22 +516,31 @@ def test_fuzzed_traces_fail_only_typed(edits):
         assert run(t, config=CoreConfig(policy=policy)).committed == len(t)
 
 
-def _check_fast_path(line: str) -> None:
-    # under either register count, the fast path declines the line or reads
+def _check_fast_path(line: str) -> list:
+    # under either register count, the fast path declines the line, reads
     # exactly what the checked parser reads (repr tells a bool from an int),
-    # and it declines every line the checked parser rejects
+    # or raises the checked parser's error, word for word; returns what the
+    # fast path gave under each count: None, a record or the error
     tokens = line.split()
+    outcomes = []
     for regs in (64, 8):
-        fast = trace_mod._parse_canonical(line, regs)
-        if not tokens or tokens[0] != "I":
-            assert fast is None
+        try:
+            fast = trace_mod._parse_canonical(1, line, regs)
+        except TraceFormatError as error:
+            fast = error
+        outcomes.append(fast)
+        if fast is None:
             continue
+        assert tokens[0] == "I", line
         try:
             slow = trace_mod._parse_instruction(1, tokens[1:], regs)
-        except TraceFormatError:
-            assert fast is None, line
+        except TraceFormatError as error:
+            assert isinstance(fast, TraceFormatError), line
+            assert str(fast) == str(error), line
             continue
-        assert fast is None or (fast == slow and repr(fast) == repr(slow)), line
+        assert not isinstance(fast, TraceFormatError), line
+        assert fast == slow and repr(fast) == repr(slow), line
+    return outcomes
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -582,8 +591,12 @@ def test_parse_cache_reads_a_repeated_record_like_the_record_alone(seq):
 
 
 def test_fast_path_agrees_with_checked_parser_on_emitted_lines():
-    for line in FUZZ_TEXT.splitlines():
-        _check_fast_path(line)
+    outcomes = [out for line in FUZZ_TEXT.splitlines() for out in _check_fast_path(line)]
+    # every outcome occurs: the header and notes are declined, and under
+    # regs=8 some records name a register the header does not have
+    assert None in outcomes
+    assert any(isinstance(out, TraceInstruction) for out in outcomes)
+    assert any(isinstance(out, TraceFormatError) for out in outcomes)
 
 
 def _refuse(*args):
